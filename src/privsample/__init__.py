@@ -24,7 +24,6 @@ from .belief import (
 from .policy import (
     SamplerSchedule,
     additive_noise_channel,
-    decide,
     degenerate_schedule,
     no_sample_prob_pointwise,
     open_loop_schedule,
@@ -50,6 +49,7 @@ from .optimizer import (
     follower_gradient,
     general_policy_gradient,
     objective_gradient_linear,
+    optimize_lambda,
     stackelberg_optimize,
 )
 from .finite import (

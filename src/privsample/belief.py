@@ -36,7 +36,6 @@ class GaussianBelief:
     phase: str
     n_x: int
     n_y: int
-    truncated: bool = False
 
     def __post_init__(self):
         d = self.mean.shape[0]
@@ -48,11 +47,6 @@ class GaussianBelief:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @property
-    def n_tracked(self) -> int:
-        """Number of Y blocks currently tracked (k + 1 unless truncated)."""
-        return (self.dim - self.n_x) // self.n_y
 
     # Block views (read-only slices of the stored arrays).
     @property
@@ -84,19 +78,11 @@ def init_belief(system: LinearGaussianSystem) -> GaussianBelief:
     )
 
 
-def predict(
-    system: LinearGaussianSystem,
-    belief: GaussianBelief,
-    max_tracked_y: int | None = None,
-) -> GaussianBelief:
+def predict(system: LinearGaussianSystem, belief: GaussianBelief) -> GaussianBelief:
     """Propagate a filtered belief at k to the predicted belief at k+1.
 
     The embedding applies A to the current (x, y) block and keeps the
     retained trajectory blocks untouched; Q enters only the new block.
-    With ``max_tracked_y`` set, trajectory blocks older than the window
-    are marginalized out (dropped rows/columns) and the result is flagged
-    ``truncated`` so downstream information terms can be marked
-    approximate.
     """
     if belief.phase != FILTERED:
         raise PhaseError("predict requires a filtered belief")
@@ -117,21 +103,14 @@ def predict(
     cov[n:, n:] = belief.cov[nx:, nx:]
     cov = sym(cov)
 
-    out = GaussianBelief(
+    return GaussianBelief(
         mean=mean,
         cov=cov,
         k=belief.k + 1,
         phase=PREDICTED,
         n_x=nx,
         n_y=ny,
-        truncated=belief.truncated,
     )
-    if max_tracked_y is not None and out.n_tracked > max_tracked_y:
-        keep = nx + ny * max_tracked_y
-        out = replace(
-            out, mean=out.mean[:keep].copy(), cov=out.cov[:keep, :keep].copy(), truncated=True
-        )
-    return out
 
 
 def update_no_sample(belief: GaussianBelief, f: np.ndarray, g: np.ndarray) -> GaussianBelief:

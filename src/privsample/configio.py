@@ -47,11 +47,6 @@ def system_from_config(cfg: dict) -> LinearGaussianSystem:
         raise ConfigError(f"system config rejected: {exc}") from exc
 
 
-def load_system(path) -> tuple[LinearGaussianSystem, dict]:
-    cfg = load_json(path)
-    return system_from_config(cfg), cfg
-
-
 def finite_model_from_config(cfg: dict) -> FiniteModel:
     try:
         return FiniteModel(

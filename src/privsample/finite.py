@@ -94,12 +94,6 @@ class DiscreteBelief:
             out[x] += w
         return out
 
-    def y_marginal(self) -> dict:
-        out: dict = {}
-        for (_, _, ys), w in self.weights.items():
-            out[ys] = out.get(ys, 0.0) + w
-        return out
-
 
 @dataclass(frozen=True)
 class PolicyCollection:

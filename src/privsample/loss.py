@@ -28,7 +28,7 @@ from .belief import (
 from .errors import ContractViolation, NumericalFailure
 from .lingauss import LinearGaussianSystem
 from .linalg import inv_or_pinv, logdet_psd, psd_sqrt, solve_psd, sym
-from .policy import SamplerSchedule, no_sample_prob_pointwise
+from .policy import SamplerSchedule
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class LossBreakdown:
     p_no_sample: float
     total: float
     info_nats: float
-    approximate: bool = False
 
 
 def no_sample_prob_marginal(belief: GaussianBelief, f, g) -> float:
@@ -162,7 +161,6 @@ def one_step_loss(belief: GaussianBelief, f, g, lam: float) -> LossBreakdown:
         p_no_sample=p0,
         total=total,
         info_nats=info_nats,
-        approximate=belief.truncated,
     )
 
 
@@ -187,7 +185,6 @@ def rollout_losses(
     horizon: int,
     rng,
     mode: str = "belief",
-    max_tracked_y: int | None = None,
 ):
     """One seeded rollout of the belief recursion with per-step losses.
 
@@ -214,19 +211,14 @@ def rollout_losses(
             x = _draw_x_from_belief(belief, rng)
         else:
             x = state[: system.n_x]
-        if schedule.kind == "always_sample":
-            n_k = 1
-        elif schedule.kind == "never_sample":
-            n_k = 0
-        else:
-            n_k = 0 if rng.uniform() <= no_sample_prob_pointwise(x, f, g) else 1
+        n_k, _ = schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
         decisions[k] = n_k
         if n_k:
             belief = update_sample(belief, x)
         else:
             belief = update_no_sample(belief, f, g)
         if k < horizon:
-            belief = predict(system, belief, max_tracked_y=max_tracked_y)
+            belief = predict(system, belief)
             if mode == "state":
                 state = system.a_matrix @ state + system.draw_noise(rng)
     return losses, decisions
@@ -240,7 +232,6 @@ def trajectory_objective(
     horizon: int,
     rng,
     mode: str = "belief",
-    max_tracked_y: int | None = None,
 ):
     """Monte Carlo estimate of the horizon objective E[sum_k l_k].
 
@@ -251,9 +242,7 @@ def trajectory_objective(
     totals = np.empty(rollouts)
     rates = np.empty(rollouts)
     for r in range(rollouts):
-        losses, decisions = rollout_losses(
-            system, schedule, lam, horizon, rng, mode=mode, max_tracked_y=max_tracked_y
-        )
+        losses, decisions = rollout_losses(system, schedule, lam, horizon, rng, mode=mode)
         totals[r] = sum(b.total for b in losses)
         rates[r] = decisions.mean()
     stderr = float(totals.std(ddof=1) / math.sqrt(rollouts)) if rollouts > 1 else 0.0

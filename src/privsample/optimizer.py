@@ -1,8 +1,7 @@
 """Policy-gradient optimization of the sampling schedule.
 
 Leader/follower structure: the sampler's parameters are optimized against
-the analytic best-response reconstructor (the conditional mean), with an
-inner follower loop available for parameterized reconstructors. The
+the analytic best-response reconstructor (the conditional mean). The
 sampler is parameterized in feedback form, f_k = L_k L_k^T through an
 unconstrained Cholesky factor (log-diagonal) and g_k = x_pred + c_k. In
 that class every per-step loss is a deterministic function of the
@@ -26,6 +25,7 @@ import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalFailure
 from .lingauss import LinearGaussianSystem
+from .loss import mi_accumulate, rollout_losses
 from .policy import SamplerSchedule, privacy_aware_schedule
 from .rngs import substream
 
@@ -38,7 +38,6 @@ class OptimizerConfig:
     the gradient vanishes and the walk would die)."""
 
     alpha: float = 0.25
-    beta: float = 0.1
     rollouts_per_step: int = 48
     max_iters: int = 120
     tol: float = 1e-3
@@ -46,12 +45,10 @@ class OptimizerConfig:
     validation_rollouts: int = 512
     patience: int = 10
     step_clip: float = 0.5
-    follower_tol: float = 1e-6
-    follower_max_iters: int = 200
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ContractViolation("step sizes must be positive")
+        if self.alpha <= 0:
+            raise ContractViolation("step size must be positive")
         if self.rollouts_per_step < 1 or self.max_iters < 1:
             raise ContractViolation("counts must be >= 1")
 
@@ -527,6 +524,48 @@ def _rollout_gradient_terms(params, system, lam, horizon, rng, forced=None):
     return loss, dloss, score, kept / (horizon + 1)
 
 
+def _parameter_rollouts(params, system, lam, rollouts, rng):
+    """(losses, pathwise dlosses, scores, rates) of sampled branch patterns.
+
+    The one engine choice for parameter rollouts: batched on the scalar
+    engine when it applies, otherwise one growing-covariance reference
+    rollout at a time.
+    """
+    horizon = params.horizon
+    if _ScalarBatchEngine.applicable(system):
+        losses, paths, scores, rates, _ = _fast_gradient_batch(
+            params, system, lam, rollouts, horizon, rng
+        )
+        return losses, paths, scores, rates
+    losses = np.empty(rollouts)
+    rates = np.empty(rollouts)
+    paths = np.empty((rollouts, params.dim))
+    scores = np.empty((rollouts, params.dim))
+    for r in range(rollouts):
+        losses[r], paths[r], scores[r], rates[r] = _rollout_gradient_terms(
+            params, system, lam, horizon, rng
+        )
+    return losses, paths, scores, rates
+
+
+def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):
+    """Mean and standard error of the information a schedule leaks (nats).
+
+    The one engine choice for schedule rollouts: belief-mode rollouts on
+    the scalar engine when it applies, otherwise ``loss.rollout_losses``
+    on the growing belief, one rollout at a time.
+    """
+    if _ScalarBatchEngine.applicable(system):
+        _, totals, _ = _fast_schedule_batch(system, schedule, 1.0, rollouts, horizon, rng)
+    else:
+        totals = np.empty(rollouts)
+        for r in range(rollouts):
+            losses, _ = rollout_losses(system, schedule, 1.0, horizon, rng, mode="belief")
+            totals[r] = mi_accumulate(losses)
+    se = float(totals.std(ddof=1) / np.sqrt(rollouts)) if rollouts > 1 else 0.0
+    return float(totals.mean()), se
+
+
 def objective_gradient_linear(
     params: FeedbackPolicyParams,
     system: LinearGaussianSystem,
@@ -540,20 +579,7 @@ def objective_gradient_linear(
     tangent plus the (loss - baseline)-weighted marginal branch score,
     with a leave-one-out baseline. Returns (gradient, diagnostics dict).
     """
-    horizon = params.horizon
-    if _ScalarBatchEngine.applicable(system):
-        losses, paths, scores, rates, _ = _fast_gradient_batch(
-            params, system, lam, rollouts, horizon, rng
-        )
-    else:
-        losses = np.empty(rollouts)
-        rates = np.empty(rollouts)
-        paths = np.empty((rollouts, params.dim))
-        scores = np.empty((rollouts, params.dim))
-        for r in range(rollouts):
-            losses[r], paths[r], scores[r], rates[r] = _rollout_gradient_terms(
-                params, system, lam, horizon, rng
-            )
+    losses, paths, scores, rates = _parameter_rollouts(params, system, lam, rollouts, rng)
     if rollouts > 1:
         baseline = (losses.sum() - losses) / (rollouts - 1)
     else:
@@ -609,32 +635,7 @@ def exact_objective_and_gradient(params, system, lam, horizon=None):
 
 def exact_objective(params, system, lam, horizon=None) -> float:
     """Objective-only enumeration (used by finite-difference probes)."""
-    horizon = params.horizon if horizon is None else horizon
-    total = 0.0
-    zero = np.zeros(0)
-
-    def recurse(filt, k, weight, loss_acc):
-        nonlocal total
-        f, _ = params.f_with_tangents(k)
-        c, _ = params.c_with_tangents(k)
-        df = np.zeros((0, *f.shape))
-        dc = np.zeros((0, c.size))
-        l_k, _, p0, _ = filt.step_loss(f, df, c, dc, lam)
-        loss_acc = loss_acc + l_k
-        for keep in (False, True):
-            w = (1.0 - p0) if keep else p0
-            if w <= 1e-15:
-                continue
-            child = filt.clone()
-            child.update(f, df, keep)
-            if k == horizon:
-                total += weight * w * loss_acc
-            else:
-                child.predict()
-                recurse(child, k + 1, weight * w, loss_acc)
-
-    recurse(_TangentFilter(system, 0), 0, 1.0, 0.0)
-    return total
+    return exact_objective_and_gradient(_NoTangents(params), system, lam, horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +750,7 @@ def general_policy_gradient(follower, episodes, lam: float, theta_dim: int) -> n
 
 
 # ---------------------------------------------------------------------------
-# Nested optimization loop
+# Optimization loop
 # ---------------------------------------------------------------------------
 
 
@@ -760,7 +761,6 @@ class TraceRow:
     stderr: float
     sampling_rate: float
     grad_norm_theta: float
-    grad_norm_phi: float
 
 
 @dataclass
@@ -772,43 +772,21 @@ class OptimizeResult:
     trace: list
 
 
-class OffsetFollower:
-    """Reconstruction = filtered mean + offset; best response is zero offset.
-
-    The minimal parameterized follower: it keeps the per-step losses
-    measurable in the branch pattern (the offset adds ||phi||^2 to every
-    discard-branch distortion), so the same estimator machinery applies
-    and the inner loop has a closed-form stationarity check.
-    """
-
-    def __init__(self, n_x: int):
-        self.phi = np.zeros(n_x)
-
-    def loss_shift(self) -> float:
-        return float(self.phi @ self.phi)
-
-    def gradient(self) -> np.ndarray:
-        # d/dphi of the discard-branch penalty ||phi||^2 (unit weight)
-        return 2.0 * self.phi
-
-
 def stackelberg_optimize(
     config: OptimizerConfig,
     system: LinearGaussianSystem,
     lam: float,
     init: FeedbackPolicyParams,
-    follower: OffsetFollower | None = None,
 ) -> OptimizeResult:
-    """Nested leader/follower loop.
+    """Leader loop against the conditional-mean reconstructor.
 
-    Leader gradient steps on the sampling parameters with step size
-    alpha_t = alpha / (1 + t/100); the follower loop runs to its
-    stationarity tolerance after each leader step (skipped entirely for
-    the analytic conditional-mean reconstructor, whose best response is
-    exact). Convergence is declared when the validation objective moves
-    less than ``tol`` relatively for ``patience`` consecutive iterations;
-    the best-seen parameters by validation objective are returned, and
-    the result is flagged non-converged when max_iters is exhausted.
+    Gradient steps on the sampling parameters with step size
+    alpha_t = alpha / (1 + t/100); the follower needs no inner loop
+    because the conditional mean is an exact best response. Convergence
+    is declared when the validation objective moves less than ``tol``
+    relatively for ``patience`` consecutive iterations; the best-seen
+    parameters by validation objective are returned, and the result is
+    flagged non-converged when max_iters is exhausted.
     """
     params = init
     horizon = init.horizon
@@ -818,17 +796,9 @@ def stackelberg_optimize(
         if exact_ok:
             return exact_objective(p, system, lam), 0.0, float("nan")
         rng = substream(config.seed, 999)  # common random numbers across iters
-        if _ScalarBatchEngine.applicable(system):
-            losses, _, _, rates, _ = _fast_gradient_batch(
-                _NoTangents(p), system, lam, config.validation_rollouts, horizon, rng
-            )
-        else:
-            losses = np.empty(config.validation_rollouts)
-            rates = np.empty(config.validation_rollouts)
-            for r in range(config.validation_rollouts):
-                losses[r], _, _, rates[r] = _rollout_gradient_terms(
-                    _NoTangents(p), system, lam, horizon, rng
-                )
+        losses, _, _, rates = _parameter_rollouts(
+            _NoTangents(p), system, lam, config.validation_rollouts, rng
+        )
         return (
             float(losses.mean()),
             float(losses.std(ddof=1) / math.sqrt(len(losses))),
@@ -846,14 +816,6 @@ def stackelberg_optimize(
         grad, info = objective_gradient_linear(
             params, system, lam, config.rollouts_per_step, rng
         )
-        grad_phi_norm = 0.0
-        if follower is not None:
-            for _ in range(config.follower_max_iters):
-                g_phi = follower.gradient()
-                grad_phi_norm = float(np.linalg.norm(g_phi))
-                if grad_phi_norm < config.follower_tol:
-                    break
-                follower.phi = follower.phi - config.beta * g_phi
         step = config.alpha / (1.0 + it / 100.0)
         move = -step * grad
         norm = float(np.linalg.norm(move))
@@ -868,7 +830,6 @@ def stackelberg_optimize(
                 stderr=stderr,
                 sampling_rate=info["sampling_rate"] if math.isnan(rate) else rate,
                 grad_norm_theta=float(np.linalg.norm(grad)),
-                grad_norm_phi=grad_phi_norm,
             )
         )
         if obj < best_obj:
@@ -886,6 +847,34 @@ def stackelberg_optimize(
         converged=converged,
         trace=trace,
     )
+
+
+F_SCAN_GRID = (0.3, 1.0, 3.0, 10.0, 30.0)
+F_SCAN_ROLLOUTS = 48
+
+
+def optimize_lambda(
+    config: OptimizerConfig,
+    system: LinearGaussianSystem,
+    lam: float,
+    horizon: int,
+) -> OptimizeResult:
+    """Optimized feedback schedule for one lambda.
+
+    A coarse scan scores each tied constant-f start in ``F_SCAN_GRID`` on
+    ``F_SCAN_ROLLOUTS`` rollouts of the same stream; stackelberg_optimize
+    then polishes the best start.
+    """
+    best_init, best_obj = None, np.inf
+    for f0 in F_SCAN_GRID:
+        params = FeedbackPolicyParams.constant(system, horizon, f0=f0, tied=True)
+        losses, _, _, _ = _parameter_rollouts(
+            _NoTangents(params), system, lam, F_SCAN_ROLLOUTS, substream(config.seed, 1)
+        )
+        obj = float(np.mean(losses))
+        if obj < best_obj:
+            best_obj, best_init = obj, params
+    return stackelberg_optimize(config, system, lam, best_init)
 
 
 class _NoTangents:

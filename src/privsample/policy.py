@@ -36,18 +36,6 @@ def no_sample_prob_pointwise(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> flo
     return float(np.exp(-0.5 * q))
 
 
-def decide(x, f, g, rng) -> tuple[int, np.ndarray | None]:
-    """Draw the keep/discard decision for one observation.
-
-    Returns (N_k, Z_k): N_k = 0 iff a uniform draw falls below the
-    pointwise no-sample probability; Z_k = x exactly when N_k = 1.
-    """
-    p0 = no_sample_prob_pointwise(x, f, g)
-    if rng.uniform() <= p0:
-        return 0, None
-    return 1, np.atleast_1d(np.asarray(x, dtype=float)).copy()
-
-
 def additive_noise_channel(x, noise_cov, rng) -> np.ndarray:
     """Perturb x with zero-mean Gaussian noise (every-step baseline)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -135,17 +123,19 @@ class SamplerSchedule:
             raise ContractViolation("feedback schedule needs the predicted mean")
         return np.asarray(x_pred, dtype=float) + self.g[k]
 
-    def prob_no_sample_at(self, k, x, x_pred=None) -> float:
-        if self.kind == "always_sample":
-            return 0.0
-        if self.kind == "never_sample":
-            return 1.0
-        return no_sample_prob_pointwise(x, self.f_at(k), self.g_at(k, x_pred))
-
     def decide_at(self, k, x, rng, x_pred=None) -> tuple[int, np.ndarray | None]:
-        p0 = self.prob_no_sample_at(k, x, x_pred)
-        if rng.uniform() <= p0:
+        """Draw the keep/discard decision for observation x at step k.
+
+        Returns (N_k, Z_k): N_k = 0 iff a uniform draw falls below the
+        pointwise no-sample probability; Z_k = x exactly when N_k = 1.
+        The degenerate kinds decide without drawing.
+        """
+        if self.kind == "never_sample":
             return 0, None
+        if self.kind != "always_sample":
+            p0 = no_sample_prob_pointwise(x, self.f_at(k), self.g_at(k, x_pred))
+            if rng.uniform() <= p0:
+                return 0, None
         return 1, np.atleast_1d(np.asarray(x, dtype=float)).copy()
 
     def to_config(self) -> dict:

@@ -238,7 +238,6 @@ def rollout_closed_loop(
     horizon: int,
     rng,
     lam: float = 0.0,
-    max_tracked_y: int | None = None,
 ) -> TrajectoryLog:
     """One full-fidelity closed-loop rollout with the growing belief.
 
@@ -256,20 +255,14 @@ def rollout_closed_loop(
         f = schedule.effective_f_at(k)
         g_abs = schedule.g_at(k, x_pred=belief.x_mean)
         per_step.append(one_step_loss(belief, f, g_abs, lam))
-        n_k, z = (
-            (1, x.copy())
-            if schedule.kind == "always_sample"
-            else (0, None)
-            if schedule.kind == "never_sample"
-            else schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
-        )
+        n_k, z = schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
         decisions.append(n_k)
         outputs.append(z)
         belief = bel.update_sample(belief, z) if n_k else bel.update_no_sample(belief, f, g_abs)
         reconstructions.append(reconstruct_x(belief))
         y_estimates.append(estimate_y(belief))
         if k < horizon:
-            belief = bel.predict(system, belief, max_tracked_y=max_tracked_y)
+            belief = bel.predict(system, belief)
             state = system.a_matrix @ state + system.draw_noise(rng)
     return TrajectoryLog(
         states=states,

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from privsample.optimizer import (
-    FeedbackPolicyParams,
-    OptimizerConfig,
-    _NoTangents,
-    _fast_gradient_batch,
-    stackelberg_optimize,
-)
+from privsample.optimizer import OptimizerConfig, optimize_lambda
 from privsample.policy import open_loop_schedule
 from privsample.reconstruct import evaluate_schedule, kalman_additive_baseline
 from privsample.rngs import substream
@@ -99,31 +93,6 @@ LAMBDAS = (6.0, 12.0, 40.0)
 RATE_LAMBDA = 100.0
 
 
-def _optimize(system, lam):
-    best_init, best_obj = None, np.inf
-    for f0 in (0.3, 1.0, 1.8, 3.0, 5.6, 10.0, 18.0, 30.0, 56.0, 100.0):
-        params = FeedbackPolicyParams.constant(system, HORIZON, f0=f0, tied=True)
-        losses, _, _, _, _ = _fast_gradient_batch(
-            _NoTangents(params),
-            system,
-            lam,
-            128,
-            HORIZON,
-            substream(SEED, 1, int(lam * 10), int(f0 * 10)),
-        )
-        obj = float(losses.mean())
-        if obj < best_obj:
-            best_obj, best_init = obj, params
-    config = OptimizerConfig(
-        alpha=0.25,
-        rollouts_per_step=64,
-        max_iters=80,
-        seed=SEED + int(lam * 10),
-        validation_rollouts=512,
-    )
-    return stackelberg_optimize(config, system, lam, best_init)
-
-
 @pytest.fixture(scope="module")
 def tradeoff_data():
     system = paper_system()
@@ -144,7 +113,14 @@ def tradeoff_data():
         additive.append((rep.mean_x_error, rep.mean_y_error, var))
     optimized = []
     for lam in LAMBDAS + (RATE_LAMBDA,):
-        result = _optimize(system, lam)
+        config = OptimizerConfig(
+            alpha=0.25,
+            rollouts_per_step=64,
+            max_iters=80,
+            seed=SEED + int(lam * 10),
+            validation_rollouts=512,
+        )
+        result = optimize_lambda(config, system, lam, HORIZON)
         rep = evaluate_schedule(
             system, result.schedule, HORIZON, EVAL_ROLLOUTS, substream(SEED, 100)
         )

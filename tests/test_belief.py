@@ -158,34 +158,6 @@ def test_growth_bookkeeping(vi_system):
             b = bel.predict(vi_system, b)
 
 
-def test_truncation_flag_and_window(vi_system):
-    b = bel.init_belief(vi_system)
-    for _ in range(4):
-        b = bel.update_no_sample(b, [[1.0]], [0.0])
-        b = bel.predict(vi_system, b, max_tracked_y=2)
-    assert b.truncated
-    assert b.dim == 1 + 2 * 1
-
-
-def test_truncated_equals_marginal_of_full(vi_system):
-    rng = make_rng(99)
-    full = bel.init_belief(vi_system)
-    cut = bel.init_belief(vi_system)
-    for k in range(5):
-        z = rng.standard_normal(1)
-        if k % 2:
-            full = bel.update_sample(full, z)
-            cut = bel.update_sample(cut, z)
-        else:
-            full = bel.update_no_sample(full, [[0.8]], [0.1])
-            cut = bel.update_no_sample(cut, [[0.8]], [0.1])
-        keep = cut.dim if cut.dim < full.dim else full.dim
-        assert np.allclose(cut.mean, full.mean[:keep])
-        assert np.allclose(cut.cov, full.cov[:keep, :keep])
-        full = bel.predict(vi_system, full)
-        cut = bel.predict(vi_system, cut, max_tracked_y=3)
-
-
 def test_always_sample_matches_unrolled_conditioning(vi_system):
     """Y-trajectory posterior after K exact updates == direct conditioning."""
     horizon = 6

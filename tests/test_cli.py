@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import privsample
 from privsample.cli import main
-from privsample.configio import config_hash, load_schedule
+from privsample.configio import config_hash, load_schedule, system_from_config
+from privsample.optimizer import OptimizerConfig, optimize_lambda
 
 
 SYSTEM_CFG = {
@@ -139,6 +144,9 @@ def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):
     assert sched.kind == "privacy_aware" and sched.feedback
     header = trace.read_text().splitlines()[0]
     assert header == "iter,objective,stderr,sampling_rate,grad_norm_theta,grad_norm_phi"
+    config = OptimizerConfig(alpha=0.25, rollouts_per_step=16, max_iters=4, seed=2, validation_rollouts=32)
+    expected = optimize_lambda(config, system_from_config(SYSTEM_CFG), 0.8, 10).schedule
+    assert sched.to_config() == expected.to_config()
 
 
 def test_sweep_tradeoff_and_rate_curve(system_cfg, tmp_path, monkeypatch):
@@ -233,6 +241,16 @@ def test_finite_dp_rejects_long_horizons(tmp_path):
     cfg.write_text(json.dumps(dict(FINITE_CFG, K=7)))
     rc = main(["finite-dp", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
+
+
+def test_cli_import_leaves_validation_unloaded():
+    code = (
+        "import sys, privsample.cli; "
+        "print([m for m in ('privsample.validation', 'privsample.oracles') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(privsample.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_validate_filtered_runs_and_exit_codes(tmp_path, capsys, monkeypatch):

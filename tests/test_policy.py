@@ -7,7 +7,6 @@ from privsample.policy import (
     SamplerSchedule,
     additive_noise_channel,
     chol_to_f,
-    decide,
     degenerate_schedule,
     no_sample_prob_pointwise,
     open_loop_schedule,
@@ -55,8 +54,9 @@ def test_decide_monte_carlo_frequency():
     rng = make_rng(3)
     x, f, g = np.array([0.8]), np.array([[1.3]]), np.array([0.1])
     p0 = no_sample_prob_pointwise(x, f, g)
+    sched = privacy_aware_schedule(np.sqrt(f)[None], g[None])
     n_draws = 100_000
-    hits = sum(decide(x, f, g, rng)[0] == 0 for _ in range(n_draws))
+    hits = sum(sched.decide_at(0, x, rng)[0] == 0 for _ in range(n_draws))
     tol = 3 * np.sqrt(p0 * (1 - p0) / n_draws)
     assert abs(hits / n_draws - p0) < tol
 
@@ -64,7 +64,7 @@ def test_decide_monte_carlo_frequency():
 def test_decide_returns_observation_on_keep():
     rng = make_rng(4)
     x = np.array([50.0])  # far outside the region: essentially always kept
-    n_k, z = decide(x, np.array([[0.1]]), np.array([0.0]), rng)
+    n_k, z = open_loop_schedule(np.array([[0.1]]), 0).decide_at(0, x, rng)
     assert n_k == 1
     assert np.array_equal(z, x)
 
@@ -78,6 +78,7 @@ def test_degenerate_kinds():
         assert (n_k, z) == (0, None)
         n_k, z = always.decide_at(k, np.array([9.9]), rng)
         assert n_k == 1 and np.allclose(z, [9.9])
+    assert rng.uniform() == make_rng(5).uniform()  # degenerate kinds draw nothing
 
 
 def test_additive_noise_zero_cov_passthrough():
