@@ -12,7 +12,7 @@ mutual-information enumeration, belief-tree value recursion).
 
 __version__ = "0.1.0"
 
-from .lingauss import JointState, LinearGaussianSystem, TrajectoryLog, simulate, step
+from .lingauss import JointState, LinearGaussianSystem, simulate, step
 from .belief import (
     GaussianBelief,
     init_belief,
@@ -31,6 +31,7 @@ from .policy import (
 )
 from .loss import (
     LossBreakdown,
+    belief_rollout,
     mi_accumulate,
     no_sample_prob_marginal,
     one_step_loss,

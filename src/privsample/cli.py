@@ -20,11 +20,13 @@ import numpy as np
 
 from . import __version__
 from .configio import config_hash, dump_schedule, finite_model_from_config, load_json, load_schedule, system_from_config
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .finite import DpGridSpec, dp_solve
+from .linalg import logdet_psd
+from .loss import belief_rollout
 from .optimizer import OptimizerConfig, leak_estimate, optimize_lambda
 from .policy import degenerate_schedule, open_loop_schedule
-from .reconstruct import evaluate_schedule, kalman_additive_baseline, rollout_closed_loop
+from .reconstruct import estimate_y, evaluate_schedule, kalman_additive_baseline, reconstruct_x
 from .rngs import substream
 
 # perfbench's traced run rebinds these names on this module and its
@@ -93,71 +95,50 @@ def cmd_simulate(args) -> int:
             raise ConfigError("schedule horizon shorter than the requested horizon")
     else:
         schedule = degenerate_schedule("always_sample", horizon, system.n_x)
-    rng = substream(args.seed, 0)
-    log = rollout_closed_loop(system, schedule, horizon, rng, lam=args.lam)
+    steps = list(belief_rollout(system, schedule, horizon, substream(args.seed, 0), mode="state"))
     header = ["k"]
     header += [f"x{i}" for i in range(system.n_x)]
     header += [f"y{i}" for i in range(system.n_y)]
     header += ["N", "z_present"]
     header += [f"x_hat{i}" for i in range(system.n_x)]
     header += [f"y_hat{i}" for i in range(system.n_y)]
-    rows = []
-    for k, state in enumerate(log.states):
-        rows.append(
-            [k]
-            + [_fmt(v) for v in state.x]
-            + [_fmt(v) for v in state.y]
-            + [log.decisions[k], int(log.outputs[k] is not None)]
-            + [_fmt(v) for v in log.reconstructions[k]]
-            + [_fmt(v) for v in log.y_estimates[k]]
-        )
-    rate = float(np.mean(log.decisions))
+    rows = [
+        [k]
+        + [_fmt(v) for v in step.state]
+        + [step.n, int(step.z is not None)]
+        + [_fmt(v) for v in reconstruct_x(step.filtered)]
+        + [_fmt(v) for v in estimate_y(step.filtered)]
+        for k, step in enumerate(steps)
+    ]
+    rate = float(np.mean([step.n for step in steps]))
     _write_csv(args.out, header, rows, _meta(args, cfg, {"sampling_rate": rate}))
     if args.belief_trace:
-        _write_belief_trace(args, system, schedule, horizon, cfg)
+        n = system.n
+        header = (
+            ["k", "phase"]
+            + [f"mean{i}" for i in range(n)]
+            + [f"var{i}" for i in range(n)]
+            + ["logdet_pyy"]
+        )
+        rows = [
+            _belief_trace_row(b, n) for step in steps for b in (step.predicted, step.filtered)
+        ]
+        _write_csv(args.belief_trace, header, rows, _meta(args, cfg))
     return 0
 
 
-def _write_belief_trace(args, system, schedule, horizon, cfg):
-    from . import belief as bel
-    from .linalg import logdet_psd
-
-    rng = substream(args.seed, 0)  # same stream: replays the same rollout
-    b = bel.init_belief(system)
-    state = system.draw_initial(rng)
-    rows = []
-
-    def record(phase_belief):
-        pyy = phase_belief.p_yy
-        try:
-            ld = _fmt(logdet_psd(pyy))
-        except Exception:
-            ld = ""
-        rows.append(
-            [phase_belief.k, phase_belief.phase]
-            + [_fmt(v) for v in phase_belief.mean[: system.n_x + system.n_y]]
-            + [_fmt(v) for v in np.diag(phase_belief.cov)[: system.n_x + system.n_y]]
-            + [ld]
-        )
-
-    for k in range(horizon + 1):
-        record(b)
-        x = state[: system.n_x]
-        f = schedule.effective_f_at(k)
-        g = schedule.g_at(k, x_pred=b.x_mean)
-        n_k, _ = schedule.decide_at(k, x, rng, x_pred=b.x_mean)
-        b = bel.update_sample(b, x) if n_k else bel.update_no_sample(b, f, g)
-        record(b)
-        if k < horizon:
-            b = bel.predict(system, b)
-            state = system.a_matrix @ state + system.draw_noise(rng)
-    header = (
-        ["k", "phase"]
-        + [f"mean{i}" for i in range(system.n_x + system.n_y)]
-        + [f"var{i}" for i in range(system.n_x + system.n_y)]
-        + ["logdet_pyy"]
+def _belief_trace_row(b, n: int) -> list:
+    """k, phase, the current (x, y) block's mean and variances, log|P^yy|."""
+    try:
+        ld = _fmt(logdet_psd(b.p_yy))
+    except NumericalFailure:
+        ld = ""
+    return (
+        [b.k, b.phase]
+        + [_fmt(v) for v in b.mean[:n]]
+        + [_fmt(v) for v in np.diag(b.cov)[:n]]
+        + [ld]
     )
-    _write_csv(args.belief_trace, header, rows, _meta(args, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--schedule", help="schedule JSON (default: always sample)")
     p.add_argument("--horizon", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--belief-trace", help="optional belief trace CSV path")
     p.set_defaults(fn=cmd_simulate)
 

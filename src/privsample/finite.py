@@ -294,11 +294,11 @@ def _check_enumeration_size(model: FiniteModel, horizon: int):
 
 
 def _enumerate_outcomes(model: FiniteModel, policies, horizon: int):
-    """Yield (z_history, y_history, probability) over all trajectories."""
-    stack = [((), (), None, None, 1.0)]  # (z_hist, y_hist, x, mem, prob)
+    """Every trajectory as (z_history, y_history, x_history, memory, probability)."""
+    stack = [((), (), (), None, 1.0)]  # (z_hist, y_hist, x_hist, mem, prob)
     for k in range(horizon + 1):
         nxt = []
-        for z_hist, y_hist, x, mem, prob in stack:
+        for z_hist, y_hist, x_hist, mem, prob in stack:
             if k == 0:
                 supports = [
                     ((x0,), (y0,), float(model.init_joint[x0, y0]))
@@ -311,13 +311,13 @@ def _enumerate_outcomes(model: FiniteModel, policies, horizon: int):
                 for (x0,), (y0,), p in expansions:
                     a0 = policies[0].prob0(x0, ())
                     if a0 > 0.0:
-                        nxt.append((z_hist + (None,), y_hist + (y0,), x0, (x0,), prob * p * a0))
+                        nxt.append((z_hist + (None,), y_hist + (y0,), (x0,), (x0,), prob * p * a0))
                     if a0 < 1.0:
                         nxt.append(
-                            (z_hist + (x0,), y_hist + (y0,), x0, (), prob * p * (1 - a0))
+                            (z_hist + (x0,), y_hist + (y0,), (x0,), (), prob * p * (1 - a0))
                         )
             else:
-                y_prev = y_hist[-1]
+                x, y_prev = x_hist[-1], y_hist[-1]
                 for x_new in range(model.nx):
                     px = model.x_kernel[x, y_prev, x_new]
                     if px <= 0.0:
@@ -332,24 +332,29 @@ def _enumerate_outcomes(model: FiniteModel, policies, horizon: int):
                                 (
                                     z_hist + (None,),
                                     y_hist + (y_new,),
-                                    x_new,
+                                    x_hist + (x_new,),
                                     mem + (x_new,),
                                     p * a0,
                                 )
                             )
                         if a0 < 1.0:
                             nxt.append(
-                                (z_hist + (x_new,), y_hist + (y_new,), x_new, mem, p * (1 - a0))
+                                (
+                                    z_hist + (x_new,),
+                                    y_hist + (y_new,),
+                                    x_hist + (x_new,),
+                                    mem,
+                                    p * (1 - a0),
+                                )
                             )
         stack = nxt
     return stack
 
 
-def mi_bruteforce(model: FiniteModel, policies, horizon: int) -> float:
-    """I(Z^K; Y^K) in nats by exhaustive trajectory enumeration."""
-    _check_enumeration_size(model, horizon)
+def _mutual_information(outcomes) -> float:
+    """I(Z^K; Y^K) in nats from the enumerated trajectories."""
     joint: dict = {}
-    for z_hist, y_hist, _, _, prob in _enumerate_outcomes(model, policies, horizon):
+    for z_hist, y_hist, _, _, prob in outcomes:
         joint[(z_hist, y_hist)] = joint.get((z_hist, y_hist), 0.0) + prob
     pz: dict = {}
     py: dict = {}
@@ -361,6 +366,12 @@ def mi_bruteforce(model: FiniteModel, policies, horizon: int) -> float:
         if p > 0.0:
             mi += p * np.log(p / (pz[z_hist] * py[y_hist]))
     return float(max(mi, 0.0))
+
+
+def mi_bruteforce(model: FiniteModel, policies, horizon: int) -> float:
+    """I(Z^K; Y^K) in nats by exhaustive trajectory enumeration."""
+    _check_enumeration_size(model, horizon)
+    return _mutual_information(_enumerate_outcomes(model, policies, horizon))
 
 
 def xy_mutual_information(model: FiniteModel, horizon: int) -> float:
@@ -377,64 +388,11 @@ def objective_via_enumeration(model: FiniteModel, policies, horizon: int, lam: f
     Returns (objective, distortion sum, mutual information).
     """
     _check_enumeration_size(model, horizon)
-    outcomes = []
-    stack = [((), (), None, None, 1.0, [])]
-    # re-walk trajectories keeping the realized x at every step
-    for k in range(horizon + 1):
-        nxt = []
-        for z_hist, y_hist, x, mem, prob, xs in stack:
-            if k == 0:
-                heads = [
-                    (x0, y0, float(model.init_joint[x0, y0]))
-                    for x0 in range(model.nx)
-                    for y0 in range(model.ny)
-                ]
-            else:
-                heads = [
-                    (
-                        x_new,
-                        y_new,
-                        float(
-                            model.x_kernel[x, y_hist[-1], x_new]
-                            * model.y_kernel[y_hist[-1], y_new]
-                        ),
-                    )
-                    for x_new in range(model.nx)
-                    for y_new in range(model.ny)
-                ]
-            for x_new, y_new, p in heads:
-                if p <= 0.0:
-                    continue
-                a0 = policies[k].prob0(x_new, mem if k else ())
-                base = prob * p
-                if a0 > 0.0:
-                    nxt.append(
-                        (
-                            z_hist + (None,),
-                            y_hist + (y_new,),
-                            x_new,
-                            (mem + (x_new,)) if k else (x_new,),
-                            base * a0,
-                            xs + [x_new],
-                        )
-                    )
-                if a0 < 1.0:
-                    nxt.append(
-                        (
-                            z_hist + (x_new,),
-                            y_hist + (y_new,),
-                            x_new,
-                            mem if k else (),
-                            base * (1 - a0),
-                            xs + [x_new],
-                        )
-                    )
-        stack = nxt
-    outcomes = stack
+    outcomes = _enumerate_outcomes(model, policies, horizon)
 
     # conditional p(x_k | z^k) from the enumerated table
     cond: dict = {}
-    for z_hist, _, _, _, prob, xs in outcomes:
+    for z_hist, _, xs, _, prob in outcomes:
         for k in range(horizon + 1):
             key = z_hist[: k + 1]
             slot = cond.setdefault(key, np.zeros(model.nx))
@@ -442,10 +400,10 @@ def objective_via_enumeration(model: FiniteModel, policies, horizon: int, lam: f
     recon = {key: optimal_reconstruction_finite(w, model) for key, w in cond.items()}
 
     distortion = 0.0
-    for z_hist, _, _, _, prob, xs in outcomes:
+    for z_hist, _, xs, _, prob in outcomes:
         for k in range(horizon + 1):
             distortion += prob * model.distortion[xs[k], recon[z_hist[: k + 1]]]
-    mi = mi_bruteforce(model, policies, horizon)
+    mi = _mutual_information(outcomes)
     return distortion + lam * mi, distortion, mi
 
 

@@ -91,31 +91,6 @@ class JointState:
         return np.concatenate([self.x, self.y])
 
 
-@dataclass
-class TrajectoryLog:
-    """Realized quantities of one closed-loop rollout.
-
-    All sequences have length K + 1; ``outputs[k]`` is None exactly when
-    ``decisions[k] == 0``.
-    """
-
-    states: list[JointState]
-    decisions: list[int]
-    outputs: list[np.ndarray | None]
-    reconstructions: list[np.ndarray]
-    y_estimates: list[np.ndarray]
-    per_step_loss: list
-
-    def __post_init__(self):
-        n = len(self.states)
-        for name in ("decisions", "outputs", "reconstructions", "y_estimates"):
-            if len(getattr(self, name)) != n:
-                raise ContractViolation(f"{name} length differs from states")
-        for nk, z in zip(self.decisions, self.outputs):
-            if (z is None) != (nk == 0):
-                raise ContractViolation("outputs[k] must be present iff decisions[k] == 1")
-
-
 def step(system: LinearGaussianSystem, state: JointState, rng) -> JointState:
     """Advance one time step: A @ (x, y) + w, w ~ N(0, Q)."""
     if state.x.shape != (system.n_x,) or state.y.shape != (system.n_y,):

@@ -178,6 +178,63 @@ def _draw_x_from_belief(belief: GaussianBelief, rng) -> np.ndarray:
     return belief.x_mean + fac @ rng.standard_normal(belief.n_x)
 
 
+@dataclass(frozen=True)
+class RolloutStep:
+    """One step of a growing-belief rollout, as ``belief_rollout`` yields it.
+
+    ``predicted`` is the belief (k|k-1) the sampler plays (f, g) against,
+    ``x`` the observation, ``state`` the stacked (x, y) state (state mode
+    only, else None), ``n`` the decision, ``z`` the output (x when
+    ``n == 1``, else None) and ``filtered`` the belief (k|k) after it.
+    """
+
+    predicted: GaussianBelief
+    f: np.ndarray
+    g: np.ndarray
+    x: np.ndarray
+    state: np.ndarray | None
+    n: int
+    z: np.ndarray | None
+    filtered: GaussianBelief
+
+
+def belief_rollout(
+    system: LinearGaussianSystem,
+    schedule: SamplerSchedule,
+    horizon: int,
+    rng,
+    mode: str = "belief",
+):
+    """One seeded closed-loop rollout of the growing belief, step by step.
+
+    Yields a ``RolloutStep`` for k = 0..horizon. ``mode="belief"`` draws
+    the observation from the belief's own x-marginal (the belief-MDP
+    view; the branch then follows the pointwise rule, so N_k has exactly
+    the marginal no-sample probability and the retained value has the
+    correct tilted law). ``mode="state"`` simulates the physical state
+    instead; the two modes induce the same joint law of (N, Z).
+
+    The RNG is consumed in a fixed order: the initial state (state mode),
+    then per step the observation draw (belief mode), the decision and
+    the process noise (state mode, all but the last step).
+    """
+    if mode not in ("belief", "state"):
+        raise ContractViolation(f"unknown rollout mode {mode!r}")
+    belief = init_belief(system)
+    state = system.draw_initial(rng) if mode == "state" else None
+    for k in range(horizon + 1):
+        f = schedule.effective_f_at(k)
+        g = schedule.g_at(k, x_pred=belief.x_mean)
+        x = _draw_x_from_belief(belief, rng) if mode == "belief" else state[: system.n_x]
+        n_k, z = schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
+        filtered = update_sample(belief, x) if n_k else update_no_sample(belief, f, g)
+        yield RolloutStep(belief, f, g, x, state, n_k, z, filtered)
+        if k < horizon:
+            belief = predict(system, filtered)
+            if mode == "state":
+                state = system.a_matrix @ state + system.draw_noise(rng)
+
+
 def rollout_losses(
     system: LinearGaussianSystem,
     schedule: SamplerSchedule,
@@ -186,41 +243,16 @@ def rollout_losses(
     rng,
     mode: str = "belief",
 ):
-    """One seeded rollout of the belief recursion with per-step losses.
+    """Per-step losses of one ``belief_rollout`` (same modes and RNG use).
 
-    ``mode="belief"`` draws the observation from the belief's own
-    x-marginal (the belief-MDP view; the branch then follows the
-    pointwise rule, so N_k has exactly the marginal no-sample
-    probability and the retained value has the correct tilted law).
-    ``mode="state"`` simulates the physical state instead; the two modes
-    induce the same joint law of (N, Z) and hence the same objective.
-
-    Returns (list of LossBreakdown, decisions array).
+    Keeps only the losses, not the beliefs, so memory stays flat in the
+    horizon. Returns (list of LossBreakdown, decisions array).
     """
-    if mode not in ("belief", "state"):
-        raise ContractViolation(f"unknown rollout mode {mode!r}")
-    belief = init_belief(system)
-    state = system.draw_initial(rng) if mode == "state" else None
     losses = []
     decisions = np.zeros(horizon + 1, dtype=int)
-    for k in range(horizon + 1):
-        f = schedule.effective_f_at(k)
-        g = schedule.g_at(k, x_pred=belief.x_mean)
-        losses.append(one_step_loss(belief, f, g, lam))
-        if mode == "belief":
-            x = _draw_x_from_belief(belief, rng)
-        else:
-            x = state[: system.n_x]
-        n_k, _ = schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
-        decisions[k] = n_k
-        if n_k:
-            belief = update_sample(belief, x)
-        else:
-            belief = update_no_sample(belief, f, g)
-        if k < horizon:
-            belief = predict(system, belief)
-            if mode == "state":
-                state = system.a_matrix @ state + system.draw_noise(rng)
+    for k, step in enumerate(belief_rollout(system, schedule, horizon, rng, mode)):
+        losses.append(one_step_loss(step.predicted, step.f, step.g, lam))
+        decisions[k] = step.n
     return losses, decisions
 
 

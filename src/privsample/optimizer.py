@@ -481,12 +481,7 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
         x = eng.mean[:, 0] + np.sqrt(
             np.clip(eng.p2[:, 0, 0], 0.0, None)
         ) * rng.standard_normal(rollouts)
-        if schedule.kind == "always_sample":
-            keep = np.ones(rollouts, dtype=bool)
-        elif schedule.kind == "never_sample":
-            keep = np.zeros(rollouts, dtype=bool)
-        else:
-            keep = rng.uniform(size=rollouts) > np.exp(-0.5 * (x - g_abs) ** 2 / f)
+        keep = schedule.keep(k, x[:, None], g_abs[:, None], rng)
         kept += keep
         eng.update(f, no_df, keep)
         eng.update_means(f, keep, g_abs, x)

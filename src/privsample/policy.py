@@ -14,7 +14,7 @@ Schedule kinds:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,13 +58,16 @@ class SamplerSchedule:
 
     ``f_chol`` has shape (K+1, n_x, n_x) (lower factors), ``g`` has shape
     (K+1, n_x). For the degenerate kinds the arrays are present but
-    ignored by the decision path.
+    ignored by the decision path. Every f_k and its inverse are formed
+    once, at construction.
     """
 
     kind: str
     f_chol: np.ndarray
     g: np.ndarray
     feedback: bool = False
+    _f: np.ndarray = field(init=False, repr=False, compare=False)
+    _f_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -86,6 +89,12 @@ class SamplerSchedule:
                 raise ContractViolation("open_loop is not a feedback schedule")
         object.__setattr__(self, "f_chol", f_chol)
         object.__setattr__(self, "g", g)
+        f = np.stack([chol_to_f(ell) for ell in f_chol])
+        f_inv = np.stack([solve_psd(f_k, np.eye(self.n_x)) for f_k in f])
+        f.setflags(write=False)
+        f_inv.setflags(write=False)
+        object.__setattr__(self, "_f", f)
+        object.__setattr__(self, "_f_inv", f_inv)
 
     @property
     def horizon(self) -> int:
@@ -96,7 +105,7 @@ class SamplerSchedule:
         return self.f_chol.shape[1]
 
     def f_at(self, k: int) -> np.ndarray:
-        return chol_to_f(self.f_chol[k])
+        return self._f[k]
 
     def effective_f_at(self, k: int) -> np.ndarray:
         """f_k with the degenerate kinds mapped to their numeric limits.
@@ -109,7 +118,7 @@ class SamplerSchedule:
             return 1e-12 * np.eye(self.n_x)
         if self.kind == "never_sample":
             return 1e12 * np.eye(self.n_x)
-        return chol_to_f(self.f_chol[k])
+        return self._f[k]
 
     def g_at(self, k: int, x_pred: np.ndarray | None = None) -> np.ndarray:
         """Absolute center of the no-sample region at step k.
@@ -123,20 +132,34 @@ class SamplerSchedule:
             raise ContractViolation("feedback schedule needs the predicted mean")
         return np.asarray(x_pred, dtype=float) + self.g[k]
 
-    def decide_at(self, k, x, rng, x_pred=None) -> tuple[int, np.ndarray | None]:
-        """Draw the keep/discard decision for observation x at step k.
+    def keep(self, k: int, x: np.ndarray, g_abs: np.ndarray, rng) -> np.ndarray:
+        """Batched keep/discard draw at step k; True where x is retained.
 
-        Returns (N_k, Z_k): N_k = 0 iff a uniform draw falls below the
-        pointwise no-sample probability; Z_k = x exactly when N_k = 1.
-        The degenerate kinds decide without drawing.
+        ``x`` has shape (B, n_x) and ``g_abs`` (the absolute centers, see
+        ``g_at``) broadcasts to it. Row b is discarded iff a uniform draw
+        falls at or below exp(-1/2 d^T f_k^{-1} d), d = x_b - g_b; one
+        uniform is drawn per row. The degenerate kinds decide without
+        drawing.
         """
+        rows = len(x)
+        if self.kind == "always_sample":
+            return np.ones(rows, dtype=bool)
         if self.kind == "never_sample":
-            return 0, None
-        if self.kind != "always_sample":
-            p0 = no_sample_prob_pointwise(x, self.f_at(k), self.g_at(k, x_pred))
-            if rng.uniform() <= p0:
-                return 0, None
-        return 1, np.atleast_1d(np.asarray(x, dtype=float)).copy()
+            return np.zeros(rows, dtype=bool)
+        d = x - g_abs
+        quad = np.einsum("bi,ij,bj->b", d, self._f_inv[k], d)
+        return rng.uniform(size=rows) > np.exp(-0.5 * quad)
+
+    def decide_at(self, k, x, rng, x_pred=None) -> tuple[int, np.ndarray | None]:
+        """Draw the keep/discard decision for one observation x at step k.
+
+        The one-row case of ``keep``. Returns (N_k, Z_k) with Z_k = x
+        exactly when N_k = 1 and None otherwise.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.keep(k, x[None, :], self.g_at(k, x_pred), rng)[0]:
+            return 1, x.copy()
+        return 0, None
 
     def to_config(self) -> dict:
         return {

@@ -109,8 +109,17 @@ def test_simulate_with_schedule_and_belief_trace(system_cfg, tmp_path):
     assert rc == 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,phase,mean0,mean1,var0,var1,logdet_pyy"
-    phases = [l.split(",")[1] for l in lines[1:] if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    phases = [r[1] for r in rows]
     assert phases[0] == "predicted" and phases[1] == "filtered"
+    # the trace follows the same rollout as the trajectory CSV
+    traj = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert [r[2] for r in rows if r[1] == "filtered"] == [r[5] for r in traj]
+    # and asking for it leaves the trajectory CSV's bytes unchanged
+    plain = tmp_path / "plain.csv"
+    args = ["simulate", "--config", str(system_cfg), "--schedule", str(sched_path), "--seed", "4"]
+    assert main(args + ["--out", str(plain)]) == 0
+    assert plain.read_bytes() == out.read_bytes()
 
 
 def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from privsample import belief as bel
 from privsample.errors import ContractViolation
 from privsample.lingauss import LinearGaussianSystem
+from privsample.loss import belief_rollout
 from privsample.optimizer import (
     Episode,
     FeedbackPolicyParams,
@@ -26,7 +27,6 @@ from privsample.optimizer import (
     stackelberg_optimize,
 )
 from privsample.policy import open_loop_schedule
-from privsample.reconstruct import rollout_closed_loop
 from privsample.rngs import make_rng
 
 from privsample.oracles import central_difference
@@ -232,12 +232,12 @@ def test_follower_gradient_zero_at_conditional_mean(vi_system):
     sched = open_loop_schedule(np.array([[1.2]]), 10)
     episodes = []
     for _ in range(60):
-        log = rollout_closed_loop(vi_system, sched, 10, rng)
+        log = list(belief_rollout(vi_system, sched, 10, rng, mode="state"))
         episodes.append(
             Episode(
-                x=np.array([s.x for s in log.states]),
-                kept=np.array([bool(n) for n in log.decisions]),
-                features=np.array([[1.0, float(r[0])] for r in log.reconstructions]),
+                x=np.array([s.x for s in log]),
+                kept=np.array([bool(s.n) for s in log]),
+                features=np.array([[1.0, float(s.filtered.x_mean[0])] for s in log]),
                 score_theta=np.zeros(1),
             )
         )

@@ -78,7 +78,25 @@ def test_degenerate_kinds():
         assert (n_k, z) == (0, None)
         n_k, z = always.decide_at(k, np.array([9.9]), rng)
         assert n_k == 1 and np.allclose(z, [9.9])
+        xs, g_abs = np.array([[9.9], [0.0], [-3.0]]), np.zeros((3, 1))
+        assert not never.keep(k, xs, g_abs, rng).any()
+        assert always.keep(k, xs, g_abs, rng).all()
     assert rng.uniform() == make_rng(5).uniform()  # degenerate kinds draw nothing
+
+
+def test_decide_at_is_the_one_row_keep():
+    sched = privacy_aware_schedule(
+        np.full((4, 1, 1), 1.1), np.full((4, 1), 0.3), feedback=True
+    )
+    x_pred = np.array([0.2])
+    rng_one, rng_batch = make_rng(15), make_rng(15)
+    for i in range(400):
+        k = i % 4
+        x = np.array([0.5 * np.sin(i)])
+        n_k, _ = sched.decide_at(k, x, rng_one, x_pred=x_pred)
+        keep = sched.keep(k, x[None, :], sched.g_at(k, x_pred), rng_batch)
+        assert keep.shape == (1,) and n_k == int(keep[0])
+    assert rng_one.uniform() == rng_batch.uniform()
 
 
 def test_additive_noise_zero_cov_passthrough():

@@ -4,6 +4,7 @@ import pytest
 from privsample import belief as bel
 from privsample.errors import ContractViolation
 from privsample.linalg import random_spd
+from privsample.loss import belief_rollout, one_step_loss
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.reconstruct import (
     _BatchFilter,
@@ -11,7 +12,6 @@ from privsample.reconstruct import (
     evaluate_schedule,
     kalman_additive_baseline,
     reconstruct_x,
-    rollout_closed_loop,
 )
 from privsample.rngs import make_rng
 
@@ -30,12 +30,13 @@ def test_reconstruct_requires_filtered(vi_system):
 
 
 def test_never_sampling_reconstructs_prior_mean(vi_system):
-    log = rollout_closed_loop(
-        vi_system, degenerate_schedule("never_sample", 6, 1), 6, make_rng(1)
+    steps = belief_rollout(
+        vi_system, degenerate_schedule("never_sample", 6, 1), 6, make_rng(1), mode="state"
     )
+    filtered = [s.filtered for s in steps]
     # zero-mean system: prior mean trajectory stays at zero
-    assert np.allclose(np.array(log.reconstructions), 0.0, atol=1e-9)
-    assert np.allclose(np.array(log.y_estimates), 0.0, atol=1e-9)
+    assert np.allclose(np.array([reconstruct_x(b) for b in filtered]), 0.0, atol=1e-9)
+    assert np.allclose(np.array([estimate_y(b) for b in filtered]), 0.0, atol=1e-9)
 
 
 def test_conditional_mean_minimizes_quadratic_error():
@@ -198,14 +199,15 @@ def test_smoothing_beats_filtering_under_full_sampling(vi_system):
 
 def test_rollout_log_structure_and_determinism(vi_system):
     sched = open_loop_schedule(np.array([[1.0]]), 8)
-    log1 = rollout_closed_loop(vi_system, sched, 8, make_rng(13), lam=0.5)
-    log2 = rollout_closed_loop(vi_system, sched, 8, make_rng(13), lam=0.5)
-    assert len(log1.states) == 9
-    for n_k, z in zip(log1.decisions, log1.outputs):
-        assert (z is None) == (n_k == 0)
-    assert log1.decisions == log2.decisions
+    log1 = list(belief_rollout(vi_system, sched, 8, make_rng(13), mode="state"))
+    log2 = list(belief_rollout(vi_system, sched, 8, make_rng(13), mode="state"))
+    assert len(log1) == 9
+    for s in log1:
+        assert (s.z is None) == (s.n == 0)
+    assert [s.n for s in log1] == [s.n for s in log2]
     assert np.allclose(
-        np.array(log1.reconstructions), np.array(log2.reconstructions)
+        np.array([reconstruct_x(s.filtered) for s in log1]),
+        np.array([reconstruct_x(s.filtered) for s in log2]),
     )
-    totals = [b.total for b in log1.per_step_loss]
+    totals = [one_step_loss(s.predicted, s.f, s.g, 0.5).total for s in log1]
     assert len(totals) == 9 and np.isfinite(totals).all()
