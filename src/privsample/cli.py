@@ -87,8 +87,7 @@ def _parse_grid(text) -> list:
 
 
 def cmd_simulate(args) -> int:
-    system, cfg = _load_system_with_overrides(args)
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 100))
+    system, cfg, horizon = _load_system(args)
     if args.schedule:
         schedule = load_schedule(args.schedule)
         if schedule.horizon < horizon:
@@ -156,17 +155,22 @@ def _optimizer_config(args, seed: int) -> OptimizerConfig:
     )
 
 
-def _evaluate_family_rows(system, horizon, rollouts, seed, lambdas, f_grid, noise_grid, args):
+def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
+    """Rows of the three schedule families; the leak columns stay blank
+    when ``leak_rollouts`` is None."""
+    rollouts, seed = args.rollouts, args.seed
     rows = []
     workers = _max_workers()
+
+    def leak_of(sched):
+        if leak_rollouts is None:
+            return None, None
+        return leak_estimate(system, sched, horizon, leak_rollouts, substream(seed, 7))
 
     def eval_open_loop(f_val):
         sched = open_loop_schedule(np.array([[f_val]]), horizon)
         report = evaluate_schedule(system, sched, horizon, rollouts, substream(seed, 100))
-        leak, leak_se = leak_estimate(
-            system, sched, horizon, args.leak_rollouts, substream(seed, 7)
-        )
-        return ("open_loop", f"f={f_val:g}", "", report, leak, leak_se)
+        return ("open_loop", f"f={f_val:g}", "", report, *leak_of(sched))
 
     def eval_noise(var):
         report = kalman_additive_baseline(
@@ -180,14 +184,11 @@ def _evaluate_family_rows(system, horizon, rollouts, seed, lambdas, f_grid, nois
         report = evaluate_schedule(
             system, result.schedule, horizon, rollouts, substream(seed, 300)
         )
-        leak, leak_se = leak_estimate(
-            system, result.schedule, horizon, args.leak_rollouts, substream(seed, 7)
-        )
-        return ("optimized", f"lambda={lam:g}", lam, report, leak, leak_se)
+        return ("optimized", f"lambda={lam:g}", lam, report, *leak_of(result.schedule))
 
-    tasks = [(eval_open_loop, f) for f in f_grid]
+    tasks = [(eval_open_loop, f) for f in _parse_grid(args.f_grid)]
     tasks += [(eval_noise, v) for v in noise_grid]
-    tasks += [(eval_lambda, lam) for lam in lambdas]
+    tasks += [(eval_lambda, lam) for lam in _parse_grid(args.lambdas)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda t: t[0](t[1]), tasks))
     for family, param, lam, report, leak, leak_se in results:
@@ -215,17 +216,9 @@ def substream_seed(seed: int, lam: float) -> int:
 
 
 def cmd_sweep_tradeoff(args) -> int:
-    system, cfg = _load_system_with_overrides(args)
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 100))
+    system, cfg, horizon = _load_system(args)
     rows = _evaluate_family_rows(
-        system,
-        horizon,
-        args.rollouts,
-        args.seed,
-        _parse_grid(args.lambdas),
-        _parse_grid(args.f_grid),
-        _parse_grid(args.noise_grid),
-        args,
+        system, horizon, args, _parse_grid(args.noise_grid), args.leak_rollouts
     )
     header = [
         "family",
@@ -244,18 +237,8 @@ def cmd_sweep_tradeoff(args) -> int:
 
 
 def cmd_rate_curve(args) -> int:
-    system, cfg = _load_system_with_overrides(args)
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 100))
-    rows = _evaluate_family_rows(
-        system,
-        horizon,
-        args.rollouts,
-        args.seed,
-        _parse_grid(args.lambdas),
-        _parse_grid(args.f_grid),
-        [],
-        args,
-    )
+    system, cfg, horizon = _load_system(args)
+    rows = _evaluate_family_rows(system, horizon, args, [], None)
     out_rows = [[r[0], r[1], r[9], r[3], r[4]] for r in rows]
     header = ["family", "f_spec", "sampling_rate", "mean_x_error", "x_error_stderr"]
     _write_csv(args.out, header, out_rows, _meta(args, cfg, {"horizon": horizon}))
@@ -268,8 +251,7 @@ def cmd_rate_curve(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    system, cfg = _load_system_with_overrides(args)
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 100))
+    system, cfg, horizon = _load_system(args)
     result = optimize_lambda(_optimizer_config(args, args.seed), system, args.lam, horizon)
     dump_schedule(result.schedule, args.out)
     meta = _meta(
@@ -351,10 +333,11 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_system_with_overrides(args):
+def _load_system(args):
+    """(system, config, horizon); the horizon defaults to the config's K."""
     cfg = load_json(args.config)
-    system = system_from_config(cfg)
-    return system, cfg
+    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 100))
+    return system_from_config(cfg), cfg, horizon
 
 
 def _add_common(p, with_system=True):
@@ -369,7 +352,6 @@ def _add_opt_flags(p):
     p.add_argument("--opt-rollouts", type=int, default=48)
     p.add_argument("--opt-alpha", type=float, default=0.25)
     p.add_argument("--opt-validation", type=int, default=256)
-    p.add_argument("--leak-rollouts", type=int, default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default="0.2,0.6,1.5,4.0")
     p.add_argument("--f-grid", default="0.05,0.15,0.5,1.5,4,10,25,60")
     p.add_argument("--noise-grid", default="0.05,0.2,0.5,1.5,4,10,25")
+    p.add_argument("--leak-rollouts", type=int, default=200)
     _add_opt_flags(p)
     p.set_defaults(fn=cmd_sweep_tradeoff)
 

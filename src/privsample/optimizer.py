@@ -73,6 +73,7 @@ class FeedbackPolicyParams:
             raise ContractViolation(f"theta must have shape ({expect},)")
         self.theta = theta
         self._tril_idx = np.tril_indices(n_x)
+        self._memo = {}
 
     @staticmethod
     def constant(system: LinearGaussianSystem, horizon: int, f0: float = 1.0, tied: bool = True):
@@ -103,11 +104,14 @@ class FeedbackPolicyParams:
         np.fill_diagonal(ell, diag)
         return ell
 
-    def f_with_tangents(self, k: int):
-        """f_k and df_k/dtheta (dim, n_x, n_x); zero rows off the block."""
+    def step_terms(self, k: int):
+        """(f_k, df_k/dtheta, c_k, dc_k/dtheta), tangents (dim, ...) with
+        zero rows off step k's block. Formed once per block (every step
+        shares one when tied); the arrays are shared and read-only."""
         sl = self._block_slice(k)
-        vals = self.theta[sl][: self.n_tri]
-        ell = self._chol_from_block(vals)
+        if sl.start in self._memo:
+            return self._memo[sl.start]
+        ell = self._chol_from_block(self.theta[sl][: self.n_tri])
         f = ell @ ell.T
         df = np.zeros((self.dim, self.n_x, self.n_x))
         rows, cols = self._tril_idx
@@ -119,15 +123,15 @@ class FeedbackPolicyParams:
                 d_ell[rows[j], cols[j]] = 1.0
             grad = d_ell @ ell.T
             df[sl.start + j] = grad + grad.T
-        return f, df
-
-    def c_with_tangents(self, k: int):
-        sl = self._block_slice(k)
         c = self.theta[sl][self.n_tri :]
         dc = np.zeros((self.dim, self.n_x))
         for j in range(self.n_x):
             dc[sl.start + self.n_tri + j, j] = 1.0
-        return c, dc
+        terms = (f, df, c, dc)
+        for arr in terms:
+            arr.setflags(write=False)
+        self._memo[sl.start] = terms
+        return terms
 
     def replaced(self, theta: np.ndarray) -> "FeedbackPolicyParams":
         return FeedbackPolicyParams(self.n_x, self.horizon, theta, self.tied)
@@ -146,7 +150,7 @@ class FeedbackPolicyParams:
 
 
 class _TangentFilter:
-    """Covariance recursion with forward-mode tangents (means not needed)."""
+    """Growing-covariance recursion with tangents: the test reference for _BatchEngine."""
 
     def __init__(self, system: LinearGaussianSystem, n_tangents: int):
         self.sys = system
@@ -154,13 +158,6 @@ class _TangentFilter:
         self.nt = n_tangents
         self.p = np.array(system.init_cov)
         self.dp = np.zeros((n_tangents, *self.p.shape))
-
-    def clone(self):
-        out = _TangentFilter.__new__(_TangentFilter)
-        out.sys, out.nx, out.nt = self.sys, self.nx, self.nt
-        out.p = self.p.copy()
-        out.dp = self.dp.copy()
-        return out
 
     def step_loss(self, f, df, c, dc, lam):
         """Per-step loss, its tangent, branch probability and its tangent."""
@@ -285,172 +282,225 @@ class _TangentFilter:
         self.dp = new_dp
 
 
-class _ScalarBatchEngine:
-    """Vectorized rollouts for scalar-observation systems with A_yx = 0.
+def _inv_det(m):
+    """Inverses and determinants of a stack of square matrices (..., d, d);
+    1x1 blocks use the closed form (np.linalg.inv costs tens of
+    microseconds a call on small stacks, a division about one)."""
+    if m.shape[-1] == 1:
+        return 1.0 / m, m[..., 0, 0]
+    return np.linalg.inv(m), np.linalg.det(m)
 
-    When the private block does not feed the observable one, conditioning
-    on the whole private trajectory leaves x with its own scalar filter:
-    the per-step information increments collapse to
 
-        keep:     1/2 log(Pxx / s2)
-        discard:  1/2 log((f + Pxx) / (f + s2))
+def _tr(a, b):
+    """tr(a b_t) for every tangent t: a (..., d, d), b (..., T, d, d)."""
+    return np.einsum("...ij,...tji->...t", a, b)
 
-    with s2 = Var(X_k | Y^k, Z^{k-1}) following the same predict/update
-    recursion as Pxx under the reduced noise Qxx - Qxy^2/Qyy. Everything
-    a rollout needs is then a handful of scalars per step, so whole
-    batches advance in lockstep. Covariances (and their tangents) depend
-    only on the branch pattern; means are tracked only to center the
-    discard region for absolute-g schedules.
+
+def _sandwich(a_t, x):
+    """a @ x_b @ a.T for each x_b of a stack (..., m, m), given a.T (m, r), as two
+    2-D products: numpy's stacked matmul is several times slower on 2x2 blocks."""
+    m, r = a_t.shape
+    y = (x.swapaxes(-1, -2).reshape(-1, m) @ a_t).reshape(*x.shape[:-2], m, r)
+    return (y.swapaxes(-1, -2).reshape(-1, m) @ a_t).reshape(*x.shape[:-2], r, r)
+
+
+def _observe(c, dc, r, dr, nx: int):
+    """Condition each covariance c_b (B, m, m) on its first nx coordinates
+    seen through noise r (n_x x n_x, per row or shared), with tangents dc
+    (B, T, m, m) and dr, or dc = None. Returns (c', dc', gain)."""
+    col = c[:, :, :nx]
+    s_inv, _ = _inv_det(c[:, :nx, :nx] + r)
+    gain = col @ s_inv
+    c = c - gain @ col.swapaxes(1, 2)
+    if dc is None:
+        return c, None, gain
+    # d(col s^{-1} col^T) = w + w^T with w = (dcol - gain ds / 2) gain^T
+    gain4 = gain[:, None]
+    w = (dc[..., :nx] - 0.5 * (gain4 @ (dc[:, :, :nx, :nx] + dr))) @ gain4.swapaxes(2, 3)
+    return c, dc - w - w.swapaxes(2, 3), gain
+
+
+def _x_given_y(m, nx: int, k: int):
+    """Cov(x | y) of each (x, y) covariance in a stack, and M_xy M_yy^{-1}.
+    A singular y-block (y_k a function of the past, so the trajectory
+    covariance is singular) raises a NumericalFailure naming step k."""
+    try:
+        with np.errstate(divide="raise"):
+            myy_inv, det = _inv_det(m[..., nx:, nx:])
+    except (FloatingPointError, np.linalg.LinAlgError):
+        det = 0.0
+    if np.any(det <= 0.0):
+        raise NumericalFailure(f"singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k={k}")
+    gain = m[..., :nx, nx:] @ myy_inv
+    return m[..., :nx, :nx] - gain @ m[..., nx:, :nx], gain
+
+
+class _BatchEngine:
+    """Batched rollouts of any linear-Gaussian system on fixed-size state.
+
+    The information terms need only S = Cov(X_k | Y^k, Z^{k-1}), an
+    n_x x n_x matrix: by the block-determinant identity (see
+    ``loss.leak_increments_via_x_side``) the per-step increments are
+
+        keep:     1/2 log(|P^xx| / |S|)
+        discard:  1/2 log(|f + P^xx| / |f + S|)
+
+    with P the current (x, y) block covariance. S follows a Kalman filter
+    for x that treats y_{k+1} as a measurement with correlated noise
+    (Anderson & Moore, Optimal Filtering, 1979, ch. 5):
+
+        keep:     S <- 0
+        discard:  S <- S - S (S + f)^{-1} S
+        predict:  M = A[:, :n_x] S A[:, :n_x]^T + Q,  S <- M_xx - M_xy M_yy^{-1} M_yx
+
+    Each rollout is fixed-size, so batches advance in lockstep.
+    Covariances and their forward tangents (``dp``, ``ds``, one per
+    parameter; None without) depend only on the branch pattern; schedule
+    rollouts move their means with the gain ``update`` returns.
     """
 
-    @staticmethod
-    def applicable(system: LinearGaussianSystem) -> bool:
-        if system.n_x != 1 or np.any(system.a_matrix[1:, :1] != 0.0):
-            return False
-        try:
-            np.linalg.cholesky(system.q_cov[1:, 1:])
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
     def __init__(self, system: LinearGaussianSystem, batch: int, n_tangents: int):
-        if not self.applicable(system):
-            raise ContractViolation("fast scalar engine requires n_x=1 and A_yx=0")
+        nx, n = system.n_x, system.n
         self.sys = system
-        self.batch = batch
+        self.nx = nx
         self.nt = n_tangents
-        n = system.n
-        q = system.q_cov
-        self.q_cond = float(q[0, 0] - q[0, 1:] @ np.linalg.solve(q[1:, 1:], q[1:, 0]))
-        p0 = system.init_cov
-        s2_0 = float(p0[0, 0] - p0[0, 1:] @ np.linalg.solve(p0[1:, 1:], p0[1:, 0]))
-        self.p2 = np.repeat(p0[None, :, :], batch, axis=0)
-        self.s2 = np.full(batch, s2_0)
-        self.mean = np.repeat(system.init_mean[None, :], batch, axis=0)
-        if n_tangents:
-            self.dp2 = np.zeros((batch, n_tangents, n, n))
-            self.ds2 = np.zeros((batch, n_tangents))
+        self._a_t = np.ascontiguousarray(system.a_matrix.T)
+        self._ax_t = np.ascontiguousarray(self._a_t[:nx])
+        s0, _ = _x_given_y(system.init_cov, nx, 0)
+        self.p = np.repeat(system.init_cov[None], batch, axis=0)
+        self.s = np.repeat(s0[None], batch, axis=0)
+        self.dp = np.zeros((batch, n_tangents, n, n)) if n_tangents else None
+        self.ds = np.zeros((batch, n_tangents, nx, nx)) if n_tangents else None
+
+    def take(self, rows):
+        """Keep the given batch rows, in order (repeats allowed)."""
+        self.p, self.s = self.p[rows], self.s[rows]
+        if self.nt:
+            self.dp, self.ds = self.dp[rows], self.ds[rows]
 
     def step_loss(self, f, df, c, dc, lam):
-        """Vectorized loss/score pieces; c is the offset from the predicted
-        mean (feedback form). Returns scalars per rollout."""
-        nt = self.nt
-        pxx = self.p2[:, 0, 0]
-        s = f + pxx
-        p0 = np.sqrt(f / s) * np.exp(-0.5 * c * c / s)
-        tr_t = f * pxx / s
-        distortion = p0 * tr_t
-        inc1 = np.log(np.clip(pxx / self.s2, 1e-300, None))
-        inc0 = np.log(np.clip(s / (f + self.s2), 1e-300, None))
+        """(loss, dloss, p0, dp0, info) per rollout: p0 is the no-sample
+        probability, info the information increment (nats). ``c`` is the
+        region center's offset from the predicted mean, (n_x,) or (B, n_x);
+        without tangents ``df``/``dc`` are unused and dloss, dp0 are None.
+        """
+        nx = self.nx
+        pxx = self.p[:, :nx, :nx]
+        # the n_x x n_x blocks behind p0 and the two information increments
+        inv, det = _inv_det(np.stack([f + pxx, pxx, self.s, f + self.s]))
+        f_inv, det_f = _inv_det(f)
+        u = (inv[0] @ c[..., None])[..., 0]
+        p0 = np.sqrt(det_f / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
+        f_g = f @ inv[0]
+        tr_t = np.einsum("bij,bji->b", f_g, pxx)
+        inc1 = np.log(np.maximum(det[1] / det[2], 1e-300))
+        inc0 = np.log(np.maximum(det[0] / det[3], 1e-300))
         info = 0.5 * ((1.0 - p0) * inc1 + p0 * inc0)
-        loss = distortion + lam * info
-        if not nt:
+        loss = p0 * tr_t + lam * info
+        if not self.nt:
             return loss, None, p0, None, info
-        dpxx = self.dp2[:, :, 0, 0]
-        ds = df[None, :] + dpxx
-        dp0 = p0[:, None] * (
-            0.5 * (df[None, :] / f - ds / s[:, None])
-            + 0.5 * (c * c / s**2)[:, None] * ds
-            - (c / s)[:, None] * dc[None, :]
-        )
-        dtr = (df[None, :] * pxx[:, None] + f * dpxx) / s[:, None] - (
-            (tr_t / s)[:, None] * ds
-        )
+        dpxx = self.dp[:, :, :nx, :nx]
+        ds = df + dpxx
+        dld = _tr(inv, np.stack([ds, dpxx, self.ds, df + self.ds]))
+        dquad = 2.0 * (u @ dc.T) - np.einsum("bi,btij,bj->bt", u, ds, u)
+        dp0 = p0[:, None] * (0.5 * (_tr(f_inv, df) - dld[0]) - 0.5 * dquad)
+        g_p = inv[0] @ pxx
+        dtr = _tr(g_p, df) + _tr(f_g, dpxx) - _tr(g_p @ f_g, ds)
         ddist = dp0 * tr_t[:, None] + p0[:, None] * dtr
-        dinc1 = dpxx / pxx[:, None] - self.ds2 / self.s2[:, None]
-        dinc0 = ds / s[:, None] - (df[None, :] + self.ds2) / (f + self.s2)[:, None]
         dinfo = 0.5 * (
-            -dp0 * inc1[:, None]
-            + (1.0 - p0)[:, None] * dinc1
-            + dp0 * inc0[:, None]
-            + p0[:, None] * dinc0
+            dp0 * (inc0 - inc1)[:, None]
+            + (1.0 - p0)[:, None] * (dld[1] - dld[2])
+            + p0[:, None] * (dld[0] - dld[3])
         )
         return loss, ddist + lam * dinfo, p0, dp0, info
 
     def update(self, f, df, keep: np.ndarray):
-        """Masked filtered update for the whole batch."""
-        pxx = self.p2[:, 0, 0]
-        s_eff = np.where(keep, pxx, f + pxx)
-        c_col = self.p2[:, :, 0]
-        gain = c_col / s_eff[:, None]
-        self.p2 = self.p2 - gain[:, :, None] * c_col[:, None, :]
+        """Filtered covariances for the realized branches (keep: (B,) bool);
+        returns the gain (B, n, n_x) that moves the current-block mean by
+        the innovation (observation minus predicted x-mean)."""
+        nx = self.nx
+        keep3 = keep[:, None, None]
+        keep4 = keep3[:, None]
+        dr = np.where(keep4, 0.0, df) if self.nt else None
+        self.p, self.dp, gain = _observe(self.p, self.dp, np.where(keep3, 0.0, f), dr, nx)
+        s, ds, _ = _observe(self.s, self.ds, f, df, nx)
+        self.s = np.where(keep3, 0.0, s)
+        # a kept x is known exactly
+        self.p[keep, :nx, :] = 0.0
+        self.p[keep, :, :nx] = 0.0
         if self.nt:
-            dc_col = self.dp2[:, :, :, 0]
-            ds_eff = np.where(keep[:, None], self.dp2[:, :, 0, 0], df[None, :] + self.dp2[:, :, 0, 0])
-            dgain = (dc_col - gain[:, None, :] * ds_eff[:, :, None]) / s_eff[:, None, None]
-            self.dp2 = (
-                self.dp2
-                - dgain[:, :, :, None] * c_col[:, None, None, :]
-                - gain[:, None, :, None] * dc_col[:, :, None, :]
-            )
-            self.dp2[keep, :, 0, :] = 0.0
-            self.dp2[keep, :, :, 0] = 0.0
-            ds2_f = (
-                (df[None, :] * self.s2[:, None] + f * self.ds2) / (f + self.s2)[:, None]
-                - (f * self.s2 / (f + self.s2) ** 2)[:, None] * (df[None, :] + self.ds2)
-            )
-            self.ds2 = np.where(keep[:, None], 0.0, ds2_f)
-        self.p2[keep, 0, :] = 0.0
-        self.p2[keep, :, 0] = 0.0
-        self.s2 = np.where(keep, 0.0, f * self.s2 / (f + self.s2))
+            self.ds = np.where(keep4, 0.0, ds)
+            self.dp[keep, :, :nx, :] = 0.0
+            self.dp[keep, :, :, :nx] = 0.0
+        return gain
 
-    def update_means(self, f, keep, g_abs, z):
-        """Filtered means (needed only for absolute-g schedules)."""
-        pxx_pre = self._pxx_pre
-        c_col = self._ccol_pre
-        innov = np.where(keep, z - self.mean[:, 0], g_abs - self.mean[:, 0])
-        s_eff = np.where(keep, pxx_pre, f + pxx_pre)
-        self.mean = self.mean + c_col * (innov / s_eff)[:, None]
-        self.mean[keep, 0] = z[keep]
-
-    def snapshot_pre_update(self):
-        self._pxx_pre = self.p2[:, 0, 0].copy()
-        self._ccol_pre = self.p2[:, :, 0].copy()
-
-    def predict(self):
-        a = self.sys.a_matrix
-        self.p2 = a @ self.p2 @ a.T + self.sys.q_cov
-        self.s2 = a[0, 0] ** 2 * self.s2 + self.q_cond
-        self.mean = self.mean @ a.T
+    def predict(self, k: int):
+        """Predicted covariances (and tangents) for step k."""
+        nx, a = self.nx, self.sys.a_matrix
+        self.p = _sandwich(self._a_t, self.p) + self.sys.q_cov
+        m = _sandwich(self._ax_t, self.s) + self.sys.q_cov
+        self.s, gain = _x_given_y(m, nx, k)
         if self.nt:
-            self.dp2 = np.einsum("ij,btjk,lk->btil", a, self.dp2, a)
-            self.ds2 = a[0, 0] ** 2 * self.ds2
+            self.dp = _sandwich(self._a_t, self.dp)
+            f_x = (a[:nx, :nx] - gain @ a[nx:, :nx])[:, None]
+            self.ds = f_x @ self.ds @ f_x.swapaxes(2, 3)
 
 
-def _fast_gradient_batch(params, system, lam, rollouts, horizon, rng, forced=None):
-    """Batched rollouts on the scalar fast path (feedback parameters).
+def _branch_rollouts(params, system, lam, horizon, rows, branch):
+    """Engine rollouts of feedback parameters over branch patterns.
 
-    Returns (losses, dpaths, scores, rates, info_sums); ``forced`` pins
-    the branch pattern (rollouts, K+1) for deterministic cross-checks.
+    Starts from ``rows`` identical rows. After each step's loss,
+    ``branch(k, p0)`` returns (parent, keep, w) for the next rows: the
+    parent row of each (None keeps the rows as they are), its keep flag
+    and the probability w its score term divides by. Returns per-row
+    (path weights, losses, dlosses, scores, kept counts, info sums).
     """
-    eng = _ScalarBatchEngine(system, rollouts, params.dim)
-    losses = np.zeros(rollouts)
-    infos = np.zeros(rollouts)
-    kept = np.zeros(rollouts)
-    dpaths = np.zeros((rollouts, params.dim))
-    scores = np.zeros((rollouts, params.dim))
+    eng = _BatchEngine(system, rows, params.dim)
+    weight = np.ones(rows)
+    losses = np.zeros(rows)
+    infos = np.zeros(rows)
+    kept = np.zeros(rows)
+    dpaths = np.zeros((rows, params.dim))
+    scores = np.zeros((rows, params.dim))
     for k in range(horizon + 1):
-        f_mat, df_mat = params.f_with_tangents(k)
-        c_vec, dc_vec = params.c_with_tangents(k)
-        f, df = float(f_mat[0, 0]), df_mat[:, 0, 0]
-        c, dc = float(c_vec[0]), dc_vec[:, 0]
+        f, df, c, dc = params.step_terms(k)
         loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, dc, lam)
         losses += loss
         infos += info
         if params.dim:
             dpaths += dloss
-        if forced is None:
-            keep = rng.uniform(size=rollouts) > p0
-        else:
-            keep = forced[:, k].astype(bool)
+        parent, keep, w = branch(k, p0)
+        if parent is not None:
+            eng.take(parent)
+            weight, losses, infos, kept, dpaths, scores = (
+                a[parent] for a in (weight, losses, infos, kept, dpaths, scores)
+            )
+            if params.dim:
+                dp0 = dp0[parent]
+        weight *= w
         kept += keep
         if params.dim:
-            branch_p = np.where(keep, np.clip(1.0 - p0, 1e-12, None), np.clip(p0, 1e-12, None))
-            sign = np.where(keep, -1.0, 1.0)
-            scores += (sign / branch_p)[:, None] * dp0
+            scores += (np.where(keep, -1.0, 1.0) / w)[:, None] * dp0
         eng.update(f, df, keep)
         if k < horizon:
-            eng.predict()
+            eng.predict(k + 1)
+    return weight, losses, dpaths, scores, kept, infos
+
+
+def _fast_gradient_batch(params, system, lam, rollouts, horizon, rng, forced=None):
+    """Sampled branch patterns on the engine (feedback parameters).
+
+    Returns (losses, dpaths, scores, rates, info_sums); ``forced`` pins
+    the branch pattern (rollouts, K+1) for deterministic cross-checks.
+    """
+
+    def branch(k, p0):
+        keep = rng.uniform(size=rollouts) > p0 if forced is None else forced[:, k].astype(bool)
+        return None, keep, np.maximum(np.where(keep, 1.0 - p0, p0), 1e-12) if params.dim else 1.0
+
+    _, losses, dpaths, scores, kept, infos = _branch_rollouts(
+        params, system, lam, horizon, rollouts, branch
+    )
     return losses, dpaths, scores, kept / (horizon + 1), infos
 
 
@@ -461,40 +511,38 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
     follows the pointwise rule, giving the exact joint law of decisions
     and retained values. Returns (losses, info_sums, rates).
     """
-    eng = _ScalarBatchEngine(system, rollouts, 0)
+    nx = system.n_x
+    eng = _BatchEngine(system, rollouts, 0)
+    mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
     losses = np.zeros(rollouts)
     infos = np.zeros(rollouts)
     kept = np.zeros(rollouts)
-    no_df = np.zeros(0)
-    no_dc = np.zeros(0)
     for k in range(horizon + 1):
-        f = float(schedule.effective_f_at(k)[0, 0])
-        if schedule.feedback:
-            g_abs = eng.mean[:, 0] + schedule.g[k, 0]
-        else:
-            g_abs = np.full(rollouts, schedule.g[k, 0])
-        c = g_abs - eng.mean[:, 0]
-        loss, _, _, _, info = eng.step_loss(f, no_df, c, no_dc, lam)
+        f = schedule.effective_f_at(k)
+        x_mean = mean[:, :nx]
+        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=x_mean), x_mean.shape)
+        loss, _, _, _, info = eng.step_loss(f, None, g_abs - x_mean, None, lam)
         losses += loss
         infos += info
-        eng.snapshot_pre_update()
-        x = eng.mean[:, 0] + np.sqrt(
-            np.clip(eng.p2[:, 0, 0], 0.0, None)
-        ) * rng.standard_normal(rollouts)
-        keep = schedule.keep(k, x[:, None], g_abs[:, None], rng)
+        pxx = eng.p[:, :nx, :nx]
+        fac = np.sqrt(np.maximum(pxx, 0.0)) if nx == 1 else np.linalg.cholesky(pxx)
+        x = x_mean + (fac @ rng.standard_normal((rollouts, nx, 1)))[:, :, 0]
+        keep = schedule.keep(k, x, g_abs, rng)
         kept += keep
-        eng.update(f, no_df, keep)
-        eng.update_means(f, keep, g_abs, x)
+        gain = eng.update(f, None, keep)
+        mean = mean + (gain @ (np.where(keep[:, None], x, g_abs) - x_mean)[:, :, None])[:, :, 0]
+        mean[keep, :nx] = x[keep]
         if k < horizon:
-            eng.predict()
+            eng.predict(k + 1)
+            mean = mean @ system.a_matrix.T
     return losses, infos, kept / (horizon + 1)
 
 
 def _rollout_gradient_terms(params, system, lam, horizon, rng, forced=None):
     """One sampled branch pattern: (loss, pathwise dloss, score, rate).
 
-    Reference implementation over the full growing covariance; the
-    batched scalar engine must reproduce it branch for branch.
+    Reference implementation over the full growing covariance, kept for
+    tests; the batched engine must reproduce it branch for branch.
     """
     filt = _TangentFilter(system, params.dim)
     loss = 0.0
@@ -502,8 +550,7 @@ def _rollout_gradient_terms(params, system, lam, horizon, rng, forced=None):
     score = np.zeros(params.dim)
     kept = 0
     for k in range(horizon + 1):
-        f, df = params.f_with_tangents(k)
-        c, dc = params.c_with_tangents(k)
+        f, df, c, dc = params.step_terms(k)
         l_k, dl_k, p0, dp0 = filt.step_loss(f, df, c, dc, lam)
         loss += l_k
         dloss += dl_k
@@ -519,38 +566,24 @@ def _rollout_gradient_terms(params, system, lam, horizon, rng, forced=None):
     return loss, dloss, score, kept / (horizon + 1)
 
 
-def _parameter_rollouts(params, system, lam, rollouts, rng):
-    """(losses, pathwise dlosses, scores, rates) of sampled branch patterns.
-
-    The one engine choice for parameter rollouts: batched on the scalar
-    engine when it applies, otherwise one growing-covariance reference
-    rollout at a time.
-    """
-    horizon = params.horizon
-    if _ScalarBatchEngine.applicable(system):
-        losses, paths, scores, rates, _ = _fast_gradient_batch(
-            params, system, lam, rollouts, horizon, rng
-        )
-        return losses, paths, scores, rates
-    losses = np.empty(rollouts)
-    rates = np.empty(rollouts)
-    paths = np.empty((rollouts, params.dim))
-    scores = np.empty((rollouts, params.dim))
-    for r in range(rollouts):
-        losses[r], paths[r], scores[r], rates[r] = _rollout_gradient_terms(
-            params, system, lam, horizon, rng
-        )
-    return losses, paths, scores, rates
+def _scalar_case(system: LinearGaussianSystem) -> bool:
+    """n_x = 1, A_yx = 0 and Q_yy > 0: where leak_estimate uses the engine."""
+    if system.n_x != 1 or np.any(system.a_matrix[1:, :1] != 0.0):
+        return False
+    try:
+        np.linalg.cholesky(system.q_cov[1:, 1:])
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):
-    """Mean and standard error of the information a schedule leaks (nats).
-
-    The one engine choice for schedule rollouts: belief-mode rollouts on
-    the scalar engine when it applies, otherwise ``loss.rollout_losses``
-    on the growing belief, one rollout at a time.
-    """
-    if _ScalarBatchEngine.applicable(system):
+    """Mean and standard error of the information a schedule leaks (nats)."""
+    # Outside the scalar case this runs loss.rollout_losses on the growing
+    # belief, one rollout at a time, because perfbench's traced coupled sweep
+    # counts those calls; route every system through the engine with the
+    # next benchmark change.
+    if _scalar_case(system):
         _, totals, _ = _fast_schedule_batch(system, schedule, 1.0, rollouts, horizon, rng)
     else:
         totals = np.empty(rollouts)
@@ -574,7 +607,9 @@ def objective_gradient_linear(
     tangent plus the (loss - baseline)-weighted marginal branch score,
     with a leave-one-out baseline. Returns (gradient, diagnostics dict).
     """
-    losses, paths, scores, rates = _parameter_rollouts(params, system, lam, rollouts, rng)
+    losses, paths, scores, rates, _ = _fast_gradient_batch(
+        params, system, lam, rollouts, params.horizon, rng
+    )
     if rollouts > 1:
         baseline = (losses.sum() - losses) / (rollouts - 1)
     else:
@@ -593,39 +628,24 @@ def objective_gradient_linear(
 def exact_objective_and_gradient(params, system, lam, horizon=None):
     """Exhaustive expectation over all branch patterns (small horizons).
 
-    Returns (objective, gradient) with the gradient assembled from the
-    same pathwise + score terms as the estimator, weighted exactly.
+    Level k of the engine batch holds every branch prefix as a row; each
+    row splits into its discard and keep children, and branches of
+    probability <= 1e-15 are pruned. Returns (objective, gradient) with
+    the gradient assembled from the same pathwise + score terms as the
+    estimator, weighted exactly.
     """
     horizon = params.horizon if horizon is None else horizon
     if 2 ** (horizon + 1) > 4096:
         raise ContractViolation("enumeration limited to horizon <= 11")
-    total = 0.0
-    grad = np.zeros(params.dim)
 
-    def recurse(filt, k, weight, loss_acc, dloss_acc, score_acc):
-        nonlocal total, grad
-        f, df = params.f_with_tangents(k)
-        c, dc = params.c_with_tangents(k)
-        l_k, dl_k, p0, dp0 = filt.step_loss(f, df, c, dc, lam)
-        loss_acc = loss_acc + l_k
-        dloss_acc = dloss_acc + dl_k
-        for keep in (False, True):
-            w = (1.0 - p0) if keep else p0
-            if w <= 1e-15:
-                continue
-            d_logw = (-dp0 / w) if keep else (dp0 / w)
-            branch_score = score_acc + d_logw
-            child = filt.clone()
-            child.update(f, df, keep)
-            if k == horizon:
-                total += weight * w * loss_acc
-                grad += weight * w * (dloss_acc + loss_acc * branch_score)
-            else:
-                child.predict()
-                recurse(child, k + 1, weight * w, loss_acc, dloss_acc, branch_score)
+    def branch(k, p0):
+        w = np.column_stack([p0, 1.0 - p0]).ravel()
+        alive = w > 1e-15
+        keep = np.tile([False, True], len(p0))
+        return np.repeat(np.arange(len(p0)), 2)[alive], keep[alive], w[alive]
 
-    recurse(_TangentFilter(system, params.dim), 0, 1.0, 0.0, np.zeros(params.dim), np.zeros(params.dim))
-    return total, grad
+    weight, loss, dloss, score, _, _ = _branch_rollouts(params, system, lam, horizon, 1, branch)
+    return float(weight @ loss), weight @ (dloss + loss[:, None] * score)
 
 
 def exact_objective(params, system, lam, horizon=None) -> float:
@@ -791,8 +811,8 @@ def stackelberg_optimize(
         if exact_ok:
             return exact_objective(p, system, lam), 0.0, float("nan")
         rng = substream(config.seed, 999)  # common random numbers across iters
-        losses, _, _, rates = _parameter_rollouts(
-            _NoTangents(p), system, lam, config.validation_rollouts, rng
+        losses, _, _, rates, _ = _fast_gradient_batch(
+            _NoTangents(p), system, lam, config.validation_rollouts, horizon, rng
         )
         return (
             float(losses.mean()),
@@ -863,9 +883,9 @@ def optimize_lambda(
     best_init, best_obj = None, np.inf
     for f0 in F_SCAN_GRID:
         params = FeedbackPolicyParams.constant(system, horizon, f0=f0, tied=True)
-        losses, _, _, _ = _parameter_rollouts(
-            _NoTangents(params), system, lam, F_SCAN_ROLLOUTS, substream(config.seed, 1)
-        )
+        losses = _fast_gradient_batch(
+            _NoTangents(params), system, lam, F_SCAN_ROLLOUTS, horizon, substream(config.seed, 1)
+        )[0]
         obj = float(np.mean(losses))
         if obj < best_obj:
             best_obj, best_init = obj, params
@@ -880,10 +900,6 @@ class _NoTangents:
         self.dim = 0
         self.horizon = params.horizon
 
-    def f_with_tangents(self, k):
-        f, _ = self._p.f_with_tangents(k)
-        return f, np.zeros((0, *f.shape))
-
-    def c_with_tangents(self, k):
-        c, _ = self._p.c_with_tangents(k)
-        return c, np.zeros((0, c.size))
+    def step_terms(self, k):
+        f, _, c, _ = self._p.step_terms(k)
+        return f, np.zeros((0, *f.shape)), c, np.zeros((0, c.size))

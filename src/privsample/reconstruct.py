@@ -7,8 +7,8 @@ recursion touches the (x, y_current) statistics only through the same
 block operations (the soft no-sample update is a Kalman-form update with
 observation noise f, pulling the mean toward the region center), so the
 reconstruction and current-state estimates match the full recursion
-coordinate for coordinate. The full recursion remains the reference for
-anything involving trajectory information terms.
+coordinate for coordinate. Information terms need one more fixed-size
+statistic, Cov(X_k | Y^k, Z^{k-1}), which ``optimizer._BatchEngine`` adds.
 """
 from __future__ import annotations
 

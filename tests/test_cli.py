@@ -223,8 +223,6 @@ def test_sweep_tradeoff_and_rate_curve(system_cfg, tmp_path, monkeypatch):
             "12",
             "--opt-validation",
             "24",
-            "--leak-rollouts",
-            "30",
         ]
     )
     assert rc == 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from privsample import belief as bel
-from privsample.errors import ContractViolation
+from privsample import optimizer
+from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
 from privsample.loss import belief_rollout
 from privsample.optimizer import (
@@ -12,11 +13,11 @@ from privsample.optimizer import (
     FeedbackPolicyParams,
     LinearFollower,
     OptimizerConfig,
-    _ScalarBatchEngine,
     _TangentFilter,
     _fast_gradient_batch,
     _fast_schedule_batch,
     _rollout_gradient_terms,
+    _scalar_case,
     best_response_jacobian,
     exact_objective,
     exact_objective_and_gradient,
@@ -24,12 +25,45 @@ from privsample.optimizer import (
     follower_hessian,
     general_policy_gradient,
     objective_gradient_linear,
+    optimize_lambda,
     stackelberg_optimize,
 )
 from privsample.policy import open_loop_schedule
 from privsample.rngs import make_rng
 
 from privsample.oracles import central_difference
+
+
+def _coupled(system, a_yx=0.30):
+    """``system`` with x feeding the private state (A_yx != 0)."""
+    a = system.a_matrix.copy()
+    a[1, 0] = a_yx
+    return LinearGaussianSystem(
+        a_matrix=a,
+        q_cov=system.q_cov,
+        init_mean=system.init_mean,
+        init_cov=system.init_cov,
+        n_x=1,
+        n_y=1,
+    )
+
+
+def _random_system(seed, n_x, n_y):
+    """Stable random system with A_yx != 0 and positive definite Q and P0."""
+    rng = make_rng(seed)
+    n = n_x + n_y
+    a = rng.standard_normal((n, n))
+    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
+    assert np.all(a[n_x:, :n_x] != 0.0)
+    q_fac, p_fac = rng.standard_normal((2, n, n))
+    return LinearGaussianSystem(
+        a_matrix=a,
+        q_cov=q_fac @ q_fac.T / n + 0.3 * np.eye(n),
+        init_mean=0.5 * rng.standard_normal(n),
+        init_cov=p_fac @ p_fac.T / n + 0.3 * np.eye(n),
+        n_x=n_x,
+        n_y=n_y,
+    )
 
 
 def test_params_pack_roundtrip(vi_system):
@@ -63,18 +97,24 @@ def test_tangent_filter_matches_belief_recursion(vi_system):
         )
 
 
-def test_exact_gradient_matches_central_differences(vi_system):
-    """K = 3 scalar feedback schedule, per-coordinate relative error."""
+@pytest.mark.parametrize("n_x", [1, 2], ids=["paper", "nx2_coupled"])
+def test_exact_gradient_matches_central_differences(vi_system, n_x):
+    """K = 3 feedback schedule, per-coordinate relative error: the paper
+    system, and an n_x = 2 system with A_yx != 0."""
     horizon = 3
     rng = make_rng(5)
+    if n_x == 1:
+        system, block = vi_system, np.array([0.3, 0.2])
+    else:  # (log L11, L21, log L22, c1, c2)
+        system, block = _random_system(11, 2, 1), np.array([0.3, 0.1, 0.2, 0.2, -0.1])
     theta0 = np.concatenate(
-        [np.array([0.3, 0.2]) + 0.1 * rng.standard_normal(2) for _ in range(horizon + 1)]
+        [block + 0.1 * rng.standard_normal(block.size) for _ in range(horizon + 1)]
     )
-    params = FeedbackPolicyParams(1, horizon, theta0, tied=False)
+    params = FeedbackPolicyParams(n_x, horizon, theta0, tied=False)
     lam = 0.8
-    _, grad = exact_objective_and_gradient(params, vi_system, lam)
+    _, grad = exact_objective_and_gradient(params, system, lam)
     fd = central_difference(
-        lambda th: exact_objective(params.replaced(th), vi_system, lam), theta0, 1e-5
+        lambda th: exact_objective(params.replaced(th), system, lam), theta0, 1e-5
     )
     rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-3
@@ -82,19 +122,9 @@ def test_exact_gradient_matches_central_differences(vi_system):
 
 @pytest.mark.parametrize("a_yx, batches", [(0.0, 200), (0.30, 48)], ids=["paper", "coupled"])
 def test_estimator_unbiased_against_enumeration(vi_system, a_yx, batches):
-    """Estimator mean within 3 SE of the exact gradient, on the scalar
-    engine (paper system) and on the growing-covariance fallback
-    (A_yx != 0)."""
-    a = vi_system.a_matrix.copy()
-    a[1, 0] = a_yx
-    system = LinearGaussianSystem(
-        a_matrix=a,
-        q_cov=vi_system.q_cov,
-        init_mean=vi_system.init_mean,
-        init_cov=vi_system.init_cov,
-        n_x=1,
-        n_y=1,
-    )
+    """Estimator mean within 3 SE of the exact gradient, on the paper
+    system and with A_yx != 0."""
+    system = _coupled(vi_system, a_yx)
     horizon = 5
     params = FeedbackPolicyParams.constant(system, horizon, f0=1.3, tied=True)
     params = params.replaced(params.theta + np.array([0.1, 0.25]))
@@ -316,35 +346,41 @@ def test_non_finite_gradient_aborts_with_dump(vi_system):
 
 
 # ---------------------------------------------------------------------------
-# Batched scalar fast path against the growing-covariance reference
+# Batched engine against the growing-covariance reference
 # ---------------------------------------------------------------------------
 
 
 def test_fast_engine_applicability(vi_system):
-    assert _ScalarBatchEngine.applicable(vi_system)
-    coupled = LinearGaussianSystem(
-        a_matrix=np.array([[0.9, 0.2], [0.3, 0.5]]),  # private state fed by x
-        q_cov=np.eye(2),
-        init_mean=np.zeros(2),
-        init_cov=np.eye(2),
-        n_x=1,
-        n_y=1,
-    )
-    assert not _ScalarBatchEngine.applicable(coupled)
+    """The scalar case, where leak_estimate runs the engine."""
+    assert _scalar_case(vi_system)
+    assert not _scalar_case(_coupled(vi_system))
 
 
-def test_fast_engine_matches_reference_on_forced_patterns(vi_system):
+SYSTEMS = {
+    "paper": None,
+    "nx1_ny1": (21, 1, 1),
+    "nx1_ny2": (22, 1, 2),
+    "nx2_ny1": (23, 2, 1),
+    "nx2_ny2": (24, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_fast_engine_matches_reference_on_forced_patterns(vi_system, name):
+    """Branch for branch against the growing covariance, untied
+    parameters; the random systems have A_yx != 0."""
+    system = vi_system if SYSTEMS[name] is None else _random_system(*SYSTEMS[name])
     horizon = 12
     rng = make_rng(3)
-    params = FeedbackPolicyParams.constant(vi_system, horizon, f0=2.0, tied=False)
+    params = FeedbackPolicyParams.constant(system, horizon, f0=2.0, tied=False)
     params = params.replaced(params.theta + 0.07 * rng.standard_normal(params.dim))
     patterns = rng.uniform(size=(6, horizon + 1)) > 0.5
     fl, fd, fs, fr, _ = _fast_gradient_batch(
-        params, vi_system, 0.9, 6, horizon, rng, forced=patterns
+        params, system, 0.9, 6, horizon, rng, forced=patterns
     )
     for r in range(6):
         sl, sd, ss, sr = _rollout_gradient_terms(
-            params, vi_system, 0.9, horizon, rng, forced=patterns[r]
+            params, system, 0.9, horizon, rng, forced=patterns[r]
         )
         assert abs(fl[r] - sl) < 1e-10
         assert np.abs(fd[r] - sd).max() < 1e-9
@@ -352,19 +388,53 @@ def test_fast_engine_matches_reference_on_forced_patterns(vi_system):
         assert fr[r] == sr
 
 
-def test_fast_schedule_batch_matches_trajectory_objective(vi_system):
+@pytest.mark.parametrize(
+    "name, horizon, slow_rollouts",
+    [("paper", 12, 1200), ("coupled", 5, 400), ("nx2_ny2", 4, 300)],
+    ids=["paper", "coupled", "nx2_ny2"],
+)
+def test_fast_schedule_batch_matches_trajectory_objective(vi_system, name, horizon, slow_rollouts):
     from privsample.loss import trajectory_objective
-    from privsample.policy import open_loop_schedule
 
-    horizon = 12
-    sched = open_loop_schedule(np.array([[1.5]]), horizon)
+    system = {
+        "paper": vi_system,
+        "coupled": _coupled(vi_system),
+        "nx2_ny2": _random_system(24, 2, 2),
+    }[name]
+    sched = open_loop_schedule(1.5 * np.eye(system.n_x), horizon)
     losses, infos, rates = _fast_schedule_batch(
-        vi_system, sched, 0.7, 4000, horizon, make_rng(2)
+        system, sched, 0.7, 4000, horizon, make_rng(2)
     )
     m_slow, se_slow, rate_slow = trajectory_objective(
-        vi_system, sched, 0.7, 1200, horizon, make_rng(5), mode="belief"
+        system, sched, 0.7, slow_rollouts, horizon, make_rng(5), mode="belief"
     )
     se_fast = losses.std(ddof=1) / np.sqrt(len(losses))
     assert abs(losses.mean() - m_slow) < 3 * np.hypot(se_fast, se_slow)
     assert abs(rates.mean() - rate_slow) < 0.03
     assert np.all(infos >= -1e-9)
+
+
+def test_optimize_lambda_on_coupled_system_stays_on_the_engine(vi_system, monkeypatch):
+    def growing(*args, **kwargs):
+        raise AssertionError("growing-covariance rollout on a production path")
+
+    monkeypatch.setattr(optimizer, "_rollout_gradient_terms", growing)
+    config = OptimizerConfig(rollouts_per_step=8, max_iters=3, validation_rollouts=16, seed=2)
+    result = optimize_lambda(config, _coupled(vi_system), 1.0, 10)
+    assert result.schedule.horizon == 10
+    assert np.isfinite(result.objective)
+
+
+def test_singular_private_noise_names_the_step(vi_system):
+    """Q_yy = 0 with A_yx = 0 makes y_1 a function of y_0."""
+    system = LinearGaussianSystem(
+        a_matrix=vi_system.a_matrix,
+        q_cov=np.diag([1.0, 0.0]),
+        init_mean=np.zeros(2),
+        init_cov=vi_system.init_cov,
+        n_x=1,
+        n_y=1,
+    )
+    params = FeedbackPolicyParams.constant(system, 4, f0=1.0, tied=True)
+    with pytest.raises(NumericalFailure, match=r"k=1\b"):
+        objective_gradient_linear(params, system, 0.5, 8, make_rng(0))
