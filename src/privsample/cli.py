@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -74,11 +75,22 @@ def _fmt(x, digits=10) -> str:
     return f"{float(x):.{digits}g}"
 
 
-def _parse_grid(text) -> list:
+def _parse_grid(text, flag: str) -> list:
     try:
         return [float(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {flag} {text!r}: {exc}") from exc
+
+
+def _variance_grid(text, flag: str, zero_ok: bool) -> list:
+    """A grid of region sizes f (positive) or channel noise variances
+    (non-negative: 0 is an exact observation), all finite."""
+    values = _parse_grid(text, flag)
+    for v in values:
+        if not (math.isfinite(v) and (v > 0.0 or zero_ok and v == 0.0)):
+            sign = "non-negative" if zero_ok else "positive"
+            raise ConfigError(f"{flag} value {v:g} must be finite and {sign}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +198,9 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         )
         return ("optimized", f"lambda={lam:g}", lam, report, *leak_of(result.schedule))
 
-    tasks = [(eval_open_loop, f) for f in _parse_grid(args.f_grid)]
+    tasks = [(eval_open_loop, f) for f in _variance_grid(args.f_grid, "--f-grid", False)]
     tasks += [(eval_noise, v) for v in noise_grid]
-    tasks += [(eval_lambda, lam) for lam in _parse_grid(args.lambdas)]
+    tasks += [(eval_lambda, lam) for lam in _parse_grid(args.lambdas, "--lambdas")]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda t: t[0](t[1]), tasks))
     for family, param, lam, report, leak, leak_se in results:
@@ -217,9 +229,8 @@ def substream_seed(seed: int, lam: float) -> int:
 
 def cmd_sweep_tradeoff(args) -> int:
     system, cfg, horizon = _load_system(args)
-    rows = _evaluate_family_rows(
-        system, horizon, args, _parse_grid(args.noise_grid), args.leak_rollouts
-    )
+    noise_grid = _variance_grid(args.noise_grid, "--noise-grid", True)
+    rows = _evaluate_family_rows(system, horizon, args, noise_grid, args.leak_rollouts)
     header = [
         "family",
         "f_spec",

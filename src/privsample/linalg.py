@@ -109,16 +109,6 @@ def inv_or_pinv(a: np.ndarray, warn_label: str | None = None) -> np.ndarray:
     return np.linalg.pinv(a, rcond=PINV_TOL, hermitian=True)
 
 
-def schur_complement(p: np.ndarray, nx: int, warn_label=None) -> np.ndarray:
-    """p_yy - p_yx p_xx^{-1} p_xy for the leading nx x nx block."""
-    p = np.asarray(p, dtype=float)
-    pxx = p[:nx, :nx]
-    pxy = p[:nx, nx:]
-    pyy = p[nx:, nx:]
-    pxx_inv = inv_or_pinv(pxx, warn_label=warn_label)
-    return sym(pyy - pxy.T @ pxx_inv @ pxy)
-
-
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     """Random strictly positive definite matrix (for tests and fixtures)."""
     m = rng.standard_normal((dim, dim))

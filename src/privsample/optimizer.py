@@ -320,6 +320,41 @@ def _observe(c, dc, r, dr, nx: int):
     return c, dc - w - w.swapaxes(2, 3), gain
 
 
+def _require_unknown_x(pxx, rows, k: int):
+    """Raise a NumericalFailure naming step k if the P^xx of a selected row
+    (rows: (B,) bool, or True for all) is singular: conditioning on an x
+    that is already known has no gain and no information increment."""
+    det = pxx[..., 0, 0] if pxx.shape[-1] == 1 else np.linalg.det(pxx)
+    if np.any(rows & (det <= 0.0)):
+        raise NumericalFailure(f"x_k already known (singular Cov(X_k | Y^(k-1), Z^(k-1))) at k={k}")
+
+
+def _branch_step(p, dp, mean, f, df, keep, obs, k: int):
+    """Filter the current (x, y) block of every row for its branch at step k.
+
+    Each p_b (B, n, n; tangents dp (B, T, n, n), or None) is conditioned on
+    its x, seen exactly on kept rows (keep: (B,) bool) and through noise f
+    (n_x x n_x; tangents df) on discarded ones. A kept x is known exactly,
+    so its rows and columns are zeroed. Means (B, n; or None) move by the
+    gain toward obs (B, n_x: the kept x, or the region center on a
+    discard), and kept rows take x = obs. Returns (p, dp, mean).
+    """
+    nx = f.shape[-1]
+    _require_unknown_x(p[:, :nx, :nx], keep, k)
+    keep3 = keep[:, None, None]
+    dr = None if dp is None else np.where(keep3[:, None], 0.0, df)
+    p, dp, gain = _observe(p, dp, np.where(keep3, 0.0, f), dr, nx)
+    p[keep, :nx, :] = 0.0
+    p[keep, :, :nx] = 0.0
+    if dp is not None:
+        dp[keep, :, :nx, :] = 0.0
+        dp[keep, :, :, :nx] = 0.0
+    if mean is not None:
+        mean = mean + (gain @ (obs - mean[:, :nx])[:, :, None])[:, :, 0]
+        mean[keep, :nx] = obs[keep]
+    return p, dp, mean
+
+
 def _x_given_y(m, nx: int, k: int):
     """Cov(x | y) of each (x, y) covariance in a stack, and M_xy M_yy^{-1}.
     A singular y-block (y_k a function of the past, so the trajectory
@@ -345,9 +380,12 @@ class _BatchEngine:
         keep:     1/2 log(|P^xx| / |S|)
         discard:  1/2 log(|f + P^xx| / |f + S|)
 
-    with P the current (x, y) block covariance. S follows a Kalman filter
-    for x that treats y_{k+1} as a measurement with correlated noise
-    (Anderson & Moore, Optimal Filtering, 1979, ch. 5):
+    with P the current (x, y) block covariance. P follows the one
+    current-block filter, ``_branch_step`` on the branch and ``_sandwich``
+    plus Q on predict, which ``reconstruct.evaluate_schedule`` and
+    ``reconstruct.kalman_additive_baseline`` run as well. S follows a
+    Kalman filter for x that treats y_{k+1} as a measurement with
+    correlated noise (Anderson & Moore, Optimal Filtering, 1979, ch. 5):
 
         keep:     S <- 0
         discard:  S <- S - S (S + f)^{-1} S
@@ -356,7 +394,9 @@ class _BatchEngine:
     Each rollout is fixed-size, so batches advance in lockstep.
     Covariances and their forward tangents (``dp``, ``ds``, one per
     parameter; None without) depend only on the branch pattern; schedule
-    rollouts move their means with the gain ``update`` returns.
+    rollouts pass their means through ``update``. A singular P^xx (x_k
+    already known) leaves the keep increment undefined and raises a
+    NumericalFailure naming k.
     """
 
     def __init__(self, system: LinearGaussianSystem, batch: int, n_tangents: int):
@@ -366,6 +406,7 @@ class _BatchEngine:
         self.nt = n_tangents
         self._a_t = np.ascontiguousarray(system.a_matrix.T)
         self._ax_t = np.ascontiguousarray(self._a_t[:nx])
+        _require_unknown_x(system.init_cov[:nx, :nx], True, 0)
         s0, _ = _x_given_y(system.init_cov, nx, 0)
         self.p = np.repeat(system.init_cov[None], batch, axis=0)
         self.s = np.repeat(s0[None], batch, axis=0)
@@ -414,30 +455,23 @@ class _BatchEngine:
         )
         return loss, ddist + lam * dinfo, p0, dp0, info
 
-    def update(self, f, df, keep: np.ndarray):
-        """Filtered covariances for the realized branches (keep: (B,) bool);
-        returns the gain (B, n, n_x) that moves the current-block mean by
-        the innovation (observation minus predicted x-mean)."""
-        nx = self.nx
+    def update(self, f, df, keep: np.ndarray, k: int, mean=None, obs=None):
+        """Filtered covariances for the realized branches of step k (keep:
+        (B,) bool); with ``mean`` (B, n), also the filtered means, which
+        ``_branch_step`` moves toward obs and returns."""
+        self.p, self.dp, mean = _branch_step(self.p, self.dp, mean, f, df, keep, obs, k)
+        s, ds, _ = _observe(self.s, self.ds, f, df, self.nx)
         keep3 = keep[:, None, None]
-        keep4 = keep3[:, None]
-        dr = np.where(keep4, 0.0, df) if self.nt else None
-        self.p, self.dp, gain = _observe(self.p, self.dp, np.where(keep3, 0.0, f), dr, nx)
-        s, ds, _ = _observe(self.s, self.ds, f, df, nx)
         self.s = np.where(keep3, 0.0, s)
-        # a kept x is known exactly
-        self.p[keep, :nx, :] = 0.0
-        self.p[keep, :, :nx] = 0.0
         if self.nt:
-            self.ds = np.where(keep4, 0.0, ds)
-            self.dp[keep, :, :nx, :] = 0.0
-            self.dp[keep, :, :, :nx] = 0.0
-        return gain
+            self.ds = np.where(keep3[:, None], 0.0, ds)
+        return mean
 
     def predict(self, k: int):
         """Predicted covariances (and tangents) for step k."""
         nx, a = self.nx, self.sys.a_matrix
         self.p = _sandwich(self._a_t, self.p) + self.sys.q_cov
+        _require_unknown_x(self.p[:, :nx, :nx], True, k)
         m = _sandwich(self._ax_t, self.s) + self.sys.q_cov
         self.s, gain = _x_given_y(m, nx, k)
         if self.nt:
@@ -481,7 +515,7 @@ def _branch_rollouts(params, system, lam, horizon, rows, branch):
         kept += keep
         if params.dim:
             scores += (np.where(keep, -1.0, 1.0) / w)[:, None] * dp0
-        eng.update(f, df, keep)
+        eng.update(f, df, keep, k)
         if k < horizon:
             eng.predict(k + 1)
     return weight, losses, dpaths, scores, kept, infos
@@ -529,9 +563,7 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
         x = x_mean + (fac @ rng.standard_normal((rollouts, nx, 1)))[:, :, 0]
         keep = schedule.keep(k, x, g_abs, rng)
         kept += keep
-        gain = eng.update(f, None, keep)
-        mean = mean + (gain @ (np.where(keep[:, None], x, g_abs) - x_mean)[:, :, None])[:, :, 0]
-        mean[keep, :nx] = x[keep]
+        mean = eng.update(f, None, keep, k, mean, np.where(keep[:, None], x, g_abs))
         if k < horizon:
             eng.predict(k + 1)
             mean = mean @ system.a_matrix.T

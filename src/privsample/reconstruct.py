@@ -1,14 +1,18 @@
 """Reconstruction of the observable state, adversary estimates of the
 private state, and the additive-noise Kalman baseline.
 
-Closed-loop evaluation at scale runs a batched filter over only the
-current (x, y) block. That reduction is exact: the growing-trajectory
-recursion touches the (x, y_current) statistics only through the same
-block operations (the soft no-sample update is a Kalman-form update with
-observation noise f, pulling the mean toward the region center), so the
-reconstruction and current-state estimates match the full recursion
-coordinate for coordinate. Information terms need one more fixed-size
-statistic, Cov(X_k | Y^k, Z^{k-1}), which ``optimizer._BatchEngine`` adds.
+Closed-loop evaluation and the baseline run one batched filter over only
+the current (x, y) block, the one ``optimizer._BatchEngine`` runs too:
+``optimizer._branch_step`` conditions each row on its x (exactly when
+kept; through noise f toward the region center when discarded; through
+the channel noise for a baseline observation) and prediction is
+A P A^T + Q. That reduction is exact: the growing-trajectory recursion
+touches the (x, y_current) statistics only through the same block
+operations (the soft no-sample update is a Kalman-form update with
+observation noise f), so the reconstruction and current-state estimates
+match the full recursion coordinate for coordinate. Information terms
+need one more fixed-size statistic, Cov(X_k | Y^k, Z^{k-1}), which the
+engine adds.
 """
 from __future__ import annotations
 
@@ -19,7 +23,9 @@ import numpy as np
 
 from . import belief as bel
 from .errors import ContractViolation
+from .linalg import check_symmetric_psd
 from .lingauss import LinearGaussianSystem, simulate_batch
+from .optimizer import _branch_step, _sandwich
 from .policy import SamplerSchedule
 
 # perfbench's self-test looks this name up here; drop it with the next
@@ -80,65 +86,38 @@ class ReconstructionReport:
             raise ContractViolation("mean_y_error must average y_errors")
 
 
-class _BatchFilter:
-    """Vectorized conditional-Gaussian filter over the current (x, y) block."""
+def _filter_report(system, horizon, rollouts, rng, update) -> ReconstructionReport:
+    """Simulate, filter the current (x, y) block, and score every step.
 
-    def __init__(self, system: LinearGaussianSystem, rollouts: int):
-        self.sys = system
-        self.nx = system.n_x
-        self.mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
-        self.cov = np.repeat(system.init_cov[None, :, :], rollouts, axis=0)
-
-    def predict(self):
-        a = self.sys.a_matrix
-        self.mean = self.mean @ a.T
-        self.cov = a @ self.cov @ a.T + self.sys.q_cov
-
-    def _gain_update(self, idx, s, innovation):
-        """Kalman-form update on the row subset idx; s has shape (B, nx, nx)."""
-        nx = self.nx
-        c = self.cov[idx][:, :, :nx]                     # (B, d, nx)
-        w = np.linalg.solve(s, np.swapaxes(c, 1, 2))     # (B, nx, d) = S^{-1} C^T
-        self.mean[idx] = self.mean[idx] + np.einsum("bji,bj->bi", w, innovation)
-        cov = self.cov[idx] - np.einsum("bik,bkj->bij", c, w)
-        self.cov[idx] = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-
-    def update_no_sample(self, idx, f, g_abs):
-        if not np.any(idx):
-            return
-        nx = self.nx
-        pxx = self.cov[idx][:, :nx, :nx]
-        s = pxx + f[None, :, :]
-        self._gain_update(idx, s, g_abs[idx] - self.mean[idx][:, :nx])
-
-    def update_sample(self, idx, z):
-        if not np.any(idx):
-            return
-        nx = self.nx
-        pxx = self.cov[idx][:, :nx, :nx]
-        self._gain_update(idx, pxx, z - self.mean[idx][:, :nx])
-        # exact conditioning: x statistics collapse onto the observation
-        self.mean[idx, :nx] = z
-        cov = self.cov[idx]
-        cov[:, :nx, :] = 0.0
-        cov[:, :, :nx] = 0.0
-        self.cov[idx] = cov
-
-    def update_noisy_obs(self, obs, noise_cov):
-        """Noisy every-step observation of x (additive-noise channel)."""
-        nx = self.nx
-        pxx = self.cov[:, :nx, :nx]
-        s = pxx + noise_cov[None, :, :]
-        self._gain_update(np.ones(len(obs), dtype=bool), s, obs - self.mean[:, :nx])
-
-
-def _report_from_arrays(x_err, y_err, rate, px_err, py_err) -> ReconstructionReport:
+    ``update(k, x, p, mean)`` filters step k's predicted block covariances
+    p (B, n, n) and means (B, n) given the true x (B, n_x) and returns
+    (p, mean, number of rows that transmitted); prediction is A P A^T + Q.
+    """
+    nx = system.n_x
+    a_t = np.ascontiguousarray(system.a_matrix.T)
+    states = simulate_batch(system, horizon, rollouts, rng)
+    p = np.repeat(system.init_cov[None], rollouts, axis=0)
+    mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
+    x_err, y_err, px_err, py_err = np.zeros((4, horizon + 1))
+    n_sent = 0
+    for k in range(horizon + 1):
+        x_true = states[k][:, :nx]
+        y_true = states[k][:, nx:]
+        p, mean, sent = update(k, x_true, p, mean)
+        n_sent += sent
+        x_err[k] = np.mean(np.sum((x_true - mean[:, :nx]) ** 2, axis=1))
+        y_err[k] = np.mean(np.sum((y_true - mean[:, nx:]) ** 2, axis=1))
+        px_err[k] = np.mean(np.trace(p[:, :nx, :nx], axis1=1, axis2=2))
+        py_err[k] = np.mean(np.trace(p[:, nx:, nx:], axis1=1, axis2=2))
+        if k < horizon:
+            p = _sandwich(a_t, p) + system.q_cov
+            mean = mean @ system.a_matrix.T
     return ReconstructionReport(
         x_errors=x_err,
         y_errors=y_err,
         mean_x_error=float(x_err.mean()),
         mean_y_error=float(y_err.mean()),
-        sampling_rate=float(rate),
+        sampling_rate=n_sent / (rollouts * (horizon + 1)),
         predicted_x_errors=px_err,
         predicted_y_errors=py_err,
     )
@@ -155,37 +134,21 @@ def evaluate_schedule(
 
     Returns per-step mean squared errors of the X reconstruction and of
     the adversary's current-Y estimate, averaged over rollouts, plus the
-    realized sampling rate.
+    realized sampling rate. A kept x_k that is already known (singular
+    P^xx) raises a NumericalFailure naming k.
     """
     if schedule.horizon < horizon:
         raise ContractViolation("schedule shorter than the requested horizon")
-    nx = system.n_x
-    states = simulate_batch(system, horizon, rollouts, rng)
-    filt = _BatchFilter(system, rollouts)
-    x_err = np.zeros(horizon + 1)
-    y_err = np.zeros(horizon + 1)
-    px_err = np.zeros(horizon + 1)
-    py_err = np.zeros(horizon + 1)
-    n_kept = 0
-    for k in range(horizon + 1):
-        x_true = states[k][:, :nx]
-        y_true = states[k][:, nx:]
-        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=filt.mean[:, :nx]), x_true.shape)
-        keep = schedule.keep(k, x_true, g_abs, rng)
+
+    def update(k, x, p, mean):
+        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=mean[:, :system.n_x]), x.shape)
+        keep = schedule.keep(k, x, g_abs, rng)
         if schedule.kind != "never_sample":  # f -> infinity: discards carry no evidence
-            filt.update_no_sample(~keep, schedule.f_at(k), g_abs)
-        filt.update_sample(keep, x_true[keep])
-        n_kept += int(keep.sum())
-        x_hat = filt.mean[:, :nx]
-        y_hat = filt.mean[:, nx:]
-        x_err[k] = np.mean(np.sum((x_true - x_hat) ** 2, axis=1))
-        y_err[k] = np.mean(np.sum((y_true - y_hat) ** 2, axis=1))
-        px_err[k] = np.mean(np.trace(filt.cov[:, :nx, :nx], axis1=1, axis2=2))
-        py_err[k] = np.mean(np.trace(filt.cov[:, nx:, nx:], axis1=1, axis2=2))
-        if k < horizon:
-            filt.predict()
-    rate = n_kept / (rollouts * (horizon + 1))
-    return _report_from_arrays(x_err, y_err, rate, px_err, py_err)
+            obs = np.where(keep[:, None], x, g_abs)
+            p, _, mean = _branch_step(p, None, mean, schedule.f_at(k), None, keep, obs, k)
+        return p, mean, int(keep.sum())
+
+    return _filter_report(system, horizon, rollouts, rng, update)
 
 
 def kalman_additive_baseline(
@@ -199,26 +162,19 @@ def kalman_additive_baseline(
 
     The filter tracks only the current (x, y) state: its observations are
     memoryless perturbations, so no trajectory block is needed. The
-    sampling rate of this baseline is 1 by construction.
+    sampling rate of this baseline is 1 by construction. ``noise_cov``
+    must be symmetric PSD (ContractViolation otherwise); 0 is an exact
+    observation.
     """
-    noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    nx = system.n_x
-    states = simulate_batch(system, horizon, rollouts, rng)
+    noise_cov = check_symmetric_psd(np.atleast_2d(noise_cov), name="noise_cov")
     noise_fac = np.linalg.cholesky(noise_cov) if np.any(noise_cov) else np.zeros_like(noise_cov)
-    filt = _BatchFilter(system, rollouts)
-    x_err = np.zeros(horizon + 1)
-    y_err = np.zeros(horizon + 1)
-    px_err = np.zeros(horizon + 1)
-    py_err = np.zeros(horizon + 1)
-    for k in range(horizon + 1):
-        x_true = states[k][:, :nx]
-        y_true = states[k][:, nx:]
-        obs = x_true + rng.standard_normal((rollouts, nx)) @ noise_fac.T
-        filt.update_noisy_obs(obs, noise_cov)
-        x_err[k] = np.mean(np.sum((x_true - filt.mean[:, :nx]) ** 2, axis=1))
-        y_err[k] = np.mean(np.sum((y_true - filt.mean[:, nx:]) ** 2, axis=1))
-        px_err[k] = np.mean(np.trace(filt.cov[:, :nx, :nx], axis1=1, axis2=2))
-        py_err[k] = np.mean(np.trace(filt.cov[:, nx:, nx:], axis1=1, axis2=2))
-        if k < horizon:
-            filt.predict()
-    return _report_from_arrays(x_err, y_err, 1.0, px_err, py_err)
+    none_kept = np.zeros(rollouts, dtype=bool)
+
+    def update(k, x, p, mean):
+        obs = x + rng.standard_normal(x.shape) @ noise_fac.T
+        # conditioning on x + v is a discard's update with f = noise_cov,
+        # centered on the observation
+        p, _, mean = _branch_step(p, None, mean, noise_cov, None, none_kept, obs, k)
+        return p, mean, rollouts
+
+    return _filter_report(system, horizon, rollouts, rng, update)

@@ -302,3 +302,21 @@ def test_bad_threads_env_is_exit_3(system_cfg, tmp_path, monkeypatch):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sweep-tradeoff", "--f-grid", "0"),
+        ("sweep-tradeoff", "--f-grid", "-2"),
+        ("sweep-tradeoff", "--noise-grid", "-1"),
+        ("rate-curve", "--f-grid", "0"),
+        ("rate-curve", "--f-grid", "-2"),
+    ],
+)
+def test_bad_grid_value_is_exit_3(system_cfg, tmp_path, capsys, command, flag, value):
+    args = [command, "--config", str(system_cfg), "--out", str(tmp_path / "s.csv")]
+    args += ["--horizon", "3", "--rollouts", "20", "--lambdas", "", flag, value]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert flag in err and f"value {value} " in err

@@ -9,7 +9,6 @@ from privsample.linalg import (
     logdet_psd,
     psd_sqrt,
     random_spd,
-    schur_complement,
     solve_psd,
 )
 from privsample.rngs import make_rng, spawn_streams, substream
@@ -64,13 +63,6 @@ def test_check_symmetric_psd_contracts():
         check_symmetric_psd(np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ContractViolation):
         check_symmetric_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_schur_complement_psd_order():
-    rng = make_rng(3)
-    p = random_spd(rng, 5)
-    s = schur_complement(p, 2)
-    assert np.linalg.eigvalsh(p[2:, 2:] - s).min() > -1e-10
 
 
 def test_streams_are_reproducible_and_distinct():

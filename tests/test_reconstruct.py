@@ -1,19 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from privsample import belief as bel
-from privsample.errors import ContractViolation
+from privsample.errors import ContractViolation, NumericalFailure
 from privsample.linalg import random_spd
+from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.loss import belief_rollout, one_step_loss
+from privsample.optimizer import _branch_step, _fast_schedule_batch, _sandwich
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.reconstruct import (
-    _BatchFilter,
     estimate_y,
     evaluate_schedule,
     kalman_additive_baseline,
     reconstruct_x,
 )
 from privsample.rngs import make_rng
+from tests.test_optimizer import SYSTEMS, _random_system
 
 
 def test_reconstruct_after_sample_is_observation(vi_system):
@@ -59,27 +63,75 @@ def test_estimate_y_is_current_block(vi_system):
     assert np.allclose(estimate_y(filt), filt.mean[1:2])
 
 
-def test_batch_filter_matches_full_recursion(vi_system):
-    rng = make_rng(3)
-    filt = _BatchFilter(vi_system, rollouts=1)
-    b = bel.init_belief(vi_system)
-    f = np.array([[0.9]])
+def _system(vi_system, name):
+    return vi_system if name == "paper" else _random_system(*SYSTEMS[name])
+
+
+@pytest.mark.parametrize("name", ["paper", "nx1_ny2", "nx2_ny1", "nx2_ny2"])
+def test_branch_step_matches_full_recursion(vi_system, name):
+    """Two rows on complementary forced patterns, each against the growing
+    belief's current (x, y) block; the random systems have A_yx != 0."""
+    system = _system(vi_system, name)
+    nx, n = system.n_x, system.n
+    p = np.repeat(system.init_cov[None], 2, axis=0)
+    mean = np.repeat(system.init_mean[None], 2, axis=0)
+    beliefs = [bel.init_belief(system)] * 2
+    f = 0.9 * np.eye(nx)
+    g = np.full(nx, 0.1)
     for k in range(6):
-        if k % 3 == 0:
-            z = np.array([[0.5 - 0.2 * k]])
-            filt.update_sample(np.array([True]), z)
-            b = bel.update_sample(b, z[0])
-        else:
-            g = np.array([[0.1]])
-            filt.update_no_sample(np.array([True]), f, g)
-            b = bel.update_no_sample(b, f, g[0])
-        assert np.allclose(filt.mean[0, 0], b.x_mean[0], atol=1e-12)
-        assert np.allclose(filt.mean[0, 1], b.mean[1], atol=1e-12)
-        assert np.allclose(filt.cov[0, 0, 0], b.cov[0, 0], atol=1e-12)
-        assert np.allclose(filt.cov[0, 1, 1], b.cov[1, 1], atol=1e-12)
-        assert np.allclose(filt.cov[0, 0, 1], b.cov[0, 1], atol=1e-12)
-        filt.predict()
-        b = bel.predict(vi_system, b)
+        z = np.full(nx, 0.5 - 0.2 * k)
+        keep = np.array([k % 3 == 0, k % 3 != 0])
+        p, _, mean = _branch_step(p, None, mean, f, None, keep, np.where(keep[:, None], z, g), k)
+        for r in range(2):
+            b = beliefs[r]
+            b = bel.update_sample(b, z) if keep[r] else bel.update_no_sample(b, f, g)
+            assert np.allclose(mean[r], b.mean[:n], atol=1e-12)
+            assert np.allclose(p[r], b.cov[:n, :n], atol=1e-12)
+            if keep[r]:  # a kept x is known exactly
+                assert np.array_equal(mean[r, :nx], z)
+                assert not np.any(p[r, :nx]) and not np.any(p[r, :, :nx])
+            beliefs[r] = bel.predict(system, b)
+        p = _sandwich(system.a_matrix.T, p) + system.q_cov
+        mean = mean @ system.a_matrix.T
+
+
+@pytest.mark.parametrize("kind", ["always_sample", "never_sample"])
+@pytest.mark.parametrize("name", ["paper", "nx2_ny2"])
+def test_predicted_errors_are_the_belief_traces(vi_system, name, kind):
+    """Under the degenerate schedules every covariance is deterministic."""
+    system = _system(vi_system, name)
+    nx, n, horizon = system.n_x, system.n, 8
+    sched = degenerate_schedule(kind, horizon, nx)
+    report = evaluate_schedule(system, sched, horizon, 3, make_rng(15))
+    b = bel.init_belief(system)
+    px, py = [], []
+    for _ in range(horizon + 1):
+        if kind == "always_sample":
+            b = bel.update_sample(b, np.zeros(nx))
+        else:  # never-sample conditions on nothing
+            b = replace(b, phase=bel.FILTERED)
+        px.append(np.trace(b.cov[:nx, :nx]))
+        py.append(np.trace(b.cov[nx:n, nx:n]))
+        b = bel.predict(system, b)
+    np.testing.assert_allclose(report.predicted_x_errors, px, rtol=1e-12)
+    np.testing.assert_allclose(report.predicted_y_errors, py, rtol=1e-12)
+
+
+def test_kept_x_already_known_names_the_step():
+    """x_{k+1} = 0.9 x_k exactly, so keeping x_0 makes P^xx = 0 at k = 1."""
+    system = LinearGaussianSystem(
+        a_matrix=np.array([[0.9, 0.0], [0.3, 0.5]]),
+        q_cov=np.diag([0.0, 1.0]),
+        init_mean=np.zeros(2),
+        init_cov=np.eye(2),
+        n_x=1,
+        n_y=1,
+    )
+    always = degenerate_schedule("always_sample", 4, 1)
+    with pytest.raises(NumericalFailure, match=r"k=1\b"):
+        evaluate_schedule(system, always, 4, 50, make_rng(17))
+    with pytest.raises(NumericalFailure, match=r"k=1\b"):
+        _fast_schedule_batch(system, always, 0.5, 50, 4, make_rng(18))
 
 
 def test_always_sample_report(vi_system):
@@ -145,24 +197,32 @@ def test_kalman_baseline_uninformative_limit(vi_system):
     assert noisy.mean_y_error == pytest.approx(never.mean_y_error, rel=0.1)
 
 
+def test_kalman_baseline_noise_must_be_psd(vi_system):
+    with pytest.raises(ContractViolation, match="noise_cov"):
+        kalman_additive_baseline(vi_system, [[-1.0]], 4, 10, make_rng(20))
+    exact = kalman_additive_baseline(vi_system, [[0.0]], 4, 10, make_rng(20))
+    assert exact.mean_x_error < 1e-20
+
+
 def test_kalman_innovation_whiteness(vi_system):
     """Normalized innovations of the baseline filter have unit variance."""
     rng = make_rng(12)
     noise_cov = np.array([[0.6]])
     rollouts, horizon = 100, 99
-    from privsample.lingauss import simulate_batch
-
     states = simulate_batch(vi_system, horizon, rollouts, rng)
-    filt = _BatchFilter(vi_system, rollouts)
+    p = np.repeat(vi_system.init_cov[None], rollouts, axis=0)
+    mean = np.repeat(vi_system.init_mean[None], rollouts, axis=0)
+    none_kept = np.zeros(rollouts, dtype=bool)
     normalized = []
     for k in range(horizon + 1):
         x_true = states[k][:, :1]
         obs = x_true + np.sqrt(noise_cov[0, 0]) * rng.standard_normal((rollouts, 1))
-        s = filt.cov[:, 0, 0] + noise_cov[0, 0]
-        normalized.append((obs[:, 0] - filt.mean[:, 0]) / np.sqrt(s))
-        filt.update_noisy_obs(obs, noise_cov)
+        s = p[:, 0, 0] + noise_cov[0, 0]
+        normalized.append((obs[:, 0] - mean[:, 0]) / np.sqrt(s))
+        p, _, mean = _branch_step(p, None, mean, noise_cov, None, none_kept, obs, k)
         if k < horizon:
-            filt.predict()
+            p = _sandwich(vi_system.a_matrix.T, p) + vi_system.q_cov
+            mean = mean @ vi_system.a_matrix.T
     flat = np.concatenate(normalized)
     n = flat.size
     assert n == 10_000
