@@ -82,15 +82,20 @@ def _parse_grid(text, flag: str) -> list:
         raise ConfigError(f"bad {flag} {text!r}: {exc}") from exc
 
 
-def _variance_grid(text, flag: str, zero_ok: bool) -> list:
-    """A grid of region sizes f (positive) or channel noise variances
-    (non-negative: 0 is an exact observation), all finite."""
-    values = _parse_grid(text, flag)
-    for v in values:
-        if not (math.isfinite(v) and (v > 0.0 or zero_ok and v == 0.0)):
-            sign = "non-negative" if zero_ok else "positive"
-            raise ConfigError(f"{flag} value {v:g} must be finite and {sign}")
-    return values
+def _checked(v: float, flag: str, zero_ok: bool) -> float:
+    """``v`` when finite and positive (non-negative with ``zero_ok``);
+    ConfigError naming ``flag`` otherwise."""
+    if not (math.isfinite(v) and (v > 0.0 or zero_ok and v == 0.0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ConfigError(f"{flag} value {v:g} must be finite and {sign}")
+    return v
+
+
+def _checked_grid(text, flag: str, zero_ok: bool) -> list:
+    """A grid of region sizes f (positive), channel noise variances or
+    trade-off weights lambda (non-negative: 0 is an exact observation or
+    a free leak), all finite."""
+    return [_checked(v, flag, zero_ok) for v in _parse_grid(text, flag)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +203,9 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         )
         return ("optimized", f"lambda={lam:g}", lam, report, *leak_of(result.schedule))
 
-    tasks = [(eval_open_loop, f) for f in _variance_grid(args.f_grid, "--f-grid", False)]
+    tasks = [(eval_open_loop, f) for f in _checked_grid(args.f_grid, "--f-grid", False)]
     tasks += [(eval_noise, v) for v in noise_grid]
-    tasks += [(eval_lambda, lam) for lam in _parse_grid(args.lambdas, "--lambdas")]
+    tasks += [(eval_lambda, lam) for lam in _checked_grid(args.lambdas, "--lambdas", True)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda t: t[0](t[1]), tasks))
     for family, param, lam, report, leak, leak_se in results:
@@ -229,7 +234,7 @@ def substream_seed(seed: int, lam: float) -> int:
 
 def cmd_sweep_tradeoff(args) -> int:
     system, cfg, horizon = _load_system(args)
-    noise_grid = _variance_grid(args.noise_grid, "--noise-grid", True)
+    noise_grid = _checked_grid(args.noise_grid, "--noise-grid", True)
     rows = _evaluate_family_rows(system, horizon, args, noise_grid, args.leak_rollouts)
     header = [
         "family",
@@ -263,6 +268,7 @@ def cmd_rate_curve(args) -> int:
 
 def cmd_optimize(args) -> int:
     system, cfg, horizon = _load_system(args)
+    _checked(args.lam, "--lambda", True)
     result = optimize_lambda(_optimizer_config(args, args.seed), system, args.lam, horizon)
     dump_schedule(result.schedule, args.out)
     meta = _meta(
@@ -299,8 +305,9 @@ def cmd_finite_dp(args) -> int:
     cfg = load_json(args.config)
     model = finite_model_from_config(cfg)
     horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 2))
-    if horizon > 3:
-        raise ConfigError("finite-dp supports horizons up to 3")
+    if not 0 <= horizon <= 3:
+        raise ConfigError(f"finite-dp supports horizons 0 to 3, got {horizon}")
+    _checked(args.lam, "--lambda", True)
     result = dp_solve(model, args.lam, horizon, DpGridSpec())
     header = ["stage", "node", "value", "argmin_policy"]
     rows = []

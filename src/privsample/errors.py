@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types and the trade-off weight precondition."""
+import math
 
 
 class ContractViolation(ValueError):
@@ -19,3 +20,11 @@ class ImpossibleEvidence(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration file or flag set is invalid."""
+
+
+def check_lambda(lam) -> float:
+    """The trade-off weight as a float; ContractViolation unless finite and >= 0."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ContractViolation(f"lambda must be finite and >= 0, got {lam!r}")
+    return lam

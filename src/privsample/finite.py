@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ImpossibleEvidence
+from .errors import ContractViolation, ImpossibleEvidence, check_lambda
 
 Support = tuple[int, tuple[int, ...], tuple[int, ...]]  # (x, memory, y-trajectory)
 
@@ -451,10 +451,11 @@ def objective_via_decomposition(
 # The recursion itself is small; the work went into making node solves
 # cheap enough for exhaustive comparisons. Beliefs reachable through the
 # same output pattern share a canonical support, so each support gets a
-# _Space with precomputed index maps: losses become a handful of batched
-# bincount/matmul calls over candidate policy vectors and branch updates
-# become one gather + one scatter. Values are memoized on (support,
-# rounded weights).
+# _Space with precomputed linear maps: one candidate batch's losses are
+# two one-hot aggregation matmuls and one entropy pass, the w-only
+# entropy term is formed once per node, and each branch's child weights
+# for the whole batch are one matmul with a cached parent->child
+# transition matrix. Values are memoized on (support, rounded weights).
 
 
 class _Space:
@@ -472,41 +473,50 @@ class _Space:
         self.pair_idx = np.array([pair_pos[(x, mem)] for x, mem, _ in keys])
         self.y_idx = np.array([ys_pos[ys] for _, _, ys in keys])
         self.xy_idx = self.x_idx * self.n_y + self.y_idx
+        # one-hot maps: q0 -> [q0 by x | q0 by y], q1 -> [q1 by (x, y) | q1 by x]
+        x_hot = np.eye(model.nx)[self.x_idx]
+        self.q0_map = np.hstack([x_hot, np.eye(self.n_y)[self.y_idx]])
+        self.q1_map = np.hstack([np.eye(model.nx * self.n_y)[self.xy_idx], x_hot])
+        self._y_entropy = (None, 0.0)  # (w bytes, H(p_y)) of the last node seen
         self._children: dict = {}
+
+    def y_entropy(self, w: np.ndarray) -> float:
+        """H of the y-trajectory marginal of ``w``; cached for the last w."""
+        key = w.tobytes()
+        if self._y_entropy[0] != key:
+            p_y = np.bincount(self.y_idx, weights=w, minlength=self.n_y)
+            self._y_entropy = (key, -float(np.sum(_xlogx_vec(p_y))))
+        return self._y_entropy[1]
 
     def losses_batch(self, w: np.ndarray, a_tables: np.ndarray, lam: float):
         """Totals of the one-step losses for candidate tables (T, n_pairs).
 
         Returns (totals, p0) with shapes (T,). Mirrors one_step_losses.
         """
-        model = self.model
-        a = a_tables[:, self.pair_idx]            # (T, S)
-        q0 = w[None, :] * a
+        nx, n_y = self.model.nx, self.n_y
+        q0 = w[None, :] * a_tables[:, self.pair_idx]  # (T, S)
         q1 = w[None, :] - q0
-        t_dim = a_tables.shape[0]
-
-        def agg(idx, vals, size):
-            out = np.zeros((t_dim, size))
-            for t in range(t_dim):
-                out[t] = np.bincount(idx, weights=vals[t], minlength=size)
-            return out
-
-        q0x = agg(self.x_idx, q0, model.nx)
-        dist = np.min(q0x @ model.distortion, axis=1)
-
-        p_y = np.bincount(self.y_idx, weights=w, minlength=self.n_y)
-        term1 = -float(np.sum(_xlogx_vec(p_y)))
-        q0y = agg(self.y_idx, q0, self.n_y)
+        by0 = q0 @ self.q0_map  # [q0x | q0y]
+        by1 = q1 @ self.q1_map  # [q1xy | q1x]
+        dist = (by0[:, :nx] @ self.model.distortion).min(axis=1)
         p0 = q0.sum(axis=1)
-        term2 = _xlogx_vec(q0y).sum(axis=1) - _xlogx_vec(p0)
-        q1xy = agg(self.xy_idx, q1, model.nx * self.n_y)
-        q1x = agg(self.x_idx, q1, model.nx)
-        term3 = _xlogx_vec(q1xy).sum(axis=1) - _xlogx_vec(q1x).sum(axis=1)
-        info = term1 + term2 + term3
+        # entropy summands, columns [q0y | p0 | q1xy | q1x]; each slice is
+        # summed on its own because re-associating these sums moves totals
+        # by ulps, which can flip the tie-broken argmin policies
+        ent = _xlogx_vec(np.concatenate([by0[:, nx:], p0[:, None], by1], axis=1))
+        xy_end = n_y + 1 + nx * n_y
+        term2 = ent[:, :n_y].sum(axis=1) - ent[:, n_y]
+        term3 = ent[:, n_y + 1 : xy_end].sum(axis=1) - ent[:, xy_end:].sum(axis=1)
+        info = self.y_entropy(w) + term2 + term3
         return dist + lam * info, p0
 
     def child_op(self, branch, mem_cap):
-        """(child_space, parent gather idx, child scatter idx, coeffs)."""
+        """(child keys, transition matrix M (S, S_child)) of one branch.
+
+        Row i of M holds the kernel coefficients from parent support point
+        i, so ``mass @ M`` maps branch masses (T, S) to unnormalized child
+        weights (T, S_child).
+        """
         hit = self._children.get((branch, mem_cap))
         if hit is not None:
             return hit
@@ -534,15 +544,19 @@ class _Space:
         child_pos = {key: j for j, key in enumerate(child_keys)}
         gather = np.array([i for i, _, _ in triples], dtype=np.intp)
         scatter = np.array([child_pos[key] for _, key, _ in triples], dtype=np.intp)
-        coeff = np.array([c for _, _, c in triples])
-        op = (child_keys, gather, scatter, coeff)
+        trans = np.zeros((len(self.keys), len(child_keys)))
+        np.add.at(trans, (gather, scatter), np.array([c for _, _, c in triples]))
+        op = (child_keys, trans)
         self._children[(branch, mem_cap)] = op
         return op
 
 
 def _xlogx_vec(p):
     p = np.asarray(p, dtype=float)
-    return np.where(p > 0.0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
+    out = np.zeros_like(p)
+    np.log(p, out=out, where=p > 0.0)
+    out *= p
+    return out
 
 
 @dataclass
@@ -607,20 +621,17 @@ class _ValueRecursion:
         """Objective of every candidate table (T, n_pairs) at one node."""
         totals, p0 = sp.losses_batch(w, a_tables, self.lam)
         if k < self.horizon:
-            branches = ["none"] + list(range(self.model.nx))
-            for branch in branches:
-                child_keys, gather, scatter, coeff = sp.child_op(branch, self.spec.mem_cap)
+            a = a_tables[:, sp.pair_idx]
+            for branch in ["none"] + list(range(self.model.nx)):
+                child_keys, trans = sp.child_op(branch, self.spec.mem_cap)
                 if len(child_keys) == 0:
                     continue
                 child_sp = self.space_for(child_keys)
-                a = a_tables[:, sp.pair_idx]
                 mass = w[None, :] * (a if branch == "none" else (1.0 - a))
-                contrib = mass[:, gather] * coeff[None, :]
-                for t in range(a_tables.shape[0]):
-                    cw = np.bincount(scatter, weights=contrib[t], minlength=len(child_keys))
-                    norm = cw.sum()
-                    if norm > 1e-13:
-                        totals[t] += norm * self.value(child_sp, cw / norm, k + 1)
+                child_w = mass @ trans  # (T, S_child), unnormalized
+                norms = child_w.sum(axis=1)
+                for t in np.flatnonzero(norms > 1e-13):
+                    totals[t] += norms[t] * self.value(child_sp, child_w[t] / norms[t], k + 1)
         return totals
 
     def _coordinate_descent(self, sp, w, k, vec, levels):
@@ -701,6 +712,9 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
     the class of policies reading the truncated memory; the cap covers
     the horizon on the supported fixtures, making the recursion exact.
     """
+    lam = check_lambda(lam)
+    if horizon < 0:
+        raise ContractViolation("horizon must be >= 0")
     spec = spec or DpGridSpec()
     rec = _ValueRecursion(model, lam, horizon, spec)
     sp, w = rec.root()

@@ -25,7 +25,7 @@ from .belief import (
     update_no_sample,
     update_sample,
 )
-from .errors import ContractViolation, NumericalFailure
+from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
 from .linalg import inv_or_pinv, logdet_psd, psd_sqrt, solve_psd, sym
 from .policy import SamplerSchedule
@@ -138,8 +138,7 @@ def one_step_loss(belief: GaussianBelief, f, g, lam: float) -> LossBreakdown:
                         - (1-p0) log sqrt|S_sample|
                         - p0 log sqrt|S_no_sample|]
     """
-    if lam < 0:
-        raise ContractViolation("lambda must be >= 0")
+    check_lambda(lam)
     f = np.atleast_2d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
     p0 = no_sample_prob_marginal(belief, f, g)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ContractViolation, NumericalFailure
+from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
 from .loss import mi_accumulate, rollout_losses
 from .policy import SamplerSchedule, privacy_aware_schedule
@@ -910,8 +910,10 @@ def optimize_lambda(
 
     A coarse scan scores each tied constant-f start in ``F_SCAN_GRID`` on
     ``F_SCAN_ROLLOUTS`` rollouts of the same stream; stackelberg_optimize
-    then polishes the best start.
+    then polishes the best start. ``lam`` must be finite and >= 0
+    (ContractViolation otherwise).
     """
+    lam = check_lambda(lam)
     best_init, best_obj = None, np.inf
     for f0 in F_SCAN_GRID:
         params = FeedbackPolicyParams.constant(system, horizon, f0=f0, tied=True)

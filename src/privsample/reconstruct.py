@@ -23,7 +23,7 @@ import numpy as np
 
 from . import belief as bel
 from .errors import ContractViolation
-from .linalg import check_symmetric_psd
+from .linalg import check_symmetric_psd, psd_sqrt
 from .lingauss import LinearGaussianSystem, simulate_batch
 from .optimizer import _branch_step, _sandwich
 from .policy import SamplerSchedule
@@ -164,10 +164,10 @@ def kalman_additive_baseline(
     memoryless perturbations, so no trajectory block is needed. The
     sampling rate of this baseline is 1 by construction. ``noise_cov``
     must be symmetric PSD (ContractViolation otherwise); 0 is an exact
-    observation.
+    observation, and a singular one is exact along its null space.
     """
     noise_cov = check_symmetric_psd(np.atleast_2d(noise_cov), name="noise_cov")
-    noise_fac = np.linalg.cholesky(noise_cov) if np.any(noise_cov) else np.zeros_like(noise_cov)
+    noise_fac = psd_sqrt(noise_cov)
     none_kept = np.zeros(rollouts, dtype=bool)
 
     def update(k, x, p, mean):

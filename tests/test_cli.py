@@ -320,3 +320,37 @@ def test_bad_grid_value_is_exit_3(system_cfg, tmp_path, capsys, command, flag, v
     assert main(args) == 3
     err = capsys.readouterr().err
     assert flag in err and f"value {value} " in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("optimize", "--lambda", "-1"),
+        ("optimize", "--lambda", "nan"),
+        ("sweep-tradeoff", "--lambdas", "-1"),
+        ("sweep-tradeoff", "--lambdas", "0.5,inf"),
+        ("rate-curve", "--lambdas", "-1"),
+    ],
+)
+def test_bad_lambda_is_exit_3(system_cfg, tmp_path, capsys, command, flag, value):
+    args = [command, "--config", str(system_cfg), "--out", str(tmp_path / "s.csv")]
+    args += ["--horizon", "3", f"{flag}={value}"]
+    if command != "optimize":
+        args += ["--rollouts", "20"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "must be finite and non-negative" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--lambda=-1"], ["--lambda", "nan"], ["--horizon=-1"]]
+)
+def test_finite_dp_rejects_bad_lambda_and_horizon(tmp_path, capsys, flags):
+    cfg = tmp_path / "finite.json"
+    cfg.write_text(json.dumps(FINITE_CFG))
+    out = tmp_path / "dp.csv"
+    assert main(["finite-dp", "--config", str(cfg), "--out", str(out)] + flags) == 3
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+

@@ -12,6 +12,7 @@ from privsample.finite import (
     belief_step,
     dp_solve,
     init_discrete_belief,
+    keep_prob,
     mi_bruteforce,
     no_sample_prob,
     objective_via_decomposition,
@@ -331,6 +332,93 @@ def test_array_space_losses_match_reference(model):
             assert np.isclose(totals[t], ref.total, atol=1e-12)
             assert np.isclose(p0[t], no_sample_prob(b, pol), atol=1e-12)
         b = belief_step(b, policies[k], None if k % 2 == 0 else 0, model)
+
+
+def _random_model(rng, nx, ny):
+    distortion = rng.uniform(0.2, 2.0, size=(nx, nx))
+    np.fill_diagonal(distortion, 0.0)
+    return FiniteModel(
+        x_kernel=rng.dirichlet(np.ones(nx), size=(nx, ny)),
+        y_kernel=rng.dirichlet(np.ones(ny), size=ny),
+        init_joint=rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny),
+        distortion=distortion,
+    )
+
+
+def _random_reachable_belief(rng, model, steps):
+    """Belief after ``steps`` random keep/discard outcomes, memory capped at 2."""
+    b = init_discrete_belief(model)
+    for _ in range(steps):
+        policy = PolicyCollection.from_x_table(rng.uniform(0.1, 0.9, size=model.nx))
+        outcomes = [None] + list(range(model.nx))
+        probs = np.array([no_sample_prob(b, policy)] + [keep_prob(b, policy, z) for z in range(model.nx)])
+        z = outcomes[rng.choice(len(outcomes), p=probs / probs.sum())]
+        b = belief_step(b, policy, z, model, mem_cap=2)
+    return b
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("nx, ny", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_space_batches_match_the_reference_losses_and_update(nx, ny, seed):
+    rng = make_rng(100 + 10 * nx + 3 * ny + seed)
+    model = _random_model(rng, nx, ny)
+    b = _random_reachable_belief(rng, model, steps=int(rng.integers(1, 4)))
+    keys = tuple(sorted(b.weights))
+    sp = _Space(model, keys)
+    w = np.array([b.weights[key] for key in keys])
+    tables = rng.uniform(0.0, 1.0, size=(4, len(sp.pairs)))
+    tables[0] = rng.choice([0.0, 1.0], size=len(sp.pairs))  # degenerate entries
+    lam = float(rng.uniform(0.0, 3.0))
+    totals, p0 = sp.losses_batch(w, tables, lam)
+    a = tables[:, sp.pair_idx]
+    mem_len = max((len(m) for _, m in sp.pairs), default=0)
+    for t, row in enumerate(tables):
+        pol = PolicyCollection(table=dict(zip(sp.pairs, map(float, row))), mem_len=mem_len)
+        assert abs(totals[t] - one_step_losses(b, pol, model, lam).total) < 1e-12
+        assert abs(p0[t] - no_sample_prob(b, pol)) < 1e-12
+        for branch in [None] + list(range(model.nx)):
+            child_keys, trans = sp.child_op("none" if branch is None else branch, 2)
+            mass = w * (a[t] if branch is None else 1.0 - a[t])
+            child_w = mass @ trans
+            norm = child_w.sum()
+            if norm <= 1e-13:
+                continue
+            ref = belief_step(b, pol, branch, model, mem_cap=2)
+            assert set(ref.weights) == {key for key, cw in zip(child_keys, child_w) if cw > 0.0}
+            got = dict(zip(child_keys, child_w / norm))
+            assert max(abs(got[key] - v) for key, v in ref.weights.items()) < 1e-12
+
+
+def test_dp_node_values_on_the_shipped_fixture():
+    """Every optimal-play node's value at lambda = 0.5, horizon 2; the
+    tie-broken argmin policies are deliberately not pinned."""
+    from privsample.validation import finite_fixture
+
+    expected = {
+        (): 0.08902504678997822,
+        ("-",): 0.03288088213652818,
+        ("0",): 0.05886458970789427,
+        ("1",): 0.03288088213652818,
+        ("-", "0"): 0.027665736818108466,
+        ("-", "1"): 0.01767420290651811,
+        ("0", "-"): 0.017709576070822575,
+        ("0", "0"): 0.03030990727680616,
+        ("0", "1"): 0.017709576070822575,
+        ("1", "0"): 0.027665736818108466,
+        ("1", "1"): 0.01767420290651811,
+    }
+    result = dp_solve(finite_fixture(), 0.5, 2)
+    got = {node.history: node.value for node in result.nodes}
+    assert got.keys() == expected.keys()
+    for hist, value in expected.items():
+        assert abs(got[hist] - value) < 1e-12, hist
+    assert result.value == got[()]
+
+
+@pytest.mark.parametrize("lam, horizon", [(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])
+def test_dp_rejects_a_bad_lambda_or_horizon(model, lam, horizon):
+    with pytest.raises(ContractViolation, match="lambda" if horizon >= 0 else "horizon"):
+        dp_solve(model, lam, horizon)
 
 
 def test_dp_lambda_extremes(model):

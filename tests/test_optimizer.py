@@ -425,6 +425,12 @@ def test_optimize_lambda_on_coupled_system_stays_on_the_engine(vi_system, monkey
     assert np.isfinite(result.objective)
 
 
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_optimize_lambda_rejects_a_negative_or_non_finite_lambda(vi_system, lam):
+    with pytest.raises(ContractViolation, match="lambda"):
+        optimize_lambda(OptimizerConfig(), vi_system, lam, 3)
+
+
 def test_singular_private_noise_names_the_step(vi_system):
     """Q_yy = 0 with A_yx = 0 makes y_1 a function of y_0."""
     system = LinearGaussianSystem(

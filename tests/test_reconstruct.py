@@ -204,6 +204,24 @@ def test_kalman_baseline_noise_must_be_psd(vi_system):
     assert exact.mean_x_error < 1e-20
 
 
+def test_kalman_baseline_singular_noise_is_exact_on_its_null_space():
+    n = 3
+    system = LinearGaussianSystem(
+        a_matrix=0.5 * np.eye(n),
+        q_cov=np.eye(n),
+        init_mean=np.zeros(n),
+        init_cov=np.eye(n),
+        n_x=2,
+        n_y=1,
+    )
+    singular = kalman_additive_baseline(system, np.diag([1.0, 0.0]), 6, 400, make_rng(21))
+    near = kalman_additive_baseline(system, np.diag([1.0, 1e-12]), 6, 400, make_rng(21))
+    # the noiseless coordinate is observed exactly, so only the first one errs
+    assert np.isclose(singular.mean_x_error, near.mean_x_error, rtol=1e-9)
+    assert singular.mean_x_error > 0.0
+    assert np.all(singular.predicted_x_errors < 1.0)
+
+
 def test_kalman_innovation_whiteness(vi_system):
     """Normalized innovations of the baseline filter have unit variance."""
     rng = make_rng(12)
