@@ -23,7 +23,6 @@ from .belief import (
 )
 from .policy import (
     SamplerSchedule,
-    additive_noise_channel,
     degenerate_schedule,
     no_sample_prob_pointwise,
     open_loop_schedule,

@@ -185,13 +185,13 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         return leak_estimate(system, sched, horizon, leak_rollouts, substream(seed, 7))
 
     def eval_open_loop(f_val):
-        sched = open_loop_schedule(np.array([[f_val]]), horizon)
+        sched = open_loop_schedule(f_val * np.eye(system.n_x), horizon)
         report = evaluate_schedule(system, sched, horizon, rollouts, substream(seed, 100))
         return ("open_loop", f"f={f_val:g}", "", report, *leak_of(sched))
 
     def eval_noise(var):
         report = kalman_additive_baseline(
-            system, [[var]], horizon, rollouts, substream(seed, 200)
+            system, var * np.eye(system.n_x), horizon, rollouts, substream(seed, 200)
         )
         return ("additive_noise", f"var={var:g}", "", report, None, None)
 
@@ -305,8 +305,8 @@ def cmd_finite_dp(args) -> int:
     cfg = load_json(args.config)
     model = finite_model_from_config(cfg)
     horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 2))
-    if not 0 <= horizon <= 3:
-        raise ConfigError(f"finite-dp supports horizons 0 to 3, got {horizon}")
+    if not 0 <= horizon <= 2:
+        raise ConfigError(f"finite-dp supports horizons 0 to 2, got {horizon}")
     _checked(args.lam, "--lambda", True)
     result = dp_solve(model, args.lam, horizon, DpGridSpec())
     header = ["stage", "node", "value", "argmin_policy"]

@@ -3,14 +3,14 @@
 Conventions: covariance matrices are kept symmetric by explicit
 re-symmetrization, Cholesky factorizations get one jitter retry
 (+1e-10 * I) and then an eigenvalue-floored fallback, and singular
-blocks are handled with a tolerance-based pseudo-inverse.
+blocks are handled with a tolerance-based pseudo-inverse. Solves use numpy
+only: x = L^{-T} (L^{-1} b) for a Cholesky factor L (on 1x1, two 1/L products).
 """
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalFailure
 
@@ -87,7 +87,8 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ell = chol_psd(a)
     if np.any(np.diag(ell) <= 0.0):
         raise NumericalFailure("solve_psd called with a singular matrix")
-    return sla.cho_solve((ell, True), np.asarray(b, dtype=float))
+    ell_inv = np.linalg.inv(ell)
+    return ell_inv.T @ (ell_inv @ np.asarray(b, dtype=float))
 
 
 def inv_or_pinv(a: np.ndarray, warn_label: str | None = None) -> np.ndarray:
@@ -103,7 +104,8 @@ def inv_or_pinv(a: np.ndarray, warn_label: str | None = None) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     if ell is not None and np.all(np.diag(ell) > PINV_TOL * np.sqrt(max(np.trace(a), 1e-300))):
-        return sla.cho_solve((ell, True), np.eye(a.shape[0]))
+        ell_inv = np.linalg.inv(ell)
+        return ell_inv.T @ ell_inv
     if warn_label:
         warnings.warn(f"singular {warn_label}; falling back to pseudo-inverse")
     return np.linalg.pinv(a, rcond=PINV_TOL, hermitian=True)

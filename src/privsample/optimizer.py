@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
@@ -172,10 +171,9 @@ class _TangentFilter:
 
         s = f + pxx
         ds = df + dpxx
-        s_cho = sla.cho_factor(s)
-        s_inv = sla.cho_solve(s_cho, np.eye(nx))
+        s_inv = np.linalg.inv(s)
         ld_f = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(f))))
-        ld_s = 2.0 * np.sum(np.log(np.diag(s_cho[0])))
+        ld_s = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(s))))
         dld_f = np.einsum("ij,tji->t", np.linalg.inv(f), df)
         dld_s = np.einsum("ij,tji->t", s_inv, ds)
         u = s_inv @ c
@@ -194,9 +192,8 @@ class _TangentFilter:
         distortion = p0 * tr_t
         ddist = dp0 * tr_t + p0 * dtr
 
-        yy_cho = sla.cho_factor(pyy)
-        ld_yy = 2.0 * np.sum(np.log(np.diag(yy_cho[0])))
-        yy_inv = sla.cho_solve(yy_cho, np.eye(pyy.shape[0]))
+        ld_yy = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(pyy))))
+        yy_inv = np.linalg.inv(pyy)
         dld_yy = np.einsum("ij,tji->t", yy_inv, dpyy)
 
         def branch_logdet(m_inv_pxy, dm, label):
@@ -208,12 +205,11 @@ class _TangentFilter:
                 + np.einsum("ij,tik,kl->tjl", m_inv_pxy, dm, m_inv_pxy)
             )
             try:
-                cho = sla.cho_factor(s_b)
+                ell = np.linalg.cholesky(s_b)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure(f"singular {label} branch covariance") from exc
-            ld = 2.0 * np.sum(np.log(np.diag(cho[0])))
-            inv = sla.cho_solve(cho, np.eye(s_b.shape[0]))
-            return ld, np.einsum("ij,tji->t", inv, ds_b)
+            ld = 2.0 * np.sum(np.log(np.diag(ell)))
+            return ld, np.einsum("ij,tji->t", np.linalg.inv(s_b), ds_b)
 
         w1 = np.linalg.solve(pxx, pxy)
         ld_s1, dld_s1 = branch_logdet(w1, dpxx, "sample")
@@ -320,13 +316,14 @@ def _observe(c, dc, r, dr, nx: int):
     return c, dc - w - w.swapaxes(2, 3), gain
 
 
-def _require_unknown_x(pxx, rows, k: int):
-    """Raise a NumericalFailure naming step k if the P^xx of a selected row
-    (rows: (B,) bool, or True for all) is singular: conditioning on an x
-    that is already known has no gain and no information increment."""
-    det = pxx[..., 0, 0] if pxx.shape[-1] == 1 else np.linalg.det(pxx)
-    if np.any(rows & (det <= 0.0)):
-        raise NumericalFailure(f"x_k already known (singular Cov(X_k | Y^(k-1), Z^(k-1))) at k={k}")
+def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
+    """Raise a NumericalFailure naming step k if the x-covariance
+    Cov(X_k | given) of a selected row (cov: (..., n_x, n_x); rows: (B,)
+    bool, or True for all) is singular: x_k is then already known, and its
+    information increment is undefined (conditioning on it has no gain)."""
+    det = cov[..., 0, 0] if cov.shape[-1] == 1 else np.linalg.det(cov)
+    if (rows & (det <= 0.0)).any():
+        raise NumericalFailure(f"x_k already known (singular Cov(X_k | {given})) at k={k}")
 
 
 def _branch_step(p, dp, mean, f, df, keep, obs, k: int):
@@ -395,8 +392,8 @@ class _BatchEngine:
     Covariances and their forward tangents (``dp``, ``ds``, one per
     parameter; None without) depend only on the branch pattern; schedule
     rollouts pass their means through ``update``. A singular P^xx (x_k
-    already known) leaves the keep increment undefined and raises a
-    NumericalFailure naming k.
+    already known) or S (x_k a function of Y^k) leaves an information
+    increment undefined and raises a NumericalFailure naming k.
     """
 
     def __init__(self, system: LinearGaussianSystem, batch: int, n_tangents: int):
@@ -408,6 +405,7 @@ class _BatchEngine:
         self._ax_t = np.ascontiguousarray(self._a_t[:nx])
         _require_unknown_x(system.init_cov[:nx, :nx], True, 0)
         s0, _ = _x_given_y(system.init_cov, nx, 0)
+        _require_unknown_x(s0, True, 0, given="Y^k, Z^(k-1)")
         self.p = np.repeat(system.init_cov[None], batch, axis=0)
         self.s = np.repeat(s0[None], batch, axis=0)
         self.dp = np.zeros((batch, n_tangents, n, n)) if n_tangents else None
@@ -434,8 +432,9 @@ class _BatchEngine:
         p0 = np.sqrt(det_f / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
         f_g = f @ inv[0]
         tr_t = np.einsum("bij,bji->b", f_g, pxx)
-        inc1 = np.log(np.maximum(det[1] / det[2], 1e-300))
-        inc0 = np.log(np.maximum(det[0] / det[3], 1e-300))
+        # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
+        inc1 = np.log(det[1] / det[2])
+        inc0 = np.log(det[0] / det[3])
         info = 0.5 * ((1.0 - p0) * inc1 + p0 * inc0)
         loss = p0 * tr_t + lam * info
         if not self.nt:
@@ -474,6 +473,7 @@ class _BatchEngine:
         _require_unknown_x(self.p[:, :nx, :nx], True, k)
         m = _sandwich(self._ax_t, self.s) + self.sys.q_cov
         self.s, gain = _x_given_y(m, nx, k)
+        _require_unknown_x(self.s, True, k, given="Y^k, Z^(k-1)")
         if self.nt:
             self.dp = _sandwich(self._a_t, self.dp)
             f_x = (a[:nx, :nx] - gain @ a[nx:, :nx])[:, None]

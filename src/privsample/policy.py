@@ -36,14 +36,6 @@ def no_sample_prob_pointwise(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> flo
     return float(np.exp(-0.5 * q))
 
 
-def additive_noise_channel(x, noise_cov, rng) -> np.ndarray:
-    """Perturb x with zero-mean Gaussian noise (every-step baseline)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    ell = np.linalg.cholesky(noise_cov) if np.any(noise_cov) else np.zeros_like(noise_cov)
-    return x + ell @ rng.standard_normal(x.shape[0])
-
-
 def chol_to_f(ell: np.ndarray) -> np.ndarray:
     """f = L @ L.T from a lower-triangular factor with positive diagonal."""
     ell = np.atleast_2d(np.asarray(ell, dtype=float))

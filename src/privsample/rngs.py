@@ -15,12 +15,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child streams, one per rollout/worker."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
-
-
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Deterministic stream addressed by a path of integers under a seed."""
     return np.random.Generator(

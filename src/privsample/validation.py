@@ -44,7 +44,7 @@ from .oracles import (
     one_step_loss_quadrature,
     unrolled_joint,
 )
-from .policy import no_sample_prob_pointwise, open_loop_schedule
+from .policy import SamplerSchedule, no_sample_prob_pointwise, open_loop_schedule
 from .reconstruct import evaluate_schedule
 from .rngs import make_rng
 
@@ -623,13 +623,17 @@ def check_mi_cross_engine(tol_rel: float = 0.45, horizon: int = 2, seed: int = 3
     )
 
 
-def check_decide_frequency(seed: int = 3, draws: int = 100_000) -> CheckResult:
-    """Pointwise rule empirical frequency (3 sigma)."""
+def check_decide_frequency(seed: int = 3, draws: int = 100_000, keep_fn=None) -> CheckResult:
+    """Discard frequency of the batched keep/discard rule vs the pointwise
+    closed form (3 sigma). ``keep_fn(schedule, k, x, g_abs, rng)`` is the
+    rule under test, ``SamplerSchedule.keep`` by default."""
     t0 = time.time()
-    rng = make_rng(seed)
+    keep_fn = keep_fn or SamplerSchedule.keep
     x, f, g = np.array([0.8]), np.array([[1.3]]), np.array([0.1])
+    schedule = SamplerSchedule("privacy_aware", np.linalg.cholesky(f)[None], g[None])
     p0 = no_sample_prob_pointwise(x, f, g)
-    hits = int(np.sum(rng.uniform(size=draws) <= p0))
+    keep = keep_fn(schedule, 0, np.repeat(x[None], draws, axis=0), g, make_rng(seed))
+    hits = draws - int(np.count_nonzero(keep))
     tol = 3 * math.sqrt(p0 * (1 - p0) / draws)
     gap = abs(hits / draws - p0)
     return _result("decide_frequency", gap < tol, f"gap {gap:.2e} tol {tol:.2e}", t0)

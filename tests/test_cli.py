@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -250,14 +251,81 @@ def test_finite_dp_rejects_long_horizons(tmp_path):
     assert rc == 3
 
 
-def test_cli_import_leaves_validation_unloaded():
-    code = (
-        "import sys, privsample.cli; "
-        "print([m for m in ('privsample.validation', 'privsample.oracles') if m in sys.modules])"
-    )
+def _python(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this privsample."""
     env = dict(os.environ, PYTHONPATH=str(Path(privsample.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout.strip()
+
+
+# modules only `validate` may load: the oracles and every scipy module
+_VALIDATE_ONLY = (
+    "[m for m in sorted(sys.modules) if m in ('privsample.validation', 'privsample.oracles') "
+    "or m.split('.')[0] == 'scipy']"
+)
+
+
+def test_cli_import_leaves_validation_unloaded():
+    assert _python(f"import sys, privsample.cli; print({_VALIDATE_ONLY})") == "[]"
+
+
+def test_commands_other_than_validate_load_no_scipy(system_cfg, tmp_path):
+    finite_cfg = tmp_path / "finite.json"
+    finite_cfg.write_text(json.dumps(FINITE_CFG))
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from privsample.cli import main
+        cfg, finite, out = sys.argv[1:]
+        tiny = ["--horizon", "3", "--opt-iters", "1", "--opt-rollouts", "4", "--opt-validation", "8"]
+        runs = [
+            ["simulate", "--config", cfg, "--horizon", "3", "--out", out + "/sim.csv",
+             "--belief-trace", out + "/trace.csv"],
+            ["sweep-tradeoff", "--config", cfg, "--out", out + "/sweep.csv", "--rollouts", "20",
+             "--lambdas", "0.5", "--f-grid", "1", "--noise-grid", "0.5", "--leak-rollouts", "4"]
+            + tiny,
+            ["rate-curve", "--config", cfg, "--out", out + "/rate.csv", "--rollouts", "20",
+             "--lambdas", "", "--f-grid", "1", "--horizon", "3"],
+            ["optimize", "--config", cfg, "--out", out + "/sched.json", "--lambda", "0.5"] + tiny,
+            ["finite-dp", "--config", finite, "--out", out + "/dp.csv", "--horizon", "1"],
+        ]
+        print([main(args) for args in runs], {_VALIDATE_ONLY})
+        """
+    )
+    assert _python(code, str(system_cfg), str(finite_cfg), str(tmp_path)) == "[0, 0, 0, 0, 0] []"
+
+
+def test_sweeps_run_on_a_two_dimensional_x(tmp_path):
+    cfg = tmp_path / "nx2.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "A": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+                "Q": [[1.0, 0.0, 0.3], [0.0, 1.0, 0.2], [0.3, 0.2, 1.0]],
+                "P0": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                "nx": 2,
+                "ny": 1,
+                "K": 4,
+            }
+        )
+    )
+    common = ["--config", str(cfg), "--lambdas", "", "--f-grid", "1", "--rollouts", "40"]
+    sweep, rate = tmp_path / "sweep.csv", tmp_path / "rate.csv"
+    args = ["sweep-tradeoff", "--out", str(sweep), "--noise-grid", "0,0.5", "--leak-rollouts", "4"]
+    assert main(args + common) == 0
+    assert main(["rate-curve", "--out", str(rate)] + common) == 0
+    rows = [l.split(",") for l in sweep.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert [r[:2] for r in rows] == [
+        ["open_loop", "f=1"],
+        ["additive_noise", "var=0"],
+        ["additive_noise", "var=0.5"],
+    ]
+    assert float(rows[0][7]) > 0.0  # x is correlated with the private y
+    assert float(rows[1][3]) == 0.0  # a noiseless channel reconstructs x exactly
+    rate_rows = [l for l in rate.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert [r.split(",")[:2] for r in rate_rows] == [["open_loop", "f=1"]]
 
 
 def test_validate_filtered_runs_and_exit_codes(tmp_path, capsys, monkeypatch):
@@ -344,7 +412,7 @@ def test_bad_lambda_is_exit_3(system_cfg, tmp_path, capsys, command, flag, value
 
 
 @pytest.mark.parametrize(
-    "flags", [["--lambda=-1"], ["--lambda", "nan"], ["--horizon=-1"]]
+    "flags", [["--lambda=-1"], ["--lambda", "nan"], ["--horizon=-1"], ["--horizon", "3"]]
 )
 def test_finite_dp_rejects_bad_lambda_and_horizon(tmp_path, capsys, flags):
     cfg = tmp_path / "finite.json"

@@ -11,7 +11,7 @@ from privsample.linalg import (
     random_spd,
     solve_psd,
 )
-from privsample.rngs import make_rng, spawn_streams, substream
+from privsample.rngs import make_rng, substream
 
 
 def test_chol_psd_handles_singular_matrices():
@@ -66,9 +66,5 @@ def test_check_symmetric_psd_contracts():
 
 
 def test_streams_are_reproducible_and_distinct():
-    a1, a2 = spawn_streams(7, 2)
-    b1, b2 = spawn_streams(7, 2)
-    assert a1.uniform() == b1.uniform()
-    assert a2.uniform() == b2.uniform()
     assert substream(7, 1, 2).uniform() == substream(7, 1, 2).uniform()
     assert substream(7, 1).uniform() != substream(7, 2).uniform()

@@ -431,6 +431,24 @@ def test_optimize_lambda_rejects_a_negative_or_non_finite_lambda(vi_system, lam)
         optimize_lambda(OptimizerConfig(), vi_system, lam, 3)
 
 
+def test_x_determined_by_the_private_trajectory_names_the_step(vi_system):
+    """x_{k+1} = y_k exactly, so S = Cov(X_k | Y^k, Z^(k-1)) = 0 from k = 1."""
+    system = LinearGaussianSystem(
+        a_matrix=np.array([[0.0, 1.0], [0.0, 0.5]]),
+        q_cov=np.diag([0.0, 1.0]),
+        init_mean=np.zeros(2),
+        init_cov=vi_system.init_cov,
+        n_x=1,
+        n_y=1,
+    )
+    sched = open_loop_schedule(np.eye(1), 4)
+    with pytest.raises(NumericalFailure, match=r"Y\^k, Z\^\(k-1\)\)\) at k=1\b"):
+        _fast_schedule_batch(system, sched, 0.5, 8, 4, make_rng(0))
+    params = FeedbackPolicyParams.constant(system, 4, f0=1.0, tied=True)
+    with pytest.raises(NumericalFailure, match=r"k=1\b"):
+        objective_gradient_linear(params, system, 0.5, 8, make_rng(0))
+
+
 def test_singular_private_noise_names_the_step(vi_system):
     """Q_yy = 0 with A_yx = 0 makes y_1 a function of y_0."""
     system = LinearGaussianSystem(

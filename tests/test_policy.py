@@ -5,7 +5,6 @@ from privsample.errors import ContractViolation
 from privsample.linalg import random_spd
 from privsample.policy import (
     SamplerSchedule,
-    additive_noise_channel,
     chol_to_f,
     degenerate_schedule,
     no_sample_prob_pointwise,
@@ -97,27 +96,6 @@ def test_decide_at_is_the_one_row_keep():
         keep = sched.keep(k, x[None, :], sched.g_at(k, x_pred), rng_batch)
         assert keep.shape == (1,) and n_k == int(keep[0])
     assert rng_one.uniform() == rng_batch.uniform()
-
-
-def test_additive_noise_zero_cov_passthrough():
-    rng = make_rng(6)
-    x = np.array([1.0, -2.0])
-    assert np.array_equal(additive_noise_channel(x, np.zeros((2, 2)), rng), x)
-
-
-def test_additive_noise_moments():
-    rng = make_rng(7)
-    cov = np.array([[0.5, 0.2], [0.2, 1.5]])
-    x = np.array([1.0, -1.0])
-    draws = np.array([additive_noise_channel(x, cov, rng) for _ in range(100_000)])
-    err = draws - x
-    emp = err.T @ err / len(err)
-    for i in range(2):
-        for j in range(2):
-            se = np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / len(err))
-            assert abs(emp[i, j] - cov[i, j]) < 3 * se
-    mean_se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
-    assert np.all(np.abs(draws.mean(axis=0) - x) < 3 * mean_se)
 
 
 def test_schedule_validation():

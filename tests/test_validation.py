@@ -5,6 +5,7 @@ from privsample import belief as bel
 from privsample import loss as loss_mod
 from privsample.validation import (
     check_belief_vs_grid_filter,
+    check_decide_frequency,
     check_marginal_prob_monte_carlo,
     check_one_step_loss_quadrature,
 )
@@ -58,3 +59,13 @@ def test_loss_weight_corruption_is_caught_by_quadrature():
 
     res = check_one_step_loss_quadrature(fixtures=3, loss_fn=corrupted_loss)
     assert not res.passed
+
+
+def test_keep_rule_using_f_for_its_inverse_is_caught():
+    def corrupted_keep(schedule, k, x, g_abs, rng):
+        d = x - g_abs
+        quad = np.einsum("bi,ij,bj->b", d, schedule.f_at(k), d)  # f, not f^{-1}
+        return rng.uniform(size=len(x)) > np.exp(-0.5 * quad)
+
+    assert check_decide_frequency().passed
+    assert not check_decide_frequency(keep_fn=corrupted_keep).passed
