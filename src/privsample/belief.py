@@ -117,29 +117,29 @@ def update_no_sample(belief: GaussianBelief, f: np.ndarray, g: np.ndarray) -> Ga
     """Soft update for a discarded sample under the exponential rule.
 
     Multiplies the predicted Gaussian by exp(-1/2 (x-g)^T f^{-1} (x-g))
-    and renormalizes: mean <- (D+I)^{-1}(D [g;0] + mean),
-    cov <- (D+I)^{-1} cov with D = cov @ blockdiag(f^{-1}, 0).
+    and renormalizes. That is a Kalman update on a pseudo-measurement g of
+    x_k through noise f, a rank-n_x correction in O(d^2 n_x):
+
+        gain = cov[:, :n_x] (f + P^xx)^{-1}
+        mean <- mean + gain (g - x_mean),   cov <- cov - gain cov[:n_x, :]
+
+    f + P^xx that is not positive definite (up to the jittered fallback
+    of ``solve_psd``) raises a NumericalFailure naming k.
     """
     if belief.phase != PREDICTED:
         raise PhaseError("update_no_sample requires a predicted belief")
-    nx, d = belief.n_x, belief.dim
+    nx = belief.n_x
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
-    f_inv = solve_psd(f, np.eye(nx))
-
-    dmat = np.zeros((d, d))
-    dmat[:, :nx] = belief.cov[:, :nx] @ f_inv
-    lhs = dmat + np.eye(d)
-    rhs_mean = dmat[:, :nx] @ g + belief.mean
+    rows = belief.cov[:nx, :]
     try:
-        sol = np.linalg.solve(lhs, np.column_stack([rhs_mean, belief.cov]))
-    except np.linalg.LinAlgError as exc:  # cannot occur for SPD f, PSD cov
+        gain_t = solve_psd(f + belief.p_xx, rows)          # gain^T, (n_x, d)
+    except NumericalFailure as exc:
         raise NumericalFailure(
-            f"(D + I) singular in no-sample update at k={belief.k}; "
-            f"cond(f)={np.linalg.cond(f):.3e}"
+            f"f + P^xx not positive definite in no-sample update at k={belief.k}"
         ) from exc
-    mean = sol[:, 0]
-    cov = sym(sol[:, 1:])
+    mean = belief.mean + (g - belief.x_mean) @ gain_t
+    cov = sym(belief.cov - gain_t.T @ rows)
     return replace(belief, mean=mean, cov=cov, phase=FILTERED)
 
 

@@ -7,6 +7,12 @@ trajectory block and its two Schur complements: conditioning on the exact
 observation uses P^xx, conditioning on the soft no-sample evidence uses
 f + P^xx.
 
+Each step factors P^yy and the two Schur complements once, with a plain
+Cholesky; only a failed factorization runs the eigenvalue test and the
+jittered fallback. When x_k is a function of the private trajectory
+(Cov(X_k | Y^k) = 0 up to rounding) the information is infinite, and the
+step raises a NumericalFailure naming k (see ``_branch_logdets``).
+
 Log-determinant differences can be evaluated on the Y side directly or on
 the X side through the block-determinant identity; both paths must agree
 and the agreement is part of the validation suite.
@@ -84,17 +90,9 @@ def leak_increments(belief: GaussianBelief, f) -> tuple[float, float]:
     Direct Y-side evaluation. Both values are >= 0: conditioning cannot
     increase the determinant of a PSD covariance.
     """
-    nx = belief.n_x
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    pyy = belief.p_yy
-    pxy = belief.p_xy
-    ld_prior = _logdet_or_fail(pyy, belief, "P^yy")
-    s1 = sym(pyy - pxy.T @ inv_or_pinv(belief.p_xx, warn_label="P^xx in leak") @ pxy)
-    s0 = sym(pyy - pxy.T @ solve_psd(f + belief.p_xx, pxy))
-    return (
-        ld_prior - _logdet_or_fail(s1, belief, "sample-branch Schur complement"),
-        ld_prior - _logdet_or_fail(s0, belief, "no-sample-branch Schur complement"),
-    )
+    ld_prior, ld_keep, ld_discard = _branch_logdets(belief, f)
+    return ld_prior - ld_keep, ld_prior - ld_discard
 
 
 def leak_increments_via_x_side(belief: GaussianBelief, f) -> tuple[float, float]:
@@ -106,7 +104,6 @@ def leak_increments_via_x_side(belief: GaussianBelief, f) -> tuple[float, float]
     projection is formed, which is the cheap path when the trajectory
     block is large.
     """
-    nx = belief.n_x
     f = np.atleast_2d(np.asarray(f, dtype=float))
     pxy = belief.p_xy
     gmat = sym(pxy @ solve_psd(belief.p_yy, pxy.T))
@@ -117,7 +114,62 @@ def leak_increments_via_x_side(belief: GaussianBelief, f) -> tuple[float, float]
     return inc_sample, inc_no_sample
 
 
+# exp(-keep increment) = |Cov(X_k | Y^k)| / |P^xx|, the keep increment being
+# log|P^yy| - log|S_keep| (nats*2); at or below 1e-12 the x_k block is a
+# function of Y^k up to rounding (the largest increment on the paper and
+# coupled systems is about 1.9)
+KNOWN_X_INCREMENT = -math.log(1e-12)
+
+
+def _branch_logdets(belief: GaussianBelief, f: np.ndarray) -> tuple[float, float, float]:
+    """(log|P^yy|, log|S_keep|, log|S_discard|) for one predicted belief.
+
+    S_keep = Cov(Y^k | X_k) and S_discard is the trajectory block after
+    the soft evidence through f; P^yy and each S are factored once. x_k
+    already known from Y^k raises a NumericalFailure naming k: the keep
+    increment log|P^yy| - log|S_keep| reaches ``KNOWN_X_INCREMENT``, or S_keep
+    is singular to working precision (its Cholesky fails) while P^yy is not.
+    """
+    pyy = belief.p_yy
+    pxy = belief.p_xy
+    ld_prior = _logdet_or_fail(pyy, belief, "P^yy")
+    s1 = sym(pyy - pxy.T @ inv_or_pinv(belief.p_xx, warn_label="P^xx in leak") @ pxy)
+    ld_keep = _chol_logdet(s1)
+    if ld_keep is None:
+        ld_keep = _logdet_or_fail(s1, belief, "sample-branch Schur complement")
+        known = _chol_logdet(pyy) is not None
+    else:
+        known = ld_prior - ld_keep >= KNOWN_X_INCREMENT
+    if known:
+        raise NumericalFailure(
+            f"x_k already known (singular Cov(X_k | Y^k, Z^(k-1))) at k={belief.k}; "
+            f"keep increment {ld_prior - ld_keep:.3g}"
+        )
+    s0 = sym(pyy - pxy.T @ solve_psd(f + belief.p_xx, pxy))
+    return ld_prior, ld_keep, _logdet_or_fail(s0, belief, "no-sample-branch Schur complement")
+
+
+def _chol_logdet(mat: np.ndarray) -> float | None:
+    """log|mat| from a plain Cholesky factor of sym(mat), None if it fails."""
+    try:
+        ell = np.linalg.cholesky(sym(mat))
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.sum(np.log(np.diag(ell))))
+
+
 def _logdet_or_fail(mat: np.ndarray, belief: GaussianBelief, label: str) -> float:
+    """log|mat|, Cholesky first (``_chol_logdet``).
+
+    Only when that factorization fails: an eigenvalue below
+    -1e-8 * max(1, max|mat|) raises "indefinite", and otherwise the jittered
+    ``logdet_psd`` ladder runs, raising "singular" if it cannot factor
+    either. A successful Cholesky already bounds the smallest eigenvalue
+    by -O(d eps ||mat||), far above that threshold.
+    """
+    ld = _chol_logdet(mat)
+    if ld is not None:
+        return ld
     w_min = float(np.linalg.eigvalsh(mat).min()) if mat.size else 0.0
     if w_min < -1e-8 * max(1.0, float(np.max(np.abs(mat)))):
         raise NumericalFailure(
@@ -144,13 +196,12 @@ def one_step_loss(belief: GaussianBelief, f, g, lam: float) -> LossBreakdown:
     p0 = no_sample_prob_marginal(belief, f, g)
     distortion = p0 * float(np.trace(_distortion_matrix(f, belief.p_xx)))
 
-    inc_sample, inc_no_sample = leak_increments(belief, f)
-    info_nats = 0.5 * ((1.0 - p0) * inc_sample + p0 * inc_no_sample)
+    ld_prior, ld_keep, ld_discard = _branch_logdets(belief, f)
+    info_nats = 0.5 * ((1.0 - p0) * (ld_prior - ld_keep) + p0 * (ld_prior - ld_discard))
 
-    ld_prior = _logdet_or_fail(belief.p_yy, belief, "P^yy")
     leak_prior = lam * 0.5 * ld_prior
-    leak_sample = -lam * (1.0 - p0) * 0.5 * (ld_prior - inc_sample)
-    leak_no_sample = -lam * p0 * 0.5 * (ld_prior - inc_no_sample)
+    leak_sample = -lam * (1.0 - p0) * 0.5 * ld_keep
+    leak_no_sample = -lam * p0 * 0.5 * ld_discard
     total = distortion + leak_prior + leak_sample + leak_no_sample
     return LossBreakdown(
         distortion=distortion,

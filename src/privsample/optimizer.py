@@ -278,13 +278,16 @@ class _TangentFilter:
         self.dp = new_dp
 
 
-def _inv_det(m):
-    """Inverses and determinants of a stack of square matrices (..., d, d);
-    1x1 blocks use the closed form (np.linalg.inv costs tens of
-    microseconds a call on small stacks, a division about one)."""
-    if m.shape[-1] == 1:
-        return 1.0 / m, m[..., 0, 0]
-    return np.linalg.inv(m), np.linalg.det(m)
+def _inv(m):
+    """Inverses of a stack of square matrices (..., d, d); 1x1 blocks use the
+    closed form (np.linalg.inv costs tens of microseconds a call on small
+    stacks, a division about one)."""
+    return 1.0 / m if m.shape[-1] == 1 else np.linalg.inv(m)
+
+
+def _det(m):
+    """Determinants of a stack of square matrices (..., d, d)."""
+    return m[..., 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
 
 
 def _tr(a, b):
@@ -305,7 +308,7 @@ def _observe(c, dc, r, dr, nx: int):
     seen through noise r (n_x x n_x, per row or shared), with tangents dc
     (B, T, m, m) and dr, or dc = None. Returns (c', dc', gain)."""
     col = c[:, :, :nx]
-    s_inv, _ = _inv_det(c[:, :nx, :nx] + r)
+    s_inv = _inv(c[:, :nx, :nx] + r)
     gain = col @ s_inv
     c = c - gain @ col.swapaxes(1, 2)
     if dc is None:
@@ -321,8 +324,7 @@ def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
     Cov(X_k | given) of a selected row (cov: (..., n_x, n_x); rows: (B,)
     bool, or True for all) is singular: x_k is then already known, and its
     information increment is undefined (conditioning on it has no gain)."""
-    det = cov[..., 0, 0] if cov.shape[-1] == 1 else np.linalg.det(cov)
-    if (rows & (det <= 0.0)).any():
+    if (rows & (_det(cov) <= 0.0)).any():
         raise NumericalFailure(f"x_k already known (singular Cov(X_k | {given})) at k={k}")
 
 
@@ -356,9 +358,10 @@ def _x_given_y(m, nx: int, k: int):
     """Cov(x | y) of each (x, y) covariance in a stack, and M_xy M_yy^{-1}.
     A singular y-block (y_k a function of the past, so the trajectory
     covariance is singular) raises a NumericalFailure naming step k."""
+    myy = m[..., nx:, nx:]
     try:
         with np.errstate(divide="raise"):
-            myy_inv, det = _inv_det(m[..., nx:, nx:])
+            myy_inv, det = _inv(myy), _det(myy)
     except (FloatingPointError, np.linalg.LinAlgError):
         det = 0.0
     if np.any(det <= 0.0):
@@ -425,11 +428,13 @@ class _BatchEngine:
         """
         nx = self.nx
         pxx = self.p[:, :nx, :nx]
-        # the n_x x n_x blocks behind p0 and the two information increments
-        inv, det = _inv_det(np.stack([f + pxx, pxx, self.s, f + self.s]))
-        f_inv, det_f = _inv_det(f)
+        # the n_x x n_x blocks behind p0 and the two information increments;
+        # only the tangents need more inverses than (f + P^xx)^{-1}
+        blocks = np.stack([f + pxx, pxx, self.s, f + self.s])
+        det = _det(blocks)
+        inv = _inv(blocks if self.nt else blocks[:1])
         u = (inv[0] @ c[..., None])[..., 0]
-        p0 = np.sqrt(det_f / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
+        p0 = np.sqrt(_det(f) / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
         f_g = f @ inv[0]
         tr_t = np.einsum("bij,bji->b", f_g, pxx)
         # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
@@ -443,7 +448,7 @@ class _BatchEngine:
         ds = df + dpxx
         dld = _tr(inv, np.stack([ds, dpxx, self.ds, df + self.ds]))
         dquad = 2.0 * (u @ dc.T) - np.einsum("bi,btij,bj->bt", u, ds, u)
-        dp0 = p0[:, None] * (0.5 * (_tr(f_inv, df) - dld[0]) - 0.5 * dquad)
+        dp0 = p0[:, None] * (0.5 * (_tr(_inv(f), df) - dld[0]) - 0.5 * dquad)
         g_p = inv[0] @ pxx
         dtr = _tr(g_p, df) + _tr(f_g, dpxx) - _tr(g_p @ f_g, ds)
         ddist = dp0 * tr_t[:, None] + p0[:, None] * dtr

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from privsample import belief as bel
-from privsample.errors import PhaseError
+from privsample.errors import NumericalFailure, PhaseError
 from privsample.lingauss import LinearGaussianSystem
 from privsample.linalg import random_spd
 from privsample.rngs import make_rng
@@ -106,6 +108,57 @@ def test_update_no_sample_quadrature_moments():
         mu_q, cov_q = tilted_gaussian_moments(mean, cov, f, g)
         assert np.allclose(out.mean, mu_q, rtol=1e-6, atol=1e-8)
         assert np.allclose(out.cov, cov_q, rtol=1e-6, atol=1e-8)
+
+
+def _dense_no_sample_update(mean, cov, f, g, nx):
+    """mean <- (D+I)^{-1}(D [g;0] + mean), cov <- (D+I)^{-1} cov with
+    D = cov @ blockdiag(f^{-1}, 0): the O(d^3) form of the soft update.
+
+    Solved by Gauss-Jordan in exact rational arithmetic from the float D:
+    D + I has condition number about |P^xx| / f, so a float solve alone
+    loses about 1e-7 at f = 1e-9.
+    """
+    d = mean.shape[0]
+    dcols = cov[:, :nx] @ np.linalg.inv(f)
+    rows = []
+    for i in range(d):
+        lhs = [Fraction(v) for v in dcols[i]] + [Fraction(0)] * (d - nx)
+        lhs[i] += 1
+        rhs = sum(Fraction(dcols[i, j]) * Fraction(g[j]) for j in range(nx)) + Fraction(mean[i])
+        rows.append(lhs + [rhs] + [Fraction(v) for v in cov[i]])
+    for i in range(d):
+        piv = rows[i]
+        piv[:] = [v / piv[i] for v in piv]
+        for r, row in enumerate(rows):
+            if r != i and row[i]:
+                fac = row[i]
+                row[:] = [v - fac * w for v, w in zip(row, piv)]
+    sol = np.array([[float(v) for v in row[d:]] for row in rows])
+    return sol[:, 0], sol[:, 1:]
+
+
+@pytest.mark.parametrize("f_scale", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("nx", [1, 2])
+def test_update_no_sample_matches_the_dense_formula(nx, f_scale):
+    """The rank-n_x gain form equals the (D + I)^{-1} form, normwise to 1e-10."""
+    rng = make_rng(100 + nx)
+    for blocks in range(1, 11):
+        ny = int(rng.integers(1, 3))
+        d = nx + blocks * ny
+        mean, cov = rng.standard_normal(d), random_spd(rng, d)
+        f = f_scale * random_spd(rng, nx)
+        g = rng.standard_normal(nx)
+        out = bel.update_no_sample(_belief(mean, cov, nx=nx, ny=ny), f, g)
+        mean_d, cov_d = _dense_no_sample_update(mean, cov, f, g, nx)
+        assert np.linalg.norm(out.mean - mean_d) <= 1e-10 * np.linalg.norm(mean_d)
+        assert np.linalg.norm(out.cov - cov_d) <= 1e-10 * np.linalg.norm(cov_d)
+        assert np.array_equal(out.cov, out.cov.T)
+
+
+def test_update_no_sample_rejects_an_indefinite_f_plus_pxx():
+    b = _belief([0.0, 0.0], [[1.0, 0.2], [0.2, 1.0]], k=3)
+    with pytest.raises(NumericalFailure, match=r"f \+ P\^xx .* at k=3\b"):
+        bel.update_no_sample(b, [[-2.0]], [0.0])
 
 
 def test_update_sample_zero_innovation():

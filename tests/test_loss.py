@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from privsample import belief as bel
-from privsample.errors import ContractViolation
+from privsample.errors import ContractViolation, NumericalFailure
+from privsample.lingauss import LinearGaussianSystem
 from privsample.linalg import logdet_psd, random_spd
 from privsample.loss import (
     leak_increments,
@@ -23,11 +24,11 @@ from privsample.rngs import make_rng
 from privsample.oracles import one_step_loss_quadrature
 
 
-def _predicted(mean, cov, nx=1, ny=1):
+def _predicted(mean, cov, nx=1, ny=1, k=0):
     return bel.GaussianBelief(
         mean=np.asarray(mean, float),
         cov=np.asarray(cov, float),
-        k=0,
+        k=k,
         phase=bel.PREDICTED,
         n_x=nx,
         n_y=ny,
@@ -275,3 +276,59 @@ def test_negative_lambda_rejected(vi_system):
     b = bel.init_belief(vi_system)
     with pytest.raises(ContractViolation):
         one_step_loss(b, [[1.0]], [0.0], lam=-0.1)
+
+
+def _with_pyy(pyy):
+    """A predicted belief at k=3 with x independent of the trajectory block pyy."""
+    cov = np.zeros((3, 3))
+    cov[0, 0] = 1.0
+    cov[1:, 1:] = pyy
+    return _predicted(np.zeros(3), cov, k=3)
+
+
+def test_indefinite_and_singular_trajectory_blocks_name_the_step():
+    with pytest.raises(NumericalFailure, match=r"indefinite P\^yy at k=3\b"):
+        one_step_loss(_with_pyy(np.diag([1.0, -1.0])), [[1.0]], [0.0], lam=1.0)
+    # -1e-9 passes the indefiniteness test, but neither the jitter retry
+    # nor the eigenvalue floor gives a factor with a positive diagonal
+    with pytest.raises(NumericalFailure, match=r"singular P\^yy at k=3\b"):
+        one_step_loss(_with_pyy(np.diag([1.0, -1e-9])), [[1.0]], [0.0], lam=1.0)
+
+
+def test_coupled_rollout_runs_no_eigenvalue_decomposition(vi_system, monkeypatch):
+    """Log-determinants are Cholesky first: the eigenvalue test runs only
+    on a failed factorization, which a regular system never produces."""
+    a = vi_system.a_matrix.copy()
+    a[1, 0] = 0.30
+    coupled = LinearGaussianSystem(
+        a_matrix=a,
+        q_cov=vi_system.q_cov,
+        init_mean=vi_system.init_mean,
+        init_cov=vi_system.init_cov,
+        n_x=1,
+        n_y=1,
+    )
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
+    losses, _ = rollout_losses(
+        coupled, open_loop_schedule(np.array([[1.5]]), 20), 1.0, 20, make_rng(6)
+    )
+    assert len(losses) == 21 and calls == []
+
+
+def test_x_known_from_the_trajectory_after_a_failed_factorization_names_the_step():
+    """x_{k+1} = y_k (S = 0), scaled so that Cov(Y^1 | X_1) fails its Cholesky
+    instead of keeping a positive rounding residue: the keep increment
+    after the jitter retry is below KNOWN_X_INCREMENT, and the step still raises."""
+    system = LinearGaussianSystem(
+        a_matrix=np.array([[0.0, 1.0], [0.0, 0.5]]),
+        q_cov=np.diag([0.0, 10.0]),
+        init_mean=np.zeros(2),
+        init_cov=10.0 * np.array([[0.5, 0.25], [0.25, 0.5]]),
+        n_x=1,
+        n_y=1,
+    )
+    sched = open_loop_schedule(np.array([[10.0]]), 4)
+    with pytest.raises(NumericalFailure, match=r"x_k already known .* at k=1\b"):
+        rollout_losses(system, sched, 0.5, 4, make_rng(0))

@@ -7,12 +7,13 @@ from privsample import belief as bel
 from privsample import optimizer
 from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
-from privsample.loss import belief_rollout
+from privsample.loss import belief_rollout, rollout_losses
 from privsample.optimizer import (
     Episode,
     FeedbackPolicyParams,
     LinearFollower,
     OptimizerConfig,
+    _BatchEngine,
     _TangentFilter,
     _fast_gradient_batch,
     _fast_schedule_batch,
@@ -388,6 +389,31 @@ def test_fast_engine_matches_reference_on_forced_patterns(vi_system, name):
         assert fr[r] == sr
 
 
+@pytest.mark.parametrize("name", ["paper", "nx2_ny1"])
+def test_engine_losses_without_tangents_match_with_tangents_bitwise(vi_system, name):
+    """step_loss inverts only f + P^xx without tangents; loss, p0 and info
+    must not move by a bit."""
+    system = vi_system if SYSTEMS[name] is None else _random_system(*SYSTEMS[name])
+    horizon, rows = 6, 5
+    rng = make_rng(4)
+    params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
+    params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
+    patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
+    bare, tangent = _BatchEngine(system, rows, 0), _BatchEngine(system, rows, params.dim)
+    for k in range(horizon + 1):
+        f, df, c, dc = params.step_terms(k)
+        c = c + 0.3 * rng.standard_normal((rows, system.n_x))
+        loss0, dloss0, p00, _, info0 = bare.step_loss(f, None, c, None, 0.8)
+        loss1, dloss1, p01, _, info1 = tangent.step_loss(f, df, c, dc, 0.8)
+        assert dloss0 is None and dloss1.shape == (rows, params.dim)
+        for a, b in ((loss0, loss1), (p00, p01), (info0, info1)):
+            assert np.array_equal(a, b)
+        for eng in (bare, tangent):
+            eng.update(f, df, patterns[:, k], k)
+            if k < horizon:
+                eng.predict(k + 1)
+
+
 @pytest.mark.parametrize(
     "name, horizon, slow_rollouts",
     [("paper", 12, 1200), ("coupled", 5, 400), ("nx2_ny2", 4, 300)],
@@ -444,6 +470,8 @@ def test_x_determined_by_the_private_trajectory_names_the_step(vi_system):
     sched = open_loop_schedule(np.eye(1), 4)
     with pytest.raises(NumericalFailure, match=r"Y\^k, Z\^\(k-1\)\)\) at k=1\b"):
         _fast_schedule_batch(system, sched, 0.5, 8, 4, make_rng(0))
+    with pytest.raises(NumericalFailure, match=r"Y\^k, Z\^\(k-1\)\)\) at k=1\b"):
+        rollout_losses(system, sched, 0.5, 4, make_rng(0))
     params = FeedbackPolicyParams.constant(system, 4, f0=1.0, tied=True)
     with pytest.raises(NumericalFailure, match=r"k=1\b"):
         objective_gradient_linear(params, system, 0.5, 8, make_rng(0))
