@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -299,15 +301,8 @@ def test_coupled_rollout_runs_no_eigenvalue_decomposition(vi_system, monkeypatch
     """Log-determinants are Cholesky first: the eigenvalue test runs only
     on a failed factorization, which a regular system never produces."""
     a = vi_system.a_matrix.copy()
-    a[1, 0] = 0.30
-    coupled = LinearGaussianSystem(
-        a_matrix=a,
-        q_cov=vi_system.q_cov,
-        init_mean=vi_system.init_mean,
-        init_cov=vi_system.init_cov,
-        n_x=1,
-        n_y=1,
-    )
+    a[1, 0] = 0.30  # perfbench/configs/coupled.json
+    coupled = dataclasses.replace(vi_system, a_matrix=a)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
