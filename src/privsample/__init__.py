@@ -12,7 +12,7 @@ mutual-information enumeration, belief-tree value recursion).
 
 __version__ = "0.1.0"
 
-from .lingauss import JointState, LinearGaussianSystem, simulate, step
+from .lingauss import LinearGaussianSystem
 from .belief import (
     GaussianBelief,
     init_belief,

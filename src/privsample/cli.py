@@ -10,6 +10,7 @@ repeats the metadata. Exit codes: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -91,6 +92,13 @@ def _checked(v: float, flag: str, zero_ok: bool) -> float:
     return v
 
 
+def _checked_count(n: int, flag: str, minimum: int) -> int:
+    """``n`` when at least ``minimum``; ConfigError naming ``flag`` otherwise."""
+    if n < minimum:
+        raise ConfigError(f"{flag} value {n} must be >= {minimum}")
+    return n
+
+
 def _checked_grid(text, flag: str, zero_ok: bool) -> list:
     """A grid of region sizes f (positive), channel noise variances or
     trade-off weights lambda (non-negative: 0 is an exact observation or
@@ -109,6 +117,10 @@ def cmd_simulate(args) -> int:
         schedule = load_schedule(args.schedule)
         if schedule.horizon < horizon:
             raise ConfigError("schedule horizon shorter than the requested horizon")
+        if schedule.n_x != system.n_x:
+            raise ConfigError(
+                f"--schedule has n_x {schedule.n_x}, the system has n_x {system.n_x}"
+            )
     else:
         schedule = degenerate_schedule("always_sample", horizon, system.n_x)
     steps = list(belief_rollout(system, schedule, horizon, substream(args.seed, 0), mode="state"))
@@ -162,20 +174,23 @@ def _belief_trace_row(b, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _optimizer_config(args, seed: int) -> OptimizerConfig:
+def _optimizer_config(args) -> OptimizerConfig:
+    """The leader-loop settings of the --opt-* flags, seeded with --seed;
+    the validation objective's standard error needs two rollouts."""
     return OptimizerConfig(
-        alpha=args.opt_alpha,
-        rollouts_per_step=args.opt_rollouts,
-        max_iters=args.opt_iters,
-        seed=seed,
-        validation_rollouts=args.opt_validation,
+        alpha=_checked(args.opt_alpha, "--opt-alpha", False),
+        rollouts_per_step=_checked_count(args.opt_rollouts, "--opt-rollouts", 1),
+        max_iters=_checked_count(args.opt_iters, "--opt-iters", 1),
+        seed=args.seed,
+        validation_rollouts=_checked_count(args.opt_validation, "--opt-validation", 2),
     )
 
 
 def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     """Rows of the three schedule families; the leak columns stay blank
     when ``leak_rollouts`` is None."""
-    rollouts, seed = args.rollouts, args.seed
+    rollouts, seed = _checked_count(args.rollouts, "--rollouts", 1), args.seed
+    config = _optimizer_config(args)
     rows = []
     workers = _max_workers()
 
@@ -196,8 +211,8 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         return ("additive_noise", f"var={var:g}", "", report, None, None)
 
     def eval_lambda(lam):
-        config = _optimizer_config(args, substream_seed(seed, lam))
-        result = optimize_lambda(config, system, lam, horizon)
+        lam_config = dataclasses.replace(config, seed=substream_seed(seed, lam))
+        result = optimize_lambda(lam_config, system, lam, horizon)
         report = evaluate_schedule(
             system, result.schedule, horizon, rollouts, substream(seed, 300)
         )
@@ -235,7 +250,8 @@ def substream_seed(seed: int, lam: float) -> int:
 def cmd_sweep_tradeoff(args) -> int:
     system, cfg, horizon = _load_system(args)
     noise_grid = _checked_grid(args.noise_grid, "--noise-grid", True)
-    rows = _evaluate_family_rows(system, horizon, args, noise_grid, args.leak_rollouts)
+    leak_rollouts = _checked_count(args.leak_rollouts, "--leak-rollouts", 1)
+    rows = _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts)
     header = [
         "family",
         "f_spec",
@@ -269,7 +285,7 @@ def cmd_rate_curve(args) -> int:
 def cmd_optimize(args) -> int:
     system, cfg, horizon = _load_system(args)
     _checked(args.lam, "--lambda", True)
-    result = optimize_lambda(_optimizer_config(args, args.seed), system, args.lam, horizon)
+    result = optimize_lambda(_optimizer_config(args), system, args.lam, horizon)
     dump_schedule(result.schedule, args.out)
     meta = _meta(
         args,
@@ -354,13 +370,15 @@ def cmd_validate(args) -> int:
 def _load_system(args):
     """(system, config, horizon); the horizon defaults to the config's K."""
     cfg = load_json(args.config)
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 100))
+    if args.horizon is not None:
+        horizon = _checked_count(args.horizon, "--horizon", 0)
+    else:
+        horizon = _checked_count(int(cfg.get("K", 100)), "config K", 0)
     return system_from_config(cfg), cfg, horizon
 
 
-def _add_common(p, with_system=True):
-    if with_system:
-        p.add_argument("--config", required=True, help="system config JSON")
+def _add_common(p):
+    p.add_argument("--config", required=True, help="system config JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path")
 

@@ -144,6 +144,25 @@ def init_discrete_belief(model: FiniteModel) -> DiscreteBelief:
     return DiscreteBelief(weights=weights, k=0)
 
 
+def _transitions(model: FiniteModel, x: int, y_last: int):
+    """(x_next, y_next, p(x_next | x, y_last), p(y_next | y_last)) for every
+    successor whose x probability is positive."""
+    for x_next in range(model.nx):
+        px = model.x_kernel[x, y_last, x_next]
+        if px > 0.0:
+            for y_next in range(model.ny):
+                yield x_next, y_next, px, model.y_kernel[y_last, y_next]
+
+
+def _discarded(mem: tuple, x: int, mem_cap: int | None) -> tuple:
+    """The memory after discarding ``x``: appended, then cut to the last
+    ``mem_cap`` entries (``None`` keeps them all)."""
+    new_mem = mem + (x,)
+    if mem_cap is not None and len(new_mem) > mem_cap:
+        new_mem = new_mem[len(new_mem) - mem_cap :]
+    return new_mem
+
+
 def belief_step(
     belief: DiscreteBelief,
     policy: PolicyCollection,
@@ -159,49 +178,28 @@ def belief_step(
     x = z with the keep probability as likelihood. Conditioning on an
     outcome of zero probability raises ImpossibleEvidence.
     """
-    new: dict = {}
-    norm = 0.0
-    if z is None:
-        for (x, mem, ys), w in belief.weights.items():
-            a0 = policy.prob0(x, mem)
-            base = w * a0
-            if base <= 0.0:
-                continue
-            norm += base
-            new_mem = mem + (x,)
-            if mem_cap is not None and len(new_mem) > mem_cap:
-                new_mem = new_mem[len(new_mem) - mem_cap :]
-            y_last = ys[-1]
-            for x_next in range(model.nx):
-                px = model.x_kernel[x, y_last, x_next]
-                if px <= 0.0:
-                    continue
-                for y_next in range(model.ny):
-                    p = base * px * model.y_kernel[y_last, y_next]
-                    if p > 0.0:
-                        key = (x_next, new_mem, ys + (y_next,))
-                        new[key] = new.get(key, 0.0) + p
-    else:
+    if z is not None:
         z = int(z)
         if not 0 <= z < model.nx:
             raise ContractViolation("observation outside the alphabet")
-        for (x, mem, ys), w in belief.weights.items():
-            if x != z:
-                continue
+    new: dict = {}
+    norm = 0.0
+    for (x, mem, ys), w in belief.weights.items():
+        if z is None:
+            base = w * policy.prob0(x, mem)
+            mem = _discarded(mem, x, mem_cap)
+        elif x == z:
             base = w * (1.0 - policy.prob0(x, mem))
-            if base <= 0.0:
-                continue
-            norm += base
-            y_last = ys[-1]
-            for x_next in range(model.nx):
-                px = model.x_kernel[x, y_last, x_next]
-                if px <= 0.0:
-                    continue
-                for y_next in range(model.ny):
-                    p = base * px * model.y_kernel[y_last, y_next]
-                    if p > 0.0:
-                        key = (x_next, mem, ys + (y_next,))
-                        new[key] = new.get(key, 0.0) + p
+        else:
+            continue
+        if base <= 0.0:
+            continue
+        norm += base
+        for x_next, y_next, px, py in _transitions(model, x, ys[-1]):
+            p = base * px * py
+            if p > 0.0:
+                key = (x_next, mem, ys + (y_next,))
+                new[key] = new.get(key, 0.0) + p
     if norm <= 1e-300:
         raise ImpossibleEvidence(f"outcome {z!r} has zero probability at k={belief.k}")
     return DiscreteBelief(weights={key: w / norm for key, w in new.items()}, k=belief.k + 1)
@@ -294,59 +292,36 @@ def _check_enumeration_size(model: FiniteModel, horizon: int):
 
 
 def _enumerate_outcomes(model: FiniteModel, policies, horizon: int):
-    """Every trajectory as (z_history, y_history, x_history, memory, probability)."""
-    stack = [((), (), (), None, 1.0)]  # (z_hist, y_hist, x_hist, mem, prob)
+    """Every trajectory as (z_history, y_history, x_history, memory, probability).
+
+    Each stage draws the next (x, y), from ``init_joint`` at k = 0 and
+    through the kernels after, then splits on the sampling decision: the
+    discard branch appends x to the memory, the keep branch reveals it.
+    """
+    stack = [((), (), (), (), 1.0)]  # (z_hist, y_hist, x_hist, mem, prob)
     for k in range(horizon + 1):
         nxt = []
         for z_hist, y_hist, x_hist, mem, prob in stack:
             if k == 0:
-                supports = [
-                    ((x0,), (y0,), float(model.init_joint[x0, y0]))
+                draws = [
+                    (x0, y0, float(model.init_joint[x0, y0]))
                     for x0 in range(model.nx)
                     for y0 in range(model.ny)
                 ]
-                expansions = [
-                    (xs, ys_, p) for xs, ys_, p in supports if p > 0.0
-                ]
-                for (x0,), (y0,), p in expansions:
-                    a0 = policies[0].prob0(x0, ())
-                    if a0 > 0.0:
-                        nxt.append((z_hist + (None,), y_hist + (y0,), (x0,), (x0,), prob * p * a0))
-                    if a0 < 1.0:
-                        nxt.append(
-                            (z_hist + (x0,), y_hist + (y0,), (x0,), (), prob * p * (1 - a0))
-                        )
             else:
-                x, y_prev = x_hist[-1], y_hist[-1]
-                for x_new in range(model.nx):
-                    px = model.x_kernel[x, y_prev, x_new]
-                    if px <= 0.0:
-                        continue
-                    for y_new in range(model.ny):
-                        p = prob * px * model.y_kernel[y_prev, y_new]
-                        if p <= 0.0:
-                            continue
-                        a0 = policies[k].prob0(x_new, mem)
-                        if a0 > 0.0:
-                            nxt.append(
-                                (
-                                    z_hist + (None,),
-                                    y_hist + (y_new,),
-                                    x_hist + (x_new,),
-                                    mem + (x_new,),
-                                    p * a0,
-                                )
-                            )
-                        if a0 < 1.0:
-                            nxt.append(
-                                (
-                                    z_hist + (x_new,),
-                                    y_hist + (y_new,),
-                                    x_hist + (x_new,),
-                                    mem,
-                                    p * (1 - a0),
-                                )
-                            )
+                draws = [
+                    (x_new, y_new, prob * px * py)
+                    for x_new, y_new, px, py in _transitions(model, x_hist[-1], y_hist[-1])
+                ]
+            for x_new, y_new, p in draws:
+                if p <= 0.0:
+                    continue
+                a0 = policies[k].prob0(x_new, mem)
+                ys, xs = y_hist + (y_new,), x_hist + (x_new,)
+                if a0 > 0.0:
+                    nxt.append((z_hist + (None,), ys, xs, mem + (x_new,), p * a0))
+                if a0 < 1.0:
+                    nxt.append((z_hist + (x_new,), ys, xs, mem, p * (1 - a0)))
         stack = nxt
     return stack
 
@@ -407,20 +382,13 @@ def objective_via_enumeration(model: FiniteModel, policies, horizon: int, lam: f
     return distortion + lam * mi, distortion, mi
 
 
-def objective_via_decomposition(
-    model: FiniteModel,
-    policies,
-    horizon: int,
-    lam: float,
-    mem_cap: int | None = None,
-):
+def objective_via_decomposition(model: FiniteModel, policies, horizon: int, lam: float):
     """Decomposed objective: expected one-step losses over the output tree.
 
     Walks every reachable output history, weighting each node's exact
-    one-step losses by its probability. ``mem_cap=None`` keeps full
-    memory (exact); with truncation the result is exact whenever policies
-    read only the truncated window. Returns (objective, distortion sum,
-    info sum).
+    one-step losses by its probability. Beliefs keep their full memory,
+    so the result is exact for any policy. Returns (objective,
+    distortion sum, info sum).
     """
     total_d = 0.0
     total_i = 0.0
@@ -434,13 +402,11 @@ def objective_via_decomposition(
             continue
         p0 = no_sample_prob(belief, policies[k])
         if p0 > 1e-14:
-            stack.append((belief_step(belief, policies[k], None, model, mem_cap), k + 1, prob * p0))
+            stack.append((belief_step(belief, policies[k], None, model, None), k + 1, prob * p0))
         for z in range(model.nx):
             pz = keep_prob(belief, policies[k], z)
             if pz > 1e-14:
-                stack.append(
-                    (belief_step(belief, policies[k], z, model, mem_cap), k + 1, prob * pz)
-                )
+                stack.append((belief_step(belief, policies[k], z, model, None), k + 1, prob * pz))
     return total_d + lam * total_i, total_d, total_i
 
 
@@ -510,36 +476,26 @@ class _Space:
         info = self.y_entropy(w) + term2 + term3
         return dist + lam * info, p0
 
-    def child_op(self, branch, mem_cap):
+    def child_op(self, branch):
         """(child keys, transition matrix M (S, S_child)) of one branch.
 
         Row i of M holds the kernel coefficients from parent support point
         i, so ``mass @ M`` maps branch masses (T, S) to unnormalized child
-        weights (T, S_child).
+        weights (T, S_child). Memory keeps the last ``DP_MEM_CAP`` discards.
         """
-        hit = self._children.get((branch, mem_cap))
+        hit = self._children.get(branch)
         if hit is not None:
             return hit
-        model = self.model
         triples = []  # (parent index, child key, kernel coefficient)
         for i, (x, mem, ys) in enumerate(self.keys):
-            if branch != "none" and x != branch:
-                continue
             if branch == "none":
-                new_mem = mem + (x,)
-                if mem_cap is not None and len(new_mem) > mem_cap:
-                    new_mem = new_mem[len(new_mem) - mem_cap :]
-            else:
-                new_mem = mem
-            y_last = ys[-1]
-            for x_next in range(model.nx):
-                px = model.x_kernel[x, y_last, x_next]
-                if px <= 0.0:
-                    continue
-                for y_next in range(model.ny):
-                    c = px * model.y_kernel[y_last, y_next]
-                    if c > 0.0:
-                        triples.append((i, (x_next, new_mem, ys + (y_next,)), c))
+                mem = _discarded(mem, x, DP_MEM_CAP)
+            elif x != branch:
+                continue
+            for x_next, y_next, px, py in _transitions(self.model, x, ys[-1]):
+                c = px * py
+                if c > 0.0:
+                    triples.append((i, (x_next, mem, ys + (y_next,)), c))
         child_keys = tuple(sorted({key for _, key, _ in triples}))
         child_pos = {key: j for j, key in enumerate(child_keys)}
         gather = np.array([i for i, _, _ in triples], dtype=np.intp)
@@ -547,7 +503,7 @@ class _Space:
         trans = np.zeros((len(self.keys), len(child_keys)))
         np.add.at(trans, (gather, scatter), np.array([c for _, _, c in triples]))
         op = (child_keys, trans)
-        self._children[(branch, mem_cap)] = op
+        self._children[branch] = op
         return op
 
 
@@ -559,6 +515,10 @@ def _xlogx_vec(p):
     return out
 
 
+DP_MAX_SWEEPS = 4
+DP_MEM_CAP = 2
+
+
 @dataclass
 class DpGridSpec:
     """Controls for the inner minimization of the value recursion.
@@ -568,13 +528,14 @@ class DpGridSpec:
     root after the grid pass; ``seed_tables`` (one x-indexed probability
     table per stage) are injected as coordinate-descent starts at every
     node, which guarantees the solved value is at most the seeded
-    policy's value.
+    policy's value; ``refine_warn_tol`` is the root refinement drop above
+    which ``dp_solve`` warns. Each start runs at most ``DP_MAX_SWEEPS``
+    coordinate-descent sweeps, and beliefs remember the last
+    ``DP_MEM_CAP`` discards, which covers the supported horizons (0 to 2).
     """
 
     action_levels: tuple = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
     refine_rounds: int = 2
-    max_sweeps: int = 4
-    mem_cap: int = 2
     seed_tables: list | None = None
     refine_warn_tol: float = 5e-3
 
@@ -623,7 +584,7 @@ class _ValueRecursion:
         if k < self.horizon:
             a = a_tables[:, sp.pair_idx]
             for branch in ["none"] + list(range(self.model.nx)):
-                child_keys, trans = sp.child_op(branch, self.spec.mem_cap)
+                child_keys, trans = sp.child_op(branch)
                 if len(child_keys) == 0:
                     continue
                 child_sp = self.space_for(child_keys)
@@ -637,7 +598,7 @@ class _ValueRecursion:
     def _coordinate_descent(self, sp, w, k, vec, levels):
         best = float(self._candidate_objectives(sp, w, k, vec[None, :])[0])
         n_coords = len(sp.pairs)
-        for _ in range(self.spec.max_sweeps):
+        for _ in range(DP_MAX_SWEEPS):
             improved = False
             for c in range(n_coords):
                 cands = np.repeat(vec[None, :], len(levels), axis=0)
@@ -708,9 +669,9 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
     optimal-play node tree; warns when root refinement moves the value by
     more than ``refine_warn_tol``, the sign of a too-coarse action grid.
 
-    With memory truncation (``mem_cap``) the recursion optimizes within
-    the class of policies reading the truncated memory; the cap covers
-    the horizon on the supported fixtures, making the recursion exact.
+    With memory truncated to ``DP_MEM_CAP`` discards the recursion optimizes
+    within the class of policies reading the truncated memory; the cap
+    covers the horizon on the supported fixtures, making it exact.
     """
     lam = check_lambda(lam)
     if horizon < 0:
@@ -739,20 +700,16 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
             for z, pz in outcomes:
                 if pz <= 1e-13:
                     continue
-                child = belief_step(belief, policy, z, model, spec.mem_cap)
+                child = belief_step(belief, policy, z, model, DP_MEM_CAP)
                 ckeys = tuple(sorted(child.weights))
                 csp = rec.space_for(ckeys)
                 cw = np.array([child.weights[key] for key in ckeys])
                 val, vec = rec.solve_node(csp, cw, k + 1)
-                tag = "-" if z is None else str(z)
+                child_hist = hist + ("-" if z is None else str(z),)
+                child_policy = rec.policy_from_vector(csp, vec)
                 nodes.append(
-                    DpNode(
-                        history=hist + (tag,),
-                        value=val,
-                        policy=rec.policy_from_vector(csp, vec),
-                        belief=child,
-                    )
+                    DpNode(history=child_hist, value=val, policy=child_policy, belief=child)
                 )
-                nxt.append((child, hist + (tag,), rec.policy_from_vector(csp, vec)))
+                nxt.append((child, child_hist, child_policy))
         frontier = nxt
     return DpResult(value=value, nodes=nodes, refine_drop=refine_drop)

@@ -23,16 +23,17 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def check_symmetric_psd(a, tol_sym=1e-12, tol_eig=-1e-10, name="matrix"):
-    """Validate symmetry and eigenvalue floor; raises ContractViolation."""
+def check_symmetric_psd(a, name="matrix"):
+    """Validate symmetry (within 1e-12) and the eigenvalue floor (-1e-10),
+    both relative to the largest entry, at least 1; raises ContractViolation."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"{name} must be square, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > tol_sym * scale:
-        raise ContractViolation(f"{name} is not symmetric within {tol_sym}")
+    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+        raise ContractViolation(f"{name} is not symmetric within 1e-12")
     w = np.linalg.eigvalsh(sym(a))
-    if w.min() < tol_eig * scale:
+    if w.min() < -1e-10 * scale:
         raise ContractViolation(
             f"{name} has eigenvalue {w.min():.3e} below the PSD floor"
         )
@@ -91,11 +92,11 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ell_inv.T @ (ell_inv @ np.asarray(b, dtype=float))
 
 
-def inv_or_pinv(a: np.ndarray, warn_label: str | None = None) -> np.ndarray:
+def inv_or_pinv(a: np.ndarray, warn_label: str) -> np.ndarray:
     """Inverse of a symmetric PSD block, pseudo-inverse on rank deficiency.
 
     The pinv branch only occurs when a coordinate is deterministic given
-    the history; it is reported once per call site via warnings.
+    the history; it warns naming ``warn_label``, once per call site.
     """
     a = sym(np.asarray(a, dtype=float))
     ell = None
@@ -106,12 +107,11 @@ def inv_or_pinv(a: np.ndarray, warn_label: str | None = None) -> np.ndarray:
     if ell is not None and np.all(np.diag(ell) > PINV_TOL * np.sqrt(max(np.trace(a), 1e-300))):
         ell_inv = np.linalg.inv(ell)
         return ell_inv.T @ ell_inv
-    if warn_label:
-        warnings.warn(f"singular {warn_label}; falling back to pseudo-inverse")
+    warnings.warn(f"singular {warn_label}; falling back to pseudo-inverse")
     return np.linalg.pinv(a, rcond=PINV_TOL, hermitian=True)
 
 
-def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random strictly positive definite matrix (for tests and fixtures)."""
     m = rng.standard_normal((dim, dim))
-    return sym(m @ m.T * (scale / dim) + 0.1 * scale * np.eye(dim))
+    return sym(m @ m.T * (1.0 / dim) + 0.1 * np.eye(dim))

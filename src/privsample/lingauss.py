@@ -79,40 +79,6 @@ class LinearGaussianSystem:
         return self.init_mean + rng.standard_normal((size, self.n)) @ self._init_factor.T
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Realized (x, y) at time index k."""
-
-    x: np.ndarray
-    y: np.ndarray
-    k: int
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y])
-
-
-def step(system: LinearGaussianSystem, state: JointState, rng) -> JointState:
-    """Advance one time step: A @ (x, y) + w, w ~ N(0, Q)."""
-    if state.x.shape != (system.n_x,) or state.y.shape != (system.n_y,):
-        raise ContractViolation(
-            f"state dims {state.x.shape}/{state.y.shape} do not match system "
-            f"({system.n_x}/{system.n_y})"
-        )
-    nxt = system.a_matrix @ state.stacked() + system.draw_noise(rng)
-    return JointState(x=nxt[: system.n_x], y=nxt[system.n_x :], k=state.k + 1)
-
-
-def simulate(system: LinearGaussianSystem, horizon: int, rng) -> list[JointState]:
-    """States 0..K; states[0] drawn from the initial joint Gaussian."""
-    if horizon < 0:
-        raise ContractViolation("horizon must be >= 0")
-    s0 = system.draw_initial(rng)
-    states = [JointState(x=s0[: system.n_x], y=s0[system.n_x :], k=0)]
-    for _ in range(horizon):
-        states.append(step(system, states[-1], rng))
-    return states
-
-
 def simulate_batch(system: LinearGaussianSystem, horizon: int, rollouts: int, rng):
     """Vectorized rollout batch; returns array of shape (K+1, R, n)."""
     out = np.empty((horizon + 1, rollouts, system.n))

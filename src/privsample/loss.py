@@ -13,9 +13,11 @@ jittered fallback. When x_k is a function of the private trajectory
 (Cov(X_k | Y^k) = 0 up to rounding) the information is infinite, and the
 step raises a NumericalFailure naming k (see ``_branch_logdets``).
 
-Log-determinant differences can be evaluated on the Y side directly or on
-the X side through the block-determinant identity; both paths must agree
-and the agreement is part of the validation suite.
+Log-determinant differences are evaluated on the Y side. The fixed-size
+engine (``optimizer._BatchEngine``) evaluates the same increments on the
+X side through the block-determinant identity, which the validation suite
+checks on random matrices (``validation.check_determinant_identity``) and
+the tests check against this growing reference on whole rollouts.
 """
 from __future__ import annotations
 
@@ -93,25 +95,6 @@ def leak_increments(belief: GaussianBelief, f) -> tuple[float, float]:
     f = np.atleast_2d(np.asarray(f, dtype=float))
     ld_prior, ld_keep, ld_discard = _branch_logdets(belief, f)
     return ld_prior - ld_keep, ld_prior - ld_discard
-
-
-def leak_increments_via_x_side(belief: GaussianBelief, f) -> tuple[float, float]:
-    """Same two increments through the block-determinant identity.
-
-    |P^yy| / |P^yy - P^yx M^{-1} P^xy| = |M| / |M - P^xy (P^yy)^{-1} P^yx|
-    with M = P^xx (sample branch) and M = f + P^xx (no-sample branch);
-    only n_x-sized determinants appear once the shared G = P^xy^T-weighted
-    projection is formed, which is the cheap path when the trajectory
-    block is large.
-    """
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    pxy = belief.p_xy
-    gmat = sym(pxy @ solve_psd(belief.p_yy, pxy.T))
-    pxx = belief.p_xx
-    inc_sample = logdet_psd(pxx) - _logdet_or_fail(sym(pxx - gmat), belief, "P^xx - G")
-    m0 = f + pxx
-    inc_no_sample = logdet_psd(m0) - _logdet_or_fail(sym(m0 - gmat), belief, "f + P^xx - G")
-    return inc_sample, inc_no_sample
 
 
 # exp(-keep increment) = |Cov(X_k | Y^k)| / |P^xx|, the keep increment being

@@ -29,21 +29,31 @@ from .policy import SamplerSchedule, privacy_aware_schedule
 from .rngs import substream
 
 
+# The cap on each leader move keeps a noisy early gradient from
+# overshooting onto the flat never-sample plateau, where the gradient
+# vanishes and the walk would die.
+STEP_CLIP = 0.5
+CONVERGE_TOL = 1e-3
+CONVERGE_PATIENCE = 10
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Step sizes follow the fixed schedule alpha_t = alpha / (1 + t/100);
-    ``step_clip`` caps the parameter move per iteration so a noisy early
-    gradient cannot overshoot onto the flat never-sample plateau (where
-    the gradient vanishes and the walk would die)."""
+    """Settings of the leader loop in ``stackelberg_optimize``.
+
+    Step sizes follow the fixed schedule alpha_t = alpha / (1 + t/100);
+    each iteration estimates the gradient on ``rollouts_per_step``
+    rollouts of stream (``seed``, t), for at most ``max_iters``
+    iterations. Beyond horizon 9 the validation objective is a mean over
+    ``validation_rollouts`` common-random-number rollouts; at horizon 9
+    and below it is exact enumeration.
+    """
 
     alpha: float = 0.25
     rollouts_per_step: int = 48
     max_iters: int = 120
-    tol: float = 1e-3
     seed: int = 0
     validation_rollouts: int = 512
-    patience: int = 10
-    step_clip: float = 0.5
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -374,8 +384,8 @@ class _BatchEngine:
     """Batched rollouts of any linear-Gaussian system on fixed-size state.
 
     The information terms need only S = Cov(X_k | Y^k, Z^{k-1}), an
-    n_x x n_x matrix: by the block-determinant identity (see
-    ``loss.leak_increments_via_x_side``) the per-step increments are
+    n_x x n_x matrix: by the block-determinant identity (checked by
+    ``validation.check_determinant_identity``) the per-step increments are
 
         keep:     1/2 log(|P^xx| / |S|)
         discard:  1/2 log(|f + P^xx| / |f + S|)
@@ -662,7 +672,7 @@ def objective_gradient_linear(
     }
 
 
-def exact_objective_and_gradient(params, system, lam, horizon=None):
+def exact_objective_and_gradient(params, system, lam):
     """Exhaustive expectation over all branch patterns (small horizons).
 
     Level k of the engine batch holds every branch prefix as a row; each
@@ -671,7 +681,7 @@ def exact_objective_and_gradient(params, system, lam, horizon=None):
     the gradient assembled from the same pathwise + score terms as the
     estimator, weighted exactly.
     """
-    horizon = params.horizon if horizon is None else horizon
+    horizon = params.horizon
     if 2 ** (horizon + 1) > 4096:
         raise ContractViolation("enumeration limited to horizon <= 11")
 
@@ -685,9 +695,9 @@ def exact_objective_and_gradient(params, system, lam, horizon=None):
     return float(weight @ loss), weight @ (dloss + loss[:, None] * score)
 
 
-def exact_objective(params, system, lam, horizon=None) -> float:
+def exact_objective(params, system, lam) -> float:
     """Objective-only enumeration (used by finite-difference probes)."""
-    return exact_objective_and_gradient(_NoTangents(params), system, lam, horizon)[0]
+    return exact_objective_and_gradient(_NoTangents(params), system, lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +845,9 @@ def stackelberg_optimize(
     Gradient steps on the sampling parameters with step size
     alpha_t = alpha / (1 + t/100); the follower needs no inner loop
     because the conditional mean is an exact best response. Convergence
-    is declared when the validation objective moves less than ``tol``
-    relatively for ``patience`` consecutive iterations; the best-seen
+    is declared when the validation objective moves less than
+    ``CONVERGE_TOL`` relatively for ``CONVERGE_PATIENCE`` consecutive
+    iterations; each move is capped at ``STEP_CLIP``. The best-seen
     parameters by validation objective are returned, and the result is
     flagged non-converged when max_iters is exhausted.
     """
@@ -871,8 +882,8 @@ def stackelberg_optimize(
         step = config.alpha / (1.0 + it / 100.0)
         move = -step * grad
         norm = float(np.linalg.norm(move))
-        if norm > config.step_clip:
-            move *= config.step_clip / norm
+        if norm > STEP_CLIP:
+            move *= STEP_CLIP / norm
         params = params.replaced(params.theta + move)
         obj, stderr, rate = validate(params)
         trace.append(
@@ -887,9 +898,9 @@ def stackelberg_optimize(
         if obj < best_obj:
             best_obj, best_params = obj, params
         rel_change = abs(obj - prev_obj) / max(1.0, abs(prev_obj))
-        quiet = quiet + 1 if rel_change < config.tol else 0
+        quiet = quiet + 1 if rel_change < CONVERGE_TOL else 0
         prev_obj = obj
-        if quiet >= config.patience:
+        if quiet >= CONVERGE_PATIENCE:
             converged = True
             break
     return OptimizeResult(

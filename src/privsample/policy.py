@@ -171,15 +171,14 @@ class SamplerSchedule:
         )
 
 
-def open_loop_schedule(f: np.ndarray | float, horizon: int, n_x: int = None) -> SamplerSchedule:
+def open_loop_schedule(f: np.ndarray | float, horizon: int) -> SamplerSchedule:
     """Constant-f, zero-g schedule (the history-independent baseline)."""
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    n_x = f.shape[0] if n_x is None else n_x
     ell = np.linalg.cholesky(f)
     return SamplerSchedule(
         kind="open_loop",
         f_chol=np.repeat(ell[None, :, :], horizon + 1, axis=0),
-        g=np.zeros((horizon + 1, n_x)),
+        g=np.zeros((horizon + 1, f.shape[0])),
     )
 
 

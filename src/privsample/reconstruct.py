@@ -48,21 +48,6 @@ def estimate_y(belief: bel.GaussianBelief) -> np.ndarray:
     return belief.mean[nx : nx + ny].copy()
 
 
-def smoothed_y_trajectory(belief: bel.GaussianBelief) -> np.ndarray:
-    """Retrospective estimates of the tracked private blocks, oldest first.
-
-    Every retained observation keeps refining past private states through
-    the growing trajectory block, so these lag-smoothed estimates are the
-    adversary's best view of the history (reported separately from the
-    per-step current estimates).
-    """
-    if belief.phase != bel.FILTERED:
-        raise ContractViolation("smoothing uses the filtered belief")
-    nx, ny = belief.n_x, belief.n_y
-    blocks = belief.mean[nx:].reshape(-1, ny)
-    return blocks[::-1].copy()  # stored newest-first; return chronological
-
-
 @dataclass
 class ReconstructionReport:
     """Per-step and averaged squared errors plus the realized sampling rate.

@@ -414,7 +414,7 @@ def restricted_grid_search(model: FiniteModel, lam: float, levels) -> tuple[floa
         # broadcast per-x tables onto the (x, mem) coordinate pairs
         return combos[:, [x for x, _ in sp.pairs]]
 
-    def children(sp, w_rows, mem_cap=2):
+    def children(sp, w_rows):
         """Per-branch child weights for every (row, table) pair.
 
         w_rows: (B, S). Returns dict branch -> (probs (B, T), childs
@@ -424,7 +424,7 @@ def restricted_grid_search(model: FiniteModel, lam: float, levels) -> tuple[floa
         a_rows = tables_for(sp)  # (T, C)
         a_full = a_rows[:, sp.pair_idx]  # (T, S)
         for branch in ["none"] + list(range(nx)):
-            child_keys, trans = sp.child_op(branch, mem_cap)
+            child_keys, trans = sp.child_op(branch)
             if len(child_keys) == 0:
                 continue
             csp = space_for(child_keys)

@@ -1,34 +1,15 @@
-import numpy as np
 import pytest
 
-from privsample.lingauss import LinearGaussianSystem
-
-PAPER_A = np.array([[0.98, -0.90], [0.00, 0.35]])
-PAPER_Q = np.array([[1.00, 0.10], [0.10, 4.00]])
-PAPER_Q0 = np.array([[0.50, 0.25], [0.25, 0.50]])
+from privsample.validation import oracle_system, paper_system
 
 
 @pytest.fixture(scope="session")
 def vi_system():
     """The experiment system: scalar observable, scalar private state."""
-    return LinearGaussianSystem(
-        a_matrix=PAPER_A,
-        q_cov=PAPER_Q,
-        init_mean=np.zeros(2),
-        init_cov=PAPER_Q0,
-        n_x=1,
-        n_y=1,
-    )
+    return paper_system()
 
 
 @pytest.fixture(scope="session")
 def tame_system():
     """Well-conditioned scalar system sized for grid-filter oracles."""
-    return LinearGaussianSystem(
-        a_matrix=np.array([[0.80, 0.40], [0.00, 0.60]]),
-        q_cov=np.array([[0.40, 0.10], [0.10, 0.50]]),
-        init_mean=np.array([0.20, -0.10]),
-        init_cov=np.array([[0.60, 0.20], [0.20, 0.70]]),
-        n_x=1,
-        n_y=1,
-    )
+    return oracle_system()

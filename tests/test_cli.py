@@ -5,12 +5,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import privsample
 from privsample.cli import main
-from privsample.configio import config_hash, load_schedule, system_from_config
+from privsample.configio import config_hash, dump_schedule, load_schedule, system_from_config
 from privsample.optimizer import OptimizerConfig, optimize_lambda
+from privsample.policy import open_loop_schedule
 
 
 SYSTEM_CFG = {
@@ -408,6 +410,38 @@ def test_bad_lambda_is_exit_3(system_cfg, tmp_path, capsys, command, flag, value
     assert main(args) == 3
     err = capsys.readouterr().err
     assert "--lambda" in err and "must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, "--horizon", "-1") for c in ("simulate", "sweep-tradeoff", "rate-curve", "optimize")]
+    + [(c, "K", "-1") for c in ("simulate", "sweep-tradeoff", "rate-curve", "optimize")]
+    + [
+        ("sweep-tradeoff", "--rollouts", "0"),
+        ("rate-curve", "--rollouts", "0"),
+        ("sweep-tradeoff", "--leak-rollouts", "0"),
+        ("optimize", "--opt-iters", "0"),
+        ("optimize", "--opt-rollouts", "0"),
+        ("optimize", "--opt-alpha", "0"),
+        ("optimize", "--opt-validation", "1"),
+        ("rate-curve", "--opt-iters", "0"),
+        ("simulate", "--schedule", "nx2.json"),
+    ],
+)
+def test_unrunnable_input_is_exit_3(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(dict(SYSTEM_CFG, K=int(value)) if flag == "K" else SYSTEM_CFG))
+    if flag == "--schedule":  # an n_x = 2 schedule for the n_x = 1 system
+        value = str(tmp_path / value)
+        dump_schedule(open_loop_schedule(np.eye(2), 3), value)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    args += {"optimize": ["--lambda", "1"], "simulate": []}.get(command, ["--lambdas", ""])
+    if flag not in ("--horizon", "K"):
+        args += ["--horizon", "3"]
+    if flag != "K":
+        args += [flag, value]
+    assert main(args) == 3
+    assert flag in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from privsample.errors import ContractViolation, ImpossibleEvidence
 from privsample.finite import (
+    DP_MEM_CAP,
     DpGridSpec,
     FiniteModel,
     PolicyCollection,
@@ -377,13 +378,13 @@ def test_space_batches_match_the_reference_losses_and_update(nx, ny, seed):
         assert abs(totals[t] - one_step_losses(b, pol, model, lam).total) < 1e-12
         assert abs(p0[t] - no_sample_prob(b, pol)) < 1e-12
         for branch in [None] + list(range(model.nx)):
-            child_keys, trans = sp.child_op("none" if branch is None else branch, 2)
+            child_keys, trans = sp.child_op("none" if branch is None else branch)
             mass = w * (a[t] if branch is None else 1.0 - a[t])
             child_w = mass @ trans
             norm = child_w.sum()
             if norm <= 1e-13:
                 continue
-            ref = belief_step(b, pol, branch, model, mem_cap=2)
+            ref = belief_step(b, pol, branch, model, mem_cap=DP_MEM_CAP)
             assert set(ref.weights) == {key for key, cw in zip(child_keys, child_w) if cw > 0.0}
             got = dict(zip(child_keys, child_w / norm))
             assert max(abs(got[key] - v) for key, v in ref.weights.items()) < 1e-12

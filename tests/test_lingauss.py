@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from privsample.errors import ContractViolation
-from privsample.lingauss import (
-    JointState,
-    LinearGaussianSystem,
-    simulate,
-    simulate_batch,
-    step,
-)
+from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.rngs import make_rng
 
 
@@ -22,29 +16,6 @@ def _system(a, q, mean0=None, cov0=None, nx=1, ny=1):
         n_x=nx,
         n_y=ny,
     )
-
-
-def test_step_identity_dynamics_zero_noise():
-    sys_ = _system(np.eye(2), np.zeros((2, 2)))
-    s = JointState(x=np.array([1.3]), y=np.array([-0.7]), k=0)
-    out = step(sys_, s, make_rng(0))
-    assert np.array_equal(out.x, s.x)
-    assert np.array_equal(out.y, s.y)
-    assert out.k == 1
-
-
-def test_step_paper_matrix_zero_noise(vi_system):
-    sys_ = _system(vi_system.a_matrix, np.zeros((2, 2)))
-    out = step(sys_, JointState(x=np.array([1.0]), y=np.array([0.0]), k=0), make_rng(0))
-    assert np.allclose(out.x, [0.98])
-    assert np.allclose(out.y, [0.00])
-
-
-def test_step_dimension_mismatch():
-    sys_ = _system(np.eye(2), np.zeros((2, 2)))
-    bad = JointState(x=np.array([1.0, 2.0]), y=np.array([0.0]), k=0)
-    with pytest.raises(ContractViolation):
-        step(sys_, bad, make_rng(0))
 
 
 def test_noise_covariance_monte_carlo(vi_system):
@@ -74,20 +45,18 @@ def test_noise_whiteness(vi_system):
 
 
 def test_simulate_zero_horizon(vi_system):
-    states = simulate(vi_system, 0, make_rng(3))
-    assert len(states) == 1
-    assert states[0].k == 0
+    batch = simulate_batch(vi_system, 0, 3, make_rng(3))
+    assert batch.shape == (1, 3, 2)
 
 
 def test_simulate_deterministic_when_noise_free():
     a = np.array([[0.9, 0.2], [0.0, 0.5]])
     mean0 = np.array([1.0, -2.0])
     sys_ = _system(a, np.zeros((2, 2)), mean0=mean0)
-    states = simulate(sys_, 5, make_rng(4))
+    batch = simulate_batch(sys_, 5, 3, make_rng(4))
     expect = mean0.copy()
-    for k, s in enumerate(states):
-        assert np.allclose(s.stacked(), expect, atol=1e-12)
-        assert s.k == k
+    for k in range(6):
+        assert np.allclose(batch[k], expect, atol=1e-12)
         expect = a @ expect
 
 
@@ -103,10 +72,9 @@ def test_first_step_mean_matches_dynamics(vi_system):
 
 def test_spectral_radius_and_bounded_paths(vi_system):
     assert max(abs(np.linalg.eigvals(vi_system.a_matrix))) < 1
-    states = simulate(vi_system, 100, make_rng(8))
-    mags = [np.max(np.abs(s.stacked())) for s in states]
-    assert np.isfinite(mags).all()
-    assert max(mags) < 1e3
+    batch = simulate_batch(vi_system, 100, 4, make_rng(8))
+    assert np.isfinite(batch).all()
+    assert np.max(np.abs(batch)) < 1e3
 
 
 def test_invalid_covariance_rejected():

@@ -9,7 +9,6 @@ from privsample.lingauss import LinearGaussianSystem
 from privsample.linalg import logdet_psd, random_spd
 from privsample.loss import (
     leak_increments,
-    leak_increments_via_x_side,
     mi_accumulate,
     no_sample_prob_marginal,
     one_step_loss,
@@ -113,16 +112,6 @@ def test_leak_increments_nonnegative():
         inc1, inc0 = leak_increments(b, random_spd(rng, 2))
         assert inc1 >= -1e-10
         assert inc0 >= -1e-10
-
-
-def test_leak_identity_paths_agree():
-    rng = make_rng(16)
-    for _ in range(10):
-        b = _random_predicted(rng, nx=2, n_tracked=4)
-        f = random_spd(rng, 2)
-        direct = leak_increments(b, f)
-        via_x = leak_increments_via_x_side(b, f)
-        assert np.allclose(direct, via_x, rtol=1e-8, atol=1e-10)
 
 
 def test_one_step_loss_continuity_in_f():

@@ -248,33 +248,6 @@ def test_kalman_innovation_whiteness(vi_system):
     assert abs(flat.mean()) < 3 / np.sqrt(n)
 
 
-def test_smoothing_beats_filtering_under_full_sampling(vi_system):
-    """Retrospective trajectory estimates refine the per-step ones."""
-    from privsample.reconstruct import smoothed_y_trajectory
-
-    rng = make_rng(14)
-    horizon = 60
-    filt_se, smooth_se = [], []
-    for _ in range(40):
-        state = vi_system.draw_initial(rng)
-        b = bel.init_belief(vi_system)
-        ys, y_hats = [], []
-        for k in range(horizon + 1):
-            b = bel.update_sample(b, state[:1])
-            ys.append(state[1])
-            y_hats.append(float(b.mean[1]))
-            if k < horizon:
-                b = bel.predict(vi_system, b)
-                state = vi_system.a_matrix @ state + vi_system.draw_noise(rng)
-        smooth = smoothed_y_trajectory(b)[:, 0]
-        ys = np.array(ys)
-        filt_se.append(np.mean((ys - np.array(y_hats)) ** 2))
-        smooth_se.append(np.mean((ys - smooth) ** 2))
-    assert np.mean(smooth_se) < 0.6 * np.mean(filt_se)
-    # the current estimate still tracks the private state directionally
-    assert np.corrcoef(ys, y_hats)[0, 1] > 0.15
-
-
 def test_rollout_log_structure_and_determinism(vi_system):
     sched = open_loop_schedule(np.array([[1.0]]), 8)
     log1 = list(belief_rollout(vi_system, sched, 8, make_rng(13), mode="state"))
