@@ -168,7 +168,7 @@ def belief_step(
     policy: PolicyCollection,
     z,
     model: FiniteModel,
-    mem_cap: int | None = 2,
+    mem_cap: int | None,
 ) -> DiscreteBelief:
     """Two-branch exact Bayes update of the belief.
 

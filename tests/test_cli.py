@@ -410,6 +410,7 @@ def test_bad_lambda_is_exit_3(system_cfg, tmp_path, capsys, command, flag, value
     assert main(args) == 3
     err = capsys.readouterr().err
     assert "--lambda" in err and "must be finite and non-negative" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -442,7 +443,7 @@ def test_unrunnable_input_is_exit_3(tmp_path, capsys, command, flag, value):
         args += [flag, value]
     assert main(args) == 3
     assert flag in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(

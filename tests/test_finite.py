@@ -74,7 +74,7 @@ def test_never_sample_step_is_pure_prediction(model):
 
 def test_keep_branch_conditions_on_observation(model):
     b = init_discrete_belief(model)
-    out = belief_step(b, PolicyCollection.uniform(0.0), 1, model)
+    out = belief_step(b, PolicyCollection.uniform(0.0), 1, model, DP_MEM_CAP)
     # evidence x_0 = 1: every retained y-trajectory starts from that slice
     start = {ys[0] for (_, _, ys) in out.weights}
     py0 = model.init_joint[1] / model.init_joint[1].sum()
@@ -88,7 +88,7 @@ def test_keep_branch_conditions_on_observation(model):
 def test_impossible_evidence(model):
     b = init_discrete_belief(model)
     with pytest.raises(ImpossibleEvidence):
-        belief_step(b, PolicyCollection.uniform(1.0), 0, model)  # keep prob is zero
+        belief_step(b, PolicyCollection.uniform(1.0), 0, model, DP_MEM_CAP)  # keep prob is zero
 
 
 def _enumerate_posterior(model, policies, z_hist):
@@ -332,7 +332,7 @@ def test_array_space_losses_match_reference(model):
             ref = one_step_losses(b, pol, model, 0.9)
             assert np.isclose(totals[t], ref.total, atol=1e-12)
             assert np.isclose(p0[t], no_sample_prob(b, pol), atol=1e-12)
-        b = belief_step(b, policies[k], None if k % 2 == 0 else 0, model)
+        b = belief_step(b, policies[k], None if k % 2 == 0 else 0, model, DP_MEM_CAP)
 
 
 def _random_model(rng, nx, ny):
@@ -354,7 +354,7 @@ def _random_reachable_belief(rng, model, steps):
         outcomes = [None] + list(range(model.nx))
         probs = np.array([no_sample_prob(b, policy)] + [keep_prob(b, policy, z) for z in range(model.nx)])
         z = outcomes[rng.choice(len(outcomes), p=probs / probs.sum())]
-        b = belief_step(b, policy, z, model, mem_cap=2)
+        b = belief_step(b, policy, z, model, mem_cap=DP_MEM_CAP)
     return b
 
 
