@@ -12,17 +12,18 @@ so the leading n_x + n_y block always holds the current stacked state and
 Phases are explicit: a belief is either ``predicted`` (k|k-1) or
 ``filtered`` (k|k), and each operation checks the phase so misuse is a
 contract error rather than silent corruption. Operations are pure and
-return new beliefs.
+return new beliefs. Covariances are exactly symmetric: ``init_belief``,
+``predict`` and both branch posteriors symmetrize what they build.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, PhaseError
 from .lingauss import LinearGaussianSystem
-from .linalg import inv_or_pinv, solve_psd, sym
+from .linalg import chol_psd, factor_logdet, inv_or_pinv, inverse, sym
 
 PREDICTED = "predicted"
 FILTERED = "filtered"
@@ -70,7 +71,7 @@ def init_belief(system: LinearGaussianSystem) -> GaussianBelief:
     """Time-0 predicted belief: the initial joint Gaussian of (X_0, Y_0)."""
     return GaussianBelief(
         mean=system.init_mean.copy(),
-        cov=system.init_cov.copy(),
+        cov=sym(system.init_cov),
         k=0,
         phase=PREDICTED,
         n_x=system.n_x,
@@ -113,57 +114,113 @@ def predict(system: LinearGaussianSystem, belief: GaussianBelief) -> GaussianBel
     )
 
 
-def update_no_sample(belief: GaussianBelief, f: np.ndarray, g: np.ndarray) -> GaussianBelief:
+@dataclass(frozen=True)
+class KeepBranch:
+    """The filtered covariance after an exact X_k, and its gain.
+
+    ``gain`` = P^yx (P^xx)^{-1}, shape (d - n_x, n_x); ``cov`` is zero in
+    the x rows and columns and holds Cov(Y^k | X_k) below them.
+    """
+
+    gain: np.ndarray
+    cov: np.ndarray
+
+
+@dataclass(frozen=True)
+class DiscardBranch:
+    """The filtered covariance after the soft no-sample evidence through f.
+
+    f + P^xx = L L^T is factored once: ``l_inv`` = L^{-1}, ``logdet`` =
+    log|f + P^xx|, ``gain_t`` = (f + P^xx)^{-1} P[:n_x, :] (the gain's
+    transpose, shape (n_x, d)) and ``cov`` = P - gain P[:n_x, :].
+    """
+
+    l_inv: np.ndarray
+    logdet: float
+    gain_t: np.ndarray
+    cov: np.ndarray
+
+
+def keep_branch(belief: GaussianBelief) -> KeepBranch:
+    """Schur complement of P^xx in a predicted belief (P^xx factored once).
+
+    A singular P^xx falls back to the pseudo-inverse with a warning: it
+    occurs only when a coordinate of x_k is deterministic given history.
+    """
+    if belief.phase != PREDICTED:
+        raise PhaseError("the keep branch needs a predicted belief")
+    nx = belief.n_x
+    gain = belief.p_xy.T @ inv_or_pinv(belief.p_xx, warn_label="P^xx in the keep branch")
+    cov = np.zeros_like(belief.cov)
+    cov[nx:, nx:] = sym(belief.p_yy - gain @ belief.p_xy)
+    return KeepBranch(gain, cov)
+
+
+def discard_branch(belief: GaussianBelief, f: np.ndarray) -> DiscardBranch:
+    """Rank-n_x soft update of a predicted belief (f + P^xx factored once).
+
+    A Kalman update on a pseudo-measurement of x_k through noise f, in
+    O(d^2 n_x). f + P^xx that is not positive definite, after the jitter
+    ladder of ``chol_psd``, raises a NumericalFailure naming k.
+    """
+    if belief.phase != PREDICTED:
+        raise PhaseError("the discard branch needs a predicted belief")
+    nx = belief.n_x
+    s = np.asarray(f, dtype=float) + belief.p_xx
+    try:
+        ell = chol_psd(s)
+    except NumericalFailure:
+        ell = None
+    if ell is None or (ell.diagonal() <= 0.0).any():
+        raise NumericalFailure(
+            f"f + P^xx not positive definite in the no-sample branch at k={belief.k}"
+        )
+    l_inv = inverse(ell)
+    rows = belief.cov[:nx, :]
+    gain_t = l_inv.T @ (l_inv @ rows)
+    cov = sym(belief.cov - gain_t.T @ rows)
+    return DiscardBranch(l_inv, factor_logdet(ell), gain_t, cov)
+
+
+def update_no_sample(
+    belief: GaussianBelief, f: np.ndarray, g: np.ndarray, branch: DiscardBranch | None = None
+) -> GaussianBelief:
     """Soft update for a discarded sample under the exponential rule.
 
     Multiplies the predicted Gaussian by exp(-1/2 (x-g)^T f^{-1} (x-g))
-    and renormalizes. That is a Kalman update on a pseudo-measurement g of
-    x_k through noise f, a rank-n_x correction in O(d^2 n_x):
-
-        gain = cov[:, :n_x] (f + P^xx)^{-1}
-        mean <- mean + gain (g - x_mean),   cov <- cov - gain cov[:n_x, :]
-
-    f + P^xx that is not positive definite (up to the jittered fallback
-    of ``solve_psd``) raises a NumericalFailure naming k.
+    and renormalizes: the mean moves by the gain toward g and the
+    covariance is ``branch.cov`` (``discard_branch(belief, f)`` when not
+    given).
     """
     if belief.phase != PREDICTED:
         raise PhaseError("update_no_sample requires a predicted belief")
-    nx = belief.n_x
-    f = np.asarray(f, dtype=float)
+    if branch is None:
+        branch = discard_branch(belief, f)
     g = np.asarray(g, dtype=float)
-    rows = belief.cov[:nx, :]
-    try:
-        gain_t = solve_psd(f + belief.p_xx, rows)          # gain^T, (n_x, d)
-    except NumericalFailure as exc:
-        raise NumericalFailure(
-            f"f + P^xx not positive definite in no-sample update at k={belief.k}"
-        ) from exc
-    mean = belief.mean + (g - belief.x_mean) @ gain_t
-    cov = sym(belief.cov - gain_t.T @ rows)
-    return replace(belief, mean=mean, cov=cov, phase=FILTERED)
+    mean = belief.mean + (g - belief.x_mean) @ branch.gain_t
+    return GaussianBelief(mean, branch.cov, belief.k, FILTERED, belief.n_x, belief.n_y)
 
 
-def update_sample(belief: GaussianBelief, z: np.ndarray) -> GaussianBelief:
+def update_sample(
+    belief: GaussianBelief, z: np.ndarray, branch: KeepBranch | None = None
+) -> GaussianBelief:
     """Exact conditioning on an observed X_k = z.
 
     The filtered belief is degenerate in x: the x block of the mean is z,
     all x-related covariance blocks are exactly zero, and the trajectory
-    block drops by the Schur complement.
+    block drops by the Schur complement (``branch.cov``, from
+    ``keep_branch(belief)`` when not given).
     """
     if belief.phase != PREDICTED:
         raise PhaseError("update_sample requires a predicted belief")
+    if branch is None:
+        branch = keep_branch(belief)
     nx = belief.n_x
     z = np.asarray(z, dtype=float)
-    pxx_inv = inv_or_pinv(belief.p_xx, warn_label="P^xx in update_sample")
-    gain = belief.p_xy.T @ pxx_inv          # (d - nx, nx)
-
     mean = belief.mean.copy()
     mean[:nx] = z
-    mean[nx:] = belief.mean[nx:] + gain @ (z - belief.x_mean)
-
-    cov = np.zeros_like(belief.cov)
-    cov[nx:, nx:] = sym(belief.p_yy - gain @ belief.p_xy)
-    return replace(belief, mean=mean, cov=cov, phase=FILTERED)
+    mean[nx:] = belief.mean[nx:] + branch.gain @ (z - belief.x_mean)
+    return GaussianBelief(mean, branch.cov, belief.k, FILTERED, nx, belief.n_y)
 
 
 def marginal_y_current(belief: GaussianBelief) -> tuple[np.ndarray, np.ndarray]:

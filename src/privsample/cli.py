@@ -5,7 +5,9 @@ validate. Every run records its seed; identical config plus seed
 reproduces output files byte for byte. CSV outputs carry a header row and
 a trailing metadata comment block; a JSON sidecar (<out>.meta.json)
 repeats the metadata. Exit codes: 0 success, 2 validation failure,
-3 configuration error. PRIVSAMPLE_THREADS caps sweep parallelism.
+3 configuration error, 4 numerical failure (a linear-algebra step the
+jitter and fallback policy cannot repair, named with its step k; no
+output is written). PRIVSAMPLE_THREADS caps sweep parallelism.
 """
 from __future__ import annotations
 
@@ -74,6 +76,13 @@ def _meta(args, cfg: dict, extra: dict | None = None) -> dict:
 
 def _fmt(x, digits=10) -> str:
     return f"{float(x):.{digits}g}"
+
+
+def _stderr(values: np.ndarray) -> str:
+    """Standard error of the mean of ``values``, blank for a single value."""
+    if len(values) < 2:
+        return ""
+    return _fmt(values.std(ddof=1) / np.sqrt(len(values)))
 
 
 def _parse_grid(text, flag: str) -> list:
@@ -231,9 +240,9 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
                 param,
                 _fmt(lam) if lam != "" else "",
                 _fmt(report.mean_x_error),
-                _fmt(report.x_errors.std(ddof=1) / np.sqrt(len(report.x_errors))),
+                _stderr(report.x_errors),
                 _fmt(report.mean_y_error),
-                _fmt(report.y_errors.std(ddof=1) / np.sqrt(len(report.y_errors))),
+                _stderr(report.y_errors),
                 _fmt(leak) if leak is not None else "",
                 _fmt(leak_se) if leak_se is not None else "",
                 _fmt(report.sampling_rate),
@@ -453,6 +462,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

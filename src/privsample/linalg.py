@@ -5,6 +5,9 @@ re-symmetrization, Cholesky factorizations get one jitter retry
 (+1e-10 * I) and then an eigenvalue-floored fallback, and singular
 blocks are handled with a tolerance-based pseudo-inverse. Solves use numpy
 only: x = L^{-T} (L^{-1} b) for a Cholesky factor L (on 1x1, two 1/L products).
+1x1 blocks take closed forms (``cholesky``, ``inverse``, ``psd_sqrt``) that
+give LAPACK's values bit for bit without numpy's per-call overhead of tens
+of microseconds.
 """
 from __future__ import annotations
 
@@ -40,6 +43,21 @@ def check_symmetric_psd(a, name="matrix"):
     return a
 
 
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a), reading the lower triangle; a 1x1 block is
+    sqrt(a), LinAlgError unless its entry is positive."""
+    if a.shape == (1, 1):
+        if not a[0, 0] > 0.0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return np.sqrt(a)
+    return np.linalg.cholesky(a)
+
+
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of square matrices (..., d, d); 1x1 blocks are 1 / m."""
+    return 1.0 / m if m.shape[-1] == 1 else np.linalg.inv(m)
+
+
 def chol_psd(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with jitter retry, then eigenvalue-floor fallback.
 
@@ -48,11 +66,11 @@ def chol_psd(a: np.ndarray) -> np.ndarray:
     """
     a = sym(np.asarray(a, dtype=float))
     try:
-        return np.linalg.cholesky(a)
+        return cholesky(a)
     except np.linalg.LinAlgError:
         pass
     try:
-        return np.linalg.cholesky(a + JITTER * np.eye(a.shape[0]))
+        return cholesky(a + JITTER * np.eye(a.shape[0]))
     except np.linalg.LinAlgError:
         pass
     w, v = np.linalg.eigh(a)
@@ -70,25 +88,31 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     noise covariances draw exactly on their support.
     """
     a = sym(np.asarray(a, dtype=float))
+    if a.shape == (1, 1):
+        return np.sqrt(np.clip(a, 0.0, None))
     w, v = np.linalg.eigh(a)
     return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def factor_logdet(ell: np.ndarray) -> float:
+    """log|L L^T| from a lower Cholesky factor L with a positive diagonal."""
+    return 2.0 * float(np.log(ell.diagonal()).sum())
 
 
 def logdet_psd(a: np.ndarray) -> float:
     """log|a| for a strictly positive definite matrix, via Cholesky."""
     ell = chol_psd(a)
-    diag = np.diag(ell)
-    if np.any(diag <= 0.0):
+    if (ell.diagonal() <= 0.0).any():
         raise NumericalFailure("log-determinant of a singular matrix requested")
-    return 2.0 * float(np.sum(np.log(diag)))
+    return factor_logdet(ell)
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite a."""
     ell = chol_psd(a)
-    if np.any(np.diag(ell) <= 0.0):
+    if (ell.diagonal() <= 0.0).any():
         raise NumericalFailure("solve_psd called with a singular matrix")
-    ell_inv = np.linalg.inv(ell)
+    ell_inv = inverse(ell)
     return ell_inv.T @ (ell_inv @ np.asarray(b, dtype=float))
 
 
@@ -101,11 +125,11 @@ def inv_or_pinv(a: np.ndarray, warn_label: str) -> np.ndarray:
     a = sym(np.asarray(a, dtype=float))
     ell = None
     try:
-        ell = np.linalg.cholesky(a)
+        ell = cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    if ell is not None and np.all(np.diag(ell) > PINV_TOL * np.sqrt(max(np.trace(a), 1e-300))):
-        ell_inv = np.linalg.inv(ell)
+    if ell is not None and (ell.diagonal() > PINV_TOL * np.sqrt(max(a.trace(), 1e-300))).all():
+        ell_inv = inverse(ell)
         return ell_inv.T @ ell_inv
     warnings.warn(f"singular {warn_label}; falling back to pseudo-inverse")
     return np.linalg.pinv(a, rcond=PINV_TOL, hermitian=True)

@@ -7,11 +7,15 @@ trajectory block and its two Schur complements: conditioning on the exact
 observation uses P^xx, conditioning on the soft no-sample evidence uses
 f + P^xx.
 
-Each step factors P^yy and the two Schur complements once, with a plain
-Cholesky; only a failed factorization runs the eigenvalue test and the
-jittered fallback. When x_k is a function of the private trajectory
-(Cov(X_k | Y^k) = 0 up to rounding) the information is infinite, and the
-step raises a NumericalFailure naming k (see ``_branch_logdets``).
+A step forms both branch posteriors once (``belief.keep_branch`` and
+``belief.discard_branch``, factoring P^xx and f + P^xx once each); the
+loss reads its distortion and Schur complements off them and the
+realized branch becomes the filtered belief. P^yy and the two Schur
+complements are factored once each, with a plain Cholesky; only a failed
+factorization runs the eigenvalue test and the jittered fallback. When
+x_k is a function of the private trajectory (Cov(X_k | Y^k) = 0 up to
+rounding) the information is infinite, and the step raises a
+NumericalFailure naming k (see ``_branch_logdets``).
 
 Log-determinant differences are evaluated on the Y side. The fixed-size
 engine (``optimizer._BatchEngine``) evaluates the same increments on the
@@ -27,15 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import (
+    DiscardBranch,
     GaussianBelief,
+    KeepBranch,
+    discard_branch,
     init_belief,
+    keep_branch,
     predict,
     update_no_sample,
     update_sample,
 )
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
-from .linalg import inv_or_pinv, logdet_psd, psd_sqrt, solve_psd, sym
+from .linalg import cholesky, factor_logdet, logdet_psd, psd_sqrt
 from .policy import SamplerSchedule
 
 
@@ -59,42 +67,26 @@ class LossBreakdown:
     info_nats: float
 
 
-def no_sample_prob_marginal(belief: GaussianBelief, f, g) -> float:
+def no_sample_prob_marginal(
+    belief: GaussianBelief, f, g, discard: DiscardBranch | None = None
+) -> float:
     """P(N_k = 0 | Z^{k-1}): the pointwise rule averaged over the belief.
 
     Closed form sqrt(|f| / |f + P^xx|) * exp(-1/2 (g - x)^T (f+P^xx)^{-1}
     (g - x)); evaluated through log-determinant differences so the
-    f -> 0 and f -> infinity limits stay finite.
+    f -> 0 and f -> infinity limits stay finite. Reuses the factor of
+    f + P^xx in ``discard`` (``discard_branch(belief, f)`` when not given).
     """
     if belief.phase != "predicted":
         raise ContractViolation("marginal no-sample probability needs a predicted belief")
     f = np.atleast_2d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    s = f + belief.p_xx
+    if discard is None:
+        discard = discard_branch(belief, f)
     d = g - belief.x_mean
-    log_ratio = logdet_psd(f) - logdet_psd(s)
-    quad = float(d @ solve_psd(s, d))
+    log_ratio = logdet_psd(f) - discard.logdet
+    quad = float(d @ (discard.l_inv.T @ (discard.l_inv @ d)))
     return float(np.exp(0.5 * log_ratio - 0.5 * quad))
-
-
-def _distortion_matrix(f: np.ndarray, pxx: np.ndarray) -> np.ndarray:
-    """f (f + P^xx)^{-1} P^xx, evaluated as P^xx - P^xx (f+P^xx)^{-1} P^xx.
-
-    This form avoids f^{-1} and is stable at both f extremes.
-    """
-    s = f + pxx
-    return pxx - pxx @ solve_psd(s, pxx)
-
-
-def leak_increments(belief: GaussianBelief, f) -> tuple[float, float]:
-    """log|P^yy| - log|S| for the sample and no-sample branches (nats*2).
-
-    Direct Y-side evaluation. Both values are >= 0: conditioning cannot
-    increase the determinant of a PSD covariance.
-    """
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    ld_prior, ld_keep, ld_discard = _branch_logdets(belief, f)
-    return ld_prior - ld_keep, ld_prior - ld_discard
 
 
 # exp(-keep increment) = |Cov(X_k | Y^k)| / |P^xx|, the keep increment being
@@ -104,22 +96,25 @@ def leak_increments(belief: GaussianBelief, f) -> tuple[float, float]:
 KNOWN_X_INCREMENT = -math.log(1e-12)
 
 
-def _branch_logdets(belief: GaussianBelief, f: np.ndarray) -> tuple[float, float, float]:
+def _branch_logdets(
+    belief: GaussianBelief, keep: KeepBranch, discard: DiscardBranch
+) -> tuple[float, float, float]:
     """(log|P^yy|, log|S_keep|, log|S_discard|) for one predicted belief.
 
-    S_keep = Cov(Y^k | X_k) and S_discard is the trajectory block after
-    the soft evidence through f; P^yy and each S are factored once. x_k
-    already known from Y^k raises a NumericalFailure naming k: the keep
-    increment log|P^yy| - log|S_keep| reaches ``KNOWN_X_INCREMENT``, or S_keep
-    is singular to working precision (its Cholesky fails) while P^yy is not.
+    S_keep = Cov(Y^k | X_k) and S_discard, the trajectory block after the
+    soft evidence through f, are the trajectory blocks of the two branch
+    posteriors; P^yy and each S are factored once. x_k already known from
+    Y^k raises a NumericalFailure naming k: the keep increment
+    log|P^yy| - log|S_keep| reaches ``KNOWN_X_INCREMENT``, or S_keep is
+    singular to working precision (its Cholesky fails) while P^yy is not.
     """
+    nx = belief.n_x
     pyy = belief.p_yy
-    pxy = belief.p_xy
     ld_prior = _logdet_or_fail(pyy, belief, "P^yy")
-    s1 = sym(pyy - pxy.T @ inv_or_pinv(belief.p_xx, warn_label="P^xx in leak") @ pxy)
-    ld_keep = _chol_logdet(s1)
+    s_keep = keep.cov[nx:, nx:]
+    ld_keep = _chol_logdet(s_keep)
     if ld_keep is None:
-        ld_keep = _logdet_or_fail(s1, belief, "sample-branch Schur complement")
+        ld_keep = _logdet_or_fail(s_keep, belief, "sample-branch Schur complement")
         known = _chol_logdet(pyy) is not None
     else:
         known = ld_prior - ld_keep >= KNOWN_X_INCREMENT
@@ -128,17 +123,21 @@ def _branch_logdets(belief: GaussianBelief, f: np.ndarray) -> tuple[float, float
             f"x_k already known (singular Cov(X_k | Y^k, Z^(k-1))) at k={belief.k}; "
             f"keep increment {ld_prior - ld_keep:.3g}"
         )
-    s0 = sym(pyy - pxy.T @ solve_psd(f + belief.p_xx, pxy))
-    return ld_prior, ld_keep, _logdet_or_fail(s0, belief, "no-sample-branch Schur complement")
+    ld_discard = _logdet_or_fail(discard.cov[nx:, nx:], belief, "no-sample-branch Schur complement")
+    return ld_prior, ld_keep, ld_discard
 
 
 def _chol_logdet(mat: np.ndarray) -> float | None:
-    """log|mat| from a plain Cholesky factor of sym(mat), None if it fails."""
+    """log|mat| from a plain Cholesky factor, None if it fails.
+
+    The factorization reads one triangle: ``mat`` is a block of a belief
+    covariance or of a branch posterior, both exactly symmetric.
+    """
     try:
-        ell = np.linalg.cholesky(sym(mat))
+        ell = cholesky(mat)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(np.diag(ell))))
+    return factor_logdet(ell)
 
 
 def _logdet_or_fail(mat: np.ndarray, belief: GaussianBelief, label: str) -> float:
@@ -165,21 +164,37 @@ def _logdet_or_fail(mat: np.ndarray, belief: GaussianBelief, label: str) -> floa
         raise NumericalFailure(f"singular {label} at k={belief.k}") from exc
 
 
-def one_step_loss(belief: GaussianBelief, f, g, lam: float) -> LossBreakdown:
+def one_step_loss(
+    belief: GaussianBelief,
+    f,
+    g,
+    lam: float,
+    keep: KeepBranch | None = None,
+    discard: DiscardBranch | None = None,
+) -> LossBreakdown:
     """Expected one-step cost of playing (f, g) against a predicted belief.
 
     distortion   p0 * tr[f (f+P^xx)^{-1} P^xx]
     leaks        lam * [log sqrt|P^yy|
                         - (1-p0) log sqrt|S_sample|
                         - p0 log sqrt|S_no_sample|]
+
+    Reads both branch posteriors (built here when not given): the
+    distortion trace is the x block of ``discard.cov``, which is
+    P^xx - P^xx (f+P^xx)^{-1} P^xx, stable at both f extremes.
     """
     check_lambda(lam)
     f = np.atleast_2d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    p0 = no_sample_prob_marginal(belief, f, g)
-    distortion = p0 * float(np.trace(_distortion_matrix(f, belief.p_xx)))
+    if discard is None:
+        discard = discard_branch(belief, f)
+    p0 = no_sample_prob_marginal(belief, f, g, discard)
+    nx = belief.n_x
+    distortion = p0 * float(np.trace(discard.cov[:nx, :nx]))
 
-    ld_prior, ld_keep, ld_discard = _branch_logdets(belief, f)
+    if keep is None:
+        keep = keep_branch(belief)
+    ld_prior, ld_keep, ld_discard = _branch_logdets(belief, keep, discard)
     info_nats = 0.5 * ((1.0 - p0) * (ld_prior - ld_keep) + p0 * (ld_prior - ld_discard))
 
     leak_prior = lam * 0.5 * ld_prior
@@ -219,6 +234,8 @@ class RolloutStep:
     ``x`` the observation, ``state`` the stacked (x, y) state (state mode
     only, else None), ``n`` the decision, ``z`` the output (x when
     ``n == 1``, else None) and ``filtered`` the belief (k|k) after it.
+    ``keep`` and ``discard`` are the two branch posteriors of
+    ``predicted``; ``filtered`` is built from the realized one.
     """
 
     predicted: GaussianBelief
@@ -229,6 +246,8 @@ class RolloutStep:
     n: int
     z: np.ndarray | None
     filtered: GaussianBelief
+    keep: KeepBranch
+    discard: DiscardBranch
 
 
 def belief_rollout(
@@ -260,8 +279,12 @@ def belief_rollout(
         g = schedule.g_at(k, x_pred=belief.x_mean)
         x = _draw_x_from_belief(belief, rng) if mode == "belief" else state[: system.n_x]
         n_k, z = schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
-        filtered = update_sample(belief, x) if n_k else update_no_sample(belief, f, g)
-        yield RolloutStep(belief, f, g, x, state, n_k, z, filtered)
+        keep, discard = keep_branch(belief), discard_branch(belief, f)
+        if n_k:
+            filtered = update_sample(belief, x, keep)
+        else:
+            filtered = update_no_sample(belief, f, g, discard)
+        yield RolloutStep(belief, f, g, x, state, n_k, z, filtered, keep, discard)
         if k < horizon:
             belief = predict(system, filtered)
             if mode == "state":
@@ -284,7 +307,7 @@ def rollout_losses(
     losses = []
     decisions = np.zeros(horizon + 1, dtype=int)
     for k, step in enumerate(belief_rollout(system, schedule, horizon, rng, mode)):
-        losses.append(one_step_loss(step.predicted, step.f, step.g, lam))
+        losses.append(one_step_loss(step.predicted, step.f, step.g, lam, step.keep, step.discard))
         decisions[k] = step.n
     return losses, decisions
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
+from .linalg import inverse
 from .loss import mi_accumulate, rollout_losses
 from .policy import SamplerSchedule, privacy_aware_schedule
 from .rngs import substream
@@ -288,13 +289,6 @@ class _TangentFilter:
         self.dp = new_dp
 
 
-def _inv(m):
-    """Inverses of a stack of square matrices (..., d, d); 1x1 blocks use the
-    closed form (np.linalg.inv costs tens of microseconds a call on small
-    stacks, a division about one)."""
-    return 1.0 / m if m.shape[-1] == 1 else np.linalg.inv(m)
-
-
 def _det(m):
     """Determinants of a stack of square matrices (..., d, d)."""
     return m[..., 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
@@ -318,7 +312,7 @@ def _observe(c, dc, r, dr, nx: int):
     seen through noise r (n_x x n_x, per row or shared), with tangents dc
     (B, T, m, m) and dr, or dc = None. Returns (c', dc', gain)."""
     col = c[:, :, :nx]
-    s_inv = _inv(c[:, :nx, :nx] + r)
+    s_inv = inverse(c[:, :nx, :nx] + r)
     gain = col @ s_inv
     c = c - gain @ col.swapaxes(1, 2)
     if dc is None:
@@ -371,7 +365,7 @@ def _x_given_y(m, nx: int, k: int):
     myy = m[..., nx:, nx:]
     try:
         with np.errstate(divide="raise"):
-            myy_inv, det = _inv(myy), _det(myy)
+            myy_inv, det = inverse(myy), _det(myy)
     except (FloatingPointError, np.linalg.LinAlgError):
         det = 0.0
     if np.any(det <= 0.0):
@@ -442,7 +436,7 @@ class _BatchEngine:
         # only the tangents need more inverses than (f + P^xx)^{-1}
         blocks = np.stack([f + pxx, pxx, self.s, f + self.s])
         det = _det(blocks)
-        inv = _inv(blocks if self.nt else blocks[:1])
+        inv = inverse(blocks if self.nt else blocks[:1])
         u = (inv[0] @ c[..., None])[..., 0]
         p0 = np.sqrt(_det(f) / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
         f_g = f @ inv[0]
@@ -458,7 +452,7 @@ class _BatchEngine:
         ds = df + dpxx
         dld = _tr(inv, np.stack([ds, dpxx, self.ds, df + self.ds]))
         dquad = 2.0 * (u @ dc.T) - np.einsum("bi,btij,bj->bt", u, ds, u)
-        dp0 = p0[:, None] * (0.5 * (_tr(_inv(f), df) - dld[0]) - 0.5 * dquad)
+        dp0 = p0[:, None] * (0.5 * (_tr(inverse(f), df) - dld[0]) - 0.5 * dquad)
         g_p = inv[0] @ pxx
         dtr = _tr(g_p, df) + _tr(f_g, dpxx) - _tr(g_p @ f_g, ds)
         ddist = dp0 * tr_t[:, None] + p0[:, None] * dtr

@@ -457,3 +457,35 @@ def test_finite_dp_rejects_bad_lambda_and_horizon(tmp_path, capsys, flags):
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["sweep-tradeoff", "rate-curve"])
+def test_horizon_zero_leaves_the_error_stderr_blank(system_cfg, tmp_path, command):
+    """K = 0 has one per-step error, so its standard error is undefined."""
+    out = tmp_path / "s.csv"
+    args = [command, "--config", str(system_cfg), "--out", str(out), "--horizon", "0"]
+    args += ["--lambdas", "", "--f-grid", "1", "--rollouts", "20"]
+    if command == "sweep-tradeoff":
+        args += ["--noise-grid", "1", "--leak-rollouts", "2"]
+    assert main(args) == 0
+    header, *lines = out.read_text().splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")]
+    blank = [i for i, name in enumerate(header.split(",")) if name.endswith("error_stderr")]
+    assert rows and len(blank) == (2 if command == "sweep-tradeoff" else 1)
+    for row in rows:
+        assert all(row[i] == "" for i in blank)
+        assert "nan" not in row
+
+
+def test_numerical_failure_is_exit_4(system_cfg, tmp_path, capsys):
+    """x_{k+1} = y_k with Q_xx = 0: x_1 is a function of the private
+    trajectory, so the leak is undefined at k = 1."""
+    cfg = dict(SYSTEM_CFG, A=[[0.0, 1.0], [0.0, 0.5]], Q=[[0.0, 0.0], [0.0, 1.0]])
+    system_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "s.csv"
+    args = ["sweep-tradeoff", "--config", str(system_cfg), "--out", str(out), "--horizon", "4"]
+    args += ["--lambdas", "", "--f-grid", "1", "--noise-grid", "", "--rollouts", "20"]
+    assert main(args + ["--leak-rollouts", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: x_k already known") and "at k=1" in err
+    assert err.count("\n") == 1
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()

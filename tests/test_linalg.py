@@ -5,7 +5,9 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.linalg import (
     chol_psd,
     check_symmetric_psd,
+    cholesky,
     inv_or_pinv,
+    inverse,
     logdet_psd,
     psd_sqrt,
     random_spd,
@@ -68,3 +70,23 @@ def test_check_symmetric_psd_contracts():
 def test_streams_are_reproducible_and_distinct():
     assert substream(7, 1, 2).uniform() == substream(7, 1, 2).uniform()
     assert substream(7, 1).uniform() != substream(7, 2).uniform()
+
+
+def test_one_by_one_closed_forms_match_lapack():
+    """cholesky, inverse and psd_sqrt on 1x1 blocks give numpy's LAPACK
+    values bit for bit, and cholesky fails exactly where numpy's does."""
+    rng = make_rng(7)
+    extremes = [0.0, -0.0, -1e-300, -3.0, 5e-324]
+    values = np.concatenate([np.exp(rng.uniform(-700.0, 700.0, 2000)), extremes])
+    for v in values:
+        a = np.array([[v]])
+        w, vec = np.linalg.eigh(a)
+        assert np.array_equal(psd_sqrt(a), vec * np.sqrt(np.clip(w, 0.0, None)))
+        if v <= 0.0:
+            for fn in (np.linalg.cholesky, cholesky):
+                with pytest.raises(np.linalg.LinAlgError):
+                    fn(a)
+            continue
+        ell = cholesky(a)
+        assert np.array_equal(ell, np.linalg.cholesky(a))
+        assert np.array_equal(inverse(ell), np.linalg.inv(ell))

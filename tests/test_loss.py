@@ -8,7 +8,7 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
 from privsample.linalg import logdet_psd, random_spd
 from privsample.loss import (
-    leak_increments,
+    _branch_logdets,
     mi_accumulate,
     no_sample_prob_marginal,
     one_step_loss,
@@ -23,6 +23,7 @@ from privsample.policy import (
 from privsample.rngs import make_rng
 
 from privsample.oracles import one_step_loss_quadrature
+from tests.test_optimizer import _random_system
 
 
 def _predicted(mean, cov, nx=1, ny=1, k=0):
@@ -105,13 +106,18 @@ def test_one_step_loss_total_is_field_sum():
         assert 0.0 <= lb.p_no_sample <= 1.0
 
 
-def test_leak_increments_nonnegative():
+def test_branch_logdet_increments_nonnegative():
+    """log|P^yy| - log|S| >= 0 on both branches: conditioning cannot
+    increase the determinant of a PSD covariance."""
     rng = make_rng(15)
     for _ in range(20):
         b = _random_predicted(rng, nx=2, n_tracked=3)
-        inc1, inc0 = leak_increments(b, random_spd(rng, 2))
-        assert inc1 >= -1e-10
-        assert inc0 >= -1e-10
+        f = random_spd(rng, 2)
+        ld_prior, ld_keep, ld_discard = _branch_logdets(
+            b, bel.keep_branch(b), bel.discard_branch(b, f)
+        )
+        assert ld_prior - ld_keep >= -1e-10
+        assert ld_prior - ld_discard >= -1e-10
 
 
 def test_one_step_loss_continuity_in_f():
@@ -299,6 +305,37 @@ def test_coupled_rollout_runs_no_eigenvalue_decomposition(vi_system, monkeypatch
         coupled, open_loop_schedule(np.array([[1.5]]), 20), 1.0, 20, make_rng(6)
     )
     assert len(losses) == 21 and calls == []
+
+
+@pytest.mark.parametrize(
+    "name, per_step", [("coupled", (3, 0)), ("nx2_ny2", (6, 2))], ids=["coupled", "nx2_ny2"]
+)
+def test_growing_step_factorization_counts(vi_system, monkeypatch, name, per_step):
+    """One growing step factors f, f + P^xx and P^xx (one triangular
+    inverse each for the last two), P^yy and the two Schur complements once
+    each. On the coupled system the n_x blocks are 1x1 and take the closed
+    forms, as do P^yy and both complements at k = 0, so only the trajectory
+    blocks of steps 1..K reach numpy."""
+    horizon = 20
+    if name == "coupled":
+        a = vi_system.a_matrix.copy()
+        a[1, 0] = 0.30  # perfbench/configs/coupled.json
+        system, steps = dataclasses.replace(vi_system, a_matrix=a), horizon
+    else:
+        system, steps = _random_system(24, 2, 2), horizon + 1
+    sched = open_loop_schedule(1.5 * np.eye(system.n_x), horizon)
+    calls = {"cholesky": 0, "inv": 0}
+    for fn in calls:
+        orig = getattr(np.linalg, fn)
+
+        def counted(*a, _fn=fn, _orig=orig, **kw):
+            calls[_fn] += 1
+            return _orig(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, fn, counted)
+    losses, _ = rollout_losses(system, sched, 1.0, horizon, make_rng(6))
+    assert len(losses) == horizon + 1
+    assert calls == {"cholesky": per_step[0] * steps, "inv": per_step[1] * steps}
 
 
 def test_x_known_from_the_trajectory_after_a_failed_factorization_names_the_step():
