@@ -5,9 +5,11 @@ validate. Every run records its seed; identical config plus seed
 reproduces output files byte for byte. CSV outputs carry a header row and
 a trailing metadata comment block; a JSON sidecar (<out>.meta.json)
 repeats the metadata. Exit codes: 0 success, 2 validation failure,
-3 configuration error, 4 numerical failure (a linear-algebra step the
-jitter and fallback policy cannot repair, named with its step k; no
-output is written). PRIVSAMPLE_THREADS caps sweep parallelism.
+3 configuration error or a library precondition broken by the inputs
+(ContractViolation), 4 numerical failure (a linear-algebra step the
+jitter and fallback policy cannot repair, named with its step k, or a
+leader step that overflows). Exits 3 and 4 print one stderr line and
+write no output. PRIVSAMPLE_THREADS caps sweep parallelism.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .configio import config_hash, dump_schedule, finite_model_from_config, load_json, load_schedule, system_from_config
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, ContractViolation, NumericalFailure
 from .finite import DpGridSpec, dp_solve
 from .linalg import logdet_psd
 from .loss import belief_rollout
@@ -461,6 +463,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    except ContractViolation as exc:
+        print(f"contract violation: {exc}", file=sys.stderr)
         return 3
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

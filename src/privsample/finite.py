@@ -421,7 +421,10 @@ def objective_via_decomposition(model: FiniteModel, policies, horizon: int, lam:
 # two one-hot aggregation matmuls and one entropy pass, the w-only
 # entropy term is formed once per node, and each branch's child weights
 # for the whole batch are one matmul with a cached parent->child
-# transition matrix. Values are memoized on (support, rounded weights).
+# transition matrix. A last-stage node's objective is its one-step loss
+# alone, so the last-stage solves that one candidate batch needs run as
+# lockstep coordinate descents, each step one losses_batch call over
+# stacked nodes. Values are memoized on (support, rounded weights).
 
 
 class _Space:
@@ -443,37 +446,53 @@ class _Space:
         x_hot = np.eye(model.nx)[self.x_idx]
         self.q0_map = np.hstack([x_hot, np.eye(self.n_y)[self.y_idx]])
         self.q1_map = np.hstack([np.eye(model.nx * self.n_y)[self.xy_idx], x_hot])
-        self._y_entropy = (None, 0.0)  # (w bytes, H(p_y)) of the last node seen
+        self._y_entropy = (None, None)  # (w bytes, H(p_y) per node) of the last w
         self._children: dict = {}
 
-    def y_entropy(self, w: np.ndarray) -> float:
-        """H of the y-trajectory marginal of ``w``; cached for the last w."""
+    def y_entropy(self, w: np.ndarray) -> np.ndarray:
+        """H of the y-trajectory marginal of each node of ``w`` (..., S),
+        shape (...); cached for the last w."""
         key = w.tobytes()
         if self._y_entropy[0] != key:
-            p_y = np.bincount(self.y_idx, weights=w, minlength=self.n_y)
-            self._y_entropy = (key, -float(np.sum(_xlogx_vec(p_y))))
-        return self._y_entropy[1]
+            rows = w.reshape(-1, len(self.keys))
+            # one bincount over per-row bin offsets sums each row in the
+            # order of a bincount of that row alone
+            bins = self.y_idx + self.n_y * np.arange(len(rows))[:, None]
+            p_y = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(rows) * self.n_y)
+            h = -_xlogx_vec(p_y.reshape(len(rows), self.n_y)).sum(axis=1)
+            self._y_entropy = (key, h)
+        return self._y_entropy[1].reshape(w.shape[:-1])
 
     def losses_batch(self, w: np.ndarray, a_tables: np.ndarray, lam: float):
-        """Totals of the one-step losses for candidate tables (T, n_pairs).
+        """Totals of the one-step losses of candidate tables at stacked nodes.
 
-        Returns (totals, p0) with shapes (T,). Mirrors one_step_losses.
+        ``w`` holds node weights (..., S) and ``a_tables`` candidate tables
+        (..., L, n_pairs) with the same leading shape, none for one node.
+        Returns (totals, p0), each (..., L). Mirrors one_step_losses.
         """
         nx, n_y = self.model.nx, self.n_y
-        q0 = w[None, :] * a_tables[:, self.pair_idx]  # (T, S)
-        q1 = w[None, :] - q0
-        by0 = q0 @ self.q0_map  # [q0x | q0y]
-        by1 = q1 @ self.q1_map  # [q1xy | q1x]
-        dist = (by0[:, :nx] @ self.model.distortion).min(axis=1)
-        p0 = q0.sum(axis=1)
+        # Each node's (L, S) block is Fortran-ordered whatever the leading
+        # shape, so BLAS runs the same kernel on a stacked block as on a
+        # lone node and no total depends on how many nodes are stacked. A
+        # flat C-ordered (D*L, S) batch gets another kernel, whose ulp
+        # shifts flip tie-broken policies. The one C-ordered (..., S, L)
+        # buffer holds q0, then q1, which keeps the batch's memory down.
+        qt = np.take(np.swapaxes(a_tables, -1, -2), self.pair_idx, axis=-2)
+        qt *= w[..., None]
+        q = np.swapaxes(qt, -1, -2)
+        by0 = q @ self.q0_map  # [q0x | q0y]
+        p0 = q.sum(axis=-1)
+        np.subtract(w[..., None], qt, out=qt)
+        by1 = q @ self.q1_map  # [q1xy | q1x]
+        dist = (by0[..., :nx] @ self.model.distortion).min(axis=-1)
         # entropy summands, columns [q0y | p0 | q1xy | q1x]; each slice is
         # summed on its own because re-associating these sums moves totals
         # by ulps, which can flip the tie-broken argmin policies
-        ent = _xlogx_vec(np.concatenate([by0[:, nx:], p0[:, None], by1], axis=1))
+        ent = _xlogx_vec(np.concatenate([by0[..., nx:], p0[..., None], by1], axis=-1))
         xy_end = n_y + 1 + nx * n_y
-        term2 = ent[:, :n_y].sum(axis=1) - ent[:, n_y]
-        term3 = ent[:, n_y + 1 : xy_end].sum(axis=1) - ent[:, xy_end:].sum(axis=1)
-        info = self.y_entropy(w) + term2 + term3
+        term2 = ent[..., :n_y].sum(axis=-1) - ent[..., n_y]
+        term3 = ent[..., n_y + 1 : xy_end].sum(axis=-1) - ent[..., xy_end:].sum(axis=-1)
+        info = self.y_entropy(w)[..., None] + term2 + term3
         return dist + lam * info, p0
 
     def child_op(self, branch):
@@ -579,41 +598,67 @@ class _ValueRecursion:
         return sp, w
 
     def _candidate_objectives(self, sp, w, k, a_tables):
-        """Objective of every candidate table (T, n_pairs) at one node."""
-        totals, p0 = sp.losses_batch(w, a_tables, self.lam)
-        if k < self.horizon:
-            a = a_tables[:, sp.pair_idx]
-            for branch in ["none"] + list(range(self.model.nx)):
-                child_keys, trans = sp.child_op(branch)
-                if len(child_keys) == 0:
-                    continue
-                child_sp = self.space_for(child_keys)
-                mass = w[None, :] * (a if branch == "none" else (1.0 - a))
-                child_w = mass @ trans  # (T, S_child), unnormalized
-                norms = child_w.sum(axis=1)
-                for t in np.flatnonzero(norms > 1e-13):
-                    totals[t] += norms[t] * self.value(child_sp, child_w[t] / norms[t], k + 1)
+        """Objectives (D, L) of candidate tables (D, L, n_pairs) at the nodes
+        ``w`` (D, S). Below the last stage D is 1."""
+        totals, _ = sp.losses_batch(w, a_tables, self.lam)
+        if k == self.horizon:
+            return totals
+        (w,), (a_tables,), (node_totals,) = w, a_tables, totals
+        a = a_tables[:, sp.pair_idx]
+        for branch in ["none"] + list(range(self.model.nx)):
+            child_keys, trans = sp.child_op(branch)
+            if len(child_keys) == 0:
+                continue
+            child_sp = self.space_for(child_keys)
+            mass = w[None, :] * (a if branch == "none" else (1.0 - a))
+            child_w = mass @ trans  # (L, S_child), unnormalized
+            norms = child_w.sum(axis=1)
+            live = np.flatnonzero(norms > 1e-13)
+            rows = child_w[live] / norms[live, None]
+            if k + 1 == self.horizon:
+                values = self._last_stage_values(child_sp, rows)
+            else:
+                values = [self.value(child_sp, row, k + 1) for row in rows]
+            node_totals[live] += norms[live] * values
         return totals
 
-    def _coordinate_descent(self, sp, w, k, vec, levels):
-        best = float(self._candidate_objectives(sp, w, k, vec[None, :])[0])
-        n_coords = len(sp.pairs)
-        for _ in range(DP_MAX_SWEEPS):
-            improved = False
-            for c in range(n_coords):
-                cands = np.repeat(vec[None, :], len(levels), axis=0)
-                cands[:, c] = levels
-                vals = self._candidate_objectives(sp, w, k, cands)
-                t_best = int(np.argmin(vals))
-                if vals[t_best] < best - 1e-13:
-                    best = float(vals[t_best])
-                    vec = cands[t_best]
-                    improved = True
-            if not improved:
-                break
-        return best, vec
+    def _coordinate_descent(self, sp, w, k, vecs, levels):
+        """Coordinate descent from each start table of ``vecs`` (D, P) at
+        the matching node of ``w`` (D, S); returns (best (D,), tables (D, P)).
 
-    def solve_node(self, sp, w, k, refine_rounds=0):
+        The D descents run in lockstep: one objective call per coordinate
+        step covers every descent still active, and a descent leaves after
+        a sweep that finds no improvement.
+        """
+        best = self._candidate_objectives(sp, w, k, vecs[:, None, :])[:, 0]
+        vecs = vecs.copy()
+        active = np.arange(len(vecs))
+        for _ in range(DP_MAX_SWEEPS):
+            improved = np.zeros(len(active), dtype=bool)
+            for c in range(len(sp.pairs)):
+                cands = np.repeat(vecs[active, None, :], len(levels), axis=1)
+                cands[:, :, c] = levels
+                vals = self._candidate_objectives(sp, w[active], k, cands)
+                t_best = vals.argmin(axis=1)
+                val = vals[np.arange(len(active)), t_best]
+                better = val < best[active] - 1e-13
+                best[active[better]] = val[better]
+                vecs[active[better]] = cands[better, t_best[better]]
+                improved |= better
+            active = active[improved]
+            if active.size == 0:
+                break
+        return best, vecs
+
+    def _best_of_starts(self, sp, w, k):
+        """(values (D,), tables (D, P)) of the best start at each node of ``w``
+        (D, S); among equal values the earlier start wins.
+
+        At k = horizon a node's objective is its one-step loss alone, so the
+        descents of every (node, start) pair run in one lockstep batch.
+        Earlier nodes come one at a time (D = 1) and run one start at a
+        time, so their child solves fill the memo in a fixed order.
+        """
         levels = np.asarray(self.spec.action_levels)
         n_coords = len(sp.pairs)
         # canonical starts cover the degenerate basins; coordinate descent
@@ -622,32 +667,62 @@ class _ValueRecursion:
         if self.spec.seed_tables is not None:
             table = self.spec.seed_tables[k]
             starts.append(np.array([float(table[x]) for x, _ in sp.pairs]))
-        best_val, best_vec = np.inf, None
-        for start in starts:
-            val, vec = self._coordinate_descent(sp, w, k, start.copy(), levels)
-            if val < best_val:
-                best_val, best_vec = val, vec
+        starts = np.array(starts)
+        n = len(starts)
+        if k == self.horizon:
+            vals, vecs = self._coordinate_descent(
+                sp, np.repeat(w, n, axis=0), k, np.tile(starts, (len(w), 1)), levels
+            )
+        else:
+            runs = [self._coordinate_descent(sp, w, k, start[None], levels) for start in starts]
+            vals = np.concatenate([val for val, _ in runs])
+            vecs = np.concatenate([vec for _, vec in runs])
+        picked = np.arange(len(w)) * n + vals.reshape(-1, n).argmin(axis=1)
+        return vals[picked], vecs[picked]
+
+    def solve_node(self, sp, w, k, refine_rounds=0):
+        (best_val,), (best_vec,) = self._best_of_starts(sp, w[None], k)
+        best_val = float(best_val)
+        levels = np.asarray(self.spec.action_levels)
         spacing = float(levels[1] - levels[0]) if len(levels) > 1 else 0.1
         for _ in range(refine_rounds):
             spacing /= 2.0
             local = np.unique(
                 np.clip(np.concatenate([best_vec - spacing, best_vec + spacing]), 0.0, 1.0)
             )
-            val, vec = self._coordinate_descent(sp, w, k, best_vec.copy(), local)
+            (val,), (vec,) = self._coordinate_descent(sp, w[None], k, best_vec[None], local)
             if val < best_val:
-                best_val, best_vec = val, vec
+                best_val, best_vec = float(val), vec
         return best_val, best_vec
 
+    def _memo_key(self, sp, w, k):
+        return (k, sp.keys, np.round(w, 12).tobytes())
+
     def value(self, sp, w, k) -> float:
-        if k > self.horizon:
-            return 0.0
-        key = (k, sp.keys, np.round(w, 12).tobytes())
+        key = self._memo_key(sp, w, k)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         val, _ = self.solve_node(sp, w, k)
         self.memo[key] = val
         return val
+
+    def _last_stage_values(self, sp, rows) -> np.ndarray:
+        """Memoized values of the last-stage nodes ``rows`` (R, S).
+
+        The misses are solved in one batch. Keys are looked up in row order
+        and a repeated key is solved at its first row only, so the memo
+        gains the same entries as a ``value`` call per row would give it.
+        """
+        keys = [self._memo_key(sp, row, self.horizon) for row in rows]
+        new: dict = {}  # missed key -> its first row
+        for i, key in enumerate(keys):
+            if key not in self.memo:
+                new.setdefault(key, i)
+        if new:
+            vals, _ = self._best_of_starts(sp, rows[list(new.values())], self.horizon)
+            self.memo.update(zip(new, map(float, vals)))
+        return np.array([self.memo[key] for key in keys])
 
     def policy_from_vector(self, sp, vec) -> PolicyCollection:
         mem_len = max((len(m) for _, m in sp.pairs), default=0)

@@ -874,8 +874,14 @@ def stackelberg_optimize(
             params, system, lam, config.rollouts_per_step, rng
         )
         step = config.alpha / (1.0 + it / 100.0)
-        move = -step * grad
-        norm = float(np.linalg.norm(move))
+        with np.errstate(over="ignore", invalid="ignore"):
+            move = -step * grad
+            norm = float(np.linalg.norm(move))
+        if not math.isfinite(norm):
+            raise NumericalFailure(
+                f"leader step overflowed at iteration {it}: alpha={config.alpha!r}, "
+                f"step size {step!r}, gradient norm {float(np.linalg.norm(grad))!r}"
+            )
         if norm > STEP_CLIP:
             move *= STEP_CLIP / norm
         params = params.replaced(params.theta + move)

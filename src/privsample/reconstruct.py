@@ -4,13 +4,14 @@ private state, and the additive-noise Kalman baseline.
 Closed-loop evaluation and the baseline run one batched filter over only
 the current (x, y) block, the one ``optimizer._BatchEngine`` runs too:
 ``optimizer._branch_step`` conditions each row on its x (exactly when
-kept; through noise f toward the region center when discarded; through
-the channel noise for a baseline observation) and prediction is
-A P A^T + Q. That reduction is exact: the growing-trajectory recursion
-touches the (x, y_current) statistics only through the same block
-operations (the soft no-sample update is a Kalman-form update with
-observation noise f), so the reconstruction and current-state estimates
-match the full recursion coordinate for coordinate. Information terms
+kept; through noise f toward the region center when discarded), the
+baseline conditions its one shared covariance on x + v through
+``optimizer._observe``, and prediction is A P A^T + Q. That reduction is
+exact: the growing-trajectory recursion touches the (x, y_current)
+statistics only through the same block operations (the soft no-sample
+update is a Kalman-form update with observation noise f), so the
+reconstruction and current-state estimates match the full recursion
+coordinate for coordinate. Information terms
 need one more fixed-size statistic, Cov(X_k | Y^k, Z^{k-1}), which the
 engine adds.
 """
@@ -25,7 +26,7 @@ from . import belief as bel
 from .errors import ContractViolation
 from .linalg import check_symmetric_psd, psd_sqrt
 from .lingauss import LinearGaussianSystem, simulate_batch
-from .optimizer import _branch_step, _sandwich
+from .optimizer import _branch_step, _observe, _sandwich
 from .policy import SamplerSchedule
 
 # perfbench's self-test looks this name up here; drop it with the next
@@ -75,13 +76,14 @@ def _filter_report(system, horizon, rollouts, rng, update) -> ReconstructionRepo
     """Simulate, filter the current (x, y) block, and score every step.
 
     ``update(k, x, p, mean)`` filters step k's predicted block covariances
-    p (B, n, n) and means (B, n) given the true x (B, n_x) and returns
+    p (B or 1, n, n) and means (B, n) given the true x (B, n_x) and returns
     (p, mean, number of rows that transmitted); prediction is A P A^T + Q.
+    The covariance starts as one (1, n, n) block shared by every row.
     """
     nx = system.n_x
     a_t = np.ascontiguousarray(system.a_matrix.T)
     states = simulate_batch(system, horizon, rollouts, rng)
-    p = np.repeat(system.init_cov[None], rollouts, axis=0)
+    p = system.init_cov[None]
     mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
     x_err, y_err, px_err, py_err = np.zeros((4, horizon + 1))
     n_sent = 0
@@ -153,13 +155,13 @@ def kalman_additive_baseline(
     """
     noise_cov = check_symmetric_psd(np.atleast_2d(noise_cov), name="noise_cov")
     noise_fac = psd_sqrt(noise_cov)
-    none_kept = np.zeros(rollouts, dtype=bool)
 
     def update(k, x, p, mean):
         obs = x + rng.standard_normal(x.shape) @ noise_fac.T
-        # conditioning on x + v is a discard's update with f = noise_cov,
-        # centered on the observation
-        p, _, mean = _branch_step(p, None, mean, noise_cov, None, none_kept, obs, k)
+        # P follows the same Riccati recursion on every row, so it stays
+        # one (1, n, n) block and its gain broadcasts against the means
+        p, _, gain = _observe(p, None, noise_cov, None, system.n_x)
+        mean = mean + (gain @ (obs - mean[:, : system.n_x])[:, :, None])[:, :, 0]
         return p, mean, rollouts
 
     return _filter_report(system, horizon, rollouts, rng, update)

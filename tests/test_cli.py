@@ -3,14 +3,17 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import privsample
+from privsample import cli
 from privsample.cli import main
 from privsample.configio import config_hash, dump_schedule, load_schedule, system_from_config
+from privsample.errors import ContractViolation
 from privsample.optimizer import OptimizerConfig, optimize_lambda
 from privsample.policy import open_loop_schedule
 
@@ -244,6 +247,20 @@ def test_finite_dp_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "stage,node,value,argmin_policy"
     assert lines[1].startswith("0,root,")
+
+
+def test_contract_violation_is_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ContractViolation("broken precondition")
+
+    monkeypatch.setattr(cli, "dp_solve", broken)
+    cfg = tmp_path / "finite.json"
+    cfg.write_text(json.dumps(FINITE_CFG))
+    out = tmp_path / "dp.csv"
+    assert main(["finite-dp", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "contract violation: broken precondition\n"
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
 def test_finite_dp_rejects_long_horizons(tmp_path):
@@ -487,5 +504,21 @@ def test_numerical_failure_is_exit_4(system_cfg, tmp_path, capsys):
     assert main(args + ["--leak-rollouts", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: x_k already known") and "at k=1" in err
+    assert err.count("\n") == 1
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_overflowing_leader_step_is_exit_4(system_cfg, tmp_path, capsys):
+    """alpha = 1e308 overflows the first leader step; the failure names the
+    step, not the non-finite gradient that the clipped move would cause."""
+    out = tmp_path / "s.json"
+    args = ["optimize", "--config", str(system_cfg), "--lambda", "12", "--out", str(out)]
+    args += ["--horizon", "20", "--opt-alpha", "1e308", "--opt-iters", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 4
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: leader step overflowed at iteration 0: alpha=1e+308")
     assert err.count("\n") == 1
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()

@@ -416,7 +416,61 @@ def test_dp_node_values_on_the_shipped_fixture():
     assert result.value == got[()]
 
 
-@pytest.mark.parametrize("lam, horizon", [(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])
+def _reachable_spaces(model, horizon):
+    """Every support the value recursion can reach from the root within
+    ``horizon`` steps, one _Space each."""
+    b = init_discrete_belief(model)
+    frontier = [_Space(model, tuple(sorted(b.weights)))]
+    spaces = list(frontier)
+    for _ in range(horizon):
+        frontier = [
+            _Space(model, keys)
+            for sp in frontier
+            for keys, _ in map(sp.child_op, ["none", *range(model.nx)])
+            if keys
+        ]
+        spaces += frontier
+    return spaces
+
+
+@pytest.mark.parametrize("n_tables", [1, 3, 11])
+def test_stacked_losses_equal_each_nodes_own(n_tables):
+    """losses_batch on D stacked nodes returns each node's own result bit
+    for bit. dp.csv's tie-broken policies flip on a one-ulp change in a
+    candidate total, so the last-stage batches rely on this."""
+    from privsample.validation import finite_fixture
+
+    model = finite_fixture()
+    rng = make_rng(11)
+    spaces = _reachable_spaces(model, 2)
+    assert len(spaces) == 13
+    levels = np.linspace(0.0, 1.0, 11)
+    for sp in spaces:
+        for d in (2, 150):
+            w = rng.dirichlet(np.ones(len(sp.keys)), size=d)
+            tables = rng.choice(levels, size=(d, n_tables, len(sp.pairs)))
+            totals, p0 = sp.losses_batch(w, tables, 0.5)
+            assert totals.shape == p0.shape == (d, n_tables)
+            for i in range(d):
+                one = sp.losses_batch(w[i : i + 1], tables[i : i + 1], 0.5)
+                for own in (one, sp.losses_batch(w[i], tables[i], 0.5)):
+                    assert np.array_equal(totals[i], own[0].reshape(-1)), (sp.keys, d, i)
+                    assert np.array_equal(p0[i], own[1].reshape(-1)), (sp.keys, d, i)
+
+
+def test_dp_losses_batch_call_count(monkeypatch):
+    """At lambda 0.5 and horizon 2 the last-stage solves run as lockstep
+    batches; one losses_batch call per node and start would make 60302."""
+    from privsample.validation import finite_fixture
+
+    calls = []
+    losses_batch = _Space.losses_batch
+    monkeypatch.setattr(_Space, "losses_batch", lambda *a: calls.append(1) or losses_batch(*a))
+    assert dp_solve(finite_fixture(), 0.5, 2).value == 0.08902504678997822
+    assert len(calls) == 5248
+
+
+@pytest.mark.parametrize("lam, horizon",[(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])
 def test_dp_rejects_a_bad_lambda_or_horizon(model, lam, horizon):
     with pytest.raises(ContractViolation, match="lambda" if horizon >= 0 else "horizon"):
         dp_solve(model, lam, horizon)
