@@ -43,11 +43,10 @@ from .reconstruct import (
     kalman_additive_baseline,
     reconstruct_x,
 )
+from .follower import follower_gradient, general_policy_gradient
 from .optimizer import (
     FeedbackPolicyParams,
     OptimizerConfig,
-    follower_gradient,
-    general_policy_gradient,
     objective_gradient_linear,
     optimize_lambda,
     stackelberg_optimize,

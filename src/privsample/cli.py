@@ -395,10 +395,10 @@ def _add_common(p):
 
 
 def _add_opt_flags(p):
-    p.add_argument("--opt-iters", type=int, default=60)
-    p.add_argument("--opt-rollouts", type=int, default=48)
-    p.add_argument("--opt-alpha", type=float, default=0.25)
-    p.add_argument("--opt-validation", type=int, default=256)
+    p.add_argument("--opt-iters", type=int, default=OptimizerConfig.max_iters)
+    p.add_argument("--opt-rollouts", type=int, default=OptimizerConfig.rollouts_per_step)
+    p.add_argument("--opt-alpha", type=float, default=OptimizerConfig.alpha)
+    p.add_argument("--opt-validation", type=int, default=OptimizerConfig.validation_rollouts)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ContractViolation, ImpossibleEvidence, check_lambda
 
-Support = tuple[int, tuple[int, ...], tuple[int, ...]]  # (x, memory, y-trajectory)
-
 
 @dataclass(frozen=True)
 class FiniteModel:
@@ -680,20 +678,9 @@ class _ValueRecursion:
         picked = np.arange(len(w)) * n + vals.reshape(-1, n).argmin(axis=1)
         return vals[picked], vecs[picked]
 
-    def solve_node(self, sp, w, k, refine_rounds=0):
+    def solve_node(self, sp, w, k):
         (best_val,), (best_vec,) = self._best_of_starts(sp, w[None], k)
-        best_val = float(best_val)
-        levels = np.asarray(self.spec.action_levels)
-        spacing = float(levels[1] - levels[0]) if len(levels) > 1 else 0.1
-        for _ in range(refine_rounds):
-            spacing /= 2.0
-            local = np.unique(
-                np.clip(np.concatenate([best_vec - spacing, best_vec + spacing]), 0.0, 1.0)
-            )
-            (val,), (vec,) = self._coordinate_descent(sp, w[None], k, best_vec[None], local)
-            if val < best_val:
-                best_val, best_vec = float(val), vec
-        return best_val, best_vec
+        return float(best_val), best_vec
 
     def _memo_key(self, sp, w, k):
         return (k, sp.keys, np.round(w, 12).tobytes())
@@ -754,8 +741,16 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
     spec = spec or DpGridSpec()
     rec = _ValueRecursion(model, lam, horizon, spec)
     sp, w = rec.root()
-    coarse_val, _ = rec.solve_node(sp, w, 0, refine_rounds=0)
-    value, vec0 = rec.solve_node(sp, w, 0, refine_rounds=spec.refine_rounds)
+    coarse_val, vec0 = rec.solve_node(sp, w, 0)
+    value = coarse_val
+    levels = np.asarray(spec.action_levels)
+    spacing = float(levels[1] - levels[0]) if len(levels) > 1 else 0.1
+    for _ in range(spec.refine_rounds):
+        spacing /= 2.0
+        local = np.unique(np.clip(np.concatenate([vec0 - spacing, vec0 + spacing]), 0.0, 1.0))
+        (val,), (vec,) = rec._coordinate_descent(sp, w[None], 0, vec0[None], local)
+        if val < value:
+            value, vec0 = float(val), vec
     refine_drop = coarse_val - value
     if refine_drop > spec.refine_warn_tol:
         warnings.warn(

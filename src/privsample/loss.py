@@ -18,7 +18,7 @@ rounding) the information is infinite, and the step raises a
 NumericalFailure naming k (see ``_branch_logdets``).
 
 Log-determinant differences are evaluated on the Y side. The fixed-size
-engine (``optimizer._BatchEngine``) evaluates the same increments on the
+engine (``engine.BatchEngine``) evaluates the same increments on the
 X side through the block-determinant identity, which the validation suite
 checks on random matrices (``validation.check_determinant_identity``) and
 the tests check against this growing reference on whole rollouts.

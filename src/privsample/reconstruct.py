@@ -1,19 +1,9 @@
 """Reconstruction of the observable state, adversary estimates of the
 private state, and the additive-noise Kalman baseline.
 
-Closed-loop evaluation and the baseline run one batched filter over only
-the current (x, y) block, the one ``optimizer._BatchEngine`` runs too:
-``optimizer._branch_step`` conditions each row on its x (exactly when
-kept; through noise f toward the region center when discarded), the
-baseline conditions its one shared covariance on x + v through
-``optimizer._observe``, and prediction is A P A^T + Q. That reduction is
-exact: the growing-trajectory recursion touches the (x, y_current)
-statistics only through the same block operations (the soft no-sample
-update is a Kalman-form update with observation noise f), so the
-reconstruction and current-state estimates match the full recursion
-coordinate for coordinate. Information terms
-need one more fixed-size statistic, Cov(X_k | Y^k, Z^{k-1}), which the
-engine adds.
+Closed-loop evaluation and the baseline run the fixed-size filter of
+``engine`` over the current (x, y) block: ``engine.branch_step`` for a
+keep/discard decision, ``engine.observe`` for the baseline's x + v.
 """
 from __future__ import annotations
 
@@ -24,9 +14,9 @@ import numpy as np
 
 from . import belief as bel
 from .errors import ContractViolation
+from .engine import branch_step, observe, sandwich
 from .linalg import check_symmetric_psd, psd_sqrt
 from .lingauss import LinearGaussianSystem, simulate_batch
-from .optimizer import _branch_step, _observe, _sandwich
 from .policy import SamplerSchedule
 
 # perfbench's self-test looks this name up here; drop it with the next
@@ -97,7 +87,7 @@ def _filter_report(system, horizon, rollouts, rng, update) -> ReconstructionRepo
         px_err[k] = np.mean(np.trace(p[:, :nx, :nx], axis1=1, axis2=2))
         py_err[k] = np.mean(np.trace(p[:, nx:, nx:], axis1=1, axis2=2))
         if k < horizon:
-            p = _sandwich(a_t, p) + system.q_cov
+            p = sandwich(a_t, p) + system.q_cov
             mean = mean @ system.a_matrix.T
     return ReconstructionReport(
         x_errors=x_err,
@@ -132,7 +122,7 @@ def evaluate_schedule(
         keep = schedule.keep(k, x, g_abs, rng)
         if schedule.kind != "never_sample":  # f -> infinity: discards carry no evidence
             obs = np.where(keep[:, None], x, g_abs)
-            p, _, mean = _branch_step(p, None, mean, schedule.f_at(k), None, keep, obs, k)
+            p, _, mean = branch_step(p, None, mean, schedule.f_at(k), None, keep, obs, k)
         return p, mean, int(keep.sum())
 
     return _filter_report(system, horizon, rollouts, rng, update)
@@ -160,7 +150,7 @@ def kalman_additive_baseline(
         obs = x + rng.standard_normal(x.shape) @ noise_fac.T
         # P follows the same Riccati recursion on every row, so it stays
         # one (1, n, n) block and its gain broadcasts against the means
-        p, _, gain = _observe(p, None, noise_cov, None, system.n_x)
+        p, _, gain = observe(p, None, noise_cov, None, system.n_x)
         mean = mean + (gain @ (obs - mean[:, : system.n_x])[:, :, None])[:, :, 0]
         return p, mean, rollouts
 

@@ -27,14 +27,14 @@ from .finite import (
     objective_via_enumeration,
     xy_mutual_information,
 )
+from .follower import Episode, LinearFollower, best_response_jacobian
 from .lingauss import LinearGaussianSystem
 from .linalg import logdet_psd, random_spd
 from .optimizer import (
     FeedbackPolicyParams,
-    LinearFollower,
-    best_response_jacobian,
     exact_objective,
     exact_objective_and_gradient,
+    leak_estimate,
     objective_gradient_linear,
 )
 from .oracles import (
@@ -288,8 +288,6 @@ def check_gradient_finite_difference(tol: float = 1e-3) -> CheckResult:
 def check_toy_game_jacobian(tol: float = 1e-6) -> CheckResult:
     """Implicit-function Jacobian vs the closed-form best response."""
     t0 = time.time()
-    from .optimizer import Episode
-
     mu0, sig0 = 0.4, 1.1
     theta = np.array([0.3, -0.2])
     f, g = math.exp(theta[0]), theta[1]
@@ -602,14 +600,7 @@ def check_mi_cross_engine(tol_rel: float = 0.45, horizon: int = 2, seed: int = 3
     mi_coarse = finite_mi(5, 2.8)
     mi_finer = finite_mi(7, 2.8)  # same span: refinement adds information
     sched = open_loop_schedule(np.array([[f_val]]), horizon)
-    from .optimizer import _fast_schedule_batch
-
-    rollouts = 20_000
-    _, totals, _ = _fast_schedule_batch(
-        system, sched, 1.0, rollouts, horizon, make_rng(seed)
-    )
-    mi_gauss = float(totals.mean())
-    se = float(totals.std(ddof=1) / math.sqrt(rollouts))
+    mi_gauss, se = leak_estimate(system, sched, horizon, 20_000, make_rng(seed))
     below = mi_coarse <= mi_gauss + 3 * se + 1e-3
     converging = mi_finer >= mi_coarse - 1e-3
     rel_gap = abs(mi_gauss - mi_coarse) / max(mi_gauss, 1e-9)

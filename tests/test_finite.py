@@ -467,7 +467,7 @@ def test_dp_losses_batch_call_count(monkeypatch):
     losses_batch = _Space.losses_batch
     monkeypatch.setattr(_Space, "losses_batch", lambda *a: calls.append(1) or losses_batch(*a))
     assert dp_solve(finite_fixture(), 0.5, 2).value == 0.08902504678997822
-    assert len(calls) == 5248
+    assert len(calls) == 5235
 
 
 @pytest.mark.parametrize("lam, horizon",[(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])

@@ -8,23 +8,25 @@ from privsample import optimizer
 from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
 from privsample.loss import belief_rollout, rollout_losses
-from privsample.optimizer import (
+from privsample.engine import BatchEngine
+from privsample.follower import (
     Episode,
-    FeedbackPolicyParams,
     LinearFollower,
+    best_response_jacobian,
+    follower_gradient,
+    follower_hessian,
+    general_policy_gradient,
+)
+from privsample.optimizer import (
+    FeedbackPolicyParams,
     OptimizerConfig,
-    _BatchEngine,
     _TangentFilter,
     _fast_gradient_batch,
     _fast_schedule_batch,
     _rollout_gradient_terms,
     _scalar_case,
-    best_response_jacobian,
     exact_objective,
     exact_objective_and_gradient,
-    follower_gradient,
-    follower_hessian,
-    general_policy_gradient,
     objective_gradient_linear,
     optimize_lambda,
     stackelberg_optimize,
@@ -390,6 +392,26 @@ def test_fast_engine_matches_reference_on_forced_patterns(vi_system, name):
 
 
 @pytest.mark.parametrize("name", ["paper", "nx2_ny1"])
+def test_fast_gradient_batch_without_tangents_matches_with_tangents_bitwise(vi_system, name):
+    """The f-scan and the Monte Carlo validation objective run the driver
+    without tangents; losses, rates and information must not move by a bit."""
+    system = vi_system if SYSTEMS[name] is None else _random_system(*SYSTEMS[name])
+    horizon, rows = 6, 5
+    rng = make_rng(4)
+    params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
+    params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
+    patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
+    run = lambda tangents: _fast_gradient_batch(  # noqa: E731
+        params, system, 0.8, rows, horizon, None, forced=patterns, tangents=tangents
+    )
+    bare, full = run(False), run(True)
+    assert bare[1].shape == bare[2].shape == (rows, 0)
+    assert full[1].shape == full[2].shape == (rows, params.dim)
+    for i in (0, 3, 4):  # losses, rates, info sums
+        assert np.array_equal(bare[i], full[i])
+
+
+@pytest.mark.parametrize("name", ["paper", "nx2_ny1"])
 def test_engine_losses_without_tangents_match_with_tangents_bitwise(vi_system, name):
     """step_loss inverts only f + P^xx without tangents; loss, p0 and info
     must not move by a bit."""
@@ -399,7 +421,7 @@ def test_engine_losses_without_tangents_match_with_tangents_bitwise(vi_system, n
     params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
     params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
     patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
-    bare, tangent = _BatchEngine(system, rows, 0), _BatchEngine(system, rows, params.dim)
+    bare, tangent = BatchEngine(system, rows, 0), BatchEngine(system, rows, params.dim)
     for k in range(horizon + 1):
         f, df, c, dc = params.step_terms(k)
         c = c + 0.3 * rng.standard_normal((rows, system.n_x))

@@ -8,7 +8,8 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.linalg import random_spd
 from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.loss import belief_rollout, one_step_loss
-from privsample.optimizer import _branch_step, _fast_schedule_batch, _sandwich
+from privsample.engine import branch_step, sandwich
+from privsample.optimizer import _fast_schedule_batch
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.reconstruct import (
     estimate_y,
@@ -81,7 +82,7 @@ def test_branch_step_matches_full_recursion(vi_system, name):
     for k in range(6):
         z = np.full(nx, 0.5 - 0.2 * k)
         keep = np.array([k % 3 == 0, k % 3 != 0])
-        p, _, mean = _branch_step(p, None, mean, f, None, keep, np.where(keep[:, None], z, g), k)
+        p, _, mean = branch_step(p, None, mean, f, None, keep, np.where(keep[:, None], z, g), k)
         for r in range(2):
             b = beliefs[r]
             b = bel.update_sample(b, z) if keep[r] else bel.update_no_sample(b, f, g)
@@ -91,7 +92,7 @@ def test_branch_step_matches_full_recursion(vi_system, name):
                 assert np.array_equal(mean[r, :nx], z)
                 assert not np.any(p[r, :nx]) and not np.any(p[r, :, :nx])
             beliefs[r] = bel.predict(system, b)
-        p = _sandwich(system.a_matrix.T, p) + system.q_cov
+        p = sandwich(system.a_matrix.T, p) + system.q_cov
         mean = mean @ system.a_matrix.T
 
 
@@ -237,9 +238,9 @@ def test_kalman_innovation_whiteness(vi_system):
         obs = x_true + np.sqrt(noise_cov[0, 0]) * rng.standard_normal((rollouts, 1))
         s = p[:, 0, 0] + noise_cov[0, 0]
         normalized.append((obs[:, 0] - mean[:, 0]) / np.sqrt(s))
-        p, _, mean = _branch_step(p, None, mean, noise_cov, None, none_kept, obs, k)
+        p, _, mean = branch_step(p, None, mean, noise_cov, None, none_kept, obs, k)
         if k < horizon:
-            p = _sandwich(vi_system.a_matrix.T, p) + vi_system.q_cov
+            p = sandwich(vi_system.a_matrix.T, p) + vi_system.q_cov
             mean = mean @ vi_system.a_matrix.T
     flat = np.concatenate(normalized)
     n = flat.size
