@@ -235,7 +235,6 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda t: t[0](t[1]), tasks))
     for family, param, lam, report, leak, leak_se in results:
-        n = rollouts
         rows.append(
             [
                 family,

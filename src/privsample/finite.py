@@ -418,11 +418,11 @@ def objective_via_decomposition(model: FiniteModel, policies, horizon: int, lam:
 # _Space with precomputed linear maps: one candidate batch's losses are
 # two one-hot aggregation matmuls and one entropy pass, the w-only
 # entropy term is formed once per node, and each branch's child weights
-# for the whole batch are one matmul with a cached parent->child
-# transition matrix. A last-stage node's objective is its one-step loss
-# alone, so the last-stage solves that one candidate batch needs run as
-# lockstep coordinate descents, each step one losses_batch call over
-# stacked nodes. Values are memoized on (support, rounded weights).
+# for each node is one matmul with a cached parent->child transition
+# matrix. Every node is solved by one batch of lockstep coordinate
+# descents, one per (node, start), each step one losses_batch call over the
+# stacked nodes. Values are memoized on (stage, support, rounded weights),
+# and each lookup solves all its missed nodes in one such batch.
 
 
 class _Space:
@@ -562,7 +562,6 @@ class DpNode:
     history: tuple
     value: float
     policy: PolicyCollection
-    belief: DiscreteBelief
 
 
 @dataclass
@@ -597,27 +596,25 @@ class _ValueRecursion:
 
     def _candidate_objectives(self, sp, w, k, a_tables):
         """Objectives (D, L) of candidate tables (D, L, n_pairs) at the nodes
-        ``w`` (D, S). Below the last stage D is 1."""
+        ``w`` (D, S)."""
         totals, _ = sp.losses_batch(w, a_tables, self.lam)
         if k == self.horizon:
             return totals
-        (w,), (a_tables,), (node_totals,) = w, a_tables, totals
-        a = a_tables[:, sp.pair_idx]
+        a = a_tables[..., sp.pair_idx]
         for branch in ["none"] + list(range(self.model.nx)):
             child_keys, trans = sp.child_op(branch)
             if len(child_keys) == 0:
                 continue
             child_sp = self.space_for(child_keys)
-            mass = w[None, :] * (a if branch == "none" else (1.0 - a))
-            child_w = mass @ trans  # (L, S_child), unnormalized
-            norms = child_w.sum(axis=1)
-            live = np.flatnonzero(norms > 1e-13)
-            rows = child_w[live] / norms[live, None]
-            if k + 1 == self.horizon:
-                values = self._last_stage_values(child_sp, rows)
-            else:
-                values = [self.value(child_sp, row, k + 1) for row in rows]
-            node_totals[live] += norms[live] * values
+            # one node at a time: stacking the (D, L, S) products for a
+            # single lookup is faster but raises the peak memory
+            for node_w, node_a, node_totals in zip(w, a, totals):
+                mass = node_w[None, :] * (node_a if branch == "none" else (1.0 - node_a))
+                child_w = mass @ trans  # (L, S_child), unnormalized
+                norms = child_w.sum(axis=1)
+                live = np.flatnonzero(norms > 1e-13)
+                values = self.value(child_sp, child_w[live] / norms[live, None], k + 1)
+                node_totals[live] += norms[live] * values
         return totals
 
     def _coordinate_descent(self, sp, w, k, vecs, levels):
@@ -648,14 +645,11 @@ class _ValueRecursion:
                 break
         return best, vecs
 
-    def _best_of_starts(self, sp, w, k):
-        """(values (D,), tables (D, P)) of the best start at each node of ``w``
-        (D, S); among equal values the earlier start wins.
+    def solve_node(self, sp, w, k):
+        """(values (D,), tables (D, P)) of the best start at each node of
+        ``w`` (D, S); among equal values the earlier start wins.
 
-        At k = horizon a node's objective is its one-step loss alone, so the
-        descents of every (node, start) pair run in one lockstep batch.
-        Earlier nodes come one at a time (D = 1) and run one start at a
-        time, so their child solves fill the memo in a fixed order.
+        The descents of every (node, start) pair run in one lockstep batch.
         """
         levels = np.asarray(self.spec.action_levels)
         n_coords = len(sp.pairs)
@@ -667,47 +661,25 @@ class _ValueRecursion:
             starts.append(np.array([float(table[x]) for x, _ in sp.pairs]))
         starts = np.array(starts)
         n = len(starts)
-        if k == self.horizon:
-            vals, vecs = self._coordinate_descent(
-                sp, np.repeat(w, n, axis=0), k, np.tile(starts, (len(w), 1)), levels
-            )
-        else:
-            runs = [self._coordinate_descent(sp, w, k, start[None], levels) for start in starts]
-            vals = np.concatenate([val for val, _ in runs])
-            vecs = np.concatenate([vec for _, vec in runs])
+        vals, vecs = self._coordinate_descent(
+            sp, np.repeat(w, n, axis=0), k, np.tile(starts, (len(w), 1)), levels
+        )
         picked = np.arange(len(w)) * n + vals.reshape(-1, n).argmin(axis=1)
         return vals[picked], vecs[picked]
 
-    def solve_node(self, sp, w, k):
-        (best_val,), (best_vec,) = self._best_of_starts(sp, w[None], k)
-        return float(best_val), best_vec
+    def value(self, sp, rows, k) -> np.ndarray:
+        """Memoized values of the stage-k nodes ``rows`` (R, S).
 
-    def _memo_key(self, sp, w, k):
-        return (k, sp.keys, np.round(w, 12).tobytes())
-
-    def value(self, sp, w, k) -> float:
-        key = self._memo_key(sp, w, k)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        val, _ = self.solve_node(sp, w, k)
-        self.memo[key] = val
-        return val
-
-    def _last_stage_values(self, sp, rows) -> np.ndarray:
-        """Memoized values of the last-stage nodes ``rows`` (R, S).
-
-        The misses are solved in one batch. Keys are looked up in row order
-        and a repeated key is solved at its first row only, so the memo
-        gains the same entries as a ``value`` call per row would give it.
+        Keys are looked up in row order and the misses are solved in one
+        ``solve_node`` call; a repeated key is solved at its first row only.
         """
-        keys = [self._memo_key(sp, row, self.horizon) for row in rows]
+        keys = [(k, sp.keys, np.round(row, 12).tobytes()) for row in rows]
         new: dict = {}  # missed key -> its first row
         for i, key in enumerate(keys):
             if key not in self.memo:
                 new.setdefault(key, i)
         if new:
-            vals, _ = self._best_of_starts(sp, rows[list(new.values())], self.horizon)
+            vals, _ = self.solve_node(sp, rows[list(new.values())], k)
             self.memo.update(zip(new, map(float, vals)))
         return np.array([self.memo[key] for key in keys])
 
@@ -741,8 +713,8 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
     spec = spec or DpGridSpec()
     rec = _ValueRecursion(model, lam, horizon, spec)
     sp, w = rec.root()
-    coarse_val, vec0 = rec.solve_node(sp, w, 0)
-    value = coarse_val
+    (coarse_val,), (vec0,) = rec.solve_node(sp, w[None], 0)
+    value = coarse_val = float(coarse_val)
     levels = np.asarray(spec.action_levels)
     spacing = float(levels[1] - levels[0]) if len(levels) > 1 else 0.1
     for _ in range(spec.refine_rounds):
@@ -757,10 +729,9 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
             f"action grid too coarse: refinement moved the root value by {refine_drop:.3e}"
         )
 
-    root_belief = init_discrete_belief(model)
     policy0 = rec.policy_from_vector(sp, vec0)
-    nodes = [DpNode(history=(), value=value, policy=policy0, belief=root_belief)]
-    frontier = [(root_belief, (), policy0)]
+    nodes = [DpNode(history=(), value=value, policy=policy0)]
+    frontier = [(init_discrete_belief(model), (), policy0)]
     for k in range(horizon):
         nxt = []
         for belief, hist, policy in frontier:
@@ -774,12 +745,10 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
                 ckeys = tuple(sorted(child.weights))
                 csp = rec.space_for(ckeys)
                 cw = np.array([child.weights[key] for key in ckeys])
-                val, vec = rec.solve_node(csp, cw, k + 1)
+                (val,), (vec,) = rec.solve_node(csp, cw[None], k + 1)
                 child_hist = hist + ("-" if z is None else str(z),)
                 child_policy = rec.policy_from_vector(csp, vec)
-                nodes.append(
-                    DpNode(history=child_hist, value=val, policy=child_policy, belief=child)
-                )
+                nodes.append(DpNode(history=child_hist, value=float(val), policy=child_policy))
                 nxt.append((child, child_hist, child_policy))
         frontier = nxt
     return DpResult(value=value, nodes=nodes, refine_drop=refine_drop)

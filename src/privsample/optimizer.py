@@ -45,10 +45,12 @@ class OptimizerConfig:
 
     Step sizes follow the fixed schedule alpha_t = alpha / (1 + t/100);
     each iteration estimates the gradient on ``rollouts_per_step``
-    rollouts of stream (``seed``, t), for at most ``max_iters``
+    rollouts of stream (``seed``, 2, t), for at most ``max_iters``
     iterations. Beyond horizon 9 the validation objective is a mean over
-    ``validation_rollouts`` common-random-number rollouts; at horizon 9
-    and below it is exact enumeration.
+    ``validation_rollouts`` common-random-number rollouts of stream
+    (``seed``, 999); at horizon 9 and below it is exact enumeration.
+    ``optimize_lambda``'s f-scan draws from stream (``seed``, 1), so no
+    two of these paths share a stream.
     """
 
     alpha: float = 0.25
@@ -522,7 +524,7 @@ def stackelberg_optimize(
     converged = False
     trace = []
     for it in range(config.max_iters):
-        rng = substream(config.seed, it)
+        rng = substream(config.seed, 2, it)
         grad, info = objective_gradient_linear(
             params, system, lam, config.rollouts_per_step, rng
         )

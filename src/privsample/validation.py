@@ -388,10 +388,10 @@ def restricted_grid_search(model: FiniteModel, lam: float, levels) -> tuple[floa
     for every table come from the DP's own branch transition matrices
     (``_Space.child_op``), and children are deduplicated (keep-branch
     children do not depend on the acting table), so the sweep at 11
-    levels (1331 tables per stage) takes about 2 s on a 2-core host.
+    levels (11² = 121 tables per stage at the fixture's n_x = 2) takes
+    about 0.6 s on a 2-core host.
     Returns (best value, best stage tables as x-indexed lists).
     """
-    horizon = 2
     lv = np.asarray(levels, dtype=float)
     nx = model.nx
     combos = np.stack(

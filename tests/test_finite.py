@@ -10,6 +10,7 @@ from privsample.finite import (
     FiniteModel,
     PolicyCollection,
     _Space,
+    _ValueRecursion,
     belief_step,
     dp_solve,
     init_discrete_belief,
@@ -458,16 +459,57 @@ def test_stacked_losses_equal_each_nodes_own(n_tables):
                     assert np.array_equal(p0[i], own[1].reshape(-1)), (sp.keys, d, i)
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.5, 3.0])
+def test_stacked_node_solves_equal_each_nodes_own(lam, monkeypatch):
+    """solve_node on stacked nodes gives each node the value and table it
+    gets alone on a fresh recursion. At stage 1 the rounded memo keys can
+    pick another of two tied tables, so only the values are compared."""
+    from privsample.validation import finite_fixture
+
+    model = finite_fixture()
+    visited = {}  # (stage, support) -> node weights, in solve order
+    solve_node = _ValueRecursion.solve_node
+
+    def recording(rec, sp, w, k):
+        visited.setdefault((k, sp.keys), []).extend(w)
+        return solve_node(rec, sp, w, k)
+
+    monkeypatch.setattr(_ValueRecursion, "solve_node", recording)
+    dp_solve(model, lam, 2)
+    monkeypatch.undo()
+
+    def fresh():
+        return _ValueRecursion(model, lam, 2, DpGridSpec())
+
+    for stage in (1, 2):
+        keys, rows = max(
+            ((keys, rows) for (k, keys), rows in visited.items() if k == stage),
+            key=lambda item: len(item[1]),
+        )
+        w = np.array(rows[:12])
+        assert len(w) >= 2
+        rec = fresh()
+        vals, vecs = rec.solve_node(rec.space_for(keys), w, stage)
+        for i in range(len(w)):
+            rec = fresh()
+            (val,), (vec,) = rec.solve_node(rec.space_for(keys), w[i : i + 1], stage)
+            if stage == 2:
+                assert vals[i] == val and np.array_equal(vecs[i], vec), (stage, i)
+            else:
+                assert abs(vals[i] - val) < 1e-12, (stage, i)
+
+
 def test_dp_losses_batch_call_count(monkeypatch):
-    """At lambda 0.5 and horizon 2 the last-stage solves run as lockstep
-    batches; one losses_batch call per node and start would make 60302."""
+    """At lambda 0.5 and horizon 2 every node solve is a lockstep batch
+    over its nodes and starts; one losses_batch call per node and start
+    would make 60302."""
     from privsample.validation import finite_fixture
 
     calls = []
     losses_batch = _Space.losses_batch
     monkeypatch.setattr(_Space, "losses_batch", lambda *a: calls.append(1) or losses_batch(*a))
     assert dp_solve(finite_fixture(), 0.5, 2).value == 0.08902504678997822
-    assert len(calls) == 5235
+    assert len(calls) == 4828
 
 
 @pytest.mark.parametrize("lam, horizon",[(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])

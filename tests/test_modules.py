@@ -22,3 +22,47 @@ def test_no_module_imports_another_modules_private_name():
                 source = (node.module or "").rpartition(".")[2]
                 found |= {(path.stem, source, a.name) for a in node.names if _is_private(a.name)}
     assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+def _own_nodes(fn):
+    """Nodes of ``fn``'s body outside any nested function or class."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    """A plain, annotated or augmented ``name = ...`` inside a function
+    needs a read of that name in the function (nested functions count).
+    Loop and unpacking targets, ``_`` names and nonlocal/global names are
+    exempt."""
+    found = []
+    for path in sorted(Path(privsample.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            used = {
+                n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            used |= {
+                name
+                for n in ast.walk(fn)
+                if isinstance(n, (ast.Nonlocal, ast.Global))
+                for name in n.names
+            }
+            for node in _own_nodes(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                found += [
+                    f"{path.stem}.{fn.name}: {t.id} (line {t.lineno})"
+                    for t in targets
+                    if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in used
+                ]
+    assert not found, found

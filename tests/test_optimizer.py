@@ -473,6 +473,26 @@ def test_optimize_lambda_on_coupled_system_stays_on_the_engine(vi_system, monkey
     assert np.isfinite(result.objective)
 
 
+def test_optimize_lambda_streams_are_disjoint(vi_system, monkeypatch):
+    """The f-scan, the validation objective and each gradient iteration
+    draw from streams of their own."""
+    paths = []
+    substream = optimizer.substream
+    monkeypatch.setattr(
+        optimizer, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
+    )
+    config = OptimizerConfig(rollouts_per_step=8, max_iters=3, validation_rollouts=16, seed=2)
+    optimize_lambda(config, vi_system, 1.0, 10)
+    n_scan = len(optimizer.F_SCAN_GRID)
+    # after the scan, validation runs at the start and after every iteration
+    scan, validation, iterations = paths[:n_scan], paths[n_scan::2], paths[n_scan + 1 :: 2]
+    assert len(validation) == 4 and len(iterations) == 3
+    assert len(set(scan)) == len(set(validation)) == 1
+    assert len(set(iterations)) == 3
+    assert set(iterations).isdisjoint(scan + validation)
+    assert set(scan).isdisjoint(validation)
+
+
 @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
 def test_optimize_lambda_rejects_a_negative_or_non_finite_lambda(vi_system, lam):
     with pytest.raises(ContractViolation, match="lambda"):
