@@ -25,6 +25,16 @@ def _det(m):
     return m[..., 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
 
 
+def _mm(a, b):
+    """a @ b. A contraction over a length-1 axis (n_x = 1 or n_y = 1) is an
+    elementwise product, which costs a fraction of numpy's stacked matmul,
+    except for an outer product (m x 1 by 1 x r), whose two broadcast axes
+    make the product slower than @."""
+    if a.shape[-1] == 1 and (a.shape[-2] == 1 or b.shape[-1] == 1):
+        return a * b
+    return a @ b
+
+
 def _tr(a, b):
     """tr(a b_t) for every tangent t: a (..., d, d), b (..., T, d, d)."""
     return np.einsum("...ij,...tji->...t", a, b)
@@ -41,16 +51,17 @@ def sandwich(a_t, x):
 def observe(c, dc, r, dr, nx: int):
     """Condition each covariance c_b (B, m, m) on its first nx coordinates
     seen through noise r (n_x x n_x, per row or shared), with tangents dc
-    (B, T, m, m) and dr, or dc = None. Returns (c', dc', gain)."""
+    (G, T, m, m) of the leading G rows and dr, or dc = None. Returns
+    (c', dc', gain)."""
     col = c[:, :, :nx]
     s_inv = inverse(c[:, :nx, :nx] + r)
-    gain = col @ s_inv
-    c = c - gain @ col.swapaxes(1, 2)
+    gain = _mm(col, s_inv)
+    c = c - _mm(gain, col.swapaxes(1, 2))
     if dc is None:
         return c, None, gain
     # d(col s^{-1} col^T) = w + w^T with w = (dcol - gain ds / 2) gain^T
-    gain4 = gain[:, None]
-    w = (dc[..., :nx] - 0.5 * (gain4 @ (dc[:, :, :nx, :nx] + dr))) @ gain4.swapaxes(2, 3)
+    gain4 = gain[: len(dc), None]
+    w = _mm(dc[..., :nx] - 0.5 * _mm(gain4, dc[:, :, :nx, :nx] + dr), gain4.swapaxes(2, 3))
     return c, dc - w - w.swapaxes(2, 3), gain
 
 
@@ -66,7 +77,8 @@ def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
 def branch_step(p, dp, mean, f, df, keep, obs, k: int):
     """Filter the current (x, y) block of every row for its branch at step k.
 
-    Each p_b (B, n, n; tangents dp (B, T, n, n), or None) is conditioned on
+    Each p_b (B, n, n; tangents dp (G, T, n, n) of the leading G rows, or
+    None) is conditioned on
     its x, seen exactly on kept rows (keep: (B,) bool) and through noise f
     (n_x x n_x; tangents df) on discarded ones. A kept x is known exactly,
     so its rows and columns are zeroed. Means (B, n; or None) move by the
@@ -76,15 +88,16 @@ def branch_step(p, dp, mean, f, df, keep, obs, k: int):
     nx = f.shape[-1]
     _require_unknown_x(p[:, :nx, :nx], keep, k)
     keep3 = keep[:, None, None]
-    dr = None if dp is None else np.where(keep3[:, None], 0.0, df)
+    dr = None if dp is None else np.where(keep3[: len(dp), None], 0.0, df)
     p, dp, gain = observe(p, dp, np.where(keep3, 0.0, f), dr, nx)
     p[keep, :nx, :] = 0.0
     p[keep, :, :nx] = 0.0
     if dp is not None:
-        dp[keep, :, :nx, :] = 0.0
-        dp[keep, :, :, :nx] = 0.0
+        keep_t = keep[: len(dp)]
+        dp[keep_t, :, :nx, :] = 0.0
+        dp[keep_t, :, :, :nx] = 0.0
     if mean is not None:
-        mean = mean + (gain @ (obs - mean[:, :nx])[:, :, None])[:, :, 0]
+        mean = mean + _mm(gain, (obs - mean[:, :nx])[:, :, None])[:, :, 0]
         mean[keep, :nx] = obs[keep]
     return p, dp, mean
 
@@ -101,8 +114,8 @@ def _x_given_y(m, nx: int, k: int):
         det = 0.0
     if np.any(det <= 0.0):
         raise NumericalFailure(f"singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k={k}")
-    gain = m[..., :nx, nx:] @ myy_inv
-    return m[..., :nx, :nx] - gain @ m[..., nx:, :nx], gain
+    gain = _mm(m[..., :nx, nx:], myy_inv)
+    return m[..., :nx, :nx] - _mm(gain, m[..., nx:, :nx]), gain
 
 
 class BatchEngine:
@@ -127,12 +140,18 @@ class BatchEngine:
     Each rollout is fixed-size, so batches advance in lockstep.
     Covariances and their forward tangents (``dp``, ``ds``, one per
     parameter; None without) depend only on the branch pattern; schedule
-    rollouts pass their means through ``update``. A singular P^xx (x_k
-    already known) or S (x_k a function of Y^k) leaves an information
-    increment undefined and raises a NumericalFailure naming k.
+    rollouts pass their means through ``update``. Tangents may cover only
+    the leading ``tangent_rows`` rows (all by default): covariance, S and
+    loss work runs over every row, tangent work over those rows only, and
+    each row's values do not depend on which other rows share the batch.
+    A singular P^xx (x_k already known) or S (x_k a function of Y^k)
+    leaves an information increment undefined and raises a
+    NumericalFailure naming k.
     """
 
-    def __init__(self, system: LinearGaussianSystem, batch: int, n_tangents: int):
+    def __init__(
+        self, system: LinearGaussianSystem, batch: int, n_tangents: int, tangent_rows=None
+    ):
         nx, n = system.n_x, system.n
         self.sys = system
         self.nx = nx
@@ -144,11 +163,13 @@ class BatchEngine:
         _require_unknown_x(s0, True, 0, given="Y^k, Z^(k-1)")
         self.p = np.repeat(system.init_cov[None], batch, axis=0)
         self.s = np.repeat(s0[None], batch, axis=0)
-        self.dp = np.zeros((batch, n_tangents, n, n)) if n_tangents else None
-        self.ds = np.zeros((batch, n_tangents, nx, nx)) if n_tangents else None
+        g = batch if tangent_rows is None else tangent_rows
+        self.dp = np.zeros((g, n_tangents, n, n)) if n_tangents else None
+        self.ds = np.zeros((g, n_tangents, nx, nx)) if n_tangents else None
 
     def take(self, rows):
-        """Keep the given batch rows, in order (repeats allowed)."""
+        """Keep the given batch rows, in order (repeats allowed); with
+        tangents, every row must carry them."""
         self.p, self.s = self.p[rows], self.s[rows]
         if self.nt:
             self.dp, self.ds = self.dp[rows], self.ds[rows]
@@ -156,8 +177,10 @@ class BatchEngine:
     def step_loss(self, f, df, c, dc, lam):
         """(loss, dloss, p0, dp0, info) per rollout: p0 is the no-sample
         probability, info the information increment (nats). ``c`` is the
-        region center's offset from the predicted mean, (n_x,) or (B, n_x);
-        without tangents ``df``/``dc`` are unused and dloss, dp0 are None.
+        region center's offset from the predicted mean, (n_x,) or (B, n_x),
+        and ``f`` is (n_x, n_x) or (B, n_x, n_x); with tangents f is shared.
+        dloss and dp0 cover the tangent rows; without tangents ``df``/``dc``
+        are unused and dloss, dp0 are None.
         """
         nx = self.nx
         pxx = self.p[:, :nx, :nx]
@@ -165,10 +188,10 @@ class BatchEngine:
         # only the tangents need more inverses than (f + P^xx)^{-1}
         blocks = np.stack([f + pxx, pxx, self.s, f + self.s])
         det = _det(blocks)
-        inv = inverse(blocks if self.nt else blocks[:1])
-        u = (inv[0] @ c[..., None])[..., 0]
+        s_inv = inverse(blocks[0])
+        u = _mm(s_inv, c[..., None])[..., 0]
         p0 = np.sqrt(_det(f) / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
-        f_g = f @ inv[0]
+        f_g = _mm(f, s_inv)
         tr_t = np.einsum("bij,bji->b", f_g, pxx)
         # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
         inc1 = np.log(det[1] / det[2])
@@ -177,18 +200,21 @@ class BatchEngine:
         loss = p0 * tr_t + lam * info
         if not self.nt:
             return loss, None, p0, None, info
+        g = len(self.dp)  # the leading rows carry tangents
+        inv = inverse(blocks[:, :g])
+        u, f_g, q0 = u[:g], f_g[:g], p0[:g, None]
         dpxx = self.dp[:, :, :nx, :nx]
         ds = df + dpxx
         dld = _tr(inv, np.stack([ds, dpxx, self.ds, df + self.ds]))
         dquad = 2.0 * (u @ dc.T) - np.einsum("bi,btij,bj->bt", u, ds, u)
-        dp0 = p0[:, None] * (0.5 * (_tr(inverse(f), df) - dld[0]) - 0.5 * dquad)
-        g_p = inv[0] @ pxx
-        dtr = _tr(g_p, df) + _tr(f_g, dpxx) - _tr(g_p @ f_g, ds)
-        ddist = dp0 * tr_t[:, None] + p0[:, None] * dtr
+        dp0 = q0 * (0.5 * (_tr(inverse(f), df) - dld[0]) - 0.5 * dquad)
+        g_p = _mm(inv[0], pxx[:g])
+        dtr = _tr(g_p, df) + _tr(f_g, dpxx) - _tr(_mm(g_p, f_g), ds)
+        ddist = dp0 * tr_t[:g, None] + q0 * dtr
         dinfo = 0.5 * (
-            dp0 * (inc0 - inc1)[:, None]
-            + (1.0 - p0)[:, None] * (dld[1] - dld[2])
-            + p0[:, None] * (dld[0] - dld[3])
+            dp0 * (inc0 - inc1)[:g, None]
+            + (1.0 - q0) * (dld[1] - dld[2])
+            + q0 * (dld[0] - dld[3])
         )
         return loss, ddist + lam * dinfo, p0, dp0, info
 
@@ -201,7 +227,7 @@ class BatchEngine:
         keep3 = keep[:, None, None]
         self.s = np.where(keep3, 0.0, s)
         if self.nt:
-            self.ds = np.where(keep3[:, None], 0.0, ds)
+            self.ds = np.where(keep3[: len(ds), None], 0.0, ds)
         return mean
 
     def predict(self, k: int):
@@ -214,11 +240,13 @@ class BatchEngine:
         _require_unknown_x(self.s, True, k, given="Y^k, Z^(k-1)")
         if self.nt:
             self.dp = sandwich(self._a_t, self.dp)
-            f_x = (a[:nx, :nx] - gain @ a[nx:, :nx])[:, None]
-            self.ds = f_x @ self.ds @ f_x.swapaxes(2, 3)
+            f_x = (a[:nx, :nx] - _mm(gain[: len(self.ds)], a[nx:, :nx]))[:, None]
+            self.ds = _mm(_mm(f_x, self.ds), f_x.swapaxes(2, 3))
 
 
-def branch_rollouts(system, lam, horizon, rows, terms, branch, n_tangents=0, mean=None):
+def branch_rollouts(
+    system, lam, horizon, rows, terms, branch, n_tangents=0, mean=None, tangent_rows=None
+):
     """The one rollout driver: ``rows`` identical engine rows over steps 0..K.
 
     Per step, ``terms(k, mean)`` gives (f, df, c, dc): the discard noise,
@@ -230,16 +258,19 @@ def branch_rollouts(system, lam, horizon, rows, terms, branch, n_tangents=0, mea
     while means are carried), its keep flag, the probability w that its
     path weight takes and its score term divides by, and the observation
     the means move toward (unused without means). Means (rows, n) are
-    carried only when given, and predicted through A. Returns per-row
-    (path weights, losses, dlosses, scores, kept counts, info sums).
+    carried only when given, and predicted through A. Tangents cover the
+    leading ``tangent_rows`` rows (all by default; ``parent`` must then be
+    None). Returns per-row (path weights, losses, dlosses, scores, kept
+    counts, info sums), dlosses and scores for the tangent rows.
     """
-    eng = BatchEngine(system, rows, n_tangents)
+    eng = BatchEngine(system, rows, n_tangents, tangent_rows)
+    g = rows if tangent_rows is None else tangent_rows
     weight = np.ones(rows)
     losses = np.zeros(rows)
     infos = np.zeros(rows)
     kept = np.zeros(rows)
-    dpaths = np.zeros((rows, n_tangents))
-    scores = np.zeros((rows, n_tangents))
+    dpaths = np.zeros((g, n_tangents))
+    scores = np.zeros((g, n_tangents))
     for k in range(horizon + 1):
         f, df, c, dc = terms(k, mean)
         loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, dc, lam)
@@ -258,7 +289,7 @@ def branch_rollouts(system, lam, horizon, rows, terms, branch, n_tangents=0, mea
         weight *= w
         kept += keep
         if n_tangents:
-            scores += (np.where(keep, -1.0, 1.0) / w)[:, None] * dp0
+            scores += (np.where(keep, -1.0, 1.0) / w)[: len(dp0), None] * dp0
         mean = eng.update(f, df, keep, k, mean, obs)
         if k < horizon:
             eng.predict(k + 1)

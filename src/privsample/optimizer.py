@@ -50,7 +50,11 @@ class OptimizerConfig:
     ``validation_rollouts`` common-random-number rollouts of stream
     (``seed``, 999); at horizon 9 and below it is exact enumeration.
     ``optimize_lambda``'s f-scan draws from stream (``seed``, 1), so no
-    two of these paths share a stream.
+    two of these paths share a stream. Beyond horizon 9 iteration t's
+    gradient rollouts (with tangents) and theta_t's validation rollouts
+    (without) run as one engine pass, each block on its own stream; an
+    iteration that does not run draws nothing. ``validation_rollouts``
+    must be >= 2 for the validation standard error.
     """
 
     alpha: float = 0.25
@@ -64,6 +68,8 @@ class OptimizerConfig:
             raise ContractViolation("step size must be positive")
         if self.rollouts_per_step < 1 or self.max_iters < 1:
             raise ContractViolation("counts must be >= 1")
+        if self.validation_rollouts < 2:
+            raise ContractViolation("validation_rollouts must be >= 2 for a standard error")
 
 
 class FeedbackPolicyParams:
@@ -292,21 +298,40 @@ class _TangentFilter:
         self.dp = new_dp
 
 
-def _fast_gradient_batch(params, system, lam, rollouts, horizon, rng, forced=None, tangents=True):
+def _fast_gradient_batch(
+    params, system, lam, rollouts, horizon, rng, forced=None, tangent_rows=None
+):
     """Sampled branch patterns on the engine (feedback parameters).
 
-    Returns (losses, dpaths, scores, rates, info_sums); ``forced`` pins
-    the branch pattern (rollouts, K+1) for deterministic cross-checks.
-    Without ``tangents`` dpaths and scores have no columns.
+    ``params`` is one FeedbackPolicyParams for every row, or a list of
+    them that split the rows into equal consecutive blocks (run without
+    tangents). Row r keeps at step k when uniform u[k, r] > p0: ``rng``
+    draws u (K+1, rollouts) at the start, or is u itself; ``forced`` pins
+    the branch pattern (rollouts, K+1) instead, for deterministic
+    cross-checks. The leading ``tangent_rows`` rows (all by default)
+    carry tangents. Returns (losses, dpaths, scores, rates, info_sums),
+    dpaths and scores for the tangent rows.
     """
+    if isinstance(params, FeedbackPolicyParams):
+        n_tangents = params.dim if tangent_rows != 0 else 0
+        terms = lambda k, mean: params.step_terms(k)  # noqa: E731
+    else:
+        n_tangents, reps = 0, rollouts // len(params)
+
+        def terms(k, mean):
+            f, _, c, _ = zip(*(p.step_terms(k) for p in params))
+            return np.repeat(f, reps, axis=0), None, np.repeat(c, reps, axis=0), None
+
+    if forced is None and not isinstance(rng, np.ndarray):
+        rng = rng.uniform(size=(horizon + 1, rollouts))
 
     def branch(k, p0, p, mean):
-        keep = rng.uniform(size=rollouts) > p0 if forced is None else forced[:, k].astype(bool)
+        keep = rng[k] > p0 if forced is None else forced[:, k].astype(bool)
         return None, keep, np.maximum(np.where(keep, 1.0 - p0, p0), 1e-12), None
 
     _, losses, dpaths, scores, kept, infos = branch_rollouts(
-        system, lam, horizon, rollouts, lambda k, mean: params.step_terms(k), branch,
-        n_tangents=params.dim if tangents else 0,
+        system, lam, horizon, rollouts, terms, branch,
+        n_tangents=n_tangents, tangent_rows=tangent_rows,
     )
     return losses, dpaths, scores, kept / (horizon + 1), infos
 
@@ -397,22 +422,12 @@ def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):
     return float(totals.mean()), se
 
 
-def objective_gradient_linear(
-    params: FeedbackPolicyParams,
-    system: LinearGaussianSystem,
-    lam: float,
-    rollouts: int,
-    rng,
-):
-    """Monte Carlo gradient of the horizon objective in feedback form.
-
-    Estimator: mean over branch-pattern rollouts of the pathwise loss
-    tangent plus the (loss - baseline)-weighted marginal branch score,
-    with a leave-one-out baseline. Returns (gradient, diagnostics dict).
-    """
-    losses, paths, scores, rates, _ = _fast_gradient_batch(
-        params, system, lam, rollouts, params.horizon, rng
-    )
+def _gradient_estimate(params, losses, paths, scores, rates):
+    """(gradient, diagnostics dict) from one batch of gradient rollouts:
+    the mean of the pathwise loss tangent plus the (loss -
+    baseline)-weighted marginal branch score, with a leave-one-out
+    baseline."""
+    rollouts = len(losses)
     if rollouts > 1:
         baseline = (losses.sum() - losses) / (rollouts - 1)
     else:
@@ -426,6 +441,22 @@ def objective_gradient_linear(
         "stderr": stderr,
         "sampling_rate": float(rates.mean()),
     }
+
+
+def objective_gradient_linear(
+    params: FeedbackPolicyParams,
+    system: LinearGaussianSystem,
+    lam: float,
+    rollouts: int,
+    rng,
+):
+    """Monte Carlo gradient of the horizon objective in feedback form, on
+    ``rollouts`` branch patterns drawn from ``rng`` (``_gradient_estimate``).
+    Returns (gradient, diagnostics dict)."""
+    losses, paths, scores, rates, _ = _fast_gradient_batch(
+        params, system, lam, rollouts, params.horizon, rng
+    )
+    return _gradient_estimate(params, losses, paths, scores, rates)
 
 
 def _enumerate(params, system, lam, tangents):
@@ -499,65 +530,97 @@ def stackelberg_optimize(
     iterations; each move is capped at ``STEP_CLIP``. The best-seen
     parameters by validation objective are returned, and the result is
     flagged non-converged when max_iters is exhausted.
+
+    Beyond horizon 9 each iterate theta_t costs one engine pass: its
+    leading ``rollouts_per_step`` rows carry tangents and are iteration
+    t's gradient rollouts, and the other rows are theta_t's validation
+    rollouts, each block on its own stream (``OptimizerConfig``). Where
+    iteration t may not run (t = max_iters, or theta_t's validation may
+    end the loop) the pass has no gradient rows, and a run of iteration t
+    takes a pass of its own. A NumericalFailure ends with ``at leader
+    iteration t``, t the iteration it was raised in (the first pass
+    counts as iteration 0).
     """
-    params = init
     horizon = init.horizon
     exact_ok = 2 ** (horizon + 1) <= 1024
 
-    def validate(p: FeedbackPolicyParams):
-        if exact_ok:
-            return exact_objective(p, system, lam), 0.0, float("nan")
-        rng = substream(config.seed, 999)  # common random numbers across iters
-        losses, _, _, rates, _ = _fast_gradient_batch(
-            p, system, lam, config.validation_rollouts, horizon, rng, tangents=False
-        )
-        return (
-            float(losses.mean()),
-            float(losses.std(ddof=1) / math.sqrt(len(losses))),
-            float(rates.mean()),
-        )
+    def evaluate(p: FeedbackPolicyParams, grad_it, validate=True):
+        """(validation, gradient) at p: validation (objective, stderr,
+        rate), or None without ``validate``; iteration grad_it's (gradient,
+        info), or None when grad_it is None."""
+        sampled = validate and not exact_ok
+        uniforms = []
+        if grad_it is not None:
+            rng = substream(config.seed, 2, grad_it)
+            uniforms.append(rng.uniform(size=(horizon + 1, config.rollouts_per_step)))
+        if sampled:
+            rng = substream(config.seed, 999)  # common random numbers across iterates
+            uniforms.append(rng.uniform(size=(horizon + 1, config.validation_rollouts)))
+        val = grad = None
+        if uniforms:
+            g = config.rollouts_per_step if grad_it is not None else 0
+            u = np.hstack(uniforms)
+            losses, paths, scores, rates, _ = _fast_gradient_batch(
+                p, system, lam, u.shape[1], horizon, u, tangent_rows=g
+            )
+            if g:
+                grad = _gradient_estimate(p, losses[:g], paths, scores, rates[:g])
+            if sampled:
+                v = losses[g:]
+                val = (
+                    float(v.mean()),
+                    float(v.std(ddof=1) / math.sqrt(len(v))),
+                    float(rates[g:].mean()),
+                )
+        if validate and exact_ok:
+            val = exact_objective(p, system, lam), 0.0, float("nan")
+        return val, grad
 
-    best_obj, _, _ = validate(params)
-    best_params = params
-    prev_obj = best_obj
-    quiet = 0
-    converged = False
-    trace = []
-    for it in range(config.max_iters):
-        rng = substream(config.seed, 2, it)
-        grad, info = objective_gradient_linear(
-            params, system, lam, config.rollouts_per_step, rng
-        )
-        step = config.alpha / (1.0 + it / 100.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            move = -step * grad
-            norm = float(np.linalg.norm(move))
-        if not math.isfinite(norm):
-            raise NumericalFailure(
-                f"leader step overflowed at iteration {it}: alpha={config.alpha!r}, "
-                f"step size {step!r}, gradient norm {float(np.linalg.norm(grad))!r}"
+    params = init
+    it = 0
+    try:
+        (best_obj, _, _), pending = evaluate(params, 0)
+        best_params = params
+        prev_obj = best_obj
+        quiet = 0
+        converged = False
+        trace = []
+        for it in range(config.max_iters):
+            grad, info = pending or evaluate(params, it, validate=False)[1]
+            step = config.alpha / (1.0 + it / 100.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                move = -step * grad
+                norm = float(np.linalg.norm(move))
+            if not math.isfinite(norm):
+                raise NumericalFailure(
+                    f"leader step overflowed at iteration {it}: alpha={config.alpha!r}, "
+                    f"step size {step!r}, gradient norm {float(np.linalg.norm(grad))!r}"
+                )
+            if norm > STEP_CLIP:
+                move *= STEP_CLIP / norm
+            params = params.replaced(params.theta + move)
+            # the next gradient rides along only where iteration it + 1 runs
+            runs_next = it + 1 < config.max_iters and quiet + 1 < CONVERGE_PATIENCE
+            (obj, stderr, rate), pending = evaluate(params, it + 1 if runs_next else None)
+            trace.append(
+                TraceRow(
+                    iteration=it,
+                    objective=obj,
+                    stderr=stderr,
+                    sampling_rate=info["sampling_rate"] if math.isnan(rate) else rate,
+                    grad_norm_theta=float(np.linalg.norm(grad)),
+                )
             )
-        if norm > STEP_CLIP:
-            move *= STEP_CLIP / norm
-        params = params.replaced(params.theta + move)
-        obj, stderr, rate = validate(params)
-        trace.append(
-            TraceRow(
-                iteration=it,
-                objective=obj,
-                stderr=stderr,
-                sampling_rate=info["sampling_rate"] if math.isnan(rate) else rate,
-                grad_norm_theta=float(np.linalg.norm(grad)),
-            )
-        )
-        if obj < best_obj:
-            best_obj, best_params = obj, params
-        rel_change = abs(obj - prev_obj) / max(1.0, abs(prev_obj))
-        quiet = quiet + 1 if rel_change < CONVERGE_TOL else 0
-        prev_obj = obj
-        if quiet >= CONVERGE_PATIENCE:
-            converged = True
-            break
+            if obj < best_obj:
+                best_obj, best_params = obj, params
+            rel_change = abs(obj - prev_obj) / max(1.0, abs(prev_obj))
+            quiet = quiet + 1 if rel_change < CONVERGE_TOL else 0
+            prev_obj = obj
+            if quiet >= CONVERGE_PATIENCE:
+                converged = True
+                break
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{exc} at leader iteration {it}") from exc
     return OptimizeResult(
         schedule=best_params.to_schedule(),
         params=best_params,
@@ -580,18 +643,35 @@ def optimize_lambda(
     """Optimized feedback schedule for one lambda.
 
     A coarse scan scores each tied constant-f start in ``F_SCAN_GRID`` on
-    ``F_SCAN_ROLLOUTS`` rollouts of the same stream; stackelberg_optimize
+    ``F_SCAN_ROLLOUTS`` rollouts of the same stream, all starts in one
+    engine pass that gives each start the same uniforms; stackelberg_optimize
     then polishes the best start. ``lam`` must be finite and >= 0
-    (ContractViolation otherwise).
+    (ContractViolation otherwise). A NumericalFailure in the scan ends
+    with ``in the f-scan at f0=...``, the first start that fails on its own.
     """
     lam = check_lambda(lam)
-    best_init, best_obj = None, np.inf
-    for f0 in F_SCAN_GRID:
-        params = FeedbackPolicyParams.constant(system, horizon, f0=f0, tied=True)
-        losses = _fast_gradient_batch(
-            params, system, lam, F_SCAN_ROLLOUTS, horizon, substream(config.seed, 1), tangents=False
+    starts = [FeedbackPolicyParams.constant(system, horizon, f0=f0) for f0 in F_SCAN_GRID]
+    u = substream(config.seed, 1).uniform(size=(horizon + 1, F_SCAN_ROLLOUTS))
+
+    def scan(params):
+        return _fast_gradient_batch(
+            params, system, lam, len(params) * F_SCAN_ROLLOUTS, horizon, np.tile(u, len(params)),
+            tangent_rows=0,
         )[0]
-        obj = float(np.mean(losses))
+
+    try:
+        losses = scan(starts)
+    except NumericalFailure:
+        # a start's rows fail as they would alone; name the first such start
+        for f0, params in zip(F_SCAN_GRID, starts):
+            try:
+                scan([params])
+            except NumericalFailure as exc:
+                raise NumericalFailure(f"{exc} in the f-scan at f0={f0!r}") from exc
+        raise
+    best_init, best_obj = None, np.inf
+    for params, block in zip(starts, losses.reshape(len(starts), F_SCAN_ROLLOUTS)):
+        obj = float(np.mean(block))
         if obj < best_obj:
             best_obj, best_init = obj, params
     return stackelberg_optimize(config, system, lam, best_init)

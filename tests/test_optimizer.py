@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from privsample.follower import (
 from privsample.optimizer import (
     FeedbackPolicyParams,
     OptimizerConfig,
+    TraceRow,
     _TangentFilter,
     _fast_gradient_batch,
     _fast_schedule_batch,
@@ -32,7 +35,7 @@ from privsample.optimizer import (
     stackelberg_optimize,
 )
 from privsample.policy import open_loop_schedule
-from privsample.rngs import make_rng
+from privsample.rngs import make_rng, substream
 
 from privsample.oracles import central_difference
 
@@ -340,6 +343,18 @@ def test_optimizer_config_validation():
         OptimizerConfig(rollouts_per_step=0)
 
 
+def test_optimizer_config_needs_two_validation_rollouts(vi_system):
+    """One validation rollout has no standard error; two run clean."""
+    with pytest.raises(ContractViolation, match="validation_rollouts"):
+        OptimizerConfig(validation_rollouts=1)
+    config = OptimizerConfig(rollouts_per_step=4, max_iters=2, validation_rollouts=2)
+    init = FeedbackPolicyParams.constant(vi_system, 10, f0=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = stackelberg_optimize(config, vi_system, 1.0, init)
+    assert all(math.isfinite(row.stderr) for row in result.trace)
+
+
 def test_non_finite_gradient_aborts_with_dump(vi_system):
     from privsample.errors import NumericalFailure
 
@@ -401,11 +416,11 @@ def test_fast_gradient_batch_without_tangents_matches_with_tangents_bitwise(vi_s
     params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
     params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
     patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
-    run = lambda tangents: _fast_gradient_batch(  # noqa: E731
-        params, system, 0.8, rows, horizon, None, forced=patterns, tangents=tangents
+    run = lambda tangent_rows: _fast_gradient_batch(  # noqa: E731
+        params, system, 0.8, rows, horizon, None, forced=patterns, tangent_rows=tangent_rows
     )
-    bare, full = run(False), run(True)
-    assert bare[1].shape == bare[2].shape == (rows, 0)
+    bare, full = run(0), run(None)
+    assert bare[1].shape == bare[2].shape == (0, 0)
     assert full[1].shape == full[2].shape == (rows, params.dim)
     for i in (0, 3, 4):  # losses, rates, info sums
         assert np.array_equal(bare[i], full[i])
@@ -483,14 +498,11 @@ def test_optimize_lambda_streams_are_disjoint(vi_system, monkeypatch):
     )
     config = OptimizerConfig(rollouts_per_step=8, max_iters=3, validation_rollouts=16, seed=2)
     optimize_lambda(config, vi_system, 1.0, 10)
-    n_scan = len(optimizer.F_SCAN_GRID)
-    # after the scan, validation runs at the start and after every iteration
-    scan, validation, iterations = paths[:n_scan], paths[n_scan::2], paths[n_scan + 1 :: 2]
-    assert len(validation) == 4 and len(iterations) == 3
-    assert len(set(scan)) == len(set(validation)) == 1
-    assert len(set(iterations)) == 3
-    assert set(iterations).isdisjoint(scan + validation)
-    assert set(scan).isdisjoint(validation)
+    # one scan stream, first; validation at the start and after each of the
+    # 3 iterations; one stream per iteration
+    counts = Counter(paths)
+    assert counts[paths[0]] == 1
+    assert sorted(counts.values()) == [1, 1, 1, 1, 4]
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
@@ -532,3 +544,162 @@ def test_singular_private_noise_names_the_step(vi_system):
     params = FeedbackPolicyParams.constant(system, 4, f0=1.0, tied=True)
     with pytest.raises(NumericalFailure, match=r"k=1\b"):
         objective_gradient_linear(params, system, 0.5, 8, make_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# One engine pass per leader iterate and per f-scan
+# ---------------------------------------------------------------------------
+
+
+def _named_system(vi_system, name):
+    return {
+        "paper": lambda: vi_system,
+        "coupled": lambda: _coupled(vi_system),
+        "nx2_ny2": lambda: _random_system(24, 2, 2),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["paper", "coupled", "nx2_ny2"])
+def test_fused_pass_rows_equal_their_own_batches_bitwise(vi_system, name):
+    """Gradient rows (with tangents) lead and validation rows (without)
+    follow; each block equals its own batch bit for bit."""
+    system = _named_system(vi_system, name)
+    horizon, n_grad, n_val = 12, 7, 9
+    rng = make_rng(6)
+    params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
+    params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
+    u_grad = make_rng(1).uniform(size=(horizon + 1, n_grad))
+    u_val = make_rng(2).uniform(size=(horizon + 1, n_val))
+    fused = _fast_gradient_batch(
+        params, system, 0.8, n_grad + n_val, horizon, np.hstack([u_grad, u_val]),
+        tangent_rows=n_grad,
+    )
+    grad = _fast_gradient_batch(params, system, 0.8, n_grad, horizon, make_rng(1))
+    val = _fast_gradient_batch(params, system, 0.8, n_val, horizon, u_val, tangent_rows=0)
+    assert 0 < grad[3].mean() < 1 and 0 < val[3].mean() < 1  # both branches occur
+    for i in (0, 3, 4):  # losses, rates, info sums
+        assert np.array_equal(fused[i][:n_grad], grad[i])
+        assert np.array_equal(fused[i][n_grad:], val[i])
+    for i in (1, 2):  # pathwise tangents, scores
+        assert np.array_equal(fused[i], grad[i])
+
+
+@pytest.mark.parametrize("name", ["paper", "coupled"])
+def test_optimize_lambda_scans_each_start_on_the_scan_stream(vi_system, monkeypatch, name):
+    """Each start's block of the one scan pass equals that start's own
+    batch on stream (seed, 1) bit for bit; the lowest mean starts the
+    leader loop."""
+    system = _named_system(vi_system, name)
+    calls, batch = [], optimizer._fast_gradient_batch
+    monkeypatch.setattr(
+        optimizer, "_fast_gradient_batch", lambda *a, **k: calls.append(batch(*a, **k)) or calls[-1]
+    )
+    monkeypatch.setattr(optimizer, "stackelberg_optimize", lambda config, system, lam, init: init)
+    config, horizon, n = OptimizerConfig(seed=5), 12, optimizer.F_SCAN_ROLLOUTS
+    chosen = optimize_lambda(config, system, 3.0, horizon)
+    (scan,) = calls
+    means = []
+    for i, f0 in enumerate(optimizer.F_SCAN_GRID):
+        params = FeedbackPolicyParams.constant(system, horizon, f0=f0)
+        own = batch(params, system, 3.0, n, horizon, substream(5, 1), tangent_rows=0)
+        for j in (0, 3, 4):  # losses, rates, info sums
+            assert np.array_equal(scan[j][i * n : (i + 1) * n], own[j])
+        means.append(own[0].mean())
+    best = FeedbackPolicyParams.constant(system, horizon, optimizer.F_SCAN_GRID[np.argmin(means)])
+    assert np.array_equal(chosen.theta, best.theta)
+
+
+def _sequential_stackelberg(config, system, lam, init):
+    """The leader loop with a validation pass and a gradient pass of its own
+    for every iterate: (best theta, best objective, converged, trace)."""
+    horizon = init.horizon
+
+    def validate(p):
+        losses, _, _, rates, _ = _fast_gradient_batch(
+            p, system, lam, config.validation_rollouts, horizon, substream(config.seed, 999),
+            tangent_rows=0,
+        )
+        stderr = float(losses.std(ddof=1) / math.sqrt(len(losses)))
+        return float(losses.mean()), stderr, float(rates.mean())
+
+    params = best = init
+    best_obj, _, _ = validate(params)
+    prev, quiet, trace = best_obj, 0, []
+    for it in range(config.max_iters):
+        rng = substream(config.seed, 2, it)
+        grad, _ = objective_gradient_linear(params, system, lam, config.rollouts_per_step, rng)
+        step = config.alpha / (1.0 + it / 100.0)
+        move = -step * grad
+        norm = float(np.linalg.norm(move))
+        if norm > optimizer.STEP_CLIP:
+            move *= optimizer.STEP_CLIP / norm
+        params = params.replaced(params.theta + move)
+        obj, stderr, rate = validate(params)
+        trace.append(TraceRow(it, obj, stderr, rate, float(np.linalg.norm(grad))))
+        if obj < best_obj:
+            best_obj, best = obj, params
+        quiet = quiet + 1 if abs(obj - prev) / max(1.0, abs(prev)) < optimizer.CONVERGE_TOL else 0
+        prev = obj
+        if quiet >= optimizer.CONVERGE_PATIENCE:
+            return best.theta, best_obj, True, trace
+    return best.theta, best_obj, False, trace
+
+
+@pytest.mark.parametrize(
+    "alpha, max_iters, patience, converged",
+    [(0.25, 6, 10, False), (0.003, 25, 10, True), (0.03, 25, 2, True)],
+    ids=["runs_out", "converges", "quiet_then_moves"],
+)
+def test_stackelberg_equals_the_sequential_loop(
+    vi_system, monkeypatch, alpha, max_iters, patience, converged
+):
+    """Horizon 12: the one-pass-per-iterate loop gives the trace and result
+    of a loop that runs validation and gradient passes separately. The
+    last case has a validation that could have ended the loop and did not,
+    so the next gradient ran on a pass of its own."""
+    monkeypatch.setattr(optimizer, "CONVERGE_PATIENCE", patience)
+    config = OptimizerConfig(
+        alpha=alpha, rollouts_per_step=16, max_iters=max_iters, seed=1, validation_rollouts=32
+    )
+    init = FeedbackPolicyParams.constant(vi_system, 12, f0=3.0)
+    theta, best_obj, ref_converged, trace = _sequential_stackelberg(config, vi_system, 12.0, init)
+    paths = []
+    substream = optimizer.substream
+    monkeypatch.setattr(
+        optimizer, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
+    )
+    result = stackelberg_optimize(config, vi_system, 12.0, init)
+    assert ref_converged == result.converged == converged
+    # no stream is drawn for an iteration that does not run
+    assert Counter(paths) == {(999,): len(trace) + 1, **{(2, t): 1 for t in range(len(trace))}}
+    assert result.trace == trace
+    assert result.objective == best_obj
+    assert np.array_equal(result.params.theta, theta)
+    if patience == 2:
+        objs = [row.objective for row in trace]
+        tol = optimizer.CONVERGE_TOL
+        quiet = [abs(b - a) / max(1.0, abs(a)) < tol for a, b in zip(objs, objs[1:])]
+        assert any(q and not q_next for q, q_next in zip(quiet, quiet[1:]))
+
+
+def test_numerical_failures_name_their_stage(vi_system):
+    """Q_yy = 0 with A_yx = 0 fails at k = 1 wherever it runs; the message
+    keeps the engine's text and ends with the stage."""
+    system = LinearGaussianSystem(
+        a_matrix=vi_system.a_matrix,
+        q_cov=np.diag([1.0, 0.0]),
+        init_mean=np.zeros(2),
+        init_cov=vi_system.init_cov,
+        n_x=1,
+        n_y=1,
+    )
+    config = OptimizerConfig(rollouts_per_step=8, max_iters=2, validation_rollouts=16)
+    with pytest.raises(NumericalFailure) as scan:
+        optimize_lambda(config, system, 0.5, 12)
+    assert str(scan.value).startswith("singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k=1")
+    assert str(scan.value).endswith(" in the f-scan at f0=0.3")
+    init = FeedbackPolicyParams.constant(system, 12, f0=1.0)
+    with pytest.raises(NumericalFailure, match=r"at k=1 at leader iteration 0$"):
+        stackelberg_optimize(config, system, 0.5, init)
+    with pytest.raises(NumericalFailure, match=r"^leader step overflowed.* at leader iteration 0$"):
+        stackelberg_optimize(OptimizerConfig(alpha=1e308), vi_system, 12.0, init)

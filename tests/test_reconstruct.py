@@ -8,7 +8,7 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.linalg import random_spd
 from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.loss import belief_rollout, one_step_loss
-from privsample.engine import branch_step, sandwich
+from privsample.engine import _mm, branch_step, sandwich
 from privsample.optimizer import _fast_schedule_batch
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.reconstruct import (
@@ -94,6 +94,25 @@ def test_branch_step_matches_full_recursion(vi_system, name):
             beliefs[r] = bel.predict(system, b)
         p = sandwich(system.a_matrix.T, p) + system.q_cov
         mean = mean @ system.a_matrix.T
+
+
+@pytest.mark.parametrize("n_x", [1, 2])
+def test_engine_contraction_equals_matmul_bitwise(n_x):
+    """The engine's contractions over an n_x axis, as products at n_x = 1,
+    give @'s values bit for bit; stacked and shared operands broadcast."""
+    rng = make_rng(13)
+    shapes = [
+        ((10000, 3, n_x), (10000, n_x, 3)),
+        ((10000, 3, n_x), (10000, n_x, n_x)),
+        ((10000, n_x, n_x), (n_x, n_x)),
+        ((10000, 1, n_x), (10000, n_x, 3)),
+        ((200, 1, 3, n_x), (200, 4, n_x, n_x)),
+        ((200, 4, 3, n_x), (200, 1, n_x, 3)),
+    ]
+    for a_shape, b_shape in shapes:
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        a[::7] = 0.0  # zero rows, as on kept branches
+        assert np.array_equal(_mm(a, b), a @ b)
 
 
 @pytest.mark.parametrize("kind", ["always_sample", "never_sample"])
