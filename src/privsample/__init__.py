@@ -53,7 +53,6 @@ from .optimizer import (
 )
 from .finite import (
     DiscreteBelief,
-    DpGridSpec,
     FiniteModel,
     PolicyCollection,
     belief_step,

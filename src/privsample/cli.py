@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .configio import config_hash, dump_schedule, finite_model_from_config, load_json, load_schedule, system_from_config
 from .errors import ConfigError, ContractViolation, NumericalFailure
-from .finite import DpGridSpec, dp_solve
+from .finite import dp_solve
 from .linalg import logdet_psd
 from .loss import belief_rollout
 from .optimizer import OptimizerConfig, leak_estimate, optimize_lambda
@@ -61,6 +61,11 @@ def _write_csv(path, header, rows, meta: dict):
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
     path.write_text("\n".join(lines) + "\n")
+    _write_meta(path, meta)
+
+
+def _write_meta(path, meta: dict):
+    """The JSON sidecar ``<path>.meta.json`` of an output file."""
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -302,7 +307,7 @@ def cmd_optimize(args) -> int:
         cfg,
         {"lambda": args.lam, "objective": result.objective, "converged": result.converged},
     )
-    Path(str(args.out) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_meta(args.out, meta)
     if args.trace_out:
         header = [
             "iter",
@@ -334,7 +339,7 @@ def cmd_finite_dp(args) -> int:
     if not 0 <= horizon <= 2:
         raise ConfigError(f"finite-dp supports horizons 0 to 2, got {horizon}")
     _checked(args.lam, "--lambda", True)
-    result = dp_solve(model, args.lam, horizon, DpGridSpec())
+    result = dp_solve(model, args.lam, horizon)
     header = ["stage", "node", "value", "argmin_policy"]
     rows = []
     for node in result.nodes:

@@ -532,29 +532,17 @@ def _xlogx_vec(p):
     return out
 
 
+# The inner minimization of the value recursion: coordinate descent on
+# the discard-probability grid DP_ACTION_LEVELS per coordinate, at most
+# DP_MAX_SWEEPS sweeps per start, then DP_REFINE_ROUNDS spacing-halving
+# rounds around the incumbent at the root; dp_solve warns when they drop
+# the root value by more than DP_REFINE_WARN_TOL. Beliefs remember the
+# last DP_MEM_CAP discards, which covers the supported horizons (0 to 2).
+DP_ACTION_LEVELS = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 DP_MAX_SWEEPS = 4
+DP_REFINE_ROUNDS = 2
+DP_REFINE_WARN_TOL = 5e-3
 DP_MEM_CAP = 2
-
-
-@dataclass
-class DpGridSpec:
-    """Controls for the inner minimization of the value recursion.
-
-    ``action_levels`` is the discard-probability grid per coordinate;
-    ``refine_rounds`` halves the grid spacing around the incumbent at the
-    root after the grid pass; ``seed_tables`` (one x-indexed probability
-    table per stage) are injected as coordinate-descent starts at every
-    node, which guarantees the solved value is at most the seeded
-    policy's value; ``refine_warn_tol`` is the root refinement drop above
-    which ``dp_solve`` warns. Each start runs at most ``DP_MAX_SWEEPS``
-    coordinate-descent sweeps, and beliefs remember the last
-    ``DP_MEM_CAP`` discards, which covers the supported horizons (0 to 2).
-    """
-
-    action_levels: tuple = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
-    refine_rounds: int = 2
-    seed_tables: list | None = None
-    refine_warn_tol: float = 5e-3
 
 
 @dataclass
@@ -572,11 +560,11 @@ class DpResult:
 
 
 class _ValueRecursion:
-    def __init__(self, model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec):
+    def __init__(self, model: FiniteModel, lam: float, horizon: int, seed_tables=None):
         self.model = model
         self.lam = lam
         self.horizon = horizon
-        self.spec = spec
+        self.seed_tables = seed_tables
         self.memo: dict = {}
         self.spaces: dict = {}
 
@@ -651,13 +639,13 @@ class _ValueRecursion:
 
         The descents of every (node, start) pair run in one lockstep batch.
         """
-        levels = np.asarray(self.spec.action_levels)
+        levels = np.asarray(DP_ACTION_LEVELS)
         n_coords = len(sp.pairs)
         # canonical starts cover the degenerate basins; coordinate descent
         # cannot cross between them one coordinate at a time
         starts = [np.full(n_coords, 0.5), np.ones(n_coords), np.zeros(n_coords)]
-        if self.spec.seed_tables is not None:
-            table = self.spec.seed_tables[k]
+        if self.seed_tables is not None:
+            table = self.seed_tables[k]
             starts.append(np.array([float(table[x]) for x, _ in sp.pairs]))
         starts = np.array(starts)
         n = len(starts)
@@ -692,16 +680,20 @@ class _ValueRecursion:
         return PolicyCollection(table=table, mem_len=mem_len, default=0.5)
 
 
-def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | None = None):
+def dp_solve(model: FiniteModel, lam: float, horizon: int, seed_tables=None):
     """Backward optimality recursion over reachable beliefs.
 
     Minimizes, per reachable belief, the exact one-step losses plus the
     expected optimal cost-to-go, with the inner minimization on the
-    action grid (coordinate descent with optional seeded starts, then
-    local spacing-halving refinement at the root). The terminal
-    cost-to-go is zero. Returns a DpResult with the root value and the
-    optimal-play node tree; warns when root refinement moves the value by
-    more than ``refine_warn_tol``, the sign of a too-coarse action grid.
+    action grid ``DP_ACTION_LEVELS`` (coordinate descent, then
+    ``DP_REFINE_ROUNDS`` rounds of local spacing-halving refinement at
+    the root). ``seed_tables`` (one x-indexed discard-probability table
+    per stage) are added as coordinate-descent starts at every node,
+    which guarantees the solved value is at most the seeded policy's
+    value. The terminal cost-to-go is zero. Returns a DpResult with the
+    root value and the optimal-play node tree; warns when root refinement
+    moves the value by more than ``DP_REFINE_WARN_TOL``, the sign of a
+    too-coarse action grid.
 
     With memory truncated to ``DP_MEM_CAP`` discards the recursion optimizes
     within the class of policies reading the truncated memory; the cap
@@ -710,21 +702,20 @@ def dp_solve(model: FiniteModel, lam: float, horizon: int, spec: DpGridSpec | No
     lam = check_lambda(lam)
     if horizon < 0:
         raise ContractViolation("horizon must be >= 0")
-    spec = spec or DpGridSpec()
-    rec = _ValueRecursion(model, lam, horizon, spec)
+    rec = _ValueRecursion(model, lam, horizon, seed_tables)
     sp, w = rec.root()
     (coarse_val,), (vec0,) = rec.solve_node(sp, w[None], 0)
     value = coarse_val = float(coarse_val)
-    levels = np.asarray(spec.action_levels)
+    levels = np.asarray(DP_ACTION_LEVELS)
     spacing = float(levels[1] - levels[0]) if len(levels) > 1 else 0.1
-    for _ in range(spec.refine_rounds):
+    for _ in range(DP_REFINE_ROUNDS):
         spacing /= 2.0
         local = np.unique(np.clip(np.concatenate([vec0 - spacing, vec0 + spacing]), 0.0, 1.0))
         (val,), (vec,) = rec._coordinate_descent(sp, w[None], 0, vec0[None], local)
         if val < value:
             value, vec0 = float(val), vec
     refine_drop = coarse_val - value
-    if refine_drop > spec.refine_warn_tol:
+    if refine_drop > DP_REFINE_WARN_TOL:
         warnings.warn(
             f"action grid too coarse: refinement moved the root value by {refine_drop:.3e}"
         )

@@ -46,15 +46,16 @@ class OptimizerConfig:
     Step sizes follow the fixed schedule alpha_t = alpha / (1 + t/100);
     each iteration estimates the gradient on ``rollouts_per_step``
     rollouts of stream (``seed``, 2, t), for at most ``max_iters``
-    iterations. Beyond horizon 9 the validation objective is a mean over
-    ``validation_rollouts`` common-random-number rollouts of stream
-    (``seed``, 999); at horizon 9 and below it is exact enumeration.
+    iterations. Beyond horizon 9 the validation objective and sampling
+    rate are means over ``validation_rollouts`` common-random-number
+    rollouts, whose uniforms stream (``seed``, 999) gives once per run;
+    at horizon 9 and below both are exact enumeration.
     ``optimize_lambda``'s f-scan draws from stream (``seed``, 1), so no
     two of these paths share a stream. Beyond horizon 9 iteration t's
     gradient rollouts (with tangents) and theta_t's validation rollouts
-    (without) run as one engine pass, each block on its own stream; an
-    iteration that does not run draws nothing. ``validation_rollouts``
-    must be >= 2 for the validation standard error.
+    (without) run as one engine pass; an iteration that does not run
+    draws nothing. ``validation_rollouts`` must be >= 2 for the
+    validation standard error.
     """
 
     alpha: float = 0.25
@@ -99,11 +100,7 @@ class FeedbackPolicyParams:
         n_x = system.n_x
         n_tri = n_x * (n_x + 1) // 2
         block = np.zeros(n_tri + n_x)
-        ell = np.linalg.cholesky(f0 * np.eye(n_x))
-        vals = ell[np.tril_indices(n_x)]
-        diag_pos = np.cumsum(np.arange(1, n_x + 1)) - 1
-        vals[diag_pos] = np.log(np.diag(ell))
-        block[:n_tri] = vals
+        block[np.cumsum(np.arange(1, n_x + 1)) - 1] = np.log(np.sqrt(f0))  # log-diagonal
         theta = block if tied else np.tile(block, horizon + 1)
         return FeedbackPolicyParams(n_x, horizon, theta, tied)
 
@@ -298,19 +295,17 @@ class _TangentFilter:
         self.dp = new_dp
 
 
-def _fast_gradient_batch(
-    params, system, lam, rollouts, horizon, rng, forced=None, tangent_rows=None
-):
+def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows=None):
     """Sampled branch patterns on the engine (feedback parameters).
 
     ``params`` is one FeedbackPolicyParams for every row, or a list of
     them that split the rows into equal consecutive blocks (run without
-    tangents). Row r keeps at step k when uniform u[k, r] > p0: ``rng``
-    draws u (K+1, rollouts) at the start, or is u itself; ``forced`` pins
-    the branch pattern (rollouts, K+1) instead, for deterministic
-    cross-checks. The leading ``tangent_rows`` rows (all by default)
-    carry tangents. Returns (losses, dpaths, scores, rates, info_sums),
-    dpaths and scores for the tangent rows.
+    tangents). Row r keeps at step k when the uniform u[k, r] > p0, u of
+    shape (K+1, rollouts). As p0 < 1 wherever P^xx > 0, u = 1 keeps and
+    u = 0 discards, which pins a branch pattern. The leading
+    ``tangent_rows`` rows (all by default) carry tangents. Returns
+    (losses, dpaths, scores, rates, info_sums), dpaths and scores for the
+    tangent rows.
     """
     if isinstance(params, FeedbackPolicyParams):
         n_tangents = params.dim if tangent_rows != 0 else 0
@@ -322,11 +317,8 @@ def _fast_gradient_batch(
             f, _, c, _ = zip(*(p.step_terms(k) for p in params))
             return np.repeat(f, reps, axis=0), None, np.repeat(c, reps, axis=0), None
 
-    if forced is None and not isinstance(rng, np.ndarray):
-        rng = rng.uniform(size=(horizon + 1, rollouts))
-
     def branch(k, p0, p, mean):
-        keep = rng[k] > p0 if forced is None else forced[:, k].astype(bool)
+        keep = u[k] > p0
         return None, keep, np.maximum(np.where(keep, 1.0 - p0, p0), 1e-12), None
 
     _, losses, dpaths, scores, kept, infos = branch_rollouts(
@@ -366,11 +358,13 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
     return losses, infos, kept / (horizon + 1)
 
 
-def _rollout_gradient_terms(params, system, lam, horizon, rng, forced=None):
+def _rollout_gradient_terms(params, system, lam, horizon, u):
     """One sampled branch pattern: (loss, pathwise dloss, score, rate).
 
-    Reference implementation over the full growing covariance, kept for
-    tests; the batched engine must reproduce it branch for branch.
+    Step k keeps when the uniform u[k] > p0, u of shape (K+1,): one row's
+    column of ``_fast_gradient_batch``'s uniforms. Reference
+    implementation over the full growing covariance, kept for tests; the
+    batched engine must reproduce it branch for branch.
     """
     filt = _TangentFilter(system, params.dim)
     loss = 0.0
@@ -382,7 +376,7 @@ def _rollout_gradient_terms(params, system, lam, horizon, rng, forced=None):
         l_k, dl_k, p0, dp0 = filt.step_loss(f, df, c, dc, lam)
         loss += l_k
         dloss += dl_k
-        keep = bool(forced[k]) if forced is not None else rng.uniform() > p0
+        keep = bool(u[k] > p0)
         if keep:
             kept += 1
             score += -dp0 / max(1.0 - p0, 1e-12)
@@ -422,11 +416,10 @@ def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):
     return float(totals.mean()), se
 
 
-def _gradient_estimate(params, losses, paths, scores, rates):
-    """(gradient, diagnostics dict) from one batch of gradient rollouts:
-    the mean of the pathwise loss tangent plus the (loss -
-    baseline)-weighted marginal branch score, with a leave-one-out
-    baseline."""
+def _gradient_estimate(params, losses, paths, scores):
+    """The gradient from one batch of gradient rollouts: the mean of the
+    pathwise loss tangent plus the (loss - baseline)-weighted marginal
+    branch score, with a leave-one-out baseline."""
     rollouts = len(losses)
     if rollouts > 1:
         baseline = (losses.sum() - losses) / (rollouts - 1)
@@ -435,12 +428,7 @@ def _gradient_estimate(params, losses, paths, scores, rates):
     grad = (paths + (losses - baseline)[:, None] * scores).mean(axis=0)
     if not np.all(np.isfinite(grad)):
         raise NumericalFailure(f"non-finite gradient; theta={params.theta!r}")
-    stderr = float(losses.std(ddof=1) / math.sqrt(rollouts)) if rollouts > 1 else 0.0
-    return grad, {
-        "objective": float(losses.mean()),
-        "stderr": stderr,
-        "sampling_rate": float(rates.mean()),
-    }
+    return grad
 
 
 def objective_gradient_linear(
@@ -451,12 +439,13 @@ def objective_gradient_linear(
     rng,
 ):
     """Monte Carlo gradient of the horizon objective in feedback form, on
-    ``rollouts`` branch patterns drawn from ``rng`` (``_gradient_estimate``).
-    Returns (gradient, diagnostics dict)."""
-    losses, paths, scores, rates, _ = _fast_gradient_batch(
-        params, system, lam, rollouts, params.horizon, rng
+    ``rollouts`` branch patterns whose (K+1, rollouts) uniforms are drawn
+    from ``rng`` (``_gradient_estimate``)."""
+    u = rng.uniform(size=(params.horizon + 1, rollouts))
+    losses, paths, scores, _, _ = _fast_gradient_batch(
+        params, system, lam, rollouts, params.horizon, u
     )
-    return _gradient_estimate(params, losses, paths, scores, rates)
+    return _gradient_estimate(params, losses, paths, scores)
 
 
 def _enumerate(params, system, lam, tangents):
@@ -465,7 +454,7 @@ def _enumerate(params, system, lam, tangents):
     Level k of the engine batch holds every branch prefix as a row; each
     row splits into its discard and keep children, and branches of
     probability <= 1e-15 are pruned. Returns the driver's per-path
-    (weights, losses, dlosses, scores).
+    (weights, losses, dlosses, scores, kept counts).
     """
     horizon = params.horizon
     if 2 ** (horizon + 1) > 4096:
@@ -480,19 +469,19 @@ def _enumerate(params, system, lam, tangents):
     return branch_rollouts(
         system, lam, horizon, 1, lambda k, mean: params.step_terms(k), branch,
         n_tangents=params.dim if tangents else 0,
-    )[:4]
+    )[:5]
 
 
 def exact_objective_and_gradient(params, system, lam):
     """Exact (objective, gradient), the gradient assembled from the same
     pathwise + score terms as the estimator, weighted exactly."""
-    weight, loss, dloss, score = _enumerate(params, system, lam, True)
+    weight, loss, dloss, score, _ = _enumerate(params, system, lam, True)
     return float(weight @ loss), weight @ (dloss + loss[:, None] * score)
 
 
 def exact_objective(params, system, lam) -> float:
     """Objective-only enumeration (used by finite-difference probes)."""
-    weight, loss, _, _ = _enumerate(params, system, lam, False)
+    weight, loss, _, _, _ = _enumerate(params, system, lam, False)
     return float(weight @ loss)
 
 
@@ -531,40 +520,41 @@ def stackelberg_optimize(
     parameters by validation objective are returned, and the result is
     flagged non-converged when max_iters is exhausted.
 
-    Beyond horizon 9 each iterate theta_t costs one engine pass: its
-    leading ``rollouts_per_step`` rows carry tangents and are iteration
-    t's gradient rollouts, and the other rows are theta_t's validation
-    rollouts, each block on its own stream (``OptimizerConfig``). Where
-    iteration t may not run (t = max_iters, or theta_t's validation may
-    end the loop) the pass has no gradient rows, and a run of iteration t
-    takes a pass of its own. A NumericalFailure ends with ``at leader
-    iteration t``, t the iteration it was raised in (the first pass
-    counts as iteration 0).
+    Each trace row gives theta_{t+1}'s validation objective, standard
+    error and sampling rate. Beyond horizon 9 each iterate theta_t costs
+    one engine pass: its leading ``rollouts_per_step`` rows carry
+    tangents and are iteration t's gradient rollouts, and the other rows
+    are theta_t's validation rollouts on the run's common uniforms
+    (``OptimizerConfig``). Where iteration t may not run (t = max_iters,
+    or theta_t's validation may end the loop) the pass has no gradient
+    rows, and a run of iteration t takes a pass of its own. At horizon 9
+    and below one enumeration gives theta_t's exact objective and rate.
+    A NumericalFailure ends with ``at leader iteration t``, t the
+    iteration it was raised in (the first pass counts as iteration 0).
     """
     horizon = init.horizon
     exact_ok = 2 ** (horizon + 1) <= 1024
+    if not exact_ok:  # common random numbers across iterates
+        u_val = substream(config.seed, 999).uniform(size=(horizon + 1, config.validation_rollouts))
 
     def evaluate(p: FeedbackPolicyParams, grad_it, validate=True):
         """(validation, gradient) at p: validation (objective, stderr,
-        rate), or None without ``validate``; iteration grad_it's (gradient,
-        info), or None when grad_it is None."""
+        rate), or None without ``validate``; iteration grad_it's gradient,
+        or None when grad_it is None."""
         sampled = validate and not exact_ok
-        uniforms = []
-        if grad_it is not None:
-            rng = substream(config.seed, 2, grad_it)
-            uniforms.append(rng.uniform(size=(horizon + 1, config.rollouts_per_step)))
+        g = config.rollouts_per_step if grad_it is not None else 0
+        u = np.empty((horizon + 1, 0))
+        if g:
+            u = substream(config.seed, 2, grad_it).uniform(size=(horizon + 1, g))
         if sampled:
-            rng = substream(config.seed, 999)  # common random numbers across iterates
-            uniforms.append(rng.uniform(size=(horizon + 1, config.validation_rollouts)))
+            u = np.hstack([u, u_val])
         val = grad = None
-        if uniforms:
-            g = config.rollouts_per_step if grad_it is not None else 0
-            u = np.hstack(uniforms)
+        if u.size:
             losses, paths, scores, rates, _ = _fast_gradient_batch(
                 p, system, lam, u.shape[1], horizon, u, tangent_rows=g
             )
             if g:
-                grad = _gradient_estimate(p, losses[:g], paths, scores, rates[:g])
+                grad = _gradient_estimate(p, losses[:g], paths, scores)
             if sampled:
                 v = losses[g:]
                 val = (
@@ -573,7 +563,8 @@ def stackelberg_optimize(
                     float(rates[g:].mean()),
                 )
         if validate and exact_ok:
-            val = exact_objective(p, system, lam), 0.0, float("nan")
+            weight, loss, _, _, kept = _enumerate(p, system, lam, False)
+            val = float(weight @ loss), 0.0, float(weight @ kept / (horizon + 1))
         return val, grad
 
     params = init
@@ -586,7 +577,7 @@ def stackelberg_optimize(
         converged = False
         trace = []
         for it in range(config.max_iters):
-            grad, info = pending or evaluate(params, it, validate=False)[1]
+            grad = pending if pending is not None else evaluate(params, it, validate=False)[1]
             step = config.alpha / (1.0 + it / 100.0)
             with np.errstate(over="ignore", invalid="ignore"):
                 move = -step * grad
@@ -607,7 +598,7 @@ def stackelberg_optimize(
                     iteration=it,
                     objective=obj,
                     stderr=stderr,
-                    sampling_rate=info["sampling_rate"] if math.isnan(rate) else rate,
+                    sampling_rate=rate,
                     grad_norm_theta=float(np.linalg.norm(grad)),
                 )
             )

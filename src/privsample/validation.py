@@ -16,7 +16,7 @@ import numpy as np
 from . import belief as bel
 from . import loss as loss_mod
 from .finite import (
-    DpGridSpec,
+    DP_ACTION_LEVELS,
     FiniteModel,
     PolicyCollection,
     _Space,
@@ -337,7 +337,7 @@ def check_estimator_unbiasedness(batches: int = 200, tol_sigma: float = 3.0) -> 
     _, exact_grad = exact_objective_and_gradient(params, system, lam)
     rng = make_rng(77)
     grads = np.array(
-        [objective_gradient_linear(params, system, lam, 16, rng)[0] for _ in range(batches)]
+        [objective_gradient_linear(params, system, lam, 16, rng) for _ in range(batches)]
     )
     se = grads.std(axis=0, ddof=1) / math.sqrt(batches)
     sigmas = float((np.abs(grads.mean(axis=0) - exact_grad) / se).max())
@@ -378,21 +378,21 @@ def check_finite_equivalences(tol: float = 1e-10) -> CheckResult:
     )
 
 
-def restricted_grid_search(model: FiniteModel, lam: float, levels) -> tuple[float, list]:
+def restricted_grid_search(model: FiniteModel, lam: float) -> tuple[float, list]:
     """Exact minimum over memoryless, history-independent stage tables.
 
     Horizon is fixed at 2 (the acceptance fixture): every combination of
-    per-stage tables a_k(discard | x) with entries on ``levels`` is
-    evaluated exactly by decomposing the objective over the output tree;
-    the tensor of objective values has one axis per stage. Child weights
-    for every table come from the DP's own branch transition matrices
-    (``_Space.child_op``), and children are deduplicated (keep-branch
-    children do not depend on the acting table), so the sweep at 11
-    levels (11² = 121 tables per stage at the fixture's n_x = 2) takes
-    about 0.6 s on a 2-core host.
+    per-stage tables a_k(discard | x) with entries on the DP's action grid
+    ``DP_ACTION_LEVELS`` is evaluated exactly by decomposing the objective
+    over the output tree; the tensor of objective values has one axis per
+    stage. Child weights for every table come from the DP's own branch
+    transition matrices (``_Space.child_op``), and children are
+    deduplicated (keep-branch children do not depend on the acting
+    table), so the sweep at 11 levels (11² = 121 tables per stage at the
+    fixture's n_x = 2) takes about 0.6 s on a 2-core host.
     Returns (best value, best stage tables as x-indexed lists).
     """
-    lv = np.asarray(levels, dtype=float)
+    lv = np.asarray(DP_ACTION_LEVELS, dtype=float)
     nx = model.nx
     combos = np.stack(
         [g.ravel() for g in np.meshgrid(*([lv] * nx), indexing="ij")], axis=1
@@ -481,22 +481,20 @@ def restricted_grid_search(model: FiniteModel, lam: float, levels) -> tuple[floa
     return best, tables
 
 
-def check_dp_optimality(
-    lam: float = 0.5, grid_levels: int = 11, bound: float = 0.02
-) -> CheckResult:
+def check_dp_optimality(lam: float = 0.5, bound: float = 0.02) -> CheckResult:
     """Recursion value vs the exhaustive restricted policy grid (K = 2).
 
     The recursion optimizes richer (memory- and history-dependent)
     policies, so its value must not exceed any gridded policy's value;
-    ``bound`` documents how far below the grid minimum it may go (grid
-    resolution plus restricted-class optimality gap on this fixture).
+    the grid's best tables seed the recursion's starts, which guarantees
+    that. ``bound`` documents how far below the grid minimum it may go
+    (grid resolution plus restricted-class optimality gap on this
+    fixture).
     """
     t0 = time.time()
     model = finite_fixture()
-    levels = np.round(np.linspace(0.0, 1.0, grid_levels), 10)
-    grid_min, grid_tables = restricted_grid_search(model, lam, levels)
-    spec = DpGridSpec(action_levels=tuple(levels), refine_rounds=2, seed_tables=grid_tables)
-    result = dp_solve(model, lam, 2, spec)
+    grid_min, grid_tables = restricted_grid_search(model, lam)
+    result = dp_solve(model, lam, 2, seed_tables=grid_tables)
     ok = result.value <= grid_min + 1e-9 and grid_min - result.value <= bound
     return _result(
         "dp_vs_exhaustive_policy_grid",

@@ -73,7 +73,7 @@ def test_criterion_7_finite_model_equivalences():
 
 
 def test_criterion_8_dp_vs_exhaustive_grid():
-    res = check_dp_optimality(lam=0.5, grid_levels=11, bound=0.02)
+    res = check_dp_optimality(lam=0.5, bound=0.02)
     ok = res.passed and res.seconds < 60.0
     _report("criterion 8 (value recursion vs policy grid)", ok, f"{res.detail}; {res.seconds:.1f}s")
 

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from privsample import finite
 from privsample.errors import ContractViolation, ImpossibleEvidence
 from privsample.finite import (
     DP_MEM_CAP,
-    DpGridSpec,
     FiniteModel,
     PolicyCollection,
     _Space,
@@ -479,7 +479,7 @@ def test_stacked_node_solves_equal_each_nodes_own(lam, monkeypatch):
     monkeypatch.undo()
 
     def fresh():
-        return _ValueRecursion(model, lam, 2, DpGridSpec())
+        return _ValueRecursion(model, lam, 2)
 
     for stage in (1, 2):
         keys, rows = max(
@@ -518,12 +518,25 @@ def test_dp_rejects_a_bad_lambda_or_horizon(model, lam, horizon):
         dp_solve(model, lam, horizon)
 
 
-def test_dp_lambda_extremes(model):
+def _on_grid(
+    monkeypatch,
+    levels=finite.DP_ACTION_LEVELS,
+    rounds=finite.DP_REFINE_ROUNDS,
+    warn_tol=finite.DP_REFINE_WARN_TOL,
+):
+    """Sets the DP's action grid, refinement rounds and warning tolerance."""
+    monkeypatch.setattr(finite, "DP_ACTION_LEVELS", tuple(levels))
+    monkeypatch.setattr(finite, "DP_REFINE_ROUNDS", rounds)
+    monkeypatch.setattr(finite, "DP_REFINE_WARN_TOL", warn_tol)
+
+
+def test_dp_lambda_extremes(model, monkeypatch):
     res0 = dp_solve(model, lam=0.0, horizon=1)
     assert res0.value < 1e-12  # sampling is free: zero distortion achievable
     # leak is quadratic around the uninformative policy, so never-sample is
     # grid-optimal only once lambda dominates the action-grid spacing
-    res_inf = dp_solve(model, lam=5e4, horizon=1, spec=DpGridSpec(refine_rounds=0))
+    _on_grid(monkeypatch, rounds=0)
+    res_inf = dp_solve(model, lam=5e4, horizon=1)
     for node in res_inf.nodes:
         assert all(np.isclose(v, 1.0) for v in node.policy.table.values())
     _, dist_only, info = objective_via_decomposition(
@@ -533,31 +546,28 @@ def test_dp_lambda_extremes(model):
     assert np.isclose(res_inf.value, dist_only, atol=1e-9)
 
 
-def test_dp_value_nonincreasing_under_grid_refinement(model):
-    coarse = dp_solve(
-        model, 0.5, 1, DpGridSpec(action_levels=tuple(np.linspace(0, 1, 6)), refine_rounds=0)
-    )
-    mid = dp_solve(
-        model, 0.5, 1, DpGridSpec(action_levels=tuple(np.linspace(0, 1, 11)), refine_rounds=0)
-    )
-    fine = dp_solve(
-        model, 0.5, 1, DpGridSpec(action_levels=tuple(np.linspace(0, 1, 11)), refine_rounds=2)
-    )
+def test_dp_value_nonincreasing_under_grid_refinement(model, monkeypatch):
+    _on_grid(monkeypatch, np.linspace(0, 1, 6), rounds=0)
+    coarse = dp_solve(model, 0.5, 1)
+    _on_grid(monkeypatch, np.linspace(0, 1, 11), rounds=0)
+    mid = dp_solve(model, 0.5, 1)
+    _on_grid(monkeypatch, np.linspace(0, 1, 11), rounds=2)
+    fine = dp_solve(model, 0.5, 1)
     assert mid.value <= coarse.value + 1e-12
     assert fine.value <= mid.value + 1e-12
 
 
-def test_dp_warns_when_action_grid_too_coarse(model):
+def test_dp_warns_when_action_grid_too_coarse(model, monkeypatch):
     # at this weight the optimal discard probability for x = 0 is strictly
     # interior (near 0.2), so a {0,1} grid cannot bracket it and the root
     # refinement must move the value
-    spec = DpGridSpec(action_levels=(0.0, 1.0), refine_rounds=3, refine_warn_tol=1e-6)
+    _on_grid(monkeypatch, (0.0, 1.0), rounds=3, warn_tol=1e-6)
     with pytest.warns(UserWarning, match="grid too coarse"):
-        result = dp_solve(model, 3.0, 1, spec)
+        result = dp_solve(model, 3.0, 1)
     assert result.refine_drop > 1e-6
 
 
-def test_dp_beats_exhaustive_restricted_grid_small(model):
+def test_dp_beats_exhaustive_restricted_grid_small(model, monkeypatch):
     """3-level grid, K=1: the recursion value is <= every gridded policy."""
     levels = [0.0, 0.5, 1.0]
     lam = 0.6
@@ -569,12 +579,6 @@ def test_dp_beats_exhaustive_restricted_grid_small(model):
         val, _, _ = objective_via_decomposition(model, policies, 1, lam)
         if val < best:
             best, best_tables = val, tables
-    res = dp_solve(
-        model,
-        lam,
-        1,
-        DpGridSpec(
-            action_levels=tuple(levels), refine_rounds=0, seed_tables=list(best_tables)
-        ),
-    )
+    _on_grid(monkeypatch, levels, rounds=0)
+    res = dp_solve(model, lam, 1, seed_tables=list(best_tables))
     assert res.value <= best + 1e-9

@@ -66,3 +66,25 @@ def test_no_function_assigns_a_local_it_never_reads():
                     if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in used
                 ]
     assert not found, found
+
+
+def test_every_substream_call_site_owns_its_stream():
+    """Each ``substream(seed, n, ...)`` call in the package names its
+    stream by an integer literal n that no other call site uses, so
+    moving a draw cannot merge two streams or split one."""
+    sites = {}
+    for path in sorted(Path(privsample.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "substream":
+                continue
+            site = f"{path.stem}:{node.lineno}"
+            head = node.args[1] if len(node.args) > 1 else None
+            assert isinstance(head, ast.Constant) and type(head.value) is int, site
+            sites.setdefault(head.value, []).append(site)
+    assert all(len(s) == 1 for s in sites.values()), sites
+    streams = {n: s[0].partition(":")[0] for n, s in sites.items()}
+    assert streams == {
+        0: "cli", 7: "cli", 100: "cli", 200: "cli", 300: "cli",
+        1: "optimizer", 2: "optimizer", 999: "optimizer",
+    }

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -138,7 +139,7 @@ def test_estimator_unbiased_against_enumeration(vi_system, a_yx, batches):
     _, exact_grad = exact_objective_and_gradient(params, system, lam)
     rng = make_rng(77)
     grads = np.array(
-        [objective_gradient_linear(params, system, lam, 16, rng)[0] for _ in range(batches)]
+        [objective_gradient_linear(params, system, lam, 16, rng) for _ in range(batches)]
     )
     se = grads.std(axis=0, ddof=1) / np.sqrt(len(grads))
     assert np.all(np.abs(grads.mean(axis=0) - exact_grad) < 3 * se)
@@ -386,20 +387,19 @@ SYSTEMS = {
 @pytest.mark.parametrize("name", list(SYSTEMS))
 def test_fast_engine_matches_reference_on_forced_patterns(vi_system, name):
     """Branch for branch against the growing covariance, untied
-    parameters; the random systems have A_yx != 0."""
+    parameters; the random systems have A_yx != 0. Uniforms 1 and 0 pin
+    the keep/discard pattern."""
     system = vi_system if SYSTEMS[name] is None else _random_system(*SYSTEMS[name])
     horizon = 12
     rng = make_rng(3)
     params = FeedbackPolicyParams.constant(system, horizon, f0=2.0, tied=False)
     params = params.replaced(params.theta + 0.07 * rng.standard_normal(params.dim))
     patterns = rng.uniform(size=(6, horizon + 1)) > 0.5
-    fl, fd, fs, fr, _ = _fast_gradient_batch(
-        params, system, 0.9, 6, horizon, rng, forced=patterns
-    )
+    u = patterns.T.astype(float)
+    fl, fd, fs, fr, _ = _fast_gradient_batch(params, system, 0.9, 6, horizon, u)
+    assert np.array_equal(fr, patterns.mean(axis=1))
     for r in range(6):
-        sl, sd, ss, sr = _rollout_gradient_terms(
-            params, system, 0.9, horizon, rng, forced=patterns[r]
-        )
+        sl, sd, ss, sr = _rollout_gradient_terms(params, system, 0.9, horizon, u[:, r])
         assert abs(fl[r] - sl) < 1e-10
         assert np.abs(fd[r] - sd).max() < 1e-9
         assert np.abs(fs[r] - ss).max() < 1e-9
@@ -415,9 +415,9 @@ def test_fast_gradient_batch_without_tangents_matches_with_tangents_bitwise(vi_s
     rng = make_rng(4)
     params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
     params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
-    patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
+    u = (rng.uniform(size=(rows, horizon + 1)) > 0.5).T.astype(float)
     run = lambda tangent_rows: _fast_gradient_batch(  # noqa: E731
-        params, system, 0.8, rows, horizon, None, forced=patterns, tangent_rows=tangent_rows
+        params, system, 0.8, rows, horizon, u, tangent_rows=tangent_rows
     )
     bare, full = run(0), run(None)
     assert bare[1].shape == bare[2].shape == (0, 0)
@@ -498,11 +498,11 @@ def test_optimize_lambda_streams_are_disjoint(vi_system, monkeypatch):
     )
     config = OptimizerConfig(rollouts_per_step=8, max_iters=3, validation_rollouts=16, seed=2)
     optimize_lambda(config, vi_system, 1.0, 10)
-    # one scan stream, first; validation at the start and after each of the
-    # 3 iterations; one stream per iteration
+    # one scan stream, first; the validation uniforms once per run; one
+    # stream per iteration
     counts = Counter(paths)
     assert counts[paths[0]] == 1
-    assert sorted(counts.values()) == [1, 1, 1, 1, 4]
+    assert sorted(counts.values()) == [1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
@@ -574,7 +574,7 @@ def test_fused_pass_rows_equal_their_own_batches_bitwise(vi_system, name):
         params, system, 0.8, n_grad + n_val, horizon, np.hstack([u_grad, u_val]),
         tangent_rows=n_grad,
     )
-    grad = _fast_gradient_batch(params, system, 0.8, n_grad, horizon, make_rng(1))
+    grad = _fast_gradient_batch(params, system, 0.8, n_grad, horizon, u_grad)
     val = _fast_gradient_batch(params, system, 0.8, n_val, horizon, u_val, tangent_rows=0)
     assert 0 < grad[3].mean() < 1 and 0 < val[3].mean() < 1  # both branches occur
     for i in (0, 3, 4):  # losses, rates, info sums
@@ -601,7 +601,8 @@ def test_optimize_lambda_scans_each_start_on_the_scan_stream(vi_system, monkeypa
     means = []
     for i, f0 in enumerate(optimizer.F_SCAN_GRID):
         params = FeedbackPolicyParams.constant(system, horizon, f0=f0)
-        own = batch(params, system, 3.0, n, horizon, substream(5, 1), tangent_rows=0)
+        u = substream(5, 1).uniform(size=(horizon + 1, n))
+        own = batch(params, system, 3.0, n, horizon, u, tangent_rows=0)
         for j in (0, 3, 4):  # losses, rates, info sums
             assert np.array_equal(scan[j][i * n : (i + 1) * n], own[j])
         means.append(own[0].mean())
@@ -613,11 +614,11 @@ def _sequential_stackelberg(config, system, lam, init):
     """The leader loop with a validation pass and a gradient pass of its own
     for every iterate: (best theta, best objective, converged, trace)."""
     horizon = init.horizon
+    u_val = substream(config.seed, 999).uniform(size=(horizon + 1, config.validation_rollouts))
 
     def validate(p):
         losses, _, _, rates, _ = _fast_gradient_batch(
-            p, system, lam, config.validation_rollouts, horizon, substream(config.seed, 999),
-            tangent_rows=0,
+            p, system, lam, config.validation_rollouts, horizon, u_val, tangent_rows=0
         )
         stderr = float(losses.std(ddof=1) / math.sqrt(len(losses)))
         return float(losses.mean()), stderr, float(rates.mean())
@@ -627,7 +628,7 @@ def _sequential_stackelberg(config, system, lam, init):
     prev, quiet, trace = best_obj, 0, []
     for it in range(config.max_iters):
         rng = substream(config.seed, 2, it)
-        grad, _ = objective_gradient_linear(params, system, lam, config.rollouts_per_step, rng)
+        grad = objective_gradient_linear(params, system, lam, config.rollouts_per_step, rng)
         step = config.alpha / (1.0 + it / 100.0)
         move = -step * grad
         norm = float(np.linalg.norm(move))
@@ -670,8 +671,9 @@ def test_stackelberg_equals_the_sequential_loop(
     )
     result = stackelberg_optimize(config, vi_system, 12.0, init)
     assert ref_converged == result.converged == converged
-    # no stream is drawn for an iteration that does not run
-    assert Counter(paths) == {(999,): len(trace) + 1, **{(2, t): 1 for t in range(len(trace))}}
+    # the validation uniforms are drawn once per run; no stream is drawn
+    # for an iteration that does not run
+    assert Counter(paths) == {(999,): 1, **{(2, t): 1 for t in range(len(trace))}}
     assert result.trace == trace
     assert result.objective == best_obj
     assert np.array_equal(result.params.theta, theta)
@@ -680,6 +682,43 @@ def test_stackelberg_equals_the_sequential_loop(
         tol = optimizer.CONVERGE_TOL
         quiet = [abs(b - a) / max(1.0, abs(a)) < tol for a, b in zip(objs, objs[1:])]
         assert any(q and not q_next for q, q_next in zip(quiet, quiet[1:]))
+
+
+def _enumerated_rate(params, system):
+    """Expected kept fraction over every branch pattern, weighted on the
+    growing covariance: the oracle for the exact validation's rate."""
+    horizon = params.horizon
+    rate = 0.0
+    for pattern in itertools.product((False, True), repeat=horizon + 1):
+        filt, prob = _TangentFilter(system, params.dim), 1.0
+        for k, keep in enumerate(pattern):
+            f, df, c, dc = params.step_terms(k)
+            p0 = filt.step_loss(f, df, c, dc, 0.0)[2]
+            prob *= 1.0 - p0 if keep else p0
+            filt.update(f, df, keep)
+            if k < horizon:
+                filt.predict()
+        rate += prob * sum(pattern) / (horizon + 1)
+    return rate
+
+
+@pytest.mark.parametrize("name", ["paper", "coupled"])
+def test_exact_trace_rows_give_their_own_iterates_rate(vi_system, monkeypatch, name):
+    """At horizon <= 9 each trace row gives its iterate's exact objective
+    and that iterate's enumerated sampling rate, not the rate of the
+    gradient rollouts that led to it."""
+    system = _named_system(vi_system, name)
+    iterates, enumerate_ = [], optimizer._enumerate
+    monkeypatch.setattr(
+        optimizer, "_enumerate", lambda p, *a: iterates.append(p) or enumerate_(p, *a)
+    )
+    config = OptimizerConfig(rollouts_per_step=8, max_iters=4)
+    init = FeedbackPolicyParams.constant(system, 4, f0=2.0)
+    result = stackelberg_optimize(config, system, 12.0, init)
+    assert len(iterates) == len(result.trace) + 1  # theta_0, then one per row
+    for row, params in zip(result.trace, iterates[1:]):
+        assert row.objective == exact_objective(params, system, 12.0)
+        assert abs(row.sampling_rate - _enumerated_rate(params, system)) < 1e-12
 
 
 def test_numerical_failures_name_their_stage(vi_system):
