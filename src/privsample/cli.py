@@ -14,6 +14,7 @@ write no output. PRIVSAMPLE_THREADS caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -29,6 +30,7 @@ from .configio import config_hash, dump_schedule, finite_model_from_config, load
 from .errors import ConfigError, ContractViolation, NumericalFailure
 from .finite import dp_solve
 from .linalg import logdet_psd
+from .lingauss import simulate_batch
 from .loss import belief_rollout
 from .optimizer import OptimizerConfig, leak_estimate, optimize_lambda
 from .policy import degenerate_schedule, open_loop_schedule
@@ -204,7 +206,13 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     """Rows of the three schedule families; the leak columns stay blank
-    when ``leak_rollouts`` is None."""
+    when ``leak_rollouts`` is None.
+
+    Each family's evaluation stream is simulated once and its trajectories
+    are shared by every value on its grid; each value gets its own copy of
+    the generator after that simulation, so its draws are the ones it
+    would make on a fresh stream of its own.
+    """
     rollouts, seed = _checked_count(args.rollouts, "--rollouts", 1), args.seed
     config = _optimizer_config(args)
     rows = []
@@ -215,30 +223,53 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
             return None, None
         return leak_estimate(system, sched, horizon, leak_rollouts, substream(seed, 7))
 
-    def eval_open_loop(f_val):
+    def eval_open_loop(f_val, states, rng):
         sched = open_loop_schedule(f_val * np.eye(system.n_x), horizon)
-        report = evaluate_schedule(system, sched, horizon, rollouts, substream(seed, 100))
-        return ("open_loop", f"f={f_val:g}", "", report, *leak_of(sched))
+        report = evaluate_schedule(system, sched, horizon, rollouts, rng, states=states)
+        return "", report, *leak_of(sched)
 
-    def eval_noise(var):
+    def eval_noise(var, states, rng):
         report = kalman_additive_baseline(
-            system, var * np.eye(system.n_x), horizon, rollouts, substream(seed, 200)
+            system, var * np.eye(system.n_x), horizon, rollouts, rng, states=states
         )
-        return ("additive_noise", f"var={var:g}", "", report, None, None)
+        return "", report, None, None
 
-    def eval_lambda(lam):
+    def eval_lambda(lam, states, rng):
         lam_config = dataclasses.replace(config, seed=substream_seed(seed, lam))
         result = optimize_lambda(lam_config, system, lam, horizon)
-        report = evaluate_schedule(
-            system, result.schedule, horizon, rollouts, substream(seed, 300)
-        )
-        return ("optimized", f"lambda={lam:g}", lam, report, *leak_of(result.schedule))
+        report = evaluate_schedule(system, result.schedule, horizon, rollouts, rng, states=states)
+        return lam, report, *leak_of(result.schedule)
 
-    tasks = [(eval_open_loop, f) for f in _checked_grid(args.f_grid, "--f-grid", False)]
-    tasks += [(eval_noise, v) for v in noise_grid]
-    tasks += [(eval_lambda, lam) for lam in _checked_grid(args.lambdas, "--lambdas", True)]
+    def shared(rng, grid):
+        """(value, trajectories, generator) per grid value; the stream is
+        simulated once, when the grid is not empty."""
+        if not grid:
+            return []
+        states = simulate_batch(system, horizon, rollouts, rng)
+        states.setflags(write=False)
+        return [(v, states, copy.deepcopy(rng)) for v in grid]
+
+    def run(task):
+        family, label, fn, arg = task
+        try:
+            return (family, label, *fn(*arg))
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"{exc} in sweep family {family} {label}") from exc
+
+    f_grid = _checked_grid(args.f_grid, "--f-grid", False)
+    lambdas = _checked_grid(args.lambdas, "--lambdas", True)
+    families = [
+        ("open_loop", "f", eval_open_loop, substream(seed, 100), f_grid),
+        ("additive_noise", "var", eval_noise, substream(seed, 200), noise_grid),
+        ("optimized", "lambda", eval_lambda, substream(seed, 300), lambdas),
+    ]
+    tasks = [
+        (family, f"{name}={a[0]:g}", fn, a)
+        for family, name, fn, rng, grid in families
+        for a in shared(rng, grid)
+    ]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda t: t[0](t[1]), tasks))
+        results = list(pool.map(run, tasks))
     for family, param, lam, report, leak, leak_se in results:
         rows.append(
             [

@@ -417,12 +417,13 @@ def objective_via_decomposition(model: FiniteModel, policies, horizon: int, lam:
 # same output pattern share a canonical support, so each support gets a
 # _Space with precomputed linear maps: one candidate batch's losses are
 # two one-hot aggregation matmuls and one entropy pass, the w-only
-# entropy term is formed once per node, and each branch's child weights
-# for each node is one matmul with a cached parent->child transition
-# matrix. Every node is solved by one batch of lockstep coordinate
-# descents, one per (node, start), each step one losses_batch call over the
-# stacked nodes. Values are memoized on (stage, support, rounded weights),
-# and each lookup solves all its missed nodes in one such batch.
+# entropy term is formed once per node, and one branch's child weights at
+# every stacked node and candidate are one matmul with a cached
+# parent->child transition matrix, looked up in one value call. Nodes are
+# solved by batches of lockstep coordinate descents, one per (node,
+# start), each step one losses_batch call over the stacked nodes. Values
+# are memoized on (stage, support, rounded weights), and each lookup
+# solves its missed nodes in such batches of at most DP_CHUNK_ROWS nodes.
 
 
 class _Space:
@@ -538,8 +539,11 @@ def _xlogx_vec(p):
 # rounds around the incumbent at the root; dp_solve warns when they drop
 # the root value by more than DP_REFINE_WARN_TOL. Beliefs remember the
 # last DP_MEM_CAP discards, which covers the supported horizons (0 to 2).
+# A value lookup solves its missed nodes DP_CHUNK_ROWS at a time: the
+# stacked descents below a chunk grow with it, and so does peak memory.
 DP_ACTION_LEVELS = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 DP_MAX_SWEEPS = 4
+DP_CHUNK_ROWS = 32
 DP_REFINE_ROUNDS = 2
 DP_REFINE_WARN_TOL = 5e-3
 DP_MEM_CAP = 2
@@ -593,16 +597,15 @@ class _ValueRecursion:
             child_keys, trans = sp.child_op(branch)
             if len(child_keys) == 0:
                 continue
-            child_sp = self.space_for(child_keys)
-            # one node at a time: stacking the (D, L, S) products for a
-            # single lookup is faster but raises the peak memory
-            for node_w, node_a, node_totals in zip(w, a, totals):
-                mass = node_w[None, :] * (node_a if branch == "none" else (1.0 - node_a))
-                child_w = mass @ trans  # (L, S_child), unnormalized
-                norms = child_w.sum(axis=1)
-                live = np.flatnonzero(norms > 1e-13)
-                values = self.value(child_sp, child_w[live] / norms[live, None], k + 1)
-                node_totals[live] += norms[live] * values
+            # each node's slice of the stacked product equals its own
+            # (L, S) @ trans bit for bit (a test checks), and value() solves
+            # the lookup's misses in capped chunks, which bounds the memory
+            mass = w[:, None, :] * (a if branch == "none" else (1.0 - a))
+            child_w = mass @ trans  # (D, L, S_child), unnormalized
+            norms = child_w.sum(axis=-1)
+            live = np.nonzero(norms > 1e-13)  # (node, table) pairs in row order
+            rows = child_w[live] / norms[live][:, None]
+            totals[live] += norms[live] * self.value(self.space_for(child_keys), rows, k + 1)
         return totals
 
     def _coordinate_descent(self, sp, w, k, vecs, levels):
@@ -658,17 +661,20 @@ class _ValueRecursion:
     def value(self, sp, rows, k) -> np.ndarray:
         """Memoized values of the stage-k nodes ``rows`` (R, S).
 
-        Keys are looked up in row order and the misses are solved in one
-        ``solve_node`` call; a repeated key is solved at its first row only.
+        Keys are looked up in row order; a repeated key is solved at its
+        first row only. The missed rows are solved in row order, in
+        ``solve_node`` calls of at most ``DP_CHUNK_ROWS`` rows each, and
+        the memo takes each chunk's values as it is solved.
         """
-        keys = [(k, sp.keys, np.round(row, 12).tobytes()) for row in rows]
+        keys = [(k, sp.keys, row.tobytes()) for row in np.round(rows, 12)]
         new: dict = {}  # missed key -> its first row
         for i, key in enumerate(keys):
             if key not in self.memo:
                 new.setdefault(key, i)
-        if new:
-            vals, _ = self.solve_node(sp, rows[list(new.values())], k)
-            self.memo.update(zip(new, map(float, vals)))
+        missed, first = list(new), list(new.values())
+        for lo in range(0, len(first), DP_CHUNK_ROWS):
+            vals, _ = self.solve_node(sp, rows[first[lo : lo + DP_CHUNK_ROWS]], k)
+            self.memo.update(zip(missed[lo : lo + DP_CHUNK_ROWS], map(float, vals)))
         return np.array([self.memo[key] for key in keys])
 
     def policy_from_vector(self, sp, vec) -> PolicyCollection:

@@ -62,8 +62,9 @@ class ReconstructionReport:
             raise ContractViolation("mean_y_error must average y_errors")
 
 
-def _filter_report(system, horizon, rollouts, rng, update) -> ReconstructionReport:
-    """Simulate, filter the current (x, y) block, and score every step.
+def _filter_report(system, horizon, rollouts, rng, update, states) -> ReconstructionReport:
+    """Simulate (unless ``states`` are given), filter the current (x, y)
+    block, and score every step.
 
     ``update(k, x, p, mean)`` filters step k's predicted block covariances
     p (B or 1, n, n) and means (B, n) given the true x (B, n_x) and returns
@@ -72,7 +73,8 @@ def _filter_report(system, horizon, rollouts, rng, update) -> ReconstructionRepo
     """
     nx = system.n_x
     a_t = np.ascontiguousarray(system.a_matrix.T)
-    states = simulate_batch(system, horizon, rollouts, rng)
+    if states is None:
+        states = simulate_batch(system, horizon, rollouts, rng)
     p = system.init_cov[None]
     mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
     x_err, y_err, px_err, py_err = np.zeros((4, horizon + 1))
@@ -106,13 +108,17 @@ def evaluate_schedule(
     horizon: int,
     rollouts: int,
     rng,
+    states=None,
 ) -> ReconstructionReport:
     """Closed-loop evaluation: simulate, decide pointwise, filter, score.
 
     Returns per-step mean squared errors of the X reconstruction and of
     the adversary's current-Y estimate, averaged over rollouts, plus the
     realized sampling rate. A kept x_k that is already known (singular
-    P^xx) raises a NumericalFailure naming k.
+    P^xx) raises a NumericalFailure naming k. ``states``, when given, are
+    the (K+1, rollouts, n) trajectories ``simulate_batch`` drew from a
+    generator now in the state of ``rng``; the report is then the one a
+    call on that fresh generator gives.
     """
     if schedule.horizon < horizon:
         raise ContractViolation("schedule shorter than the requested horizon")
@@ -125,7 +131,7 @@ def evaluate_schedule(
             p, _, mean = branch_step(p, None, mean, schedule.f_at(k), None, keep, obs, k)
         return p, mean, int(keep.sum())
 
-    return _filter_report(system, horizon, rollouts, rng, update)
+    return _filter_report(system, horizon, rollouts, rng, update, states)
 
 
 def kalman_additive_baseline(
@@ -134,6 +140,7 @@ def kalman_additive_baseline(
     horizon: int,
     rollouts: int,
     rng,
+    states=None,
 ) -> ReconstructionReport:
     """Every-step transmission of x + v, v ~ N(0, noise_cov), Kalman filtered.
 
@@ -142,6 +149,7 @@ def kalman_additive_baseline(
     sampling rate of this baseline is 1 by construction. ``noise_cov``
     must be symmetric PSD (ContractViolation otherwise); 0 is an exact
     observation, and a singular one is exact along its null space.
+    ``states`` are pre-drawn trajectories, as in evaluate_schedule.
     """
     noise_cov = check_symmetric_psd(np.atleast_2d(noise_cov), name="noise_cov")
     noise_fac = psd_sqrt(noise_cov)
@@ -154,4 +162,4 @@ def kalman_additive_baseline(
         mean = mean + (gain @ (obs - mean[:, : system.n_x])[:, :, None])[:, :, 0]
         return p, mean, rollouts
 
-    return _filter_report(system, horizon, rollouts, rng, update)
+    return _filter_report(system, horizon, rollouts, rng, update, states)

@@ -508,6 +508,65 @@ def test_numerical_failure_is_exit_4(system_cfg, tmp_path, capsys):
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
+def test_failing_sweep_family_is_named(system_cfg, tmp_path, capsys):
+    """Q_xx = 0 and A_xy = 0 make x_1 = 0.98 x_0, so the open-loop family
+    f=1 keeps an already known x_1 after a kept x_0; the one stderr line
+    names that family after the step."""
+    cfg = dict(SYSTEM_CFG, A=[[0.98, 0.0], [0.0, 0.35]], Q=[[0.0, 0.0], [0.0, 4.0]], K=10)
+    system_cfg.write_text(json.dumps(cfg))
+    out = tmp_path / "s.csv"
+    args = ["sweep-tradeoff", "--config", str(system_cfg), "--out", str(out), "--lambdas", ""]
+    args += ["--rollouts", "50", "--leak-rollouts", "2", "--f-grid", "1,4", "--noise-grid", "1"]
+    assert main(args) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: x_k already known (singular Cov(X_k | Y^(k-1), Z^(k-1))) at k=1"
+        " in sweep family open_loop f=1\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
+    """The families on one stream share its trajectories: one
+    simulate_batch call per stream in use, and every open-loop report
+    equals evaluate_schedule run alone on a fresh stream, bit for bit."""
+    from privsample import lingauss, reconstruct
+    from privsample.rngs import substream
+
+    sims, reports = [], {}
+
+    def counting(*args, **kwargs):
+        sims.append(args[1:3])
+        return lingauss.simulate_batch(*args, **kwargs)
+
+    def recording(system, schedule, *args, **kwargs):
+        report = reconstruct.evaluate_schedule(system, schedule, *args, **kwargs)
+        reports[round(float(schedule.f_at(0)[0, 0]), 9)] = report
+        return report
+
+    monkeypatch.setattr(cli, "simulate_batch", counting)
+    monkeypatch.setattr(reconstruct, "simulate_batch", counting)
+    args = ["sweep-tradeoff", "--config", str(system_cfg), "--seed", "3", "--horizon", "8"]
+    args += ["--rollouts", "300", "--leak-rollouts", "2", "--f-grid", "0.5,4", "--noise-grid", "1,2"]
+    opt = ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
+    assert main(args + opt + ["--lambdas", "1.0", "--out", str(tmp_path / "a.csv")]) == 0
+    assert sims == [(8, 300)] * 3
+    sims.clear()
+    monkeypatch.setattr(cli, "evaluate_schedule", recording)
+    assert main(args + ["--lambdas", "", "--out", str(tmp_path / "b.csv")]) == 0
+    assert sims == [(8, 300)] * 2
+    monkeypatch.undo()
+
+    system = system_from_config(SYSTEM_CFG)
+    assert reports.keys() == {0.5, 4.0}
+    for f_val, report in reports.items():
+        alone = reconstruct.evaluate_schedule(
+            system, open_loop_schedule(f_val * np.eye(1), 8), 8, 300, substream(3, 100)
+        )
+        for field in ("x_errors", "y_errors", "predicted_x_errors", "predicted_y_errors"):
+            assert np.array_equal(getattr(report, field), getattr(alone, field)), (f_val, field)
+        assert report.sampling_rate == alone.sampling_rate
+
+
 def test_overflowing_leader_step_is_exit_4(system_cfg, tmp_path, capsys):
     """alpha = 1e308 overflows the first leader step; the failure names the
     step, not the non-finite gradient that the clipped move would cause."""

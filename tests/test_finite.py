@@ -501,15 +501,79 @@ def test_stacked_node_solves_equal_each_nodes_own(lam, monkeypatch):
 
 def test_dp_losses_batch_call_count(monkeypatch):
     """At lambda 0.5 and horizon 2 every node solve is a lockstep batch
-    over its nodes and starts; one losses_batch call per node and start
-    would make 60302."""
+    over its nodes and starts, and each branch's lookup covers every
+    stacked node; one losses_batch call per node and start would make
+    60302, and one lookup per node per branch 4828."""
     from privsample.validation import finite_fixture
 
     calls = []
     losses_batch = _Space.losses_batch
     monkeypatch.setattr(_Space, "losses_batch", lambda *a: calls.append(1) or losses_batch(*a))
     assert dp_solve(finite_fixture(), 0.5, 2).value == 0.08902504678997822
-    assert len(calls) == 4828
+    assert len(calls) == 1332
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5, 3.0])
+def test_dp_chunk_cap_leaves_the_recursion_unchanged(lam, monkeypatch):
+    """Solving a lookup's missed nodes one at a time or all in one batch
+    gives the same root value, node values and policies bit for bit, and
+    the same memo keys, with the first stage's in the same order.
+
+    A memo value may move by ulps: a key is solved at the first row that
+    reaches it, and below a chunk the lockstep descents reach the
+    next-stage rows in another order than one node's descent alone does,
+    so another of two rows that round to the same key can come first.
+    """
+    import sys
+
+    from privsample.validation import finite_fixture
+
+    recursions = []
+    init = _ValueRecursion.__init__
+
+    def recording(rec, *args):
+        recursions.append(rec)
+        init(rec, *args)
+
+    monkeypatch.setattr(_ValueRecursion, "__init__", recording)
+    runs = []
+    for cap in (1, sys.maxsize):
+        monkeypatch.setattr(finite, "DP_CHUNK_ROWS", cap)
+        result = dp_solve(finite_fixture(), lam, 2)
+        nodes = [(n.history, n.value, sorted(n.policy.table.items())) for n in result.nodes]
+        runs.append((result.value, nodes, recursions[-1].memo))
+    assert len(recursions) == 2
+    (value, nodes, memo), (value_big, nodes_big, memo_big) = runs
+    assert value == value_big and nodes == nodes_big
+    assert sorted(memo) == sorted(memo_big)
+    assert [key for key in memo if key[0] == 1] == [key for key in memo_big if key[0] == 1]
+    for key, v in memo.items():
+        assert abs(v - memo_big[key]) <= 1e-12 * abs(v), key
+
+
+def test_stacked_child_weights_equal_each_nodes_own():
+    """Each node's (L, S_child) slice of the stacked (D, L, S) @ trans
+    product, and its row sums, equal the node's own product bit for bit,
+    so stacking the nodes of a branch lookup moves no child weight."""
+    from privsample.validation import finite_fixture
+
+    model = finite_fixture()
+    rng = make_rng(5)
+    levels = np.linspace(0.0, 1.0, 11)
+    for sp in _reachable_spaces(model, 1):  # the parents at horizon 2
+        for branch in ["none", *range(model.nx)]:
+            child_keys, trans = sp.child_op(branch)
+            if not child_keys:
+                continue
+            for d in (2, 96):
+                w = rng.dirichlet(np.ones(len(sp.keys)), size=d)
+                a = rng.choice(levels, size=(d, 11, len(sp.keys)))
+                mass = w[:, None, :] * (a if branch == "none" else 1.0 - a)
+                stacked = mass @ trans
+                for i in range(d):
+                    own = mass[i] @ trans
+                    assert np.array_equal(stacked[i], own), (sp.keys, branch, d, i)
+                    assert np.array_equal(stacked[i].sum(axis=-1), own.sum(axis=1))
 
 
 @pytest.mark.parametrize("lam, horizon",[(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])
