@@ -10,6 +10,16 @@ exact: the growing-trajectory recursion touches the (x, y_current)
 statistics only through the same block operations. Information terms
 need one more fixed-size statistic, Cov(X_k | Y^k, Z^{k-1}), which
 ``BatchEngine`` adds.
+
+Layout: the row (rollout) axis is last in every array. Covariances are
+(n, n, B), means (n, B), forward tangents (n, n, T, G); an operand shared
+by every row has a row axis of length 1. The blocks are tiny (n = 2 in
+the paper), so with rows first numpy would run a length-1 or length-2
+inner loop B times; with rows last every elementwise op, every
+contraction over the block (``mm``, ``_tr``) and every row selection runs
+one loop over B contiguous values, and ``sandwich`` is two 2-D matrix
+products. Every row's arithmetic is its own, so a row's values do not
+depend on which other rows share the batch.
 """
 from __future__ import annotations
 
@@ -17,57 +27,86 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .lingauss import LinearGaussianSystem
-from .linalg import inverse
+
+
+def _blocks_last(m):
+    """The (d, d, ...) blocks of m as numpy's linalg stacks them, (..., d, d)."""
+    return np.moveaxis(m, (0, 1), (-2, -1))
 
 
 def _det(m):
-    """Determinants of a stack of square matrices (..., d, d)."""
-    return m[..., 0, 0] if m.shape[-1] == 1 else np.linalg.det(m)
+    """Determinants of the blocks of m (d, d, ...)."""
+    return m[0, 0] if len(m) == 1 else np.linalg.det(_blocks_last(m))
 
 
-def _mm(a, b):
-    """a @ b. A contraction over a length-1 axis (n_x = 1 or n_y = 1) is an
-    elementwise product, which costs a fraction of numpy's stacked matmul,
-    except for an outer product (m x 1 by 1 x r), whose two broadcast axes
-    make the product slower than @."""
-    if a.shape[-1] == 1 and (a.shape[-2] == 1 or b.shape[-1] == 1):
+def _inv(m):
+    """Inverses of the blocks of m (d, d, ...); 1x1 blocks are 1 / m."""
+    if len(m) == 1:
+        return 1.0 / m
+    return np.moveaxis(np.linalg.inv(_blocks_last(m)), (-2, -1), (0, 1))
+
+
+def mm(a, b):
+    """a @ b for every row: a (m, k, ...) and b (k, r, ...), with as many
+    row axes each, which broadcast. A length-1 contraction (n_x = 1 or
+    n_y = 1) is one elementwise product, an outer product included; a
+    longer one sums the broadcast product over k."""
+    if a.shape[1] == 1:
         return a * b
-    return a @ b
+    return (a[:, :, None] * b[None]).sum(axis=1)
 
 
 def _tr(a, b):
-    """tr(a b_t) for every tangent t: a (..., d, d), b (..., T, d, d)."""
-    return np.einsum("...ij,...tji->...t", a, b)
+    """tr(a b) for the blocks of a and b (d, d, ...), broadcasting over the rest."""
+    if len(a) == 1:
+        return a[0, 0] * b[0, 0]
+    return (a * b.swapaxes(0, 1)).sum(axis=(0, 1))
 
 
-def sandwich(a_t, x):
-    """a @ x_b @ a.T for each x_b of a stack (..., m, m), given a.T (m, r), as two
-    2-D products: numpy's stacked matmul is several times slower on 2x2 blocks."""
-    m, r = a_t.shape
-    y = (x.swapaxes(-1, -2).reshape(-1, m) @ a_t).reshape(*x.shape[:-2], m, r)
-    return (y.swapaxes(-1, -2).reshape(-1, m) @ a_t).reshape(*x.shape[:-2], r, r)
+def transition(a, y):
+    """a @ y_b for every row b of y (..., m, B), a (r, m): the means'
+    prediction, and each product of ``sandwich``. On one row numpy takes
+    its matrix-vector product, which rounds unlike its matrix product, so
+    one row goes through the matrix product as two."""
+    if y.shape[-1] == 1:
+        return np.matmul(a, np.repeat(y, 2, axis=-1))[..., :1]
+    return np.matmul(a, y)
+
+
+def sandwich(a, x):
+    """a @ x_b @ a.T for every block x_b of x (m, m, ...), given a (r, m),
+    as two 2-D matrix products over contiguous rows."""
+    r, m = a.shape
+    y = transition(a, x.reshape(m, -1)).reshape(r, m, -1)
+    return transition(a, y).reshape(r, r, *x.shape[2:])
 
 
 def observe(c, dc, r, dr, nx: int):
-    """Condition each covariance c_b (B, m, m) on its first nx coordinates
-    seen through noise r (n_x x n_x, per row or shared), with tangents dc
-    (G, T, m, m) of the leading G rows and dr, or dc = None. Returns
-    (c', dc', gain)."""
-    col = c[:, :, :nx]
-    s_inv = inverse(c[:, :nx, :nx] + r)
-    gain = _mm(col, s_inv)
-    c = c - _mm(gain, col.swapaxes(1, 2))
+    """Condition each covariance c_b (m, m, B) on its first nx coordinates
+    seen through noise r (n_x, n_x, B or 1), with tangents dc (m, m, T, G)
+    of the leading G rows and dr (n_x, n_x, T, G or 1), or dc = None.
+    Returns (c', dc', gain)."""
+    col = c[:, :nx]
+    s_inv = _inv(c[:nx, :nx] + r)
+    gain = mm(col, s_inv)
+    c = c - mm(gain, col.swapaxes(0, 1))
     if dc is None:
         return c, None, gain
     # d(col s^{-1} col^T) = w + w^T with w = (dcol - gain ds / 2) gain^T
-    gain4 = gain[: len(dc), None]
-    w = _mm(dc[..., :nx] - 0.5 * _mm(gain4, dc[:, :, :nx, :nx] + dr), gain4.swapaxes(2, 3))
-    return c, dc - w - w.swapaxes(2, 3), gain
+    gain4 = gain[:, :, None, : dc.shape[-1]]
+    w = mm(dc[:, :nx] - 0.5 * mm(gain4, dc[:nx, :nx] + dr), gain4.swapaxes(0, 1))
+    return c, dc - w - w.swapaxes(0, 1), gain
+
+
+def _zero_x(a, keep, nx: int):
+    """Zero the x rows and columns of a (n, n, ..., B) in place on kept rows."""
+    a[:nx] = np.where(keep, 0.0, a[:nx])
+    a[nx:, :nx] = np.where(keep, 0.0, a[nx:, :nx])
 
 
 def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
     """Raise a NumericalFailure naming step k if the x-covariance
-    Cov(X_k | given) of a selected row (cov: (..., n_x, n_x); rows: (B,)
+    Cov(X_k | given) of a selected row (cov: (n_x, n_x, ...); rows: (B,)
     bool, or True for all) is singular: x_k is then already known, and its
     information increment is undefined (conditioning on it has no gain)."""
     if (rows & (_det(cov) <= 0.0)).any():
@@ -77,45 +116,42 @@ def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
 def branch_step(p, dp, mean, f, df, keep, obs, k: int):
     """Filter the current (x, y) block of every row for its branch at step k.
 
-    Each p_b (B, n, n; tangents dp (G, T, n, n) of the leading G rows, or
-    None) is conditioned on
-    its x, seen exactly on kept rows (keep: (B,) bool) and through noise f
-    (n_x x n_x; tangents df) on discarded ones. A kept x is known exactly,
-    so its rows and columns are zeroed. Means (B, n; or None) move by the
-    gain toward obs (B, n_x: the kept x, or the region center on a
-    discard), and kept rows take x = obs. Returns (p, dp, mean).
+    Each p_b (n, n, B, or one shared (n, n, 1) block; tangents dp
+    (n, n, T, G) of the leading G rows, or None) is conditioned on its x,
+    seen exactly on kept rows (keep: (B,) bool) and through noise f
+    (n_x, n_x, 1 or B; tangents df (n_x, n_x, T, 1)) on discarded ones. A
+    kept x is known exactly, so its rows and columns are zeroed. Means
+    (n, B; or None) move by the gain toward obs (n_x, B: the kept x, or
+    the region center on a discard), and kept rows take x = obs. Returns
+    (p, dp, mean).
     """
-    nx = f.shape[-1]
-    _require_unknown_x(p[:, :nx, :nx], keep, k)
-    keep3 = keep[:, None, None]
-    dr = None if dp is None else np.where(keep3[: len(dp), None], 0.0, df)
-    p, dp, gain = observe(p, dp, np.where(keep3, 0.0, f), dr, nx)
-    p[keep, :nx, :] = 0.0
-    p[keep, :, :nx] = 0.0
+    nx = len(f)
+    _require_unknown_x(p[:nx, :nx], keep, k)
+    dr = None if dp is None else np.where(keep[: dp.shape[-1]], 0.0, df)
+    p, dp, gain = observe(p, dp, np.where(keep, 0.0, f), dr, nx)
+    _zero_x(p, keep, nx)
     if dp is not None:
-        keep_t = keep[: len(dp)]
-        dp[keep_t, :, :nx, :] = 0.0
-        dp[keep_t, :, :, :nx] = 0.0
+        _zero_x(dp, keep[: dp.shape[-1]], nx)
     if mean is not None:
-        mean = mean + _mm(gain, (obs - mean[:, :nx])[:, :, None])[:, :, 0]
-        mean[keep, :nx] = obs[keep]
+        mean = mean + mm(gain, (obs - mean[:nx])[:, None])[:, 0]
+        mean[:nx] = np.where(keep, obs, mean[:nx])
     return p, dp, mean
 
 
 def _x_given_y(m, nx: int, k: int):
-    """Cov(x | y) of each (x, y) covariance in a stack, and M_xy M_yy^{-1}.
+    """Cov(x | y) of each (x, y) covariance m (n, n, ...), and M_xy M_yy^{-1}.
     A singular y-block (y_k a function of the past, so the trajectory
     covariance is singular) raises a NumericalFailure naming step k."""
-    myy = m[..., nx:, nx:]
+    myy = m[nx:, nx:]
     try:
         with np.errstate(divide="raise"):
-            myy_inv, det = inverse(myy), _det(myy)
+            myy_inv, det = _inv(myy), _det(myy)
     except (FloatingPointError, np.linalg.LinAlgError):
         det = 0.0
     if np.any(det <= 0.0):
         raise NumericalFailure(f"singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k={k}")
-    gain = _mm(m[..., :nx, nx:], myy_inv)
-    return m[..., :nx, :nx] - _mm(gain, m[..., nx:, :nx]), gain
+    gain = mm(m[:nx, nx:], myy_inv)
+    return m[:nx, :nx] - mm(gain, m[nx:, :nx]), gain
 
 
 class BatchEngine:
@@ -137,15 +173,16 @@ class BatchEngine:
         discard:  S <- S - S (S + f)^{-1} S
         predict:  M = A[:, :n_x] S A[:, :n_x]^T + Q,  S <- M_xx - M_xy M_yy^{-1} M_yx
 
-    Each rollout is fixed-size, so batches advance in lockstep.
-    Covariances and their forward tangents (``dp``, ``ds``, one per
+    Each rollout is fixed-size, so batches advance in lockstep, rows last
+    (``p`` (n, n, B), ``s`` (n_x, n_x, B)). Covariances and their forward
+    tangents (``dp`` (n, n, T, G), ``ds`` (n_x, n_x, T, G), one per
     parameter; None without) depend only on the branch pattern; schedule
     rollouts pass their means through ``update``. Tangents may cover only
-    the leading ``tangent_rows`` rows (all by default): covariance, S and
-    loss work runs over every row, tangent work over those rows only, and
-    each row's values do not depend on which other rows share the batch.
-    A singular P^xx (x_k already known) or S (x_k a function of Y^k)
-    leaves an information increment undefined and raises a
+    the leading ``tangent_rows`` rows G (all by default): covariance, S
+    and loss work runs over every row, tangent work over those rows only,
+    and each row's values do not depend on which other rows share the
+    batch. A singular P^xx (x_k already known) or S (x_k a function of
+    Y^k) leaves an information increment undefined and raises a
     NumericalFailure naming k.
     """
 
@@ -156,43 +193,45 @@ class BatchEngine:
         self.sys = system
         self.nx = nx
         self.nt = n_tangents
-        self._a_t = np.ascontiguousarray(system.a_matrix.T)
-        self._ax_t = np.ascontiguousarray(self._a_t[:nx])
-        _require_unknown_x(system.init_cov[:nx, :nx], True, 0)
-        s0, _ = _x_given_y(system.init_cov, nx, 0)
+        self._ax = np.ascontiguousarray(system.a_matrix[:, :nx])
+        self._q = system.q_cov[..., None]
+        init = system.init_cov[..., None]
+        _require_unknown_x(init[:nx, :nx], True, 0)
+        s0, _ = _x_given_y(init, nx, 0)
         _require_unknown_x(s0, True, 0, given="Y^k, Z^(k-1)")
-        self.p = np.repeat(system.init_cov[None], batch, axis=0)
-        self.s = np.repeat(s0[None], batch, axis=0)
+        self.p = np.repeat(init, batch, axis=-1)
+        self.s = np.repeat(s0, batch, axis=-1)
         g = batch if tangent_rows is None else tangent_rows
-        self.dp = np.zeros((g, n_tangents, n, n)) if n_tangents else None
-        self.ds = np.zeros((g, n_tangents, nx, nx)) if n_tangents else None
+        self.dp = np.zeros((n, n, n_tangents, g)) if n_tangents else None
+        self.ds = np.zeros((nx, nx, n_tangents, g)) if n_tangents else None
 
     def take(self, rows):
         """Keep the given batch rows, in order (repeats allowed); with
         tangents, every row must carry them."""
-        self.p, self.s = self.p[rows], self.s[rows]
+        self.p, self.s = self.p[..., rows], self.s[..., rows]
         if self.nt:
-            self.dp, self.ds = self.dp[rows], self.ds[rows]
+            self.dp, self.ds = self.dp[..., rows], self.ds[..., rows]
 
     def step_loss(self, f, df, c, dc, lam):
         """(loss, dloss, p0, dp0, info) per rollout: p0 is the no-sample
         probability, info the information increment (nats). ``c`` is the
-        region center's offset from the predicted mean, (n_x,) or (B, n_x),
-        and ``f`` is (n_x, n_x) or (B, n_x, n_x); with tangents f is shared.
-        dloss and dp0 cover the tangent rows; without tangents ``df``/``dc``
-        are unused and dloss, dp0 are None.
+        region center's offset from the predicted mean, (n_x, 1 or B), and
+        ``f`` is (n_x, n_x, 1 or B); with tangents f is shared and df
+        (n_x, n_x, T, 1), dc (n_x, T, 1). dloss and dp0 are (T, G), for
+        the tangent rows; without tangents ``df``/``dc`` are unused and
+        dloss, dp0 are None.
         """
         nx = self.nx
-        pxx = self.p[:, :nx, :nx]
+        pxx = self.p[:nx, :nx]
         # the n_x x n_x blocks behind p0 and the two information increments;
         # only the tangents need more inverses than (f + P^xx)^{-1}
-        blocks = np.stack([f + pxx, pxx, self.s, f + self.s])
+        blocks = np.stack([f + pxx, pxx, self.s, f + self.s], axis=2)
         det = _det(blocks)
-        s_inv = inverse(blocks[0])
-        u = _mm(s_inv, c[..., None])[..., 0]
-        p0 = np.sqrt(_det(f) / det[0]) * np.exp(-0.5 * (c * u).sum(axis=-1))
-        f_g = _mm(f, s_inv)
-        tr_t = np.einsum("bij,bji->b", f_g, pxx)
+        s_inv = _inv(blocks[:, :, 0])
+        u = mm(s_inv, c[:, None])[:, 0]
+        p0 = np.sqrt(_det(f) / det[0]) * np.exp(-0.5 * (c * u).sum(axis=0))
+        f_g = mm(f, s_inv)
+        tr_t = _tr(f_g, pxx)
         # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
         inc1 = np.log(det[1] / det[2])
         inc0 = np.log(det[0] / det[3])
@@ -200,19 +239,24 @@ class BatchEngine:
         loss = p0 * tr_t + lam * info
         if not self.nt:
             return loss, None, p0, None, info
-        g = len(self.dp)  # the leading rows carry tangents
-        inv = inverse(blocks[:, :g])
-        u, f_g, q0 = u[:g], f_g[:g], p0[:g, None]
-        dpxx = self.dp[:, :, :nx, :nx]
+        g = self.dp.shape[-1]  # the leading rows carry tangents
+        inv = _inv(blocks[..., :g])
+        u, f_g, q0 = u[:, :g], f_g[..., :g], p0[:g]
+        dpxx = self.dp[:nx, :nx]
         ds = df + dpxx
-        dld = _tr(inv, np.stack([ds, dpxx, self.ds, df + self.ds]))
-        dquad = 2.0 * (u @ dc.T) - np.einsum("bi,btij,bj->bt", u, ds, u)
-        dp0 = q0 * (0.5 * (_tr(inverse(f), df) - dld[0]) - 0.5 * dquad)
-        g_p = _mm(inv[0], pxx[:g])
-        dtr = _tr(g_p, df) + _tr(f_g, dpxx) - _tr(_mm(g_p, f_g), ds)
-        ddist = dp0 * tr_t[:g, None] + q0 * dtr
+        dld = _tr(inv[:, :, :, None], np.stack([ds, dpxx, self.ds, df + self.ds], axis=2))
+        quad = mm(mm(u[None, :, None], ds), u[:, None, None])[0, 0]
+        dquad = 2.0 * mm(u[None], dc)[0] - quad
+        dp0 = q0 * (0.5 * (_tr(_inv(f)[:, :, None], df) - dld[0]) - 0.5 * dquad)
+        g_p = mm(inv[:, :, 0], pxx[..., :g])
+        dtr = (
+            _tr(g_p[:, :, None], df)
+            + _tr(f_g[:, :, None], dpxx)
+            - _tr(mm(g_p, f_g)[:, :, None], ds)
+        )
+        ddist = dp0 * tr_t[:g] + q0 * dtr
         dinfo = 0.5 * (
-            dp0 * (inc0 - inc1)[:g, None]
+            dp0 * (inc0 - inc1)[:g]
             + (1.0 - q0) * (dld[1] - dld[2])
             + q0 * (dld[0] - dld[3])
         )
@@ -220,28 +264,28 @@ class BatchEngine:
 
     def update(self, f, df, keep: np.ndarray, k: int, mean=None, obs=None):
         """Filtered covariances for the realized branches of step k (keep:
-        (B,) bool); with ``mean`` (B, n), also the filtered means, which
+        (B,) bool); with ``mean`` (n, B), also the filtered means, which
         ``branch_step`` moves toward obs and returns."""
         self.p, self.dp, mean = branch_step(self.p, self.dp, mean, f, df, keep, obs, k)
         s, ds, _ = observe(self.s, self.ds, f, df, self.nx)
-        keep3 = keep[:, None, None]
-        self.s = np.where(keep3, 0.0, s)
+        self.s = np.where(keep, 0.0, s)
         if self.nt:
-            self.ds = np.where(keep3[: len(ds), None], 0.0, ds)
+            self.ds = np.where(keep[: ds.shape[-1]], 0.0, ds)
         return mean
 
     def predict(self, k: int):
         """Predicted covariances (and tangents) for step k."""
         nx, a = self.nx, self.sys.a_matrix
-        self.p = sandwich(self._a_t, self.p) + self.sys.q_cov
-        _require_unknown_x(self.p[:, :nx, :nx], True, k)
-        m = sandwich(self._ax_t, self.s) + self.sys.q_cov
+        self.p = sandwich(a, self.p) + self._q
+        _require_unknown_x(self.p[:nx, :nx], True, k)
+        m = sandwich(self._ax, self.s) + self._q
         self.s, gain = _x_given_y(m, nx, k)
         _require_unknown_x(self.s, True, k, given="Y^k, Z^(k-1)")
         if self.nt:
-            self.dp = sandwich(self._a_t, self.dp)
-            f_x = (a[:nx, :nx] - _mm(gain[: len(self.ds)], a[nx:, :nx]))[:, None]
-            self.ds = _mm(_mm(f_x, self.ds), f_x.swapaxes(2, 3))
+            self.dp = sandwich(a, self.dp)
+            f_x = a[:nx, :nx, None] - mm(gain[..., : self.ds.shape[-1]], a[nx:, :nx, None])
+            f_x = f_x[:, :, None]
+            self.ds = mm(mm(f_x, self.ds), f_x.swapaxes(0, 1))
 
 
 def branch_rollouts(
@@ -249,19 +293,21 @@ def branch_rollouts(
 ):
     """The one rollout driver: ``rows`` identical engine rows over steps 0..K.
 
-    Per step, ``terms(k, mean)`` gives (f, df, c, dc): the discard noise,
-    the region center's offset from the predicted mean and, with
+    Per step, ``terms(k, mean)`` gives (f, df, c, dc) in the engine's
+    rows-last layout (``BatchEngine.step_loss``): the discard noise, the
+    region center's offset from the predicted mean and, with
     ``n_tangents``, their tangents. After the step's loss, ``branch(k, p0,
-    p, mean)`` sees the no-sample probabilities p0 and the predicted
-    covariances p and returns (parent, keep, w, obs) for the next rows:
-    the parent row of each (None keeps the rows as they are, and must
-    while means are carried), its keep flag, the probability w that its
-    path weight takes and its score term divides by, and the observation
-    the means move toward (unused without means). Means (rows, n) are
-    carried only when given, and predicted through A. Tangents cover the
-    leading ``tangent_rows`` rows (all by default; ``parent`` must then be
-    None). Returns per-row (path weights, losses, dlosses, scores, kept
-    counts, info sums), dlosses and scores for the tangent rows.
+    p, mean)`` sees the no-sample probabilities p0 (B,) and the predicted
+    covariances p (n, n, B) and returns (parent, keep, w, obs) for the next
+    rows: the parent row of each (None keeps the rows as they are, and
+    must while means are carried), its keep flag, the probability w that
+    its path weight takes and its score term divides by, and the
+    observation (n_x, B) the means move toward (unused without means).
+    Means (n, rows) are carried only when given, and predicted through A.
+    Tangents cover the leading ``tangent_rows`` rows (all by default;
+    ``parent`` must then be None). Returns per-row (path weights, losses,
+    dlosses, scores, kept counts, info sums), dlosses and scores (G, T)
+    for the G tangent rows.
     """
     eng = BatchEngine(system, rows, n_tangents, tangent_rows)
     g = rows if tangent_rows is None else tangent_rows
@@ -277,7 +323,7 @@ def branch_rollouts(
         losses += loss
         infos += info
         if n_tangents:
-            dpaths += dloss
+            dpaths += dloss.T
         parent, keep, w, obs = branch(k, p0, eng.p, mean)
         if parent is not None:
             eng.take(parent)
@@ -285,14 +331,14 @@ def branch_rollouts(
                 a[parent] for a in (weight, losses, infos, kept, dpaths, scores)
             )
             if n_tangents:
-                dp0 = dp0[parent]
+                dp0 = dp0[:, parent]
         weight *= w
         kept += keep
         if n_tangents:
-            scores += (np.where(keep, -1.0, 1.0) / w)[: len(dp0), None] * dp0
+            scores += ((np.where(keep, -1.0, 1.0) / w)[: dp0.shape[-1]] * dp0).T
         mean = eng.update(f, df, keep, k, mean, obs)
         if k < horizon:
             eng.predict(k + 1)
             if mean is not None:
-                mean = mean @ system.a_matrix.T
+                mean = transition(system.a_matrix, mean)
     return weight, losses, dpaths, scores, kept, infos

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import branch_rollouts
+from .engine import branch_rollouts, mm
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
 from .loss import mi_accumulate, rollout_losses
@@ -295,6 +295,13 @@ class _TangentFilter:
         self.dp = new_dp
 
 
+def _engine_terms(params, k):
+    """params.step_terms(k) in the engine's rows-last layout, shared by
+    every row: f (n_x, n_x, 1), df (n_x, n_x, T, 1), c (n_x, 1), dc (n_x, T, 1)."""
+    f, df, c, dc = params.step_terms(k)
+    return f[..., None], np.moveaxis(df, 0, -1)[..., None], c[:, None], dc.T[..., None]
+
+
 def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows=None):
     """Sampled branch patterns on the engine (feedback parameters).
 
@@ -309,13 +316,16 @@ def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows
     """
     if isinstance(params, FeedbackPolicyParams):
         n_tangents = params.dim if tangent_rows != 0 else 0
-        terms = lambda k, mean: params.step_terms(k)  # noqa: E731
+        terms = lambda k, mean: _engine_terms(params, k)  # noqa: E731
     else:
         n_tangents, reps = 0, rollouts // len(params)
 
+        def per_row(blocks):
+            return np.repeat(np.stack(blocks, axis=-1), reps, axis=-1)
+
         def terms(k, mean):
             f, _, c, _ = zip(*(p.step_terms(k) for p in params))
-            return np.repeat(f, reps, axis=0), None, np.repeat(c, reps, axis=0), None
+            return per_row(f), None, per_row(c), None
 
     def branch(k, p0, p, mean):
         keep = u[k] > p0
@@ -336,22 +346,26 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
     and retained values. Returns (losses, info_sums, rates).
     """
     nx = system.n_x
-    g_abs = None  # the step's region center, shared by terms and branch
+    g_abs = None  # the step's region center (rollouts, n_x), shared by terms and branch
 
     def terms(k, mean):
         nonlocal g_abs
-        x_mean = mean[:, :nx]
-        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=x_mean), x_mean.shape)
-        return schedule.effective_f_at(k), None, g_abs - x_mean, None
+        x_mean = mean[:nx]
+        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=x_mean.T), (rollouts, nx))
+        return schedule.effective_f_at(k)[..., None], None, g_abs.T - x_mean, None
 
     def branch(k, p0, p, mean):
-        pxx = p[:, :nx, :nx]
-        fac = np.sqrt(np.maximum(pxx, 0.0)) if nx == 1 else np.linalg.cholesky(pxx)
-        x = mean[:, :nx] + (fac @ rng.standard_normal((rollouts, nx, 1)))[:, :, 0]
-        keep = schedule.keep(k, x, g_abs, rng)
-        return None, keep, 1.0, np.where(keep[:, None], x, g_abs)
+        pxx = p[:nx, :nx]
+        if nx == 1:
+            fac = np.sqrt(np.maximum(pxx, 0.0))
+        else:
+            fac = np.moveaxis(np.linalg.cholesky(np.moveaxis(pxx, -1, 0)), 0, -1)
+        draws = rng.standard_normal((rollouts, nx, 1))
+        x = mean[:nx] + mm(fac, draws.transpose(1, 2, 0))[:, 0]
+        keep = schedule.keep(k, x.T, g_abs, rng)
+        return None, keep, 1.0, np.where(keep, x, g_abs.T)
 
-    mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
+    mean = np.repeat(system.init_mean[:, None], rollouts, axis=1)
     _, losses, _, _, kept, infos = branch_rollouts(
         system, lam, horizon, rollouts, terms, branch, mean=mean
     )
@@ -467,7 +481,7 @@ def _enumerate(params, system, lam, tangents):
         return np.repeat(np.arange(len(p0)), 2)[alive], keep[alive], w[alive], None
 
     return branch_rollouts(
-        system, lam, horizon, 1, lambda k, mean: params.step_terms(k), branch,
+        system, lam, horizon, 1, lambda k, mean: _engine_terms(params, k), branch,
         n_tangents=params.dim if tangents else 0,
     )[:5]
 

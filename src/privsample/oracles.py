@@ -74,29 +74,39 @@ class GridBayesFilter:
             pushed = interp(pts) / abs(np.linalg.det(self.a))
             self.pdf = fftconvolve(pushed, self.kernel, mode="same") * self.dx * self.dy
         else:
-            # degenerate x: integrate the transition kernel over y directly
-            z = self.known_x
-            out = np.zeros((self.xg.size, self.yg.size))
-            chunk = 64
-            for j0 in range(0, self.yg.size, chunk):
-                ys = self.yg[j0 : j0 + chunk]
-                w = self.pdf_y[j0 : j0 + chunk] * self.dy
-                mx = self.a[0, 0] * z + self.a[0, 1] * ys
-                my = self.a[1, 0] * z + self.a[1, 1] * ys
-                out += np.einsum(
-                    "j,jxy->xy",
-                    w,
-                    self._gauss2d(
-                        self.xg[None, :, None] - mx[:, None, None],
-                        self.yg[None, None, :] - my[:, None, None],
-                        self.q,
-                    ),
-                )
-            self.pdf = out
+            self.pdf = self._predict_known_x()
             self.known_x = None
             self.pdf_y = None
         np.clip(self.pdf, 0.0, None, out=self.pdf)
         self._normalize()
+
+    def _predict_known_x(self):
+        """Predicted density after an exact observation x = z: the sum over
+        source rows y_j, weighted by pdf_y, of N(A (z, y_j), Q) on the grid.
+
+        With m_j = A (z, y_j) and q = Q^{-1}, the only term of the exponent
+        -1/2 ((x, y) - m_j)^T q ((x, y) - m_j) that couples x and y without
+        depending on j is -q_xy x y. The rest splits into an x-only factor
+        F_j(x) and a y-only factor G_j(y), so the sum is the product
+        exp(-q_xy x y) (F^T diag(w) G). Each row of F and G is shifted by its
+        largest log value, and w takes the shifts, so no factor overflows.
+        """
+        z, a, cov = self.known_x, self.a, self.q
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+        qxx, qxy, qyy = cov[1, 1] / det, -cov[0, 1] / det, cov[0, 0] / det
+        mx = a[0, 0] * z + a[0, 1] * self.yg
+        my = a[1, 0] * z + a[1, 1] * self.yg
+        log_f = (
+            -0.5 * qxx * (self.xg[None, :] - mx[:, None]) ** 2
+            + qxy * (self.xg[None, :] - mx[:, None]) * my[:, None]
+        )
+        log_g = -0.5 * qyy * (self.yg[None, :] - my[:, None]) ** 2 + qxy * mx[:, None] * self.yg
+        shift_f = log_f.max(axis=1, keepdims=True)
+        shift_g = log_g.max(axis=1, keepdims=True)
+        w = self.pdf_y * self.dy * np.exp(shift_f + shift_g)[:, 0]
+        mixed = (np.exp(log_f - shift_f).T * w) @ np.exp(log_g - shift_g)
+        coupling = np.exp(-qxy * self.xg[:, None] * self.yg[None, :])
+        return coupling * mixed / (2 * np.pi * np.sqrt(det))
 
     def update_no_sample(self, f, g):
         self.pdf = self.pdf * np.exp(-0.5 * (self.xg[:, None] - g) ** 2 / f)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import belief as bel
 from .errors import ContractViolation
-from .engine import branch_step, observe, sandwich
+from .engine import branch_step, mm, observe, sandwich, transition
 from .linalg import check_symmetric_psd, psd_sqrt
 from .lingauss import LinearGaussianSystem, simulate_batch
 from .policy import SamplerSchedule
@@ -67,30 +67,29 @@ def _filter_report(system, horizon, rollouts, rng, update, states) -> Reconstruc
     block, and score every step.
 
     ``update(k, x, p, mean)`` filters step k's predicted block covariances
-    p (B or 1, n, n) and means (B, n) given the true x (B, n_x) and returns
+    p (n, n, B or 1) and means (n, B) given the true x (B, n_x) and returns
     (p, mean, number of rows that transmitted); prediction is A P A^T + Q.
-    The covariance starts as one (1, n, n) block shared by every row.
+    The covariance starts as one (n, n, 1) block shared by every row.
     """
     nx = system.n_x
-    a_t = np.ascontiguousarray(system.a_matrix.T)
+    a, q = system.a_matrix, system.q_cov[..., None]
     if states is None:
         states = simulate_batch(system, horizon, rollouts, rng)
-    p = system.init_cov[None]
-    mean = np.repeat(system.init_mean[None, :], rollouts, axis=0)
+    p = system.init_cov[..., None]
+    mean = np.repeat(system.init_mean[:, None], rollouts, axis=1)
     x_err, y_err, px_err, py_err = np.zeros((4, horizon + 1))
     n_sent = 0
     for k in range(horizon + 1):
-        x_true = states[k][:, :nx]
-        y_true = states[k][:, nx:]
-        p, mean, sent = update(k, x_true, p, mean)
+        p, mean, sent = update(k, states[k][:, :nx], p, mean)
         n_sent += sent
-        x_err[k] = np.mean(np.sum((x_true - mean[:, :nx]) ** 2, axis=1))
-        y_err[k] = np.mean(np.sum((y_true - mean[:, nx:]) ** 2, axis=1))
-        px_err[k] = np.mean(np.trace(p[:, :nx, :nx], axis1=1, axis2=2))
-        py_err[k] = np.mean(np.trace(p[:, nx:, nx:], axis1=1, axis2=2))
+        err = (states[k].T - mean) ** 2
+        x_err[k] = np.mean(np.sum(err[:nx], axis=0))
+        y_err[k] = np.mean(np.sum(err[nx:], axis=0))
+        px_err[k] = np.mean(np.trace(p[:nx, :nx]))
+        py_err[k] = np.mean(np.trace(p[nx:, nx:]))
         if k < horizon:
-            p = sandwich(a_t, p) + system.q_cov
-            mean = mean @ system.a_matrix.T
+            p = sandwich(a, p) + q
+            mean = transition(a, mean)
     return ReconstructionReport(
         x_errors=x_err,
         y_errors=y_err,
@@ -124,11 +123,12 @@ def evaluate_schedule(
         raise ContractViolation("schedule shorter than the requested horizon")
 
     def update(k, x, p, mean):
-        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=mean[:, :system.n_x]), x.shape)
+        g_abs = np.broadcast_to(schedule.g_at(k, x_pred=mean[: system.n_x].T), x.shape)
         keep = schedule.keep(k, x, g_abs, rng)
         if schedule.kind != "never_sample":  # f -> infinity: discards carry no evidence
-            obs = np.where(keep[:, None], x, g_abs)
-            p, _, mean = branch_step(p, None, mean, schedule.f_at(k), None, keep, obs, k)
+            obs = np.where(keep, x.T, g_abs.T)
+            f = schedule.f_at(k)[..., None]
+            p, _, mean = branch_step(p, None, mean, f, None, keep, obs, k)
         return p, mean, int(keep.sum())
 
     return _filter_report(system, horizon, rollouts, rng, update, states)
@@ -155,11 +155,11 @@ def kalman_additive_baseline(
     noise_fac = psd_sqrt(noise_cov)
 
     def update(k, x, p, mean):
-        obs = x + rng.standard_normal(x.shape) @ noise_fac.T
+        obs = (x + rng.standard_normal(x.shape) @ noise_fac.T).T
         # P follows the same Riccati recursion on every row, so it stays
-        # one (1, n, n) block and its gain broadcasts against the means
-        p, _, gain = observe(p, None, noise_cov, None, system.n_x)
-        mean = mean + (gain @ (obs - mean[:, : system.n_x])[:, :, None])[:, :, 0]
+        # one (n, n, 1) block and its gain broadcasts against the means
+        p, _, gain = observe(p, None, noise_cov[..., None], None, system.n_x)
+        mean = mean + mm(gain, (obs - mean[: system.n_x])[:, None])[:, 0]
         return p, mean, rollouts
 
     return _filter_report(system, horizon, rollouts, rng, update, states)

@@ -25,6 +25,7 @@ from privsample.optimizer import (
     OptimizerConfig,
     TraceRow,
     _TangentFilter,
+    _engine_terms,
     _fast_gradient_batch,
     _fast_schedule_batch,
     _rollout_gradient_terms,
@@ -438,11 +439,11 @@ def test_engine_losses_without_tangents_match_with_tangents_bitwise(vi_system, n
     patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
     bare, tangent = BatchEngine(system, rows, 0), BatchEngine(system, rows, params.dim)
     for k in range(horizon + 1):
-        f, df, c, dc = params.step_terms(k)
-        c = c + 0.3 * rng.standard_normal((rows, system.n_x))
+        f, df, c, dc = _engine_terms(params, k)
+        c = c + 0.3 * rng.standard_normal((rows, system.n_x)).T
         loss0, dloss0, p00, _, info0 = bare.step_loss(f, None, c, None, 0.8)
         loss1, dloss1, p01, _, info1 = tangent.step_loss(f, df, c, dc, 0.8)
-        assert dloss0 is None and dloss1.shape == (rows, params.dim)
+        assert dloss0 is None and dloss1.shape == (params.dim, rows)
         for a, b in ((loss0, loss1), (p00, p01), (info0, info1)):
             assert np.array_equal(a, b)
         for eng in (bare, tangent):

@@ -8,7 +8,7 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.linalg import random_spd
 from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.loss import belief_rollout, one_step_loss
-from privsample.engine import _mm, branch_step, sandwich
+from privsample.engine import branch_step, mm, sandwich, transition
 from privsample.optimizer import _fast_schedule_batch
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.reconstruct import (
@@ -74,45 +74,68 @@ def test_branch_step_matches_full_recursion(vi_system, name):
     belief's current (x, y) block; the random systems have A_yx != 0."""
     system = _system(vi_system, name)
     nx, n = system.n_x, system.n
-    p = np.repeat(system.init_cov[None], 2, axis=0)
-    mean = np.repeat(system.init_mean[None], 2, axis=0)
+    p = np.repeat(system.init_cov[..., None], 2, axis=-1)
+    mean = np.repeat(system.init_mean[:, None], 2, axis=-1)
     beliefs = [bel.init_belief(system)] * 2
     f = 0.9 * np.eye(nx)
     g = np.full(nx, 0.1)
     for k in range(6):
         z = np.full(nx, 0.5 - 0.2 * k)
         keep = np.array([k % 3 == 0, k % 3 != 0])
-        p, _, mean = branch_step(p, None, mean, f, None, keep, np.where(keep[:, None], z, g), k)
+        obs = np.where(keep, z[:, None], g[:, None])
+        p, _, mean = branch_step(p, None, mean, f[..., None], None, keep, obs, k)
         for r in range(2):
             b = beliefs[r]
             b = bel.update_sample(b, z) if keep[r] else bel.update_no_sample(b, f, g)
-            assert np.allclose(mean[r], b.mean[:n], atol=1e-12)
-            assert np.allclose(p[r], b.cov[:n, :n], atol=1e-12)
+            assert np.allclose(mean[:, r], b.mean[:n], atol=1e-12)
+            assert np.allclose(p[..., r], b.cov[:n, :n], atol=1e-12)
             if keep[r]:  # a kept x is known exactly
-                assert np.array_equal(mean[r, :nx], z)
-                assert not np.any(p[r, :nx]) and not np.any(p[r, :, :nx])
+                assert np.array_equal(mean[:nx, r], z)
+                assert not np.any(p[:nx, :, r]) and not np.any(p[:, :nx, r])
             beliefs[r] = bel.predict(system, b)
-        p = sandwich(system.a_matrix.T, p) + system.q_cov
-        mean = mean @ system.a_matrix.T
+        p = sandwich(system.a_matrix, p) + system.q_cov[..., None]
+        mean = transition(system.a_matrix, mean)
+
+
+def _rows_first(a, rows: int):
+    """a (m, k, *rows) with its trailing ``rows`` axes moved to the front,
+    as @ stacks matrices."""
+    return np.moveaxis(a, (0, 1), (-2, -1)) if rows else a
 
 
 @pytest.mark.parametrize("n_x", [1, 2])
 def test_engine_contraction_equals_matmul_bitwise(n_x):
-    """The engine's contractions over an n_x axis, as products at n_x = 1,
-    give @'s values bit for bit; stacked and shared operands broadcast."""
+    """mm, the engine's contraction over an n_x (or n_y) axis, against @
+    on the moved axes, with stacked and shared (length-1 row axis)
+    operands and zeroed rows, as on kept branches. A length-1 contraction,
+    the only kind on an n_x = n_y = 1 system, is one product per entry and
+    equals @ bit for bit, outer products of n_x = 2 blocks included. A
+    length-2 contraction sums two rounded products, while @ (a BLAS
+    kernel) may fuse the multiply-add, so it equals @ to within the
+    rounding of its two products."""
     rng = make_rng(13)
     shapes = [
-        ((10000, 3, n_x), (10000, n_x, 3)),
-        ((10000, 3, n_x), (10000, n_x, n_x)),
-        ((10000, n_x, n_x), (n_x, n_x)),
-        ((10000, 1, n_x), (10000, n_x, 3)),
-        ((200, 1, 3, n_x), (200, 4, n_x, n_x)),
-        ((200, 4, 3, n_x), (200, 1, n_x, 3)),
+        ((3, n_x, 10000), (n_x, 3, 10000)),
+        ((3, n_x, 10000), (n_x, n_x, 10000)),
+        ((n_x, n_x, 10000), (n_x, n_x, 1)),
+        ((1, n_x, 10000), (n_x, 3, 10000)),
+        ((3, 1, 10000), (1, n_x, 10000)),
+        ((n_x, 1, 1, 200), (1, n_x, 4, 200)),
+        ((3, n_x, 1, 200), (n_x, n_x, 4, 200)),
+        ((3, n_x, 4, 200), (n_x, 3, 1, 200)),
     ]
     for a_shape, b_shape in shapes:
         a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
-        a[::7] = 0.0  # zero rows, as on kept branches
-        assert np.array_equal(_mm(a, b), a @ b)
+        a[..., ::7] = 0.0  # zero rows, as on kept branches
+        rows = a.ndim - 2
+        got = _rows_first(mm(a, b), rows)
+        want = _rows_first(a, rows) @ _rows_first(b, rows)
+        if a_shape[1] == 1:
+            assert np.array_equal(got, want)
+        else:
+            size = _rows_first(np.abs(a), rows) @ _rows_first(np.abs(b), rows)
+            assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * size)
+            assert np.array_equal(got[..., ::7, :, :], want[..., ::7, :, :])
 
 
 @pytest.mark.parametrize("kind", ["always_sample", "never_sample"])
@@ -248,19 +271,19 @@ def test_kalman_innovation_whiteness(vi_system):
     noise_cov = np.array([[0.6]])
     rollouts, horizon = 100, 99
     states = simulate_batch(vi_system, horizon, rollouts, rng)
-    p = np.repeat(vi_system.init_cov[None], rollouts, axis=0)
-    mean = np.repeat(vi_system.init_mean[None], rollouts, axis=0)
+    p = np.repeat(vi_system.init_cov[..., None], rollouts, axis=-1)
+    mean = np.repeat(vi_system.init_mean[:, None], rollouts, axis=-1)
     none_kept = np.zeros(rollouts, dtype=bool)
     normalized = []
     for k in range(horizon + 1):
         x_true = states[k][:, :1]
-        obs = x_true + np.sqrt(noise_cov[0, 0]) * rng.standard_normal((rollouts, 1))
-        s = p[:, 0, 0] + noise_cov[0, 0]
-        normalized.append((obs[:, 0] - mean[:, 0]) / np.sqrt(s))
-        p, _, mean = branch_step(p, None, mean, noise_cov, None, none_kept, obs, k)
+        obs = (x_true + np.sqrt(noise_cov[0, 0]) * rng.standard_normal((rollouts, 1))).T
+        s = p[0, 0] + noise_cov[0, 0]
+        normalized.append((obs[0] - mean[0]) / np.sqrt(s))
+        p, _, mean = branch_step(p, None, mean, noise_cov[..., None], None, none_kept, obs, k)
         if k < horizon:
-            p = sandwich(vi_system.a_matrix.T, p) + vi_system.q_cov
-            mean = mean @ vi_system.a_matrix.T
+            p = sandwich(vi_system.a_matrix, p) + vi_system.q_cov[..., None]
+            mean = transition(vi_system.a_matrix, mean)
     flat = np.concatenate(normalized)
     n = flat.size
     assert n == 10_000
