@@ -15,11 +15,13 @@ Layout: the row (rollout) axis is last in every array. Covariances are
 (n, n, B), means (n, B), forward tangents (n, n, T, G); an operand shared
 by every row has a row axis of length 1. The blocks are tiny (n = 2 in
 the paper), so with rows first numpy would run a length-1 or length-2
-inner loop B times; with rows last every elementwise op, every
-contraction over the block (``mm``, ``_tr``) and every row selection runs
-one loop over B contiguous values, and ``sandwich`` is two 2-D matrix
-products. Every row's arithmetic is its own, so a row's values do not
-depend on which other rows share the batch.
+inner loop B times; with rows last every elementwise op, every trace
+(``_tr``), every contraction over a length-1 axis (``mm``; all of them
+when n_x = n_y = 1) and every row selection runs one loop over B
+contiguous values, and ``sandwich`` is two 2-D matrix products. A longer
+contraction runs numpy's stacked @, as the rows-first layout did. Every
+row's arithmetic is its own, so a row's values do not depend on which
+other rows share the batch.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .lingauss import LinearGaussianSystem
+from .linalg import inverse
 
 
 def _blocks_last(m):
@@ -40,20 +43,20 @@ def _det(m):
 
 
 def _inv(m):
-    """Inverses of the blocks of m (d, d, ...); 1x1 blocks are 1 / m."""
-    if len(m) == 1:
-        return 1.0 / m
-    return np.moveaxis(np.linalg.inv(_blocks_last(m)), (-2, -1), (0, 1))
+    """Inverses of the blocks of m (d, d, ...)."""
+    return np.moveaxis(inverse(_blocks_last(m)), (-2, -1), (0, 1))
 
 
 def mm(a, b):
     """a @ b for every row: a (m, k, ...) and b (k, r, ...), with as many
     row axes each, which broadcast. A length-1 contraction (n_x = 1 or
-    n_y = 1) is one elementwise product, an outer product included; a
-    longer one sums the broadcast product over k."""
+    n_y = 1) is one elementwise product, an outer product included, and
+    equals @ bit for bit. A longer one is @ on the blocks moved last: its
+    BLAS kernel may fuse each multiply-add, which a broadcast sum would
+    not reproduce."""
     if a.shape[1] == 1:
         return a * b
-    return (a[:, :, None] * b[None]).sum(axis=1)
+    return np.moveaxis(_blocks_last(a) @ _blocks_last(b), (-2, -1), (0, 1))
 
 
 def _tr(a, b):

@@ -121,15 +121,17 @@ class FeedbackPolicyParams:
         return ell
 
     def step_terms(self, k: int):
-        """(f_k, df_k/dtheta, c_k, dc_k/dtheta), tangents (dim, ...) with
-        zero rows off step k's block. Formed once per block (every step
-        shares one when tied); the arrays are shared and read-only."""
+        """(f_k, df_k/dtheta, c_k, dc_k/dtheta) in the engine's rows-last
+        layout, one row shared by every rollout: f (n_x, n_x, 1), df
+        (n_x, n_x, dim, 1), c (n_x, 1), dc (n_x, dim, 1), the tangents zero
+        off step k's block. Formed once per block (every step shares one
+        when tied); the arrays are shared and read-only."""
         sl = self._block_slice(k)
         if sl.start in self._memo:
             return self._memo[sl.start]
         ell = self._chol_from_block(self.theta[sl][: self.n_tri])
-        f = ell @ ell.T
-        df = np.zeros((self.dim, self.n_x, self.n_x))
+        f = (ell @ ell.T)[..., None]
+        df = np.zeros((self.n_x, self.n_x, self.dim, 1))
         rows, cols = self._tril_idx
         for j in range(self.n_tri):
             d_ell = np.zeros_like(ell)
@@ -138,11 +140,11 @@ class FeedbackPolicyParams:
             else:
                 d_ell[rows[j], cols[j]] = 1.0
             grad = d_ell @ ell.T
-            df[sl.start + j] = grad + grad.T
-        c = self.theta[sl][self.n_tri :]
-        dc = np.zeros((self.dim, self.n_x))
+            df[:, :, sl.start + j, 0] = grad + grad.T
+        c = self.theta[sl][self.n_tri :, None]
+        dc = np.zeros((self.n_x, self.dim, 1))
         for j in range(self.n_x):
-            dc[sl.start + self.n_tri + j, j] = 1.0
+            dc[j, sl.start + self.n_tri + j] = 1.0
         terms = (f, df, c, dc)
         for arr in terms:
             arr.setflags(write=False)
@@ -166,7 +168,8 @@ class FeedbackPolicyParams:
 
 
 class _TangentFilter:
-    """Growing-covariance recursion with tangents, the test reference for the engine."""
+    """Growing-covariance recursion with tangents, the test reference for the
+    engine. It takes the terms of one row in ``step_terms``' layout."""
 
     def __init__(self, system: LinearGaussianSystem, n_tangents: int):
         self.sys = system
@@ -175,9 +178,16 @@ class _TangentFilter:
         self.p = np.array(system.init_cov)
         self.dp = np.zeros((n_tangents, *self.p.shape))
 
+    @staticmethod
+    def _unbatched(f, df):
+        """f (n_x, n_x, 1) and df (n_x, n_x, T, 1) as (n_x, n_x) and (T, n_x, n_x)."""
+        return f[..., 0], np.moveaxis(df[..., 0], -1, 0)
+
     def step_loss(self, f, df, c, dc, lam):
         """Per-step loss, its tangent, branch probability and its tangent."""
         nx = self.nx
+        f, df = self._unbatched(f, df)
+        c, dc = c[:, 0], dc[..., 0].T
         p, dp = self.p, self.dp
         pxx = p[:nx, :nx]
         pxy = p[:nx, nx:]
@@ -247,6 +257,7 @@ class _TangentFilter:
     def update(self, f, df, keep: bool):
         """Filtered covariance (and tangents) for the realized branch."""
         nx = self.nx
+        f, df = self._unbatched(f, df)
         p, dp = self.p, self.dp
         c_blk = p[:, :nx]
         dc_blk = dp[:, :, :nx]
@@ -295,13 +306,6 @@ class _TangentFilter:
         self.dp = new_dp
 
 
-def _engine_terms(params, k):
-    """params.step_terms(k) in the engine's rows-last layout, shared by
-    every row: f (n_x, n_x, 1), df (n_x, n_x, T, 1), c (n_x, 1), dc (n_x, T, 1)."""
-    f, df, c, dc = params.step_terms(k)
-    return f[..., None], np.moveaxis(df, 0, -1)[..., None], c[:, None], dc.T[..., None]
-
-
 def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows=None):
     """Sampled branch patterns on the engine (feedback parameters).
 
@@ -316,12 +320,12 @@ def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows
     """
     if isinstance(params, FeedbackPolicyParams):
         n_tangents = params.dim if tangent_rows != 0 else 0
-        terms = lambda k, mean: _engine_terms(params, k)  # noqa: E731
+        terms = lambda k, mean: params.step_terms(k)  # noqa: E731
     else:
         n_tangents, reps = 0, rollouts // len(params)
 
         def per_row(blocks):
-            return np.repeat(np.stack(blocks, axis=-1), reps, axis=-1)
+            return np.repeat(np.concatenate(blocks, axis=-1), reps, axis=-1)
 
         def terms(k, mean):
             f, _, c, _ = zip(*(p.step_terms(k) for p in params))
@@ -481,7 +485,7 @@ def _enumerate(params, system, lam, tangents):
         return np.repeat(np.arange(len(p0)), 2)[alive], keep[alive], w[alive], None
 
     return branch_rollouts(
-        system, lam, horizon, 1, lambda k, mean: _engine_terms(params, k), branch,
+        system, lam, horizon, 1, lambda k, mean: params.step_terms(k), branch,
         n_tangents=params.dim if tangents else 0,
     )[:5]
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from privsample.engine import BatchEngine, branch_step, sandwich, transition
-from privsample.optimizer import FeedbackPolicyParams, _engine_terms
+from privsample.optimizer import FeedbackPolicyParams
 from privsample.rngs import make_rng
 from tests.test_optimizer import _random_system
 
@@ -72,7 +72,7 @@ def test_engine_row_is_the_same_alone_in_a_batch_and_beside_bare_rows(vi_system,
         ),
     }
     for k in range(HORIZON + 1):
-        f, df, c, dc = _engine_terms(params, k)
+        f, df, c, dc = params.step_terms(k)
         seen = {}
         for case, (eng, cols, r) in cases.items():
             loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, dc, 0.8)

@@ -25,7 +25,6 @@ from privsample.optimizer import (
     OptimizerConfig,
     TraceRow,
     _TangentFilter,
-    _engine_terms,
     _fast_gradient_batch,
     _fast_schedule_batch,
     _rollout_gradient_terms,
@@ -86,15 +85,15 @@ def test_params_pack_roundtrip(vi_system):
 def test_tangent_filter_matches_belief_recursion(vi_system):
     filt = _TangentFilter(vi_system, 0)
     b = bel.init_belief(vi_system)
-    f = np.array([[0.8]])
-    df = np.zeros((0, 1, 1))
+    f = np.array([[[0.8]]])
+    df = np.zeros((1, 1, 0, 1))
     for k in range(5):
         keep = k % 2 == 0
         filt.update(f, df, keep)
         b = (
             bel.update_sample(b, b.x_mean)
             if keep
-            else bel.update_no_sample(b, f, b.x_mean + 0.0)
+            else bel.update_no_sample(b, f[..., 0], b.x_mean + 0.0)
         )
         assert np.allclose(filt.p, b.cov, atol=1e-12)
         filt.predict()
@@ -439,7 +438,7 @@ def test_engine_losses_without_tangents_match_with_tangents_bitwise(vi_system, n
     patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
     bare, tangent = BatchEngine(system, rows, 0), BatchEngine(system, rows, params.dim)
     for k in range(horizon + 1):
-        f, df, c, dc = _engine_terms(params, k)
+        f, df, c, dc = params.step_terms(k)
         c = c + 0.3 * rng.standard_normal((rows, system.n_x)).T
         loss0, dloss0, p00, _, info0 = bare.step_loss(f, None, c, None, 0.8)
         loss1, dloss1, p01, _, info1 = tangent.step_loss(f, df, c, dc, 0.8)
