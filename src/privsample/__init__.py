@@ -38,10 +38,9 @@ from .loss import (
 )
 from .reconstruct import (
     ReconstructionReport,
-    estimate_y,
     evaluate_schedule,
     kalman_additive_baseline,
-    reconstruct_x,
+    simulate_rollout,
 )
 from .follower import follower_gradient, general_policy_gradient
 from .optimizer import (

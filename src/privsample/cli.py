@@ -29,12 +29,10 @@ from . import __version__
 from .configio import config_hash, dump_schedule, finite_model_from_config, load_json, load_schedule, system_from_config
 from .errors import ConfigError, ContractViolation, NumericalFailure
 from .finite import dp_solve
-from .linalg import logdet_psd
 from .lingauss import simulate_batch
-from .loss import belief_rollout
 from .optimizer import OptimizerConfig, leak_estimate, optimize_lambda
 from .policy import degenerate_schedule, open_loop_schedule
-from .reconstruct import estimate_y, evaluate_schedule, kalman_additive_baseline, reconstruct_x
+from .reconstruct import evaluate_schedule, kalman_additive_baseline, simulate_rollout
 from .rngs import substream
 
 # perfbench's traced run rebinds these names on this module and its
@@ -141,7 +139,11 @@ def cmd_simulate(args) -> int:
             )
     else:
         schedule = degenerate_schedule("always_sample", horizon, system.n_x)
-    steps = list(belief_rollout(system, schedule, horizon, substream(args.seed, 0), mode="state"))
+    try:
+        states, kept, trace = simulate_rollout(system, schedule, horizon, substream(args.seed, 0))
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{exc} in simulate") from exc
+    n = system.n
     header = ["k"]
     header += [f"x{i}" for i in range(system.n_x)]
     header += [f"y{i}" for i in range(system.n_y)]
@@ -149,17 +151,11 @@ def cmd_simulate(args) -> int:
     header += [f"x_hat{i}" for i in range(system.n_x)]
     header += [f"y_hat{i}" for i in range(system.n_y)]
     rows = [
-        [k]
-        + [_fmt(v) for v in step.state]
-        + [step.n, int(step.z is not None)]
-        + [_fmt(v) for v in reconstruct_x(step.filtered)]
-        + [_fmt(v) for v in estimate_y(step.filtered)]
-        for k, step in enumerate(steps)
+        [k, *map(_fmt, states[k]), int(kept[k]), int(kept[k]), *map(_fmt, trace[k, 1, :n])]
+        for k in range(horizon + 1)
     ]
-    rate = float(np.mean([step.n for step in steps]))
-    _write_csv(args.out, header, rows, _meta(args, cfg, {"sampling_rate": rate}))
+    _write_csv(args.out, header, rows, _meta(args, cfg, {"sampling_rate": float(np.mean(kept))}))
     if args.belief_trace:
-        n = system.n
         header = (
             ["k", "phase"]
             + [f"mean{i}" for i in range(n)]
@@ -167,24 +163,12 @@ def cmd_simulate(args) -> int:
             + ["logdet_pyy"]
         )
         rows = [
-            _belief_trace_row(b, n) for step in steps for b in (step.predicted, step.filtered)
+            [k, phase, *map(_fmt, trace[k, i])]
+            for k in range(horizon + 1)
+            for i, phase in enumerate(("predicted", "filtered"))
         ]
         _write_csv(args.belief_trace, header, rows, _meta(args, cfg))
     return 0
-
-
-def _belief_trace_row(b, n: int) -> list:
-    """k, phase, the current (x, y) block's mean and variances, log|P^yy|."""
-    try:
-        ld = _fmt(logdet_psd(b.p_yy))
-    except NumericalFailure:
-        ld = ""
-    return (
-        [b.k, b.phase]
-        + [_fmt(v) for v in b.mean[:n]]
-        + [_fmt(v) for v in np.diag(b.cov)[:n]]
-        + [ld]
-    )
 
 
 # ---------------------------------------------------------------------------

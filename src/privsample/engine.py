@@ -1,7 +1,7 @@
 """The fixed-size linear-Gaussian engine and its one rollout driver.
 
-Closed-loop evaluation, the additive-noise baseline (``reconstruct``) and
-every optimizer rollout (``branch_rollouts``) filter only the current
+Evaluation, the additive-noise baseline, ``simulate`` (all ``reconstruct``)
+and every optimizer rollout (``branch_rollouts``) filter only the current
 (x, y) block: ``branch_step`` conditions each row on its x (exactly when
 kept, through noise f toward the region center when discarded), a
 baseline's x + v conditions through ``observe`` like a discard with f the
@@ -142,7 +142,7 @@ def branch_step(p, dp, mean, f, df, keep, obs, k: int):
 
 
 def _x_given_y(m, nx: int, k: int):
-    """Cov(x | y) of each (x, y) covariance m (n, n, ...), and M_xy M_yy^{-1}.
+    """Cov(x | y) of each (x, y) covariance m (n, n, ...), M_xy M_yy^{-1}, |M_yy|.
     A singular y-block (y_k a function of the past, so the trajectory
     covariance is singular) raises a NumericalFailure naming step k."""
     myy = m[nx:, nx:]
@@ -154,7 +154,7 @@ def _x_given_y(m, nx: int, k: int):
     if np.any(det <= 0.0):
         raise NumericalFailure(f"singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k={k}")
     gain = mm(m[:nx, nx:], myy_inv)
-    return m[:nx, :nx] - mm(gain, m[nx:, :nx]), gain
+    return m[:nx, :nx] - mm(gain, m[nx:, :nx]), gain, det
 
 
 class BatchEngine:
@@ -175,6 +175,11 @@ class BatchEngine:
         keep:     S <- 0
         discard:  S <- S - S (S + f)^{-1} S
         predict:  M = A[:, :n_x] S A[:, :n_x]^T + Q,  S <- M_xx - M_xy M_yy^{-1} M_yx
+
+    By the chain rule, log|Cov(Y^k | outputs)| starts at log|P0_yy|, loses
+    the realized branch's increment (``branch_terms``) on each update and
+    gains log|M_yy| = log|Cov(Y_k | Y^(k-1), Z^(k-1))| on each predict;
+    ``det_yy`` holds |M_yy| of the last predict (at first |P0_yy|, shared).
 
     Each rollout is fixed-size, so batches advance in lockstep, rows last
     (``p`` (n, n, B), ``s`` (n_x, n_x, B)). Covariances and their forward
@@ -200,7 +205,7 @@ class BatchEngine:
         self._q = system.q_cov[..., None]
         init = system.init_cov[..., None]
         _require_unknown_x(init[:nx, :nx], True, 0)
-        s0, _ = _x_given_y(init, nx, 0)
+        s0, _, self.det_yy = _x_given_y(init, nx, 0)
         _require_unknown_x(s0, True, 0, given="Y^k, Z^(k-1)")
         self.p = np.repeat(init, batch, axis=-1)
         self.s = np.repeat(s0, batch, axis=-1)
@@ -215,6 +220,15 @@ class BatchEngine:
         if self.nt:
             self.dp, self.ds = self.dp[..., rows], self.ds[..., rows]
 
+    def branch_terms(self, f):
+        """The blocks [f + P^xx, P^xx, S, f + S] (n_x, n_x, 4, B), their
+        determinants, and the keep and discard increments above (doubled)."""
+        pxx = self.p[: self.nx, : self.nx]
+        blocks = np.stack([f + pxx, pxx, self.s, f + self.s], axis=2)
+        det = _det(blocks)
+        # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
+        return blocks, det, np.log(det[1] / det[2]), np.log(det[0] / det[3])
+
     def step_loss(self, f, df, c, dc, lam):
         """(loss, dloss, p0, dp0, info) per rollout: p0 is the no-sample
         probability, info the information increment (nats). ``c`` is the
@@ -226,18 +240,13 @@ class BatchEngine:
         """
         nx = self.nx
         pxx = self.p[:nx, :nx]
-        # the n_x x n_x blocks behind p0 and the two information increments;
         # only the tangents need more inverses than (f + P^xx)^{-1}
-        blocks = np.stack([f + pxx, pxx, self.s, f + self.s], axis=2)
-        det = _det(blocks)
+        blocks, det, inc1, inc0 = self.branch_terms(f)
         s_inv = _inv(blocks[:, :, 0])
         u = mm(s_inv, c[:, None])[:, 0]
         p0 = np.sqrt(_det(f) / det[0]) * np.exp(-0.5 * (c * u).sum(axis=0))
         f_g = mm(f, s_inv)
         tr_t = _tr(f_g, pxx)
-        # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
-        inc1 = np.log(det[1] / det[2])
-        inc0 = np.log(det[0] / det[3])
         info = 0.5 * ((1.0 - p0) * inc1 + p0 * inc0)
         loss = p0 * tr_t + lam * info
         if not self.nt:
@@ -282,7 +291,7 @@ class BatchEngine:
         self.p = sandwich(a, self.p) + self._q
         _require_unknown_x(self.p[:nx, :nx], True, k)
         m = sandwich(self._ax, self.s) + self._q
-        self.s, gain = _x_given_y(m, nx, k)
+        self.s, gain, self.det_yy = _x_given_y(m, nx, k)
         _require_unknown_x(self.s, True, k, given="Y^k, Z^(k-1)")
         if self.nt:
             self.dp = sandwich(a, self.dp)

@@ -232,8 +232,8 @@ class RolloutStep:
 
     ``predicted`` is the belief (k|k-1) the sampler plays (f, g) against,
     ``x`` the observation, ``state`` the stacked (x, y) state (state mode
-    only, else None), ``n`` the decision, ``z`` the output (x when
-    ``n == 1``, else None) and ``filtered`` the belief (k|k) after it.
+    only, else None), ``n`` the decision (1: x is the output) and
+    ``filtered`` the belief (k|k) after it.
     ``keep`` and ``discard`` are the two branch posteriors of
     ``predicted``; ``filtered`` is built from the realized one.
     """
@@ -244,7 +244,6 @@ class RolloutStep:
     x: np.ndarray
     state: np.ndarray | None
     n: int
-    z: np.ndarray | None
     filtered: GaussianBelief
     keep: KeepBranch
     discard: DiscardBranch
@@ -267,8 +266,10 @@ def belief_rollout(
     instead; the two modes induce the same joint law of (N, Z).
 
     The RNG is consumed in a fixed order: the initial state (state mode),
-    then per step the observation draw (belief mode), the decision and
-    the process noise (state mode, all but the last step).
+    then per step the observation draw (belief mode), the decision (one
+    row of ``schedule.keep``) and the process noise (state mode, all but
+    the last step). It is the tests' reference for the fixed-size engine;
+    ``validate`` and the leak fallback run it through ``rollout_losses``.
     """
     if mode not in ("belief", "state"):
         raise ContractViolation(f"unknown rollout mode {mode!r}")
@@ -278,13 +279,13 @@ def belief_rollout(
         f = schedule.effective_f_at(k)
         g = schedule.g_at(k, x_pred=belief.x_mean)
         x = _draw_x_from_belief(belief, rng) if mode == "belief" else state[: system.n_x]
-        n_k, z = schedule.decide_at(k, x, rng, x_pred=belief.x_mean)
+        n_k = int(schedule.keep(k, x[None], g, rng)[0])
         keep, discard = keep_branch(belief), discard_branch(belief, f)
         if n_k:
             filtered = update_sample(belief, x, keep)
         else:
             filtered = update_no_sample(belief, f, g, discard)
-        yield RolloutStep(belief, f, g, x, state, n_k, z, filtered, keep, discard)
+        yield RolloutStep(belief, f, g, x, state, n_k, filtered, keep, discard)
         if k < horizon:
             belief = predict(system, filtered)
             if mode == "state":

@@ -142,17 +142,6 @@ class SamplerSchedule:
         quad = np.einsum("bi,ij,bj->b", d, self._f_inv[k], d)
         return rng.uniform(size=rows) > np.exp(-0.5 * quad)
 
-    def decide_at(self, k, x, rng, x_pred=None) -> tuple[int, np.ndarray | None]:
-        """Draw the keep/discard decision for one observation x at step k.
-
-        The one-row case of ``keep``. Returns (N_k, Z_k) with Z_k = x
-        exactly when N_k = 1 and None otherwise.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.keep(k, x[None, :], self.g_at(k, x_pred), rng)[0]:
-            return 1, x.copy()
-        return 0, None
-
     def to_config(self) -> dict:
         return {
             "kind": self.kind,

@@ -1,9 +1,9 @@
 """Reconstruction of the observable state, adversary estimates of the
 private state, and the additive-noise Kalman baseline.
 
-Closed-loop evaluation and the baseline run the fixed-size filter of
-``engine`` over the current (x, y) block: ``engine.branch_step`` for a
-keep/discard decision, ``engine.observe`` for the baseline's x + v.
+Closed-loop evaluation, ``simulate``'s rollout and the baseline run the
+fixed-size filter of ``engine`` over the current (x, y) block: ``branch_step``
+for a keep/discard decision, ``observe`` for the baseline's x + v.
 """
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import belief as bel
 from .errors import ContractViolation
-from .engine import branch_step, mm, observe, sandwich, transition
+from .engine import BatchEngine, branch_step, mm, observe, sandwich, transition
 from .linalg import check_symmetric_psd, psd_sqrt
 from .lingauss import LinearGaussianSystem, simulate_batch
 from .policy import SamplerSchedule
@@ -22,21 +21,6 @@ from .policy import SamplerSchedule
 # perfbench's self-test looks this name up here; drop it with the next
 # benchmark change.
 from .loss import one_step_loss  # noqa: F401
-
-
-def reconstruct_x(belief: bel.GaussianBelief) -> np.ndarray:
-    """Optimal reconstruction of X_k: the filtered conditional mean."""
-    if belief.phase != bel.FILTERED:
-        raise ContractViolation("reconstruction uses the filtered belief")
-    return belief.x_mean.copy()
-
-
-def estimate_y(belief: bel.GaussianBelief) -> np.ndarray:
-    """Adversary's estimate of the current private block (conditional mean)."""
-    if belief.phase != bel.FILTERED:
-        raise ContractViolation("estimation uses the filtered belief")
-    nx, ny = belief.n_x, belief.n_y
-    return belief.mean[nx : nx + ny].copy()
 
 
 @dataclass
@@ -132,6 +116,39 @@ def evaluate_schedule(
         return p, mean, int(keep.sum())
 
     return _filter_report(system, horizon, rollouts, rng, update, states)
+
+
+def simulate_rollout(system: LinearGaussianSystem, schedule: SamplerSchedule, horizon: int, rng):
+    """One seeded closed-loop rollout of the physical state on one engine row.
+
+    Returns the states (K+1, n), the decisions (K+1,; True keeps x) and,
+    for the predicted (k|k-1) and filtered (k|k) block of each step, its
+    mean, its variances and log|Cov(Y^k | outputs)| (the engine's chain
+    rule) as trace (K+1, 2, 2n+1). The RNG gives the initial state, then
+    per step the decision and (all but the last step) the process noise.
+    """
+    nx, n = system.n_x, system.n
+    eng = BatchEngine(system, 1, 0)
+    states, kept = np.zeros((horizon + 1, n)), np.zeros(horizon + 1, dtype=bool)
+    trace = np.zeros((horizon + 1, 2, 2 * n + 1))
+    states[0] = system.draw_initial(rng)
+    mean, logdet = system.init_mean[:, None], np.log(eng.det_yy)
+    for k in range(horizon + 1):
+        trace[k, 0] = np.concatenate([mean[:, 0], np.diagonal(eng.p)[0], logdet])
+        f = schedule.effective_f_at(k)[..., None]
+        g_abs = schedule.g_at(k, x_pred=mean[:nx, 0])
+        x = states[k, :nx]
+        keep = schedule.keep(k, x[None], g_abs, rng)
+        inc_keep, inc_discard = eng.branch_terms(f)[2:]
+        logdet = logdet - (inc_keep if keep[0] else inc_discard)
+        mean = eng.update(f, None, keep, k, mean, (x if keep[0] else g_abs)[:, None])
+        kept[k], trace[k, 1] = keep[0], np.concatenate([mean[:, 0], np.diagonal(eng.p)[0], logdet])
+        if k < horizon:
+            eng.predict(k + 1)
+            logdet = logdet + np.log(eng.det_yy)
+            mean = transition(system.a_matrix, mean)
+            states[k + 1] = system.a_matrix @ states[k] + system.draw_noise(rng)
+    return states, kept, trace
 
 
 def kalman_additive_baseline(

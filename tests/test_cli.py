@@ -10,12 +10,17 @@ import numpy as np
 import pytest
 
 import privsample
-from privsample import cli
+from privsample import belief, cli, loss
 from privsample.cli import main
 from privsample.configio import config_hash, dump_schedule, load_schedule, system_from_config
 from privsample.errors import ContractViolation
+from privsample.linalg import logdet_psd
+from privsample.loss import belief_rollout
 from privsample.optimizer import OptimizerConfig, optimize_lambda
-from privsample.policy import open_loop_schedule
+from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
+from privsample.rngs import substream
+from privsample.validation import paper_system
+from tests.test_optimizer import _coupled, _random_system
 
 
 SYSTEM_CFG = {
@@ -126,6 +131,130 @@ def test_simulate_with_schedule_and_belief_trace(system_cfg, tmp_path):
     args = ["simulate", "--config", str(system_cfg), "--schedule", str(sched_path), "--seed", "4"]
     assert main(args + ["--out", str(plain)]) == 0
     assert plain.read_bytes() == out.read_bytes()
+
+
+def _data_rows(path) -> list:
+    """The data rows of an output CSV, split into fields."""
+    return [l.split(",") for l in path.read_text().splitlines()[1:] if not l.startswith("#")]
+
+
+def _growing_reference(system, schedule, horizon, seed):
+    """simulate's CSV and --belief-trace rows from the growing (X_k, Y^k)
+    belief: the current block of each belief, and log|P^yy| of its whole
+    y trajectory."""
+    steps = belief_rollout(system, schedule, horizon, substream(seed, 0), mode="state")
+    fmt, n = cli._fmt, system.n
+    csv, trace = [], []
+    for k, step in enumerate(steps):
+        csv.append(
+            [str(k)]
+            + [fmt(v) for v in step.state]
+            + [str(step.n)] * 2
+            + [fmt(v) for v in step.filtered.mean[:n]]
+        )
+        for b in (step.predicted, step.filtered):
+            trace.append(
+                [str(b.k), b.phase]
+                + [fmt(v) for v in b.mean[:n]]
+                + [fmt(v) for v in np.diag(b.cov)[:n]]
+                + [fmt(logdet_psd(b.p_yy))]
+            )
+    return csv, trace
+
+
+def _feedback(f: float, g: float, horizon: int, n_x: int):
+    ell = np.repeat((np.sqrt(f) * np.eye(n_x))[None], horizon + 1, axis=0)
+    return privacy_aware_schedule(ell, np.full((horizon + 1, n_x), g), feedback=True)
+
+
+REFERENCE_SCHEDULES = {
+    "always_sample": None,
+    "never_sample": lambda k, n_x: degenerate_schedule("never_sample", k, n_x),
+    "open_loop_f3": lambda k, n_x: open_loop_schedule(3.0 * np.eye(n_x), k),
+    "feedback_f4.6": lambda k, n_x: _feedback(4.6, 0.0, k, n_x),
+    "feedback_f2_g0.7": lambda k, n_x: _feedback(2.0, 0.7, k, n_x),
+}
+
+
+REFERENCE_SYSTEMS = {  # name: (system, horizon, seeds)
+    "paper": (paper_system, 100, (0, 3)),
+    "coupled": (lambda: _coupled(paper_system()), 100, (1, 4)),
+    "nx2_ny2": (lambda: _random_system(24, 2, 2), 30, (0, 1, 2)),
+    "nx2_ny1": (lambda: _random_system(7, 2, 1), 30, (0, 1, 2)),
+    "nx1_ny2": (lambda: _random_system(9, 1, 2), 30, (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("schedule", list(REFERENCE_SCHEDULES))
+@pytest.mark.parametrize("name", list(REFERENCE_SYSTEMS))
+def test_simulate_matches_the_growing_belief_reference(tmp_path, name, schedule):
+    """simulate runs on one fixed-size engine row; every CSV and trace
+    field equals the growing belief's at _fmt's 10 digits, log|P^yy| of
+    the whole y trajectory included (the engine's chain rule)."""
+    make_system, horizon, seeds = REFERENCE_SYSTEMS[name]
+    system = make_system()
+    cfg = tmp_path / "system.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "A": system.a_matrix.tolist(),
+                "Q": system.q_cov.tolist(),
+                "P0": system.init_cov.tolist(),
+                "mean0": system.init_mean.tolist(),
+                "nx": system.n_x,
+                "ny": system.n_y,
+                "K": horizon,
+            }
+        )
+    )
+    make = REFERENCE_SCHEDULES[schedule]
+    sched = degenerate_schedule("always_sample", horizon, system.n_x)
+    args = ["simulate", "--config", str(cfg)]
+    if make is not None:
+        sched = make(horizon, system.n_x)
+        dump_schedule(sched, tmp_path / "sched.json")
+        args += ["--schedule", str(tmp_path / "sched.json")]
+    out, trace = tmp_path / "s.csv", tmp_path / "t.csv"
+    for seed in seeds:
+        argv = args + ["--seed", str(seed), "--out", str(out), "--belief-trace", str(trace)]
+        assert main(argv) == 0
+        csv_ref, trace_ref = _growing_reference(system, sched, horizon, seed)
+        assert _data_rows(out) == csv_ref
+        assert _data_rows(trace) == trace_ref
+
+
+def test_simulate_leaves_the_growing_belief_alone(system_cfg, tmp_path, monkeypatch):
+    """simulate --belief-trace succeeds with every growing-belief step
+    refusing to run."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate touched the growing belief")
+
+    for name in ("predict", "update_sample", "update_no_sample"):
+        monkeypatch.setattr(belief, name, refuse)
+        monkeypatch.setattr(loss, name, refuse)  # belief_rollout's bindings
+    sched = tmp_path / "sched.json"
+    dump_schedule(_feedback(2.0, 0.7, 12, 1), sched)
+    args = ["simulate", "--config", str(system_cfg), "--schedule", str(sched)]
+    args += ["--out", str(tmp_path / "s.csv"), "--belief-trace", str(tmp_path / "t.csv")]
+    assert main(args) == 0
+
+
+def test_simulate_refuses_a_private_block_that_is_a_function_of_the_past(
+    system_cfg, tmp_path, capsys
+):
+    """Q_yy = 0 with A_yx = 0 makes y_1 = 0.35 y_0: the trajectory
+    covariance of Y^1 is singular, so its log-determinant is undefined.
+    simulate exits 4 naming the step and the command, and writes nothing."""
+    system_cfg.write_text(json.dumps(dict(SYSTEM_CFG, Q=[[1.0, 0.0], [0.0, 0.0]], K=10)))
+    out, trace = tmp_path / "s.csv", tmp_path / "t.csv"
+    args = ["simulate", "--config", str(system_cfg), "--out", str(out)]
+    assert main(args + ["--belief-trace", str(trace)]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k=1 in simulate\n"
+    )
+    for path in (out, trace):
+        assert not path.exists() and not Path(str(path) + ".meta.json").exists()
 
 
 def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):

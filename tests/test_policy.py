@@ -55,17 +55,17 @@ def test_decide_monte_carlo_frequency():
     p0 = no_sample_prob_pointwise(x, f, g)
     sched = privacy_aware_schedule(np.sqrt(f)[None], g[None])
     n_draws = 100_000
-    hits = sum(sched.decide_at(0, x, rng)[0] == 0 for _ in range(n_draws))
+    hits = np.sum(~sched.keep(0, np.repeat(x[None], n_draws, axis=0), g, rng))
     tol = 3 * np.sqrt(p0 * (1 - p0) / n_draws)
     assert abs(hits / n_draws - p0) < tol
 
 
 def test_decide_returns_observation_on_keep():
+    """An x far outside the region is kept, so its caller transmits it."""
     rng = make_rng(4)
-    x = np.array([50.0])  # far outside the region: essentially always kept
-    n_k, z = open_loop_schedule(np.array([[0.1]]), 0).decide_at(0, x, rng)
-    assert n_k == 1
-    assert np.array_equal(z, x)
+    x = np.array([[50.0]])  # far outside the region: essentially always kept
+    sched = open_loop_schedule(np.array([[0.1]]), 0)
+    assert sched.keep(0, x, np.zeros(1), rng).tolist() == [True]
 
 
 def test_degenerate_kinds():
@@ -73,29 +73,10 @@ def test_degenerate_kinds():
     never = degenerate_schedule("never_sample", horizon=3, n_x=1)
     always = degenerate_schedule("always_sample", horizon=3, n_x=1)
     for k in range(4):
-        n_k, z = never.decide_at(k, np.array([9.9]), rng)
-        assert (n_k, z) == (0, None)
-        n_k, z = always.decide_at(k, np.array([9.9]), rng)
-        assert n_k == 1 and np.allclose(z, [9.9])
         xs, g_abs = np.array([[9.9], [0.0], [-3.0]]), np.zeros((3, 1))
         assert not never.keep(k, xs, g_abs, rng).any()
         assert always.keep(k, xs, g_abs, rng).all()
     assert rng.uniform() == make_rng(5).uniform()  # degenerate kinds draw nothing
-
-
-def test_decide_at_is_the_one_row_keep():
-    sched = privacy_aware_schedule(
-        np.full((4, 1, 1), 1.1), np.full((4, 1), 0.3), feedback=True
-    )
-    x_pred = np.array([0.2])
-    rng_one, rng_batch = make_rng(15), make_rng(15)
-    for i in range(400):
-        k = i % 4
-        x = np.array([0.5 * np.sin(i)])
-        n_k, _ = sched.decide_at(k, x, rng_one, x_pred=x_pred)
-        keep = sched.keep(k, x[None, :], sched.g_at(k, x_pred), rng_batch)
-        assert keep.shape == (1,) and n_k == int(keep[0])
-    assert rng_one.uniform() == rng_batch.uniform()
 
 
 def test_schedule_validation():

@@ -11,12 +11,7 @@ from privsample.loss import belief_rollout, one_step_loss
 from privsample.engine import branch_step, mm, sandwich, transition
 from privsample.optimizer import _fast_schedule_batch
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
-from privsample.reconstruct import (
-    estimate_y,
-    evaluate_schedule,
-    kalman_additive_baseline,
-    reconstruct_x,
-)
+from privsample.reconstruct import evaluate_schedule, kalman_additive_baseline
 from privsample.rngs import make_rng
 from tests.test_optimizer import SYSTEMS, _random_system
 
@@ -24,14 +19,7 @@ from tests.test_optimizer import SYSTEMS, _random_system
 def test_reconstruct_after_sample_is_observation(vi_system):
     b = bel.init_belief(vi_system)
     filt = bel.update_sample(b, np.array([0.42]))
-    assert np.array_equal(reconstruct_x(filt), [0.42])
-
-
-def test_reconstruct_requires_filtered(vi_system):
-    with pytest.raises(ContractViolation):
-        reconstruct_x(bel.init_belief(vi_system))
-    with pytest.raises(ContractViolation):
-        estimate_y(bel.init_belief(vi_system))
+    assert np.array_equal(filt.x_mean, [0.42])
 
 
 def test_never_sampling_reconstructs_prior_mean(vi_system):
@@ -40,8 +28,8 @@ def test_never_sampling_reconstructs_prior_mean(vi_system):
     )
     filtered = [s.filtered for s in steps]
     # zero-mean system: prior mean trajectory stays at zero
-    assert np.allclose(np.array([reconstruct_x(b) for b in filtered]), 0.0, atol=1e-9)
-    assert np.allclose(np.array([estimate_y(b) for b in filtered]), 0.0, atol=1e-9)
+    assert np.allclose(np.array([b.x_mean for b in filtered]), 0.0, atol=1e-9)
+    assert np.allclose(np.array([bel.marginal_y_current(b)[0] for b in filtered]), 0.0, atol=1e-9)
 
 
 def test_conditional_mean_minimizes_quadratic_error():
@@ -55,13 +43,13 @@ def test_conditional_mean_minimizes_quadratic_error():
     grid = np.linspace(filt.mean[0] - 1.0, filt.mean[0] + 1.0, 201)
     losses = ((draws[None, :] - grid[:, None]) ** 2).mean(axis=1)
     best = grid[np.argmin(losses)]
-    assert abs(best - reconstruct_x(filt)[0]) < 2e-2
+    assert abs(best - filt.x_mean[0]) < 2e-2
 
 
 def test_estimate_y_is_current_block(vi_system):
     b = bel.init_belief(vi_system)
     filt = bel.update_sample(b, np.array([1.0]))
-    assert np.allclose(estimate_y(filt), filt.mean[1:2])
+    assert np.allclose(bel.marginal_y_current(filt)[0], filt.mean[1:2])
 
 
 def _system(vi_system, name):
@@ -287,11 +275,13 @@ def test_rollout_log_structure_and_determinism(vi_system):
     log2 = list(belief_rollout(vi_system, sched, 8, make_rng(13), mode="state"))
     assert len(log1) == 9
     for s in log1:
-        assert (s.z is None) == (s.n == 0)
+        assert s.n in (0, 1)
+        if s.n:  # a kept x is the reconstruction
+            assert np.array_equal(s.filtered.x_mean, s.x)
     assert [s.n for s in log1] == [s.n for s in log2]
     assert np.allclose(
-        np.array([reconstruct_x(s.filtered) for s in log1]),
-        np.array([reconstruct_x(s.filtered) for s in log2]),
+        np.array([s.filtered.x_mean for s in log1]),
+        np.array([s.filtered.x_mean for s in log2]),
     )
     totals = [one_step_loss(s.predicted, s.f, s.g, 0.5).total for s in log1]
     assert len(totals) == 9 and np.isfinite(totals).all()
