@@ -350,8 +350,8 @@ def cmd_optimize(args) -> int:
 def cmd_finite_dp(args) -> int:
     cfg = load_json(args.config)
     model = finite_model_from_config(cfg)
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("K", 2))
-    if not 0 <= horizon <= 2:
+    horizon = _horizon(args, cfg, 2)
+    if horizon > 2:
         raise ConfigError(f"finite-dp supports horizons 0 to 2, got {horizon}")
     _checked(args.lam, "--lambda", True)
     result = dp_solve(model, args.lam, horizon)
@@ -375,10 +375,14 @@ def cmd_finite_dp(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .validation import run_validation
+    from . import validation
 
     names = args.names.split(",") if args.names else None
-    results = run_validation(names=names)
+    checks = [fn.__name__ for fn in validation.ALL_CHECKS]
+    unmatched = ", ".join(repr(n) for n in names or () if not any(n in c for c in checks))
+    if unmatched:
+        raise ConfigError(f"no check matches --names {unmatched}; the checks are {', '.join(checks)}")
+    results = validation.run_validation(names=names)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:36s} {r.seconds:6.1f}s  {r.detail}")
@@ -397,13 +401,20 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _horizon(args, cfg: dict, default: int) -> int:
+    """--horizon, else the config's K (``default`` without one): an integer >= 0."""
+    if args.horizon is not None:
+        return _checked_count(args.horizon, "--horizon", 0)
+    k = cfg.get("K", default)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ConfigError(f"config K must be an integer, got {k!r}")
+    return _checked_count(k, "config K", 0)
+
+
 def _load_system(args):
     """(system, config, horizon); the horizon defaults to the config's K."""
     cfg = load_json(args.config)
-    if args.horizon is not None:
-        horizon = _checked_count(args.horizon, "--horizon", 0)
-    else:
-        horizon = _checked_count(int(cfg.get("K", 100)), "config K", 0)
+    horizon = _horizon(args, cfg, 100)
     return system_from_config(cfg), cfg, horizon
 
 
@@ -469,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finite_dp)
 
     p = sub.add_parser("validate", help="run the oracle validation suite")
-    p.add_argument("--names", help="comma-separated name filters")
+    p.add_argument("--names", help="comma-separated filters on the check function names")
     p.add_argument("--out", help="optional results CSV")
     p.set_defaults(fn=cmd_validate)
     return parser

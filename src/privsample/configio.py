@@ -25,9 +25,12 @@ def load_json(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object, not a {type(cfg).__name__}")
+    return cfg
 
 
 def system_from_config(cfg: dict) -> LinearGaussianSystem:
@@ -57,7 +60,7 @@ def finite_model_from_config(cfg: dict) -> FiniteModel:
         )
     except KeyError as exc:
         raise ConfigError(f"finite model config missing key {exc}") from exc
-    except ContractViolation as exc:
+    except (TypeError, ValueError) as exc:  # a ContractViolation is a ValueError
         raise ConfigError(f"finite model config rejected: {exc}") from exc
 
 
@@ -65,7 +68,7 @@ def load_schedule(path) -> SamplerSchedule:
     cfg = load_json(path)
     try:
         return SamplerSchedule.from_config(cfg)
-    except (KeyError, ContractViolation) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # a ContractViolation is a ValueError
         raise ConfigError(f"schedule config rejected: {exc}") from exc
 
 

@@ -84,21 +84,21 @@ def sandwich(a, x):
     return transition(a, y).reshape(r, r, *x.shape[2:])
 
 
-def observe(c, dc, r, dr, nx: int):
-    """Condition each covariance c_b (m, m, B) on its first nx coordinates
-    seen through noise r (n_x, n_x, B or 1), with tangents dc (m, m, T, G)
-    of the leading G rows and dr (n_x, n_x, T, G or 1), or dc = None.
-    Returns (c', dc', gain)."""
-    col = c[:, :nx]
-    s_inv = _inv(c[:nx, :nx] + r)
+def observe(m, dm, r, dr, nx: int):
+    """Condition each covariance m_b (n, n, B) on its first nx coordinates
+    seen through noise r (n_x, n_x, B or 1), with tangents dm (n, n, T, G)
+    of the leading G rows and dr (n_x, n_x, T, G or 1), or dm = None.
+    Returns (m', dm', gain)."""
+    col = m[:, :nx]
+    s_inv = _inv(m[:nx, :nx] + r)
     gain = mm(col, s_inv)
-    c = c - mm(gain, col.swapaxes(0, 1))
-    if dc is None:
-        return c, None, gain
+    m = m - mm(gain, col.swapaxes(0, 1))
+    if dm is None:
+        return m, None, gain
     # d(col s^{-1} col^T) = w + w^T with w = (dcol - gain ds / 2) gain^T
-    gain4 = gain[:, :, None, : dc.shape[-1]]
-    w = mm(dc[:, :nx] - 0.5 * mm(gain4, dc[:nx, :nx] + dr), gain4.swapaxes(0, 1))
-    return c, dc - w - w.swapaxes(0, 1), gain
+    gain4 = gain[:, :, None, : dm.shape[-1]]
+    w = mm(dm[:, :nx] - 0.5 * mm(gain4, dm[:nx, :nx] + dr), gain4.swapaxes(0, 1))
+    return m, dm - w - w.swapaxes(0, 1), gain
 
 
 def _zero_x(a, keep, nx: int):
@@ -229,14 +229,14 @@ class BatchEngine:
         # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
         return blocks, det, np.log(det[1] / det[2]), np.log(det[0] / det[3])
 
-    def step_loss(self, f, df, c, dc, lam):
+    def step_loss(self, f, df, c, lam):
         """(loss, dloss, p0, dp0, info) per rollout: p0 is the no-sample
         probability, info the information increment (nats). ``c`` is the
-        region center's offset from the predicted mean, (n_x, 1 or B), and
-        ``f`` is (n_x, n_x, 1 or B); with tangents f is shared and df
-        (n_x, n_x, T, 1), dc (n_x, T, 1). dloss and dp0 are (T, G), for
-        the tangent rows; without tangents ``df``/``dc`` are unused and
-        dloss, dp0 are None.
+        region center's offset from the predicted mean, (n_x, 1 or B), a
+        fixed input with no tangent, and ``f`` is (n_x, n_x, 1 or B); with
+        tangents f is shared and df (n_x, n_x, T, 1). dloss and dp0 are
+        (T, G), for the tangent rows; without tangents ``df`` is unused
+        and dloss, dp0 are None.
         """
         nx = self.nx
         pxx = self.p[:nx, :nx]
@@ -257,8 +257,8 @@ class BatchEngine:
         dpxx = self.dp[:nx, :nx]
         ds = df + dpxx
         dld = _tr(inv[:, :, :, None], np.stack([ds, dpxx, self.ds, df + self.ds], axis=2))
-        quad = mm(mm(u[None, :, None], ds), u[:, None, None])[0, 0]
-        dquad = 2.0 * mm(u[None], dc)[0] - quad
+        # c is fixed, so c^T (f + P^xx)^{-1} c moves by -u^T d(f + P^xx) u
+        dquad = -mm(mm(u[None, :, None], ds), u[:, None, None])[0, 0]
         dp0 = q0 * (0.5 * (_tr(_inv(f)[:, :, None], df) - dld[0]) - 0.5 * dquad)
         g_p = mm(inv[:, :, 0], pxx[..., :g])
         dtr = (
@@ -305,13 +305,13 @@ def branch_rollouts(
 ):
     """The one rollout driver: ``rows`` identical engine rows over steps 0..K.
 
-    Per step, ``terms(k, mean)`` gives (f, df, c, dc) in the engine's
-    rows-last layout (``BatchEngine.step_loss``): the discard noise, the
-    region center's offset from the predicted mean and, with
-    ``n_tangents``, their tangents. After the step's loss, ``branch(k, p0,
-    p, mean)`` sees the no-sample probabilities p0 (B,) and the predicted
-    covariances p (n, n, B) and returns (parent, keep, w, obs) for the next
-    rows: the parent row of each (None keeps the rows as they are, and
+    Per step, ``terms(k, mean)`` gives (f, df, c) in the engine's
+    rows-last layout (``BatchEngine.step_loss``): the discard noise, its
+    tangent with ``n_tangents`` (else unused), and the region center's
+    offset from the predicted mean, a fixed input with no tangent. After
+    the step's loss, ``branch(k, p0, p, mean)`` sees the no-sample
+    probabilities p0 (B,) and the predicted covariances p (n, n, B) and
+    returns (parent, keep, w, obs) for the next rows: the parent row of each (None keeps the rows as they are, and
     must while means are carried), its keep flag, the probability w that
     its path weight takes and its score term divides by, and the
     observation (n_x, B) the means move toward (unused without means).
@@ -330,8 +330,8 @@ def branch_rollouts(
     dpaths = np.zeros((g, n_tangents))
     scores = np.zeros((g, n_tangents))
     for k in range(horizon + 1):
-        f, df, c, dc = terms(k, mean)
-        loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, dc, lam)
+        f, df, c = terms(k, mean)
+        loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, lam)
         losses += loss
         infos += info
         if n_tangents:

@@ -3,7 +3,8 @@
 Leader/follower structure: the sampler's parameters are optimized against
 the analytic best-response reconstructor (the conditional mean). The
 sampler is parameterized in feedback form, f_k = L_k L_k^T through an
-unconstrained Cholesky factor (log-diagonal) and g_k = x_pred + c_k. In
+unconstrained Cholesky factor (log-diagonal), centered at the predicted
+mean: the center's offset c = 0 is a fixed input with no tangent. In
 that class every per-step loss is a deterministic function of the
 keep/discard pattern, so the score-function estimator over branch
 sequences is exactly unbiased and small horizons admit exhaustive
@@ -76,17 +77,16 @@ class OptimizerConfig:
 class FeedbackPolicyParams:
     """Unconstrained parameter vector for a feedback sampling schedule.
 
-    Per step (or shared, when tied): the lower-triangular factor of f
-    with log-transformed diagonal, followed by the region-center offset
-    c. ``theta`` is the flat vector the optimizer owns.
+    Per step (or shared, when tied): the ``block`` = n_x(n_x+1)/2 entries
+    of f's lower-triangular factor, its diagonal log-transformed; the
+    center offset c = 0 is fixed. ``theta`` is the flat vector it owns.
     """
 
     def __init__(self, n_x: int, horizon: int, theta: np.ndarray, tied: bool):
         self.n_x = n_x
         self.horizon = horizon
         self.tied = tied
-        self.n_tri = n_x * (n_x + 1) // 2
-        self.block = self.n_tri + n_x
+        self.block = n_x * (n_x + 1) // 2
         expect = self.block if tied else self.block * (horizon + 1)
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (expect,):
@@ -98,8 +98,7 @@ class FeedbackPolicyParams:
     @staticmethod
     def constant(system: LinearGaussianSystem, horizon: int, f0: float = 1.0, tied: bool = True):
         n_x = system.n_x
-        n_tri = n_x * (n_x + 1) // 2
-        block = np.zeros(n_tri + n_x)
+        block = np.zeros(n_x * (n_x + 1) // 2)
         block[np.cumsum(np.arange(1, n_x + 1)) - 1] = np.log(np.sqrt(f0))  # log-diagonal
         theta = block if tied else np.tile(block, horizon + 1)
         return FeedbackPolicyParams(n_x, horizon, theta, tied)
@@ -121,19 +120,19 @@ class FeedbackPolicyParams:
         return ell
 
     def step_terms(self, k: int):
-        """(f_k, df_k/dtheta, c_k, dc_k/dtheta) in the engine's rows-last
-        layout, one row shared by every rollout: f (n_x, n_x, 1), df
-        (n_x, n_x, dim, 1), c (n_x, 1), dc (n_x, dim, 1), the tangents zero
-        off step k's block. Formed once per block (every step shares one
-        when tied); the arrays are shared and read-only."""
+        """(f_k, df_k/dtheta, c) in the engine's rows-last layout, one row
+        shared by every rollout: f (n_x, n_x, 1), df (n_x, n_x, dim, 1)
+        zero off step k's block, and the center offset c = 0 (n_x, 1), a
+        fixed input with no tangent. Formed once per block (every step
+        shares one when tied); the arrays are shared and read-only."""
         sl = self._block_slice(k)
         if sl.start in self._memo:
             return self._memo[sl.start]
-        ell = self._chol_from_block(self.theta[sl][: self.n_tri])
+        ell = self._chol_from_block(self.theta[sl])
         f = (ell @ ell.T)[..., None]
         df = np.zeros((self.n_x, self.n_x, self.dim, 1))
         rows, cols = self._tril_idx
-        for j in range(self.n_tri):
+        for j in range(self.block):
             d_ell = np.zeros_like(ell)
             if rows[j] == cols[j]:
                 d_ell[rows[j], cols[j]] = ell[rows[j], cols[j]]  # log-diagonal
@@ -141,11 +140,7 @@ class FeedbackPolicyParams:
                 d_ell[rows[j], cols[j]] = 1.0
             grad = d_ell @ ell.T
             df[:, :, sl.start + j, 0] = grad + grad.T
-        c = self.theta[sl][self.n_tri :, None]
-        dc = np.zeros((self.n_x, self.dim, 1))
-        for j in range(self.n_x):
-            dc[j, sl.start + self.n_tri + j] = 1.0
-        terms = (f, df, c, dc)
+        terms = (f, df, np.zeros((self.n_x, 1)))
         for arr in terms:
             arr.setflags(write=False)
         self._memo[sl.start] = terms
@@ -155,16 +150,9 @@ class FeedbackPolicyParams:
         return FeedbackPolicyParams(self.n_x, self.horizon, theta, self.tied)
 
     def to_schedule(self) -> SamplerSchedule:
-        ells = np.stack(
-            [
-                self._chol_from_block(self.theta[self._block_slice(k)][: self.n_tri])
-                for k in range(self.horizon + 1)
-            ]
-        )
-        cs = np.stack(
-            [self.theta[self._block_slice(k)][self.n_tri :] for k in range(self.horizon + 1)]
-        )
-        return privacy_aware_schedule(ells, cs, feedback=True)
+        steps = range(self.horizon + 1)
+        ells = np.stack([self._chol_from_block(self.theta[self._block_slice(k)]) for k in steps])
+        return privacy_aware_schedule(ells, np.zeros((len(steps), self.n_x)), feedback=True)
 
 
 class _TangentFilter:
@@ -183,11 +171,11 @@ class _TangentFilter:
         """f (n_x, n_x, 1) and df (n_x, n_x, T, 1) as (n_x, n_x) and (T, n_x, n_x)."""
         return f[..., 0], np.moveaxis(df[..., 0], -1, 0)
 
-    def step_loss(self, f, df, c, dc, lam):
-        """Per-step loss, its tangent, branch probability and its tangent."""
+    def step_loss(self, f, df, c, lam):
+        """Per-step loss, its tangent, branch probability and its tangent (c fixed)."""
         nx = self.nx
         f, df = self._unbatched(f, df)
-        c, dc = c[:, 0], dc[..., 0].T
+        c = c[:, 0]
         p, dp = self.p, self.dp
         pxx = p[:nx, :nx]
         pxy = p[:nx, nx:]
@@ -205,7 +193,7 @@ class _TangentFilter:
         dld_s = np.einsum("ij,tji->t", s_inv, ds)
         u = s_inv @ c
         quad = float(c @ u)
-        dquad = 2.0 * (dc @ u) - np.einsum("i,tij,j->t", u, ds, u)
+        dquad = -np.einsum("i,tij,j->t", u, ds, u)
         p0 = math.exp(0.5 * (ld_f - ld_s) - 0.5 * quad)
         dp0 = p0 * (0.5 * (dld_f - dld_s) - 0.5 * dquad)
 
@@ -259,20 +247,20 @@ class _TangentFilter:
         nx = self.nx
         f, df = self._unbatched(f, df)
         p, dp = self.p, self.dp
-        c_blk = p[:, :nx]
-        dc_blk = dp[:, :, :nx]
+        col = p[:, :nx]
+        dcol = dp[:, :, :nx]
         if keep:
             s = p[:nx, :nx].copy()
             ds = dp[:, :nx, :nx]
         else:
             s = f + p[:nx, :nx]
             ds = df + dp[:, :nx, :nx]
-        w = np.linalg.solve(s, c_blk.T)  # (nx, d)
+        w = np.linalg.solve(s, col.T)  # (nx, d)
         dw = np.linalg.solve(
-            s, dc_blk.swapaxes(1, 2) - np.einsum("tij,jk->tik", ds, w)
+            s, dcol.swapaxes(1, 2) - np.einsum("tij,jk->tik", ds, w)
         )
-        self.p = p - c_blk @ w
-        self.dp = dp - np.einsum("ik,tkj->tij", c_blk, dw) - np.einsum("tik,kj->tij", dc_blk, w)
+        self.p = p - col @ w
+        self.dp = dp - np.einsum("ik,tkj->tij", col, dw) - np.einsum("tik,kj->tij", dcol, w)
         self.p = 0.5 * (self.p + self.p.T)
         self.dp = 0.5 * (self.dp + self.dp.swapaxes(1, 2))
         if keep:
@@ -324,12 +312,9 @@ def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows
     else:
         n_tangents, reps = 0, rollouts // len(params)
 
-        def per_row(blocks):
-            return np.repeat(np.concatenate(blocks, axis=-1), reps, axis=-1)
-
         def terms(k, mean):
-            f, _, c, _ = zip(*(p.step_terms(k) for p in params))
-            return per_row(f), None, per_row(c), None
+            f, _, c = zip(*(p.step_terms(k) for p in params))
+            return np.repeat(np.concatenate(f, axis=-1), reps, axis=-1), None, c[0]  # all zero
 
     def branch(k, p0, p, mean):
         keep = u[k] > p0
@@ -356,7 +341,7 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
         nonlocal g_abs
         x_mean = mean[:nx]
         g_abs = np.broadcast_to(schedule.g_at(k, x_pred=x_mean.T), (rollouts, nx))
-        return schedule.effective_f_at(k)[..., None], None, g_abs.T - x_mean, None
+        return schedule.effective_f_at(k)[..., None], None, g_abs.T - x_mean
 
     def branch(k, p0, p, mean):
         pxx = p[:nx, :nx]
@@ -390,8 +375,8 @@ def _rollout_gradient_terms(params, system, lam, horizon, u):
     score = np.zeros(params.dim)
     kept = 0
     for k in range(horizon + 1):
-        f, df, c, dc = params.step_terms(k)
-        l_k, dl_k, p0, dp0 = filt.step_loss(f, df, c, dc, lam)
+        f, df, c = params.step_terms(k)
+        l_k, dl_k, p0, dp0 = filt.step_loss(f, df, c, lam)
         loss += l_k
         dloss += dl_k
         keep = bool(u[k] > p0)

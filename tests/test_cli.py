@@ -392,6 +392,43 @@ def test_contract_violation_is_exit_3(tmp_path, capsys, monkeypatch):
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, schedule",
+    [
+        ("simulate", dict(SYSTEM_CFG, K="ten"), None),
+        ("finite-dp", dict(FINITE_CFG, K="ten"), None),
+        ("simulate", dict(SYSTEM_CFG, K=2.5), None),
+        ("finite-dp", dict(FINITE_CFG, K=2.5), None),
+        ("simulate", [SYSTEM_CFG], None),
+        ("finite-dp", [FINITE_CFG], None),
+        ("simulate", SYSTEM_CFG, [[[1.0]], [[1.0, 0.0]]]),
+        ("simulate", SYSTEM_CFG, [[["one"]], [["one"]]]),
+        ("finite-dp", dict(FINITE_CFG, y_kernel=[[0.8, 0.2], [0.3]]), None),
+    ],
+    ids=[
+        "K_text", "finite_K_text", "K_fraction", "finite_K_fraction", "list",
+        "finite_list", "schedule_ragged", "schedule_text", "finite_ragged_kernel",
+    ],
+)
+def test_malformed_file_is_exit_3(tmp_path, capsys, command, config, schedule):
+    """A config that is not an object or has a non-integer K, a schedule
+    f_chol that is ragged or not numeric, and a ragged finite-model kernel."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(cfg), "--out", str(out)]
+    if schedule is not None:
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(
+            {"kind": "privacy_aware", "f_chol": schedule, "g": [[0.0], [0.0]], "feedback": True}
+        ))
+        args += ["--schedule", str(path), "--horizon", "1"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
 def test_finite_dp_rejects_long_horizons(tmp_path):
     cfg = tmp_path / "finite.json"
     cfg.write_text(json.dumps(dict(FINITE_CFG, K=7)))
@@ -490,6 +527,19 @@ def test_validate_filtered_runs_and_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(validation, "ALL_CHECKS", (failing_check,))
     rc = main(["validate"])
     assert rc == 2
+
+
+def test_validate_filter_matching_no_check_is_exit_3(tmp_path, capsys):
+    """The result names printed are not the check function names the
+    filters match, so a filter of them must not pass by running nothing."""
+    out = tmp_path / "v.csv"
+    args = ["validate", "--names", "belief_vs_quadrature_bayes,eq18_monte_carlo"]
+    assert main(args + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "no check matches --names 'belief_vs_quadrature_bayes', 'eq18" in captured.err
+    assert "check_belief_vs_grid_filter" in captured.err
+    assert not out.exists()
 
 
 def test_bad_threads_env_is_exit_3(system_cfg, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Batch independence of the rows-last engine: a row's values are its own."""
+"""The rows-last engine: a row's values are its own, and its tangents are
+the derivatives of its losses."""
 import numpy as np
 import pytest
 
@@ -72,10 +73,10 @@ def test_engine_row_is_the_same_alone_in_a_batch_and_beside_bare_rows(vi_system,
         ),
     }
     for k in range(HORIZON + 1):
-        f, df, c, dc = params.step_terms(k)
+        f, df, c = params.step_terms(k)
         seen = {}
         for case, (eng, cols, r) in cases.items():
-            loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, dc, 0.8)
+            loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, 0.8)
             eng.update(f, df, keep[k, cols], k)
             filtered = (eng.p[..., r], eng.s[..., r], eng.dp[..., r], eng.ds[..., r])
             if k < HORIZON:
@@ -85,3 +86,44 @@ def test_engine_row_is_the_same_alone_in_a_batch_and_beside_bare_rows(vi_system,
         for case in ("batch", "beside"):
             for a, b in zip(seen["alone"], seen[case]):
                 assert np.array_equal(a, b), (case, k)
+
+
+@pytest.mark.parametrize("name", ["paper", "nx2_coupled"])
+def test_engine_tangents_at_a_fixed_center_offset_match_central_differences(vi_system, name):
+    """With a fixed center offset c != 0 the quadratic form's tangent is
+    -u^T dS u: the summed loss and each step's p0 on a forced branch
+    pattern against central differences in theta."""
+    system = vi_system if name == "paper" else _random_system(11, 2, 1)
+    horizon = 4
+    rng = make_rng(8)
+    params = FeedbackPolicyParams.constant(system, horizon, f0=1.5, tied=False)
+    params = params.replaced(params.theta + 0.1 * rng.standard_normal(params.dim))
+    offsets = 0.6 * rng.standard_normal((horizon + 1, system.n_x, 1))
+    keep = np.arange(horizon + 1) % 2 == 1
+
+    def run(p, tangents):
+        """(summed loss, p0 per step) and, with tangents, their tangents."""
+        eng = BatchEngine(system, 1, p.dim if tangents else 0)
+        values, derivs = [], []
+        for k in range(horizon + 1):
+            f, df, _ = p.step_terms(k)
+            loss, dloss, p0, dp0, _ = eng.step_loss(f, df, offsets[k], 0.8)
+            values.append((loss[0], p0[0]))
+            if tangents:
+                derivs.append((dloss[:, 0], dp0[:, 0]))
+            eng.update(f, df, keep[k : k + 1], k)
+            if k < horizon:
+                eng.predict(k + 1)
+        loss, p0 = zip(*values)
+        if not tangents:
+            return np.array([sum(loss), *p0]), None
+        dloss, dp0 = zip(*derivs)
+        return np.array([sum(loss), *p0]), np.array([sum(dloss), *dp0])
+
+    _, tangents = run(params, True)
+    h = 1e-6
+    for i in range(params.dim):
+        step = h * np.eye(params.dim)[i]
+        up, _ = run(params.replaced(params.theta + step), False)
+        dn, _ = run(params.replaced(params.theta - step), False)
+        assert np.allclose(tangents[:, i], (up - dn) / (2 * h), rtol=1e-6, atol=1e-9), i

@@ -111,9 +111,9 @@ def test_exact_gradient_matches_central_differences(vi_system, n_x):
     horizon = 3
     rng = make_rng(5)
     if n_x == 1:
-        system, block = vi_system, np.array([0.3, 0.2])
-    else:  # (log L11, L21, log L22, c1, c2)
-        system, block = _random_system(11, 2, 1), np.array([0.3, 0.1, 0.2, 0.2, -0.1])
+        system, block = vi_system, np.array([0.3])
+    else:  # (log L11, L21, log L22)
+        system, block = _random_system(11, 2, 1), np.array([0.3, 0.1, 0.2])
     theta0 = np.concatenate(
         [block + 0.1 * rng.standard_normal(block.size) for _ in range(horizon + 1)]
     )
@@ -134,7 +134,7 @@ def test_estimator_unbiased_against_enumeration(vi_system, a_yx, batches):
     system = _coupled(vi_system, a_yx)
     horizon = 5
     params = FeedbackPolicyParams.constant(system, horizon, f0=1.3, tied=True)
-    params = params.replaced(params.theta + np.array([0.1, 0.25]))
+    params = params.replaced(params.theta + np.array([0.1]))
     lam = 0.8
     _, exact_grad = exact_objective_and_gradient(params, system, lam)
     rng = make_rng(77)
@@ -145,13 +145,15 @@ def test_estimator_unbiased_against_enumeration(vi_system, a_yx, batches):
     assert np.all(np.abs(grads.mean(axis=0) - exact_grad) < 3 * se)
 
 
-def test_center_gradient_vanishes_at_symmetric_optimum(vi_system):
-    """Zero offsets are stationary for the c coordinates (any weights)."""
-    horizon = 4
-    params = FeedbackPolicyParams.constant(vi_system, horizon, f0=3.0, tied=False)
-    _, grad = exact_objective_and_gradient(params, vi_system, 0.0)
-    c_coords = [k * 2 + 1 for k in range(horizon + 1)]
-    assert np.all(np.abs(grad[c_coords]) < 1e-12)
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "per_step"])
+@pytest.mark.parametrize("name", ["paper", "nx2_coupled"])
+def test_every_exact_gradient_coordinate_is_nonzero(vi_system, name, tied):
+    """Every coordinate of theta moves the objective at a constant start:
+    none sits at an exactly zero gradient it could never leave."""
+    system = vi_system if name == "paper" else _random_system(11, 2, 1)
+    params = FeedbackPolicyParams.constant(system, 4, f0=1.3, tied=tied)
+    _, grad = exact_objective_and_gradient(params, system, 0.8)
+    assert grad.shape == (params.dim,) and np.all(grad != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def test_optimizer_config_needs_two_validation_rollouts(vi_system):
 def test_non_finite_gradient_aborts_with_dump(vi_system):
     from privsample.errors import NumericalFailure
 
-    params = FeedbackPolicyParams(1, 3, np.array([np.nan, 0.0]), tied=True)
+    params = FeedbackPolicyParams(1, 3, np.array([np.nan]), tied=True)
     with pytest.raises(NumericalFailure, match="non-finite gradient"):
         objective_gradient_linear(params, vi_system, 0.5, 8, make_rng(0))
 
@@ -438,10 +440,10 @@ def test_engine_losses_without_tangents_match_with_tangents_bitwise(vi_system, n
     patterns = rng.uniform(size=(rows, horizon + 1)) > 0.5
     bare, tangent = BatchEngine(system, rows, 0), BatchEngine(system, rows, params.dim)
     for k in range(horizon + 1):
-        f, df, c, dc = params.step_terms(k)
+        f, df, c = params.step_terms(k)
         c = c + 0.3 * rng.standard_normal((rows, system.n_x)).T
-        loss0, dloss0, p00, _, info0 = bare.step_loss(f, None, c, None, 0.8)
-        loss1, dloss1, p01, _, info1 = tangent.step_loss(f, df, c, dc, 0.8)
+        loss0, dloss0, p00, _, info0 = bare.step_loss(f, None, c, 0.8)
+        loss1, dloss1, p01, _, info1 = tangent.step_loss(f, df, c, 0.8)
         assert dloss0 is None and dloss1.shape == (params.dim, rows)
         for a, b in ((loss0, loss1), (p00, p01), (info0, info1)):
             assert np.array_equal(a, b)
@@ -692,8 +694,8 @@ def _enumerated_rate(params, system):
     for pattern in itertools.product((False, True), repeat=horizon + 1):
         filt, prob = _TangentFilter(system, params.dim), 1.0
         for k, keep in enumerate(pattern):
-            f, df, c, dc = params.step_terms(k)
-            p0 = filt.step_loss(f, df, c, dc, 0.0)[2]
+            f, df, c = params.step_terms(k)
+            p0 = filt.step_loss(f, df, c, 0.0)[2]
             prob *= 1.0 - p0 if keep else p0
             filt.update(f, df, keep)
             if k < horizon:
