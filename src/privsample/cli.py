@@ -377,7 +377,9 @@ def cmd_finite_dp(args) -> int:
 def cmd_validate(args) -> int:
     from . import validation
 
-    names = args.names.split(",") if args.names else None
+    names = None if args.names is None else args.names.split(",")
+    if names is not None and not all(names):
+        raise ConfigError(f"empty filter in --names {args.names!r}; every filter must be non-empty")
     checks = [fn.__name__ for fn in validation.ALL_CHECKS]
     unmatched = ", ".join(repr(n) for n in names or () if not any(n in c for c in checks))
     if unmatched:

@@ -1,9 +1,10 @@
 """Run-configuration files: loading, validation and hashing.
 
 System files are JSON with keys ``A``, ``Q``, ``P0``, ``mean0``, ``nx``,
-``ny``, ``K``, ``seed`` (see README for the full schema). Finite models
-use the same format with keys ``x_kernel``, ``y_kernel``, ``init_joint``,
-``distortion``. Schedules serialize as ``kind`` / ``f_chol`` / ``g`` /
+``ny``, ``K`` (see README for the full schema); the seed comes from
+``--seed`` (default 0) and is recorded in every output's metadata.
+Finite models use the same format with keys ``x_kernel``, ``y_kernel``,
+``init_joint``, ``distortion``. Schedules serialize as ``kind`` / ``f_chol`` / ``g`` /
 ``feedback``.
 """
 from __future__ import annotations

@@ -419,7 +419,9 @@ def objective_via_decomposition(model: FiniteModel, policies, horizon: int, lam:
 # two one-hot aggregation matmuls and one entropy pass, the w-only
 # entropy term is formed once per node, and one branch's child weights at
 # every stacked node and candidate are one matmul with a cached
-# parent->child transition matrix, looked up in one value call. Nodes are
+# parent->child transition matrix, looked up in one value call. That
+# branch step, _Space.branches, is the only code that multiplies by the
+# matrices, and the validation grid oracle runs on it too. Nodes are
 # solved by batches of lockstep coordinate descents, one per (node,
 # start), each step one losses_batch call over the stacked nodes. Values
 # are memoized on (stage, support, rounded weights), and each lookup
@@ -493,6 +495,22 @@ class _Space:
         term3 = ent[..., n_y + 1 : xy_end].sum(axis=-1) - ent[..., xy_end:].sum(axis=-1)
         info = self.y_entropy(w)[..., None] + term2 + term3
         return dist + lam * info, p0
+
+    def branches(self, w: np.ndarray, a_tables: np.ndarray):
+        """Child weights of every branch that has children.
+
+        ``w`` holds node weights (..., S) and ``a_tables`` candidate tables
+        (..., L, n_pairs), as in losses_batch. Yields, in the order
+        ``"none", 0, ..., n_x - 1``, (child keys, unnormalized child
+        weights (..., L, S_child), their sums (..., L)). Each node's slice
+        of a stacked product equals its own product bit for bit.
+        """
+        a = a_tables[..., self.pair_idx]
+        for branch in ["none", *range(self.model.nx)]:
+            child_keys, trans = self.child_op(branch)
+            if child_keys:
+                child_w = (w[..., None, :] * (a if branch == "none" else 1.0 - a)) @ trans
+                yield child_keys, child_w, child_w.sum(axis=-1)
 
     def child_op(self, branch):
         """(child keys, transition matrix M (S, S_child)) of one branch.
@@ -592,17 +610,10 @@ class _ValueRecursion:
         totals, _ = sp.losses_batch(w, a_tables, self.lam)
         if k == self.horizon:
             return totals
-        a = a_tables[..., sp.pair_idx]
-        for branch in ["none"] + list(range(self.model.nx)):
-            child_keys, trans = sp.child_op(branch)
-            if len(child_keys) == 0:
-                continue
-            # each node's slice of the stacked product equals its own
-            # (L, S) @ trans bit for bit (a test checks), and value() solves
-            # the lookup's misses in capped chunks, which bounds the memory
-            mass = w[:, None, :] * (a if branch == "none" else (1.0 - a))
-            child_w = mass @ trans  # (D, L, S_child), unnormalized
-            norms = child_w.sum(axis=-1)
+        # one branches() product per branch gives the child weights at
+        # every stacked (node, table) pair; value() solves the lookup's
+        # misses in capped chunks, which bounds the memory
+        for child_keys, child_w, norms in sp.branches(w, a_tables):
             live = np.nonzero(norms > 1e-13)  # (node, table) pairs in row order
             rows = child_w[live] / norms[live][:, None]
             totals[live] += norms[live] * self.value(self.space_for(child_keys), rows, k + 1)

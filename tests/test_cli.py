@@ -542,6 +542,22 @@ def test_validate_filter_matching_no_check_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [",", "determinant,", ""])
+def test_validate_empty_filter_is_exit_3(tmp_path, capsys, monkeypatch, names):
+    """An empty filter is in every check name, so it must not select the
+    whole suite."""
+    from privsample import validation
+
+    ran = []
+    monkeypatch.setattr(validation, "ALL_CHECKS", (lambda: ran.append(1),))
+    out = tmp_path / "v.csv"
+    assert main(["validate", "--names", names, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"empty filter in --names {names!r}" in captured.err
+    assert not ran and not out.exists()
+
+
 def test_bad_threads_env_is_exit_3(system_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("PRIVSAMPLE_THREADS", "many")
     rc = main(

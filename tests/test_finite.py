@@ -372,22 +372,21 @@ def test_space_batches_match_the_reference_losses_and_update(nx, ny, seed):
     tables[0] = rng.choice([0.0, 1.0], size=len(sp.pairs))  # degenerate entries
     lam = float(rng.uniform(0.0, 3.0))
     totals, p0 = sp.losses_batch(w, tables, lam)
-    a = tables[:, sp.pair_idx]
     mem_len = max((len(m) for _, m in sp.pairs), default=0)
+    # the discard branch and the keep branch of every x in the support
+    # have children; no other branch does
+    with_children = [None, *sorted({x for x, _, _ in sp.keys})]
+    branches = list(zip(with_children, sp.branches(w, tables), strict=True))
     for t, row in enumerate(tables):
         pol = PolicyCollection(table=dict(zip(sp.pairs, map(float, row))), mem_len=mem_len)
         assert abs(totals[t] - one_step_losses(b, pol, model, lam).total) < 1e-12
         assert abs(p0[t] - no_sample_prob(b, pol)) < 1e-12
-        for branch in [None] + list(range(model.nx)):
-            child_keys, trans = sp.child_op("none" if branch is None else branch)
-            mass = w * (a[t] if branch is None else 1.0 - a[t])
-            child_w = mass @ trans
-            norm = child_w.sum()
-            if norm <= 1e-13:
+        for branch, (child_keys, child_w, norms) in branches:
+            if norms[t] <= 1e-13:
                 continue
             ref = belief_step(b, pol, branch, model, mem_cap=DP_MEM_CAP)
-            assert set(ref.weights) == {key for key, cw in zip(child_keys, child_w) if cw > 0.0}
-            got = dict(zip(child_keys, child_w / norm))
+            assert set(ref.weights) == {key for key, cw in zip(child_keys, child_w[t]) if cw > 0.0}
+            got = dict(zip(child_keys, child_w[t] / norms[t]))
             assert max(abs(got[key] - v) for key, v in ref.weights.items()) < 1e-12
 
 
@@ -552,8 +551,8 @@ def test_dp_chunk_cap_leaves_the_recursion_unchanged(lam, monkeypatch):
 
 
 def test_stacked_child_weights_equal_each_nodes_own():
-    """Each node's (L, S_child) slice of the stacked (D, L, S) @ trans
-    product, and its row sums, equal the node's own product bit for bit,
+    """Each node's (L, S_child) slice of the stacked branch products of
+    _Space.branches, and its row sums, equal the node's own bit for bit,
     so stacking the nodes of a branch lookup moves no child weight."""
     from privsample.validation import finite_fixture
 
@@ -561,19 +560,17 @@ def test_stacked_child_weights_equal_each_nodes_own():
     rng = make_rng(5)
     levels = np.linspace(0.0, 1.0, 11)
     for sp in _reachable_spaces(model, 1):  # the parents at horizon 2
-        for branch in ["none", *range(model.nx)]:
-            child_keys, trans = sp.child_op(branch)
-            if not child_keys:
-                continue
-            for d in (2, 96):
-                w = rng.dirichlet(np.ones(len(sp.keys)), size=d)
-                a = rng.choice(levels, size=(d, 11, len(sp.keys)))
-                mass = w[:, None, :] * (a if branch == "none" else 1.0 - a)
-                stacked = mass @ trans
-                for i in range(d):
-                    own = mass[i] @ trans
-                    assert np.array_equal(stacked[i], own), (sp.keys, branch, d, i)
-                    assert np.array_equal(stacked[i].sum(axis=-1), own.sum(axis=1))
+        for d in (2, 96):
+            w = rng.dirichlet(np.ones(len(sp.keys)), size=d)
+            a = rng.choice(levels, size=(d, 11, len(sp.pairs)))
+            stacked = list(sp.branches(w, a))
+            assert len(stacked) == 1 + len({x for x, _, _ in sp.keys})
+            for i in range(d):
+                own = list(sp.branches(w[i], a[i]))
+                for (keys, child_w, norms), (own_keys, own_w, own_norms) in zip(stacked, own):
+                    assert keys == own_keys
+                    assert np.array_equal(child_w[i], own_w), (sp.keys, d, i)
+                    assert np.array_equal(norms[i], own_norms), (sp.keys, d, i)
 
 
 @pytest.mark.parametrize("lam, horizon",[(-1.0, 1), (float("nan"), 1), (float("inf"), 1), (0.5, -1)])
@@ -632,17 +629,36 @@ def test_dp_warns_when_action_grid_too_coarse(model, monkeypatch):
 
 
 def test_dp_beats_exhaustive_restricted_grid_small(model, monkeypatch):
-    """3-level grid, K=1: the recursion value is <= every gridded policy."""
+    """3-level grid, K = 1 and 2: the validation grid oracle finds the
+    brute-force minimum over every gridded table sequence, and the
+    recursion value is <= it."""
+    from privsample import validation
+
     levels = [0.0, 0.5, 1.0]
     lam = 0.6
-    best = np.inf
-    best_tables = None
-    for combo in itertools.product(levels, repeat=4):
-        tables = [combo[:2], combo[2:]]
-        policies = [_x_policy(*t) for t in tables]
-        val, _, _ = objective_via_decomposition(model, policies, 1, lam)
-        if val < best:
-            best, best_tables = val, tables
     _on_grid(monkeypatch, levels, rounds=0)
-    res = dp_solve(model, lam, 1, seed_tables=list(best_tables))
-    assert res.value <= best + 1e-9
+    monkeypatch.setattr(validation, "DP_ACTION_LEVELS", tuple(levels))
+    stage_tables = list(itertools.product(levels, repeat=2))
+
+    def score(tables):
+        policies = [_x_policy(*t) for t in tables]
+        return objective_via_decomposition(model, policies, len(tables) - 1, lam)[0]
+
+    for horizon in (1, 2):
+        best = min(map(score, itertools.product(stage_tables, repeat=horizon + 1)))
+        grid_min, grid_tables = validation.restricted_grid_search(model, lam, horizon)
+        assert len(grid_tables) == horizon + 1
+        assert abs(grid_min - best) < 1e-12, horizon
+        assert abs(score(grid_tables) - best) < 1e-12, horizon
+        res = dp_solve(model, lam, horizon, seed_tables=grid_tables)
+        assert res.value <= best + 1e-9, horizon
+
+
+@pytest.mark.parametrize("horizon", [-1, 3])
+def test_grid_oracle_rejects_a_negative_or_oversized_horizon(model, horizon):
+    """At 11 levels horizon 3 has 121^4 > 1e7 table sequences; the oracle
+    refuses it before allocating anything."""
+    from privsample.validation import restricted_grid_search
+
+    with pytest.raises(ContractViolation, match=f"at horizon {horizon}"):
+        restricted_grid_search(model, 0.5, horizon)

@@ -88,3 +88,23 @@ def test_every_substream_call_site_owns_its_stream():
         0: "cli", 7: "cli", 100: "cli", 200: "cli", 300: "cli",
         1: "optimizer", 2: "optimizer", 999: "optimizer",
     }
+
+
+def test_only_the_branch_step_reads_child_op():
+    """The finite engine's branch transition matrices are multiplied in
+    one place, ``_Space.branches``, which the value recursion and the
+    validation grid oracle both call."""
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if getattr(child, "attr", getattr(child, "id", None)) == "child_op":
+                readers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(Path(privsample.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    assert readers == {"finite._Space.branches"}, sorted(readers)

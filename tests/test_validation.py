@@ -42,6 +42,20 @@ def test_schur_corruption_is_caught_by_grid_filter():
     assert not res.passed
 
 
+def test_no_sample_update_keeping_the_prior_covariance_is_caught_by_grid_filter():
+    def corrupted_update(belief, f, g):
+        out = bel.update_no_sample(belief, f, g)
+        # keep the predicted covariance: the discard branch's soft
+        # conditioning moves the mean only
+        return bel.GaussianBelief(
+            mean=out.mean, cov=belief.cov, k=out.k, phase=out.phase, n_x=out.n_x, n_y=out.n_y
+        )
+
+    assert check_belief_vs_grid_filter(horizon=4).passed
+    res = check_belief_vs_grid_filter(horizon=4, update_no_sample_fn=corrupted_update)
+    assert not res.passed
+
+
 def test_loss_weight_corruption_is_caught_by_quadrature():
     def corrupted_loss(belief, f, g, lam):
         lb = loss_mod.one_step_loss(belief, f, g, lam)
