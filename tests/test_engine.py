@@ -1,9 +1,23 @@
 """The rows-last engine: a row's values are its own, and its tangents are
 the derivatives of its losses."""
+import warnings
+
 import numpy as np
 import pytest
 
-from privsample.engine import BatchEngine, branch_step, sandwich, transition
+from privsample.engine import (
+    BatchEngine,
+    _inv,
+    _x_given_y,
+    blocks_first,
+    blocks_last,
+    branch_step,
+    mm,
+    sandwich,
+    transition,
+)
+from privsample.errors import NumericalFailure
+from privsample.linalg import inverse, random_spd
 from privsample.optimizer import FeedbackPolicyParams
 from privsample.rngs import make_rng
 from tests.test_optimizer import _random_system
@@ -127,3 +141,50 @@ def test_engine_tangents_at_a_fixed_center_offset_match_central_differences(vi_s
         up, _ = run(params.replaced(params.theta + step), False)
         dn, _ = run(params.replaced(params.theta - step), False)
         assert np.allclose(tangents[:, i], (up - dn) / (2 * h), rtol=1e-6, atol=1e-9), i
+
+
+def _spd_blocks(d: int, rows: tuple, seed: int):
+    """Positive definite (d, d, *rows) blocks."""
+    rng = make_rng(seed)
+    flat = [random_spd(rng, d) for _ in range(int(np.prod(rows)))]
+    return np.stack(flat, axis=-1).reshape(d, d, *rows)
+
+
+# covariance-shaped (d, d, B) and tangent-shaped (d, d, T, G) row axes,
+# length-1 ones included
+ROW_SHAPES = [(7,), (1,), (3, 5), (1, 5), (3, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("rows", ROW_SHAPES)
+def test_block_moves_equal_their_moveaxis_forms(d, rows):
+    """blocks_last, blocks_first, _inv and mm give the values of their
+    np.moveaxis formulations bit for bit."""
+    a = _spd_blocks(d, rows, 1)
+    b = _spd_blocks(d, rows, 2)
+    last = np.moveaxis(a, (0, 1), (-2, -1))
+    assert np.array_equal(blocks_last(a), last)
+    assert blocks_last(a).shape == last.shape
+    assert np.array_equal(blocks_first(last), a)
+    assert blocks_first(last).shape == a.shape
+    inv = np.moveaxis(inverse(last), (-2, -1), (0, 1))
+    assert np.array_equal(_inv(a), inv)
+    shared = a[..., :1]  # an operand shared by every row
+    for x, y in ((a, b), (shared, b), (b, shared)):
+        x_last, y_last = np.moveaxis(x, (0, 1), (-2, -1)), np.moveaxis(y, (0, 1), (-2, -1))
+        product = np.moveaxis(x_last @ y_last, (-2, -1), (0, 1))
+        assert np.array_equal(mm(x, y), product)
+
+
+@pytest.mark.parametrize("singular", [[[0.0]], [[1.0, 1.0], [1.0, 1.0]]], ids=["ny1", "ny2"])
+def test_singular_y_block_raises_naming_the_step_without_a_warning(singular):
+    """A row whose Cov(Y_k | past) is singular raises NumericalFailure
+    naming k before any inverse is taken, so no RuntimeWarning (which
+    the suite turns into an error) is emitted on the way."""
+    nx = 1
+    m = _spd_blocks(nx + len(singular), (3,), 5)
+    m[nx:, nx:, 1] = singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"singular Cov\(Y_k .*at k=7"):
+            _x_given_y(m, nx, 7)

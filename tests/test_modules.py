@@ -108,3 +108,19 @@ def test_only_the_branch_step_reads_child_op():
     for path in sorted(Path(privsample.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), (path.stem,))
     assert readers == {"finite._Space.branches"}, sorted(readers)
+
+
+def test_engine_step_uses_no_slow_numpy_wrappers():
+    """A batched engine step is bound by per-call overhead: block moves
+    are plain transposes, the 4-block stacks are filled in place, and a
+    singular y-block is caught by its determinant, so ``engine`` calls no
+    ``np.moveaxis``, ``np.stack`` or ``np.errstate``."""
+    path = Path(privsample.__file__).parent / "engine.py"
+    found = sorted(
+        f"np.{node.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "np"
+        and node.attr in {"moveaxis", "stack", "errstate"}
+    )
+    assert not found, found
