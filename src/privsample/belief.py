@@ -79,34 +79,39 @@ def init_belief(system: LinearGaussianSystem) -> GaussianBelief:
     )
 
 
-def predict(system: LinearGaussianSystem, belief: GaussianBelief) -> GaussianBelief:
-    """Propagate a filtered belief at k to the predicted belief at k+1.
+def embed(system: LinearGaussianSystem, mat: np.ndarray, noise=None) -> np.ndarray:
+    """One step of the dynamics on a belief-shaped matrix (d, d), or on a
+    stack of them (..., d, d), growing d by n_y.
 
-    The embedding applies A to the current (x, y) block and keeps the
-    retained trajectory blocks untouched; Q enters only the new block.
+    A acts on the current (x, y) block, the retained trajectory blocks
+    stay, and ``noise`` (Q for a covariance, None for its tangents) enters
+    only the new block.
     """
+    nx, n = system.n_x, system.n
+    a = system.a_matrix
+    d_new = mat.shape[-1] + system.n_y
+    out = np.empty((*mat.shape[:-2], d_new, d_new))
+    head = a @ mat[..., :n, :]          # A @ mat[:n, :], shape (..., n, d_old)
+    block = head[..., :n] @ a.T
+    out[..., :n, :n] = block if noise is None else block + noise
+    out[..., :n, n:] = head[..., nx:]
+    out[..., n:, :n] = out[..., :n, n:].swapaxes(-1, -2)
+    out[..., n:, n:] = mat[..., nx:, nx:]
+    return out
+
+
+def predict(system: LinearGaussianSystem, belief: GaussianBelief) -> GaussianBelief:
+    """Propagate a filtered belief at k to the predicted belief at k+1
+    (the covariance through ``embed`` with Q)."""
     if belief.phase != FILTERED:
         raise PhaseError("predict requires a filtered belief")
     nx, ny, n = belief.n_x, belief.n_y, belief.n_x + belief.n_y
-    d_old = belief.dim
-    d_new = d_old + ny
-    a = system.a_matrix
-
-    mean = np.empty(d_new)
-    mean[:n] = a @ belief.mean[:n]
+    mean = np.empty(belief.dim + ny)
+    mean[:n] = system.a_matrix @ belief.mean[:n]
     mean[n:] = belief.mean[nx:]
-
-    cov = np.empty((d_new, d_new))
-    head = a @ belief.cov[:n, :]          # A @ cov[:n, :], shape (n, d_old)
-    cov[:n, :n] = head[:, :n] @ a.T + system.q_cov
-    cov[:n, n:] = head[:, nx:]
-    cov[n:, :n] = cov[:n, n:].T
-    cov[n:, n:] = belief.cov[nx:, nx:]
-    cov = sym(cov)
-
     return GaussianBelief(
         mean=mean,
-        cov=cov,
+        cov=sym(embed(system, belief.cov, system.q_cov)),
         k=belief.k + 1,
         phase=PREDICTED,
         n_x=nx,

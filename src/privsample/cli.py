@@ -9,7 +9,9 @@ repeats the metadata. Exit codes: 0 success, 2 validation failure,
 (ContractViolation), 4 numerical failure (a linear-algebra step the
 jitter and fallback policy cannot repair, named with its step k, or a
 leader step that overflows). Exits 3 and 4 print one stderr line and
-write no output. PRIVSAMPLE_THREADS caps sweep parallelism.
+write no output, except that an output which cannot be written (exit 3)
+leaves those written before it. PRIVSAMPLE_THREADS caps sweep
+parallelism.
 """
 from __future__ import annotations
 
@@ -21,12 +23,20 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .configio import config_hash, dump_schedule, finite_model_from_config, load_json, load_schedule, system_from_config
+from .configio import (
+    checked_count,
+    config_hash,
+    dump_schedule,
+    finite_model_from_config,
+    load_json,
+    load_schedule,
+    system_from_config,
+    write_text,
+)
 from .errors import ConfigError, ContractViolation, NumericalFailure
 from .finite import dp_solve
 from .lingauss import simulate_batch
@@ -45,28 +55,27 @@ def _max_workers() -> int:
     cap = os.environ.get("PRIVSAMPLE_THREADS")
     if cap:
         try:
-            return max(1, int(cap))
+            n = int(cap)
         except ValueError as exc:
             raise ConfigError(f"PRIVSAMPLE_THREADS must be an integer, got {cap!r}") from exc
+        return checked_count(n, "PRIVSAMPLE_THREADS", 1)
     return min(8, os.cpu_count() or 1)
 
 
 def _write_csv(path, header, rows, meta: dict):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if v is None else f"{v}" for v in row))
     lines.append("# metadata")
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
-    path.write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
     _write_meta(path, meta)
 
 
 def _write_meta(path, meta: dict):
     """The JSON sidecar ``<path>.meta.json`` of an output file."""
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text(str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _meta(args, cfg: dict, extra: dict | None = None) -> dict:
@@ -106,13 +115,6 @@ def _checked(v: float, flag: str, zero_ok: bool) -> float:
         sign = "non-negative" if zero_ok else "positive"
         raise ConfigError(f"{flag} value {v:g} must be finite and {sign}")
     return v
-
-
-def _checked_count(n: int, flag: str, minimum: int) -> int:
-    """``n`` when at least ``minimum``; ConfigError naming ``flag`` otherwise."""
-    if n < minimum:
-        raise ConfigError(f"{flag} value {n} must be >= {minimum}")
-    return n
 
 
 def _checked_grid(text, flag: str, zero_ok: bool) -> list:
@@ -181,10 +183,10 @@ def _optimizer_config(args) -> OptimizerConfig:
     the validation objective's standard error needs two rollouts."""
     return OptimizerConfig(
         alpha=_checked(args.opt_alpha, "--opt-alpha", False),
-        rollouts_per_step=_checked_count(args.opt_rollouts, "--opt-rollouts", 1),
-        max_iters=_checked_count(args.opt_iters, "--opt-iters", 1),
+        rollouts_per_step=checked_count(args.opt_rollouts, "--opt-rollouts", 1),
+        max_iters=checked_count(args.opt_iters, "--opt-iters", 1),
         seed=args.seed,
-        validation_rollouts=_checked_count(args.opt_validation, "--opt-validation", 2),
+        validation_rollouts=checked_count(args.opt_validation, "--opt-validation", 2),
     )
 
 
@@ -197,7 +199,7 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     the generator after that simulation, so its draws are the ones it
     would make on a fresh stream of its own.
     """
-    rollouts, seed = _checked_count(args.rollouts, "--rollouts", 1), args.seed
+    rollouts, seed = checked_count(args.rollouts, "--rollouts", 1), args.seed
     config = _optimizer_config(args)
     rows = []
     workers = _max_workers()
@@ -280,7 +282,7 @@ def substream_seed(seed: int, lam: float) -> int:
 def cmd_sweep_tradeoff(args) -> int:
     system, cfg, horizon = _load_system(args)
     noise_grid = _checked_grid(args.noise_grid, "--noise-grid", True)
-    leak_rollouts = _checked_count(args.leak_rollouts, "--leak-rollouts", 1)
+    leak_rollouts = checked_count(args.leak_rollouts, "--leak-rollouts", 1)
     rows = _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts)
     header = [
         "family",
@@ -406,11 +408,8 @@ def cmd_validate(args) -> int:
 def _horizon(args, cfg: dict, default: int) -> int:
     """--horizon, else the config's K (``default`` without one): an integer >= 0."""
     if args.horizon is not None:
-        return _checked_count(args.horizon, "--horizon", 0)
-    k = cfg.get("K", default)
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ConfigError(f"config K must be an integer, got {k!r}")
-    return _checked_count(k, "config K", 0)
+        return checked_count(args.horizon, "--horizon", 0)
+    return checked_count(cfg.get("K", default), "config K", 0)
 
 
 def _load_system(args):

@@ -22,11 +22,15 @@ from .policy import SamplerSchedule
 
 
 def load_json(path) -> dict:
+    """The JSON object in ``path``; ConfigError when the file is missing or
+    unreadable (a directory, no permission), not UTF-8 or not a JSON object."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -34,9 +38,30 @@ def load_json(path) -> dict:
     return cfg
 
 
-def system_from_config(cfg: dict) -> LinearGaussianSystem:
+def write_text(path, text: str) -> None:
+    """Write an output file and its missing parent directories; an OSError
+    (a parent that is a file, no permission) is a ConfigError naming it."""
+    path = Path(path)
     try:
-        nx, ny = int(cfg["nx"]), int(cfg["ny"])
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def checked_count(n, name: str, minimum: int) -> int:
+    """``n`` when an integer (not a bool) of at least ``minimum``;
+    ConfigError naming ``name`` otherwise."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise ConfigError(f"{name} value {n} must be >= {minimum}")
+    return n
+
+
+def system_from_config(cfg: dict) -> LinearGaussianSystem:
+    nx, ny = (checked_count(cfg.get(key), f"config {key}", 1) for key in ("nx", "ny"))
+    try:
         a = np.asarray(cfg["A"], dtype=float)
         q = np.asarray(cfg["Q"], dtype=float)
         p0 = np.asarray(cfg["P0"], dtype=float)
@@ -74,7 +99,7 @@ def load_schedule(path) -> SamplerSchedule:
 
 
 def dump_schedule(schedule: SamplerSchedule, path):
-    Path(path).write_text(json.dumps(schedule.to_config(), indent=2) + "\n")
+    write_text(path, json.dumps(schedule.to_config(), indent=2) + "\n")
 
 
 def config_hash(cfg: dict) -> str:

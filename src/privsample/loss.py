@@ -15,7 +15,7 @@ complements are factored once each, with a plain Cholesky; only a failed
 factorization runs the eigenvalue test and the jittered fallback. When
 x_k is a function of the private trajectory (Cov(X_k | Y^k) = 0 up to
 rounding) the information is infinite, and the step raises a
-NumericalFailure naming k (see ``_branch_logdets``).
+NumericalFailure naming k (see ``branch_logdets``).
 
 Log-determinant differences are evaluated on the Y side. The fixed-size
 engine (``engine.BatchEngine``) evaluates the same increments on the
@@ -96,7 +96,7 @@ def no_sample_prob_marginal(
 KNOWN_X_INCREMENT = -math.log(1e-12)
 
 
-def _branch_logdets(
+def branch_logdets(
     belief: GaussianBelief, keep: KeepBranch, discard: DiscardBranch
 ) -> tuple[float, float, float]:
     """(log|P^yy|, log|S_keep|, log|S_discard|) for one predicted belief.
@@ -194,7 +194,7 @@ def one_step_loss(
 
     if keep is None:
         keep = keep_branch(belief)
-    ld_prior, ld_keep, ld_discard = _branch_logdets(belief, keep, discard)
+    ld_prior, ld_keep, ld_discard = branch_logdets(belief, keep, discard)
     info_nats = 0.5 * ((1.0 - p0) * (ld_prior - ld_keep) + p0 * (ld_prior - ld_discard))
 
     leak_prior = lam * 0.5 * ld_prior

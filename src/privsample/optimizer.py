@@ -24,10 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief import (
+    discard_branch,
+    embed,
+    init_belief,
+    keep_branch,
+    predict,
+    update_no_sample,
+    update_sample,
+)
 from .engine import blocks_first, blocks_last, branch_rollouts, mm
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
-from .loss import mi_accumulate, rollout_losses
+from .loss import branch_logdets, mi_accumulate, one_step_loss, rollout_losses
 from .policy import SamplerSchedule, privacy_aware_schedule
 from .rngs import substream
 
@@ -155,143 +164,70 @@ class FeedbackPolicyParams:
         return privacy_aware_schedule(ells, np.zeros((len(steps), self.n_x)), feedback=True)
 
 
+def _schur_tangent(dp, dr, w, dm):
+    """Tangents (T, d, d) of P - R^T w, w = M^{-1} R, from those of P, R and M."""
+    t = np.einsum("tki,kj->tij", dr, w)
+    return dp - t - t.swapaxes(1, 2) + np.einsum("ki,tkl,lj->tij", w, dm, w)
+
+
+def _dlogdet(mat, dmat):
+    """Tangents (T,) of log|mat| along dmat (T, d, d)."""
+    return np.einsum("ij,tji->t", np.linalg.inv(mat), dmat)
+
+
 class _TangentFilter:
-    """Growing-covariance recursion with tangents, the test reference for the
-    engine. It takes the terms of one row in ``step_terms``' layout."""
+    """Forward tangents over the growing belief's own steps in the centered
+    feedback class (g = the predicted x mean), the engine's test reference.
+    ``belief`` and ``loss`` form every covariance, factor and log-determinant;
+    this class carries only the covariance tangents ``dp`` (T, d, d). A step
+    is ``step_loss`` (f, df in ``step_terms``' layout), ``update``, ``predict``."""
 
     def __init__(self, system: LinearGaussianSystem, n_tangents: int):
         self.sys = system
-        self.nx = system.n_x
-        self.nt = n_tangents
-        self.p = np.array(system.init_cov)
-        self.dp = np.zeros((n_tangents, *self.p.shape))
+        self.belief = init_belief(system)
+        self.dp = np.zeros((n_tangents, *self.belief.cov.shape))
 
-    @staticmethod
-    def _unbatched(f, df):
-        """f (n_x, n_x, 1) and df (n_x, n_x, T, 1) as (n_x, n_x) and (T, n_x, n_x)."""
-        return f[..., 0], blocks_last(df[..., 0])
+    def step_loss(self, f, df, lam):
+        """Per-step loss, its tangent, branch probability and its tangent."""
+        b, dp, nx = self.belief, self.dp, self.sys.n_x
+        f, df = f[..., 0], blocks_last(df[..., 0])
+        keep, discard = keep_branch(b), discard_branch(b, f)
+        lb = one_step_loss(b, f, b.x_mean, lam, keep, discard)
+        _, ld_keep, ld_discard = branch_logdets(b, keep, discard)
+        p0 = lb.p_no_sample
 
-    def step_loss(self, f, df, c, lam):
-        """Per-step loss, its tangent, branch probability and its tangent (c fixed)."""
-        nx = self.nx
-        f, df = self._unbatched(f, df)
-        c = c[:, 0]
-        p, dp = self.p, self.dp
-        pxx = p[:nx, :nx]
-        pxy = p[:nx, nx:]
-        pyy = p[nx:, nx:]
-        dpxx = dp[:, :nx, :nx]
-        dpxy = dp[:, :nx, nx:]
-        dpyy = dp[:, nx:, nx:]
-
-        s = f + pxx
-        ds = df + dpxx
-        s_inv = np.linalg.inv(s)
-        ld_f = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(f))))
-        ld_s = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(s))))
-        dld_f = np.einsum("ij,tji->t", np.linalg.inv(f), df)
-        dld_s = np.einsum("ij,tji->t", s_inv, ds)
-        u = s_inv @ c
-        quad = float(c @ u)
-        dquad = -np.einsum("i,tij,j->t", u, ds, u)
-        p0 = math.exp(0.5 * (ld_f - ld_s) - 0.5 * quad)
-        dp0 = p0 * (0.5 * (dld_f - dld_s) - 0.5 * dquad)
-
-        g = s_inv @ pxx
-        tr_t = float(np.trace(pxx) - np.trace(pxx @ g))
-        dtr = (
-            np.einsum("tii->t", dpxx)
-            - np.einsum("tij,ji->t", dpxx, g)
-            - np.einsum("ij,tji->t", pxx @ s_inv, dpxx - np.einsum("tij,jk->tik", ds, g))
+        ds = df + dp[:, :nx, :nx]
+        dp_discard = _schur_tangent(dp, dp[:, :nx], discard.gain_t, ds)
+        dp_keep = np.zeros_like(dp)
+        dp_keep[:, nx:, nx:] = _schur_tangent(
+            dp[:, nx:, nx:], dp[:, :nx, nx:], keep.gain.T, dp[:, :nx, :nx]
         )
-        distortion = p0 * tr_t
-        ddist = dp0 * tr_t + p0 * dtr
+        self._branches = {True: (keep, dp_keep), False: (discard, dp_discard)}
 
-        ld_yy = 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(pyy))))
-        yy_inv = np.linalg.inv(pyy)
-        dld_yy = np.einsum("ij,tji->t", yy_inv, dpyy)
-
-        def branch_logdet(m_inv_pxy, dm, label):
-            s_b = pyy - pxy.T @ m_inv_pxy
-            ds_b = (
-                dpyy
-                - np.einsum("tij,ik->tjk", dpxy, m_inv_pxy)
-                - np.einsum("ij,tik->tjk", m_inv_pxy, dpxy).swapaxes(1, 2)
-                + np.einsum("ij,tik,kl->tjl", m_inv_pxy, dm, m_inv_pxy)
-            )
-            try:
-                ell = np.linalg.cholesky(s_b)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(f"singular {label} branch covariance") from exc
-            ld = 2.0 * np.sum(np.log(np.diag(ell)))
-            return ld, np.einsum("ij,tji->t", np.linalg.inv(s_b), ds_b)
-
-        w1 = np.linalg.solve(pxx, pxy)
-        ld_s1, dld_s1 = branch_logdet(w1, dpxx, "sample")
-        w0 = s_inv @ pxy
-        ld_s0, dld_s0 = branch_logdet(w0, ds, "no-sample")
-
-        info = 0.5 * ((1.0 - p0) * (ld_yy - ld_s1) + p0 * (ld_yy - ld_s0))
+        dp0 = 0.5 * p0 * (_dlogdet(f, df) - _dlogdet(f + b.p_xx, ds))
+        dtr = np.einsum("tii->t", dp_discard[:, :nx, :nx])
+        ddist = dp0 * np.trace(discard.cov[:nx, :nx]) + p0 * dtr
         dinfo = 0.5 * (
-            -dp0 * (ld_yy - ld_s1)
-            + (1.0 - p0) * (dld_yy - dld_s1)
-            + dp0 * (ld_yy - ld_s0)
-            + p0 * (dld_yy - dld_s0)
+            _dlogdet(b.p_yy, dp[:, nx:, nx:])
+            - (1.0 - p0) * _dlogdet(keep.cov[nx:, nx:], dp_keep[:, nx:, nx:])
+            - p0 * _dlogdet(discard.cov[nx:, nx:], dp_discard[:, nx:, nx:])
+            + dp0 * (ld_keep - ld_discard)
         )
-        loss = distortion + lam * info
-        dloss = ddist + lam * dinfo
-        return loss, dloss, p0, dp0
+        return lb.total, ddist + lam * dinfo, p0, dp0
 
-    def update(self, f, df, keep: bool):
-        """Filtered covariance (and tangents) for the realized branch."""
-        nx = self.nx
-        f, df = self._unbatched(f, df)
-        p, dp = self.p, self.dp
-        col = p[:, :nx]
-        dcol = dp[:, :, :nx]
+    def update(self, keep: bool):
+        """The filtered belief (and tangents) of the last ``step_loss``'s
+        realized branch; the discard branch already holds f."""
+        b = self.belief
+        branch, self.dp = self._branches[keep]
         if keep:
-            s = p[:nx, :nx].copy()
-            ds = dp[:, :nx, :nx]
+            self.belief = update_sample(b, b.x_mean, branch)
         else:
-            s = f + p[:nx, :nx]
-            ds = df + dp[:, :nx, :nx]
-        w = np.linalg.solve(s, col.T)  # (nx, d)
-        dw = np.linalg.solve(
-            s, dcol.swapaxes(1, 2) - np.einsum("tij,jk->tik", ds, w)
-        )
-        self.p = p - col @ w
-        self.dp = dp - np.einsum("ik,tkj->tij", col, dw) - np.einsum("tik,kj->tij", dcol, w)
-        self.p = 0.5 * (self.p + self.p.T)
-        self.dp = 0.5 * (self.dp + self.dp.swapaxes(1, 2))
-        if keep:
-            self.p[:nx, :] = 0.0
-            self.p[:, :nx] = 0.0
-            self.dp[:, :nx, :] = 0.0
-            self.dp[:, :, :nx] = 0.0
+            self.belief = update_no_sample(b, None, b.x_mean, branch)
 
     def predict(self):
-        nx = self.nx
-        n = self.sys.n
-        a = self.sys.a_matrix
-        d_old = self.p.shape[0]
-        d_new = d_old + self.sys.n_y
-
-        def embed(mat, noise):
-            out = np.empty((d_new, d_new))
-            head = a @ mat[:n, :]
-            out[:n, :n] = head[:, :n] @ a.T
-            if noise is not None:
-                out[:n, :n] += noise
-            out[:n, n:] = head[:, nx:]
-            out[n:, :n] = out[:n, n:].T
-            out[n:, n:] = mat[nx:, nx:]
-            return out
-
-        self.p = embed(self.p, self.sys.q_cov)
-        new_dp = np.empty((self.nt, d_new, d_new))
-        for t in range(self.nt):
-            new_dp[t] = embed(self.dp[t], None)
-        self.dp = new_dp
+        self.belief = predict(self.sys, self.belief)
+        self.dp = embed(self.sys, self.dp)
 
 
 def _fast_gradient_batch(params, system, lam, rollouts, horizon, u, tangent_rows=None):
@@ -366,26 +302,20 @@ def _rollout_gradient_terms(params, system, lam, horizon, u):
 
     Step k keeps when the uniform u[k] > p0, u of shape (K+1,): one row's
     column of ``_fast_gradient_batch``'s uniforms. Reference
-    implementation over the full growing covariance, kept for tests; the
-    batched engine must reproduce it branch for branch.
+    implementation on the growing belief (``_TangentFilter``), kept for
+    tests; the batched engine must reproduce it branch for branch.
     """
     filt = _TangentFilter(system, params.dim)
-    loss = 0.0
-    dloss = np.zeros(params.dim)
-    score = np.zeros(params.dim)
-    kept = 0
+    loss, dloss, score, kept = 0.0, np.zeros(params.dim), np.zeros(params.dim), 0
     for k in range(horizon + 1):
-        f, df, c = params.step_terms(k)
-        l_k, dl_k, p0, dp0 = filt.step_loss(f, df, c, lam)
+        f, df, _ = params.step_terms(k)
+        l_k, dl_k, p0, dp0 = filt.step_loss(f, df, lam)
         loss += l_k
         dloss += dl_k
         keep = bool(u[k] > p0)
-        if keep:
-            kept += 1
-            score += -dp0 / max(1.0 - p0, 1e-12)
-        else:
-            score += dp0 / max(p0, 1e-12)
-        filt.update(f, df, keep)
+        kept += keep
+        score += -dp0 / max(1.0 - p0, 1e-12) if keep else dp0 / max(p0, 1e-12)
+        filt.update(keep)
         if k < horizon:
             filt.predict()
     return loss, dloss, score, kept / (horizon + 1)

@@ -586,6 +586,69 @@ def test_bad_threads_env_is_exit_3(system_cfg, tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_threads_below_one_is_exit_3(system_cfg, tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("PRIVSAMPLE_THREADS", cap)
+    out = tmp_path / "s.csv"
+    args = ["rate-curve", "--config", str(system_cfg), "--out", str(out), "--horizon", "2"]
+    assert main(args + ["--rollouts", "5", "--lambdas", "", "--f-grid", "1.0"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"configuration error: PRIVSAMPLE_THREADS value {cap} must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["nx", "ny"])
+@pytest.mark.parametrize("value", [1.5, "1", True, 0, None], ids=["fraction", "text", "bool", "zero", "null"])
+def test_non_count_dimension_is_exit_3(tmp_path, capsys, key, value):
+    """nx and ny are JSON integers >= 1, checked like K."""
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(dict(SYSTEM_CFG, **{key: value})))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--horizon", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config {key} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config_dir", "config_not_utf8", "schedule_dir"])
+def test_unreadable_input_path_is_exit_3(system_cfg, tmp_path, capsys, case):
+    """A directory or undecodable bytes where a JSON file should be."""
+    config, extra = system_cfg, []
+    if case == "config_dir":
+        config = tmp_path
+    elif case == "config_not_utf8":
+        config = tmp_path / "bytes.json"
+        config.write_bytes(b"\xff\xfe{")
+    else:
+        extra = ["--schedule", str(tmp_path)]
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "optimize_trace"])
+def test_unwritable_output_is_exit_3(system_cfg, tmp_path, capsys, command):
+    """An output path below a regular file is one stderr line, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = blocker / "x.csv"
+    args = ["--config", str(system_cfg), "--horizon", "2"]
+    if command == "simulate":
+        args = ["simulate", *args, "--out", str(bad)]
+    else:
+        args = ["optimize", *args, "--lambda", "1", "--opt-iters", "1"]
+        if command == "optimize":
+            args += ["--out", str(bad)]
+        else:
+            args += ["--out", str(tmp_path / "s.json"), "--trace-out", str(bad)]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {bad}: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -8,7 +8,7 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
 from privsample.linalg import logdet_psd, random_spd
 from privsample.loss import (
-    _branch_logdets,
+    branch_logdets,
     mi_accumulate,
     no_sample_prob_marginal,
     one_step_loss,
@@ -113,7 +113,7 @@ def test_branch_logdet_increments_nonnegative():
     for _ in range(20):
         b = _random_predicted(rng, nx=2, n_tracked=3)
         f = random_spd(rng, 2)
-        ld_prior, ld_keep, ld_discard = _branch_logdets(
+        ld_prior, ld_keep, ld_discard = branch_logdets(
             b, bel.keep_branch(b), bel.discard_branch(b, f)
         )
         assert ld_prior - ld_keep >= -1e-10

@@ -10,7 +10,7 @@ from privsample import belief as bel
 from privsample import optimizer
 from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
-from privsample.loss import belief_rollout, rollout_losses
+from privsample.loss import belief_rollout, one_step_loss, rollout_losses
 from privsample.engine import BatchEngine
 from privsample.follower import (
     Episode,
@@ -80,28 +80,6 @@ def test_params_pack_roundtrip(vi_system):
     for k in range(5):
         assert np.allclose(sched.f_at(k), [[2.0]])
         assert np.allclose(sched.g[k], [0.0])
-
-
-def test_tangent_filter_matches_belief_recursion(vi_system):
-    filt = _TangentFilter(vi_system, 0)
-    b = bel.init_belief(vi_system)
-    f = np.array([[[0.8]]])
-    df = np.zeros((1, 1, 0, 1))
-    for k in range(5):
-        keep = k % 2 == 0
-        filt.update(f, df, keep)
-        b = (
-            bel.update_sample(b, b.x_mean)
-            if keep
-            else bel.update_no_sample(b, f[..., 0], b.x_mean + 0.0)
-        )
-        assert np.allclose(filt.p, b.cov, atol=1e-12)
-        filt.predict()
-        b = bel.predict(vi_system, b)
-        assert np.allclose(filt.p, b.cov, atol=1e-12)
-        b = bel.GaussianBelief(
-            mean=b.mean, cov=b.cov, k=b.k, phase=bel.PREDICTED, n_x=1, n_y=1
-        )
 
 
 @pytest.mark.parametrize("n_x", [1, 2], ids=["paper", "nx2_coupled"])
@@ -409,6 +387,41 @@ def test_fast_engine_matches_reference_on_forced_patterns(vi_system, name):
 
 
 @pytest.mark.parametrize("name", ["paper", "nx2_ny1"])
+def test_reference_gradient_terms_match_central_differences(vi_system, name):
+    """The growing-belief reference on its own, untied parameters, K = 6:
+    along a forced branch pattern its pathwise dloss is the derivative of
+    the summed one-step losses, and its score that of the summed log
+    branch probabilities, both formed here by ``belief`` and ``loss``."""
+    system = vi_system if SYSTEMS[name] is None else _random_system(*SYSTEMS[name])
+    horizon, lam = 6, 0.9
+    rng = make_rng(8)
+    params = FeedbackPolicyParams.constant(system, horizon, f0=2.0, tied=False)
+    theta0 = params.theta + 0.1 * rng.standard_normal(params.dim)
+    params = params.replaced(theta0)
+
+    def along(theta, pattern):
+        """(summed loss, summed log branch probability) along ``pattern``."""
+        p, b = params.replaced(theta), bel.init_belief(system)
+        loss = logp = 0.0
+        for k, keep in enumerate(pattern):
+            f = p.step_terms(k)[0][..., 0]
+            lb = one_step_loss(b, f, b.x_mean, lam)
+            loss += lb.total
+            logp += math.log(1.0 - lb.p_no_sample if keep else lb.p_no_sample)
+            b = bel.update_sample(b, b.x_mean) if keep else bel.update_no_sample(b, f, b.x_mean)
+            if k < horizon:
+                b = bel.predict(system, b)
+        return loss, logp
+
+    for pattern in rng.uniform(size=(4, horizon + 1)) > 0.5:
+        u = pattern.astype(float)
+        _, dloss, score, _ = _rollout_gradient_terms(params, system, lam, horizon, u)
+        for i, got in enumerate((dloss, score)):
+            fd = central_difference(lambda th: along(th, pattern)[i], theta0, 1e-5)
+            assert np.abs(got - fd).max() < 1e-7 * max(1.0, np.abs(fd).max()), (i, got, fd)
+
+
+@pytest.mark.parametrize("name", ["paper", "nx2_ny1"])
 def test_fast_gradient_batch_without_tangents_matches_with_tangents_bitwise(vi_system, name):
     """The f-scan and the Monte Carlo validation objective run the driver
     without tangents; losses, rates and information must not move by a bit."""
@@ -694,10 +707,10 @@ def _enumerated_rate(params, system):
     for pattern in itertools.product((False, True), repeat=horizon + 1):
         filt, prob = _TangentFilter(system, params.dim), 1.0
         for k, keep in enumerate(pattern):
-            f, df, c = params.step_terms(k)
-            p0 = filt.step_loss(f, df, c, 0.0)[2]
+            f, df, _ = params.step_terms(k)
+            p0 = filt.step_loss(f, df, 0.0)[2]
             prob *= 1.0 - p0 if keep else p0
-            filt.update(f, df, keep)
+            filt.update(keep)
             if k < horizon:
                 filt.predict()
         rate += prob * sum(pattern) / (horizon + 1)
