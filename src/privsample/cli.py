@@ -9,9 +9,9 @@ repeats the metadata. Exit codes: 0 success, 2 validation failure,
 (ContractViolation), 4 numerical failure (a linear-algebra step the
 jitter and fallback policy cannot repair, named with its step k, or a
 leader step that overflows). Exits 3 and 4 print one stderr line and
-write no output, except that an output which cannot be written (exit 3)
-leaves those written before it. PRIVSAMPLE_THREADS caps sweep
-parallelism.
+write no output: every output path and its sidecar is checked before
+anything is computed, so an output that cannot be written exits 3 before
+any other is written. PRIVSAMPLE_THREADS caps sweep parallelism.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .configio import (
+    check_writable,
     checked_count,
     config_hash,
     dump_schedule,
@@ -75,7 +76,17 @@ def _write_csv(path, header, rows, meta: dict):
 
 def _write_meta(path, meta: dict):
     """The JSON sidecar ``<path>.meta.json`` of an output file."""
-    write_text(str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text(_meta_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _meta_path(path) -> str:
+    return str(path) + ".meta.json"
+
+
+def _outputs(args) -> list:
+    """Every file the command writes: each given output path and its sidecar."""
+    paths = [getattr(args, flag, None) for flag in ("out", "trace_out", "belief_trace")]
+    return [p for path in paths if path for p in (path, _meta_path(path))]
 
 
 def _meta(args, cfg: dict, extra: dict | None = None) -> dict:
@@ -491,6 +502,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_writable(_outputs(args))
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

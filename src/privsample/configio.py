@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,27 @@ def write_text(path, text: str) -> None:
         path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable(paths) -> None:
+    """ConfigError naming the first of ``paths`` that write_text could not
+    write: a directory, a path below a regular file, or a path without
+    write permission on the file or on the nearest existing directory
+    above it. Creates nothing, so a command can check all its outputs
+    before it computes any."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if path.exists():
+            target = path
+        else:
+            target = path.parent
+            while not target.exists():
+                target = target.parent
+            if not target.is_dir():
+                raise ConfigError(f"cannot write {path}: {target} is not a directory")
+        if not os.access(target, os.W_OK):
+            raise ConfigError(f"cannot write {path}: permission denied on {target}")
 
 
 def checked_count(n, name: str, minimum: int) -> int:

@@ -423,7 +423,11 @@ def objective_via_decomposition(model: FiniteModel, policies, horizon: int, lam:
 # branch step, _Space.branches, is the only code that multiplies by the
 # matrices, and the validation grid oracle runs on it too. Nodes are
 # solved by batches of lockstep coordinate descents, one per (node,
-# start), each step one losses_batch call over the stacked nodes. Values
+# start), each step one losses_batch call over the stacked nodes. A
+# descent leaves the batch at its first repeated step, the one that
+# would score a candidate set it has already scored: that set's minimum
+# cannot beat the incumbent and its child lookups all hit the memo, so
+# leaving moves no value, table or memo entry. Values
 # are memoized on (stage, support, rounded weights), and each lookup
 # solves its missed nodes in such batches of at most DP_CHUNK_ROWS nodes.
 
@@ -623,28 +627,34 @@ class _ValueRecursion:
         """Coordinate descent from each start table of ``vecs`` (D, P) at
         the matching node of ``w`` (D, S); returns (best (D,), tables (D, P)).
 
-        The D descents run in lockstep: one objective call per coordinate
-        step covers every descent still active, and a descent leaves after
-        a sweep that finds no improvement.
+        The D descents run in lockstep: step t sets coordinate t % P, for
+        at most DP_MAX_SWEEPS sweeps, and one objective call per step
+        covers every descent still active. A descent leaves at its first
+        repeated step: P - 1 quiet steps after its last improvement, or P
+        quiet steps if it never improved. Its table then differs from the
+        one it had P steps earlier at most in the coordinate about to be
+        set, so that step would score a candidate set the descent has
+        already scored. This exit is exact: a repeated set has the same
+        minimum, which cannot beat ``best`` by 1e-13, and its child
+        lookups all hit the memo, so no value, table or memo entry moves.
         """
         best = self._candidate_objectives(sp, w, k, vecs[:, None, :])[:, 0]
         vecs = vecs.copy()
-        active = np.arange(len(vecs))
-        for _ in range(DP_MAX_SWEEPS):
-            improved = np.zeros(len(active), dtype=bool)
-            for c in range(len(sp.pairs)):
-                cands = np.repeat(vecs[active, None, :], len(levels), axis=1)
-                cands[:, :, c] = levels
-                vals = self._candidate_objectives(sp, w[active], k, cands)
-                t_best = vals.argmin(axis=1)
-                val = vals[np.arange(len(active)), t_best]
-                better = val < best[active] - 1e-13
-                best[active[better]] = val[better]
-                vecs[active[better]] = cands[better, t_best[better]]
-                improved |= better
-            active = active[improved]
+        n_coords = len(sp.pairs)
+        repeat_at = np.full(len(vecs), n_coords)  # each descent's first repeated step
+        for t in range(DP_MAX_SWEEPS * n_coords):
+            active = np.flatnonzero(repeat_at > t)
             if active.size == 0:
                 break
+            cands = np.repeat(vecs[active, None, :], len(levels), axis=1)
+            cands[:, :, t % n_coords] = levels
+            vals = self._candidate_objectives(sp, w[active], k, cands)
+            t_best = vals.argmin(axis=1)
+            val = vals[np.arange(len(active)), t_best]
+            better = val < best[active] - 1e-13
+            best[active[better]] = val[better]
+            vecs[active[better]] = cands[better, t_best[better]]
+            repeat_at[active[better]] = t + n_coords
         return best, vecs
 
     def solve_node(self, sp, w, k):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
 bench_record = importlib.util.module_from_spec(_spec)
@@ -29,6 +31,7 @@ def _minimal():
             n: {"seconds": SECONDS, "end_to_end": dict(ends), "per_layer": {}} for n in NAMES
         },
         "paired": {
+            "workload": NAMES[-1],
             "seconds": SECONDS,
             "pairs": bench_record.PAIRS,
             "runs": runs,
@@ -81,6 +84,34 @@ def test_schema_errors_refuse_other_run_lengths_and_pair_counts():
     assert bench_record.schema_errors(short, SPEC) == [
         f"paired.runs are not {bench_record.PAIRS} pairs holding both sides' wall_s"
     ]
+
+
+def test_schema_errors_refuse_pairs_of_an_unlisted_workload():
+    broken = _minimal()
+    broken["paired"]["workload"] = "no-such-workload"
+    assert bench_record.schema_errors(broken, SPEC) == [
+        "paired.workload 'no-such-workload' is not a benchmark workload"
+    ]
+    del broken["paired"]["workload"]
+    assert bench_record.schema_errors(broken, SPEC) == [
+        "paired.workload None is not a benchmark workload"
+    ]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--parent", "."], ["--workload", NAMES[0]], ["--parent", ".", "--workload", "nope"]]
+)
+def test_paired_runs_need_a_parent_and_a_listed_workload(monkeypatch, tmp_path, flags):
+    """--parent and --workload go together, and the workload is one that
+    BENCHMARK.json lists; a bad pairing stops before the suite runs."""
+
+    def no_suite():
+        raise AssertionError("suite ran")
+
+    monkeypatch.setattr(bench_record, "tier1", no_suite)
+    with pytest.raises(SystemExit) as stop:
+        bench_record.main(["--out", str(tmp_path / "BENCH_0.json"), *flags])
+    assert stop.value.code == 2
 
 
 def test_record_stops_before_benchmarking_when_a_suite_fails(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,8 +13,14 @@ import pytest
 import privsample
 from privsample import belief, cli, loss
 from privsample.cli import main
-from privsample.configio import config_hash, dump_schedule, load_schedule, system_from_config
-from privsample.errors import ContractViolation
+from privsample.configio import (
+    check_writable,
+    config_hash,
+    dump_schedule,
+    load_schedule,
+    system_from_config,
+)
+from privsample.errors import ConfigError, ContractViolation
 from privsample.linalg import logdet_psd
 from privsample.loss import belief_rollout
 from privsample.optimizer import OptimizerConfig, optimize_lambda
@@ -628,25 +635,52 @@ def test_unreadable_input_path_is_exit_3(system_cfg, tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "optimize", "optimize_trace"])
-def test_unwritable_output_is_exit_3(system_cfg, tmp_path, capsys, command):
-    """An output path below a regular file is one stderr line, not a traceback."""
+@pytest.mark.parametrize("command", ["simulate", "simulate_trace", "optimize", "optimize_trace"])
+def test_unwritable_output_is_exit_3(system_cfg, tmp_path, capsys, monkeypatch, command):
+    """An output path below a regular file is one stderr line, not a
+    traceback. Every output is checked before the command computes, so
+    the outputs named before the bad one are not written either."""
+
+    def computed(*args, **kwargs):
+        raise AssertionError("the command computed before checking its outputs")
+
+    monkeypatch.setattr(cli, "simulate_rollout", computed)
+    monkeypatch.setattr(cli, "optimize_lambda", computed)
     blocker = tmp_path / "file"
     blocker.write_text("")
     bad = blocker / "x.csv"
+    good = tmp_path / "first.out"
     args = ["--config", str(system_cfg), "--horizon", "2"]
-    if command == "simulate":
-        args = ["simulate", *args, "--out", str(bad)]
+    if command.startswith("simulate"):
+        args = ["simulate", *args]
+        flag = "--belief-trace"
     else:
         args = ["optimize", *args, "--lambda", "1", "--opt-iters", "1"]
-        if command == "optimize":
-            args += ["--out", str(bad)]
-        else:
-            args += ["--out", str(tmp_path / "s.json"), "--trace-out", str(bad)]
+        flag = "--trace-out"
+    if command.endswith("_trace"):
+        args += ["--out", str(good), flag, str(bad)]
+    else:
+        args += ["--out", str(bad)]
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot write {bad}: ") and err.count("\n") == 1
     assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "system.json"]
+
+
+def test_output_check_names_each_unwritable_path(tmp_path):
+    """check_writable creates nothing and names the path it cannot write."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    check_writable([tmp_path / "new" / "deeper" / "out.csv", blocker])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    for path, reason in [
+        (tmp_path, "it is a directory"),
+        (blocker / "deeper" / "out.csv", f"{blocker} is not a directory"),
+    ]:
+        message = f"cannot write {path}: {reason}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            check_writable([tmp_path / "fine.csv", path])
 
 
 @pytest.mark.parametrize(

@@ -500,16 +500,131 @@ def test_stacked_node_solves_equal_each_nodes_own(lam, monkeypatch):
 
 def test_dp_losses_batch_call_count(monkeypatch):
     """At lambda 0.5 and horizon 2 every node solve is a lockstep batch
-    over its nodes and starts, and each branch's lookup covers every
-    stacked node; one losses_batch call per node and start would make
-    60302, and one lookup per node per branch 4828."""
+    over its nodes and starts, each branch's lookup covers every stacked
+    node, and each descent leaves at its first repeated step. Leaving
+    only after a whole sweep without a move made 1332 calls."""
     from privsample.validation import finite_fixture
 
     calls = []
     losses_batch = _Space.losses_batch
     monkeypatch.setattr(_Space, "losses_batch", lambda *a: calls.append(1) or losses_batch(*a))
     assert dp_solve(finite_fixture(), 0.5, 2).value == 0.08902504678997822
-    assert len(calls) == 1332
+    assert len(calls) == 938
+
+
+def _full_sweep_descent(rec, sp, w, k, vecs, levels, covered):
+    """_coordinate_descent with a whole-sweep exit: a descent leaves only
+    after a sweep without a move. ``covered`` gets the descents of each
+    objective call, in row order."""
+    covered.append(np.arange(len(vecs)))
+    best = rec._candidate_objectives(sp, w, k, vecs[:, None, :])[:, 0]
+    vecs = vecs.copy()
+    active = np.arange(len(vecs))
+    for _ in range(finite.DP_MAX_SWEEPS):
+        improved = np.zeros(len(active), dtype=bool)
+        for c in range(len(sp.pairs)):
+            covered.append(active)
+            cands = np.repeat(vecs[active, None, :], len(levels), axis=1)
+            cands[:, :, c] = levels
+            vals = rec._candidate_objectives(sp, w[active], k, cands)
+            t_best = vals.argmin(axis=1)
+            val = vals[np.arange(len(active)), t_best]
+            better = val < best[active] - 1e-13
+            best[active[better]] = val[better]
+            vecs[active[better]] = cands[better, t_best[better]]
+            improved |= better
+        active = active[improved]
+        if active.size == 0:
+            break
+    return best, vecs
+
+
+def _logged_dp_solve(monkeypatch, model, lam, full_sweeps):
+    """dp_solve with every coordinate descent logged, in call order, as
+    its objective calls' rows: one hash of (node weights, candidate
+    tables) per row. With ``full_sweeps`` the descents run
+    _full_sweep_descent, and each log also holds its calls' descents.
+    Returns (result, the recursion's memo items, the descent logs)."""
+    logs, open_logs, recursions = [], [], []
+    objectives = _ValueRecursion._candidate_objectives
+    descent = _ValueRecursion._coordinate_descent
+
+    def scoring(rec, sp, w, k, a_tables):
+        if not recursions:
+            recursions.append(rec)
+        rows = [hash((row.tobytes(), tables.tobytes())) for row, tables in zip(w, a_tables)]
+        open_logs[-1]["rows"].append(rows)
+        return objectives(rec, sp, w, k, a_tables)
+
+    def descending(rec, sp, w, k, vecs, levels):
+        log = {"rows": [], "covered": []}
+        logs.append(log)
+        open_logs.append(log)
+        try:
+            if full_sweeps:
+                return _full_sweep_descent(rec, sp, w, k, vecs, levels, log["covered"])
+            return descent(rec, sp, w, k, vecs, levels)
+        finally:
+            open_logs.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_ValueRecursion, "_candidate_objectives", scoring)
+        patch.setattr(_ValueRecursion, "_coordinate_descent", descending)
+        result = dp_solve(model, lam, 2)
+    return result, list(recursions[0].memo.items()), logs
+
+
+def _first_repeats_only(log):
+    """The rows of a full-sweep log's calls, cut at each descent's first
+    repeated candidate set; calls left empty are dropped. Asserts that
+    every set a descent scores after that point repeats an earlier one."""
+    history = {}  # descent -> its rows in call order
+    for rows, covered in zip(log["rows"], log["covered"], strict=True):
+        for d, row in zip(covered, rows, strict=True):
+            history.setdefault(d, []).append(row)
+    stop = {}
+    for d, rows in history.items():
+        stop[d] = next((i for i, row in enumerate(rows) if row in rows[:i]), len(rows))
+        assert set(rows[: stop[d]]) == set(rows), d
+    kept, seen = [], dict.fromkeys(history, 0)
+    for covered in log["covered"]:
+        call = []
+        for d in covered:
+            if seen[d] < stop[d]:
+                call.append(history[d][seen[d]])
+            seen[d] += 1
+        if call:
+            kept.append(call)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture-0.05", "fixture-0.5", "fixture-3", "random-2x1", "random-2x2"]
+)
+def test_descents_stop_at_their_first_repeated_step(case, monkeypatch):
+    """Each coordinate descent scores the distinct candidate sets of the
+    whole-sweep descent, each once and in the same calls, and dp_solve's
+    root value, node tree and memo (keys, values and insertion order)
+    equal the whole-sweep run's."""
+    from privsample.validation import finite_fixture
+
+    kind, arg = case.split("-")
+    if kind == "fixture":
+        model, lam = finite_fixture(), float(arg)
+    else:
+        nx, ny = map(int, arg.split("x"))
+        rng = make_rng(300 + 10 * nx + ny)
+        model, lam = _random_model(rng, nx, ny), float(rng.uniform(0.2, 3.0))
+    ref, ref_memo, ref_logs = _logged_dp_solve(monkeypatch, model, lam, full_sweeps=True)
+    got, memo, logs = _logged_dp_solve(monkeypatch, model, lam, full_sweeps=False)
+    assert len(logs) == len(ref_logs)
+    for i, (log, ref_log) in enumerate(zip(logs, ref_logs)):
+        assert log["rows"] == _first_repeats_only(ref_log), i
+    assert got.value == ref.value
+    assert [(n.history, n.value, n.policy) for n in got.nodes] == [
+        (n.history, n.value, n.policy) for n in ref.nodes
+    ]
+    assert memo == ref_memo
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.5, 3.0])

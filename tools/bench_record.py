@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python tools/bench_record.py --out BENCH_N.json [--parent DIR]
+    python tools/bench_record.py --out BENCH_N.json [--parent DIR --workload NAME]
     python tools/bench_record.py --check
 
 Recording first runs the Tier-1 suite and ``privsample validate``, and
@@ -13,8 +13,9 @@ stops if either fails. It then runs ``perfbench/run.py``, every run at
 - each workload's end-to-end medians (one untraced run) and the per-layer
   metrics of one traced run;
 - the environment record, the git sha and whether ``src/`` differed from it;
-- with ``--parent DIR`` (a checkout of the parent commit), PAIRS pairs
-  of ``optimize-paper`` runs, parent and this checkout on one seed per pair,
+- with ``--parent DIR`` (a checkout of the parent commit) and
+  ``--workload NAME`` (the workload the change claims), PAIRS pairs of
+  that workload's runs, parent and this checkout on one seed per pair,
   alternating which side runs first: every pair's end-to-end metrics, each
   side's ``wall_s`` median and quartiles, the change/parent ratio of those
   medians, the change's wins, each metric's median per side and one
@@ -25,8 +26,9 @@ stops if either fails. It then runs ``perfbench/run.py``, every run at
 
 ``--check`` runs no benchmark. It validates every ``BENCH_*.json`` at the
 root against the schema above (both suites passed, every run at
-``run_seconds``, PAIRS pairs), and prints each end-to-end metric that is
-worse than the previous file's by more than its ``BENCHMARK.json`` bound.
+``run_seconds``, PAIRS pairs of a workload that ``BENCHMARK.json``
+lists), and prints each end-to-end metric that is worse than the
+previous file's by more than its ``BENCHMARK.json`` bound.
 Such a metric does not fail the check, because the host's speed drifts
 from hour to hour; only paired ratios carry across files. A schema error
 exits 1.
@@ -46,7 +48,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
-PAIRED_WORKLOAD = "optimize-paper"
 PAIRED_METRIC = "wall_s"
 # the fewest pairs that can show a 9-of-10 win
 PAIRS = 10
@@ -99,8 +100,8 @@ def spread(xs: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def paired_runs(parent: Path, seconds: float) -> dict:
-    """PAIRS pairs of PAIRED_WORKLOAD runs, seed i + 1 in pair i, alternating
+def paired_runs(parent: Path, workload: str, seconds: float) -> dict:
+    """PAIRS pairs of ``workload`` runs, seed i + 1 in pair i, alternating
     which side runs first, with every end-to-end metric of both sides."""
     checkouts = dict(zip(SIDES, (parent, ROOT)))
     runs = []
@@ -108,7 +109,7 @@ def paired_runs(parent: Path, seconds: float) -> dict:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": i + 1, "first": order[0]}
         for side in order:
-            pair[side] = values(perfbench(checkouts[side], PAIRED_WORKLOAD, i + 1, seconds, 0))
+            pair[side] = values(perfbench(checkouts[side], workload, i + 1, seconds, 0))
         runs.append(pair)
         print(f"pair {i + 1}/{PAIRS}: {pair}", file=sys.stderr)
 
@@ -117,7 +118,7 @@ def paired_runs(parent: Path, seconds: float) -> dict:
 
     wall = {side: spread(samples(side, PAIRED_METRIC)) for side in SIDES}
     return {
-        "workload": PAIRED_WORKLOAD,
+        "workload": workload,
         "metric": PAIRED_METRIC,
         "seconds": seconds,
         "parent_sha": git(parent, "rev-parse", "HEAD"),
@@ -133,7 +134,7 @@ def paired_runs(parent: Path, seconds: float) -> dict:
         # one traced run per side, back to back, so the host's drift between
         # the pairs and the workload runs does not enter the comparison
         "per_layer": {
-            side: values(perfbench(checkouts[side], PAIRED_WORKLOAD, 0, seconds, 1))
+            side: values(perfbench(checkouts[side], workload, 0, seconds, 1))
             for side in SIDES
         },
     }
@@ -204,7 +205,9 @@ def record(args) -> int:
         "src_changed_since_sha": bool(git(ROOT, "status", "--porcelain", "--", "src")),
         "environment": environment,
         "workloads": workloads,
-        "paired": paired_runs(Path(args.parent).resolve(), seconds) if args.parent else None,
+        "paired": (
+            paired_runs(Path(args.parent).resolve(), args.workload, seconds) if args.parent else None
+        ),
         **suites,
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
@@ -215,6 +218,7 @@ def schema_errors(data: dict, spec: dict) -> list:
     """What a BENCH file lacks of the layout ``record`` writes for the
     benchmark ``spec`` (BENCHMARK.json's contents)."""
     metrics = [m["name"] for m in spec["end_to_end"]]
+    names = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     errors = []
     if data.get("schema") != SCHEMA:
@@ -223,7 +227,7 @@ def schema_errors(data: dict, spec: dict) -> list:
                       ("tier1", dict), ("validate", dict)):
         if not isinstance(data.get(key), kind):
             errors.append(f"{key} is not a {kind.__name__}")
-    for name in [w["name"] for w in spec["workloads"]]:
+    for name in names:
         work = (data.get("workloads") or {}).get(name)
         if not isinstance(work, dict) or not isinstance(work.get("per_layer"), dict):
             errors.append(f"workload {name} missing or without per_layer")
@@ -244,6 +248,8 @@ def schema_errors(data: dict, spec: dict) -> list:
     paired = data.get("paired")
     if paired is not None:
         runs = paired.get("runs", [])
+        if paired.get("workload") not in names:
+            errors.append(f"paired.workload {paired.get('workload')!r} is not a benchmark workload")
         if paired.get("seconds") != seconds:
             errors.append(f"paired.seconds {paired.get('seconds')!r} != run_seconds {seconds}")
         if paired.get("pairs") != PAIRS or len(runs) != PAIRS or not all(
@@ -304,11 +310,18 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true", help="check the committed files; run nothing")
     parser.add_argument("--out", help="BENCH_*.json path to write")
     parser.add_argument("--parent", help="checkout of the parent commit, for paired runs")
+    parser.add_argument(
+        "--workload",
+        choices=[w["name"] for w in benchmark()["workloads"]],
+        help="the workload the paired runs time; required with --parent",
+    )
     args = parser.parse_args(argv)
     if args.check:
         return check()
     if not args.out:
         parser.error("--out is required unless --check")
+    if bool(args.parent) != bool(args.workload):
+        parser.error("--parent and --workload go together")
     return record(args)
 
 
