@@ -205,10 +205,14 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     """Rows of the three schedule families; the leak columns stay blank
     when ``leak_rollouts`` is None.
 
-    Each family's evaluation stream is simulated once and its trajectories
+    The families run one after another through one thread pool. Each
+    family's evaluation stream is simulated once and its trajectories
     are shared by every value on its grid; each value gets its own copy of
     the generator after that simulation, so its draws are the ones it
-    would make on a fresh stream of its own.
+    would make on a fresh stream of its own. A family's trajectories and
+    tasks are released before the next family's stream is simulated, so
+    the sweep holds one family's trajectories at a time:
+    (K+1) * rollouts * (n_x + n_y) * 8 bytes, 16.2 MB at the defaults.
     """
     rollouts, seed = checked_count(args.rollouts, "--rollouts", 1), args.seed
     config = _optimizer_config(args)
@@ -260,13 +264,12 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         ("additive_noise", "var", eval_noise, substream(seed, 200), noise_grid),
         ("optimized", "lambda", eval_lambda, substream(seed, 300), lambdas),
     ]
-    tasks = [
-        (family, f"{name}={a[0]:g}", fn, a)
-        for family, name, fn, rng, grid in families
-        for a in shared(rng, grid)
-    ]
+    results = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, tasks))
+        for family, name, fn, rng, grid in families:
+            tasks = [(family, f"{name}={a[0]:g}", fn, a) for a in shared(rng, grid)]
+            results += pool.map(run, tasks)
+            del tasks  # this family's trajectories go before the next one's
     for family, param, lam, report, leak, leak_se in results:
         rows.append(
             [

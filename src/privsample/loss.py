@@ -55,7 +55,9 @@ class LossBreakdown:
     leak_no_sample_branch``; the three leak fields carry their signs.
     ``info_nats`` is the unweighted expected information gain of the step
     (the same quantity the leak fields encode scaled by lambda), kept so
-    mutual-information accounting works at lambda = 0.
+    mutual-information accounting works at lambda = 0. ``logdets`` holds
+    the step's (log|P^yy|, log|S_keep|, log|S_discard|), as
+    ``branch_logdets`` returns them.
     """
 
     distortion: float
@@ -65,6 +67,7 @@ class LossBreakdown:
     p_no_sample: float
     total: float
     info_nats: float
+    logdets: tuple[float, float, float]
 
 
 def no_sample_prob_marginal(
@@ -194,7 +197,8 @@ def one_step_loss(
 
     if keep is None:
         keep = keep_branch(belief)
-    ld_prior, ld_keep, ld_discard = branch_logdets(belief, keep, discard)
+    logdets = branch_logdets(belief, keep, discard)
+    ld_prior, ld_keep, ld_discard = logdets
     info_nats = 0.5 * ((1.0 - p0) * (ld_prior - ld_keep) + p0 * (ld_prior - ld_discard))
 
     leak_prior = lam * 0.5 * ld_prior
@@ -209,6 +213,7 @@ def one_step_loss(
         p_no_sample=p0,
         total=total,
         info_nats=info_nats,
+        logdets=logdets,
     )
 
 

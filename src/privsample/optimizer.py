@@ -36,7 +36,7 @@ from .belief import (
 from .engine import blocks_first, blocks_last, branch_rollouts, mm
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
-from .loss import branch_logdets, mi_accumulate, one_step_loss, rollout_losses
+from .loss import mi_accumulate, one_step_loss, rollout_losses
 from .policy import SamplerSchedule, privacy_aware_schedule
 from .rngs import substream
 
@@ -193,7 +193,7 @@ class _TangentFilter:
         f, df = f[..., 0], blocks_last(df[..., 0])
         keep, discard = keep_branch(b), discard_branch(b, f)
         lb = one_step_loss(b, f, b.x_mean, lam, keep, discard)
-        _, ld_keep, ld_discard = branch_logdets(b, keep, discard)
+        _, ld_keep, ld_discard = lb.logdets
         p0 = lb.p_no_sample
 
         ds = df + dp[:, :nx, :nx]

@@ -32,6 +32,7 @@ def _minimal():
         },
         "paired": {
             "workload": NAMES[-1],
+            "metric": "wall_s",
             "seconds": SECONDS,
             "pairs": bench_record.PAIRS,
             "runs": runs,
@@ -98,12 +99,50 @@ def test_schema_errors_refuse_pairs_of_an_unlisted_workload():
     ]
 
 
+def test_schema_errors_refuse_pairs_on_an_unknown_metric():
+    broken = _minimal()
+    broken["paired"]["metric"] = "cpu_s"  # a per-layer metric
+    assert bench_record.schema_errors(broken, SPEC) == [
+        "paired.metric 'cpu_s' is not an end-to-end metric"
+    ]
+    del broken["paired"]["metric"]
+    assert bench_record.schema_errors(broken, SPEC) == [
+        "paired.metric None is not an end-to-end metric"
+    ]
+
+
+def test_schema_errors_count_wins_on_the_files_own_metric():
+    """The change loses every pair on wall_s and wins every one on
+    peak_rss_mb; change_wins must match the metric the file names."""
+    data = _minimal()
+    for run in data["paired"]["runs"]:
+        run["parent"].update(wall_s=1.0, peak_rss_mb=75.0)
+        run["change"].update(wall_s=1.1, peak_rss_mb=60.0)
+    data["paired"].update(metric="peak_rss_mb", change_wins=bench_record.PAIRS)
+    assert bench_record.schema_errors(data, SPEC) == []
+    data["paired"]["metric"] = "wall_s"
+    assert bench_record.schema_errors(data, SPEC) == ["paired.change_wins does not match its runs"]
+    data["paired"]["change_wins"] = 0
+    assert bench_record.schema_errors(data, SPEC) == []
+
+
 @pytest.mark.parametrize(
-    "flags", [["--parent", "."], ["--workload", NAMES[0]], ["--parent", ".", "--workload", "nope"]]
+    "flags",
+    [
+        ["--parent", "."],
+        ["--workload", NAMES[0]],
+        ["--parent", ".", "--workload", "nope"],
+        ["--metric", METRICS[0]],
+        ["--parent", ".", "--workload", NAMES[0]],
+        ["--parent", ".", "--metric", METRICS[0]],
+        ["--parent", ".", "--workload", "nope", "--metric", METRICS[0]],
+        ["--parent", ".", "--workload", NAMES[0], "--metric", "cpu_s"],
+    ],
 )
 def test_paired_runs_need_a_parent_and_a_listed_workload(monkeypatch, tmp_path, flags):
-    """--parent and --workload go together, and the workload is one that
-    BENCHMARK.json lists; a bad pairing stops before the suite runs."""
+    """--parent, --workload and --metric go together, and the workload and
+    the metric are ones that BENCHMARK.json lists (the metric among its
+    end-to-end metrics); a bad pairing stops before the suite runs."""
 
     def no_suite():
         raise AssertionError("suite ran")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -818,17 +819,21 @@ def test_failing_sweep_family_is_named(system_cfg, tmp_path, capsys):
 
 
 def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
-    """The families on one stream share its trajectories: one
-    simulate_batch call per stream in use, and every open-loop report
-    equals evaluate_schedule run alone on a fresh stream, bit for bit."""
+    """The grid values of one family share its stream's trajectories: one
+    simulate_batch call per stream in use, each made after the earlier
+    families' trajectories are gone, and every open-loop report equals
+    evaluate_schedule run alone on a fresh stream, bit for bit."""
     from privsample import lingauss, reconstruct
     from privsample.rngs import substream
 
-    sims, reports = [], {}
+    sims, reports, simulated = [], {}, []
 
     def counting(*args, **kwargs):
         sims.append(args[1:3])
-        return lingauss.simulate_batch(*args, **kwargs)
+        assert [ref() for ref in simulated] == [None] * len(simulated)
+        states = lingauss.simulate_batch(*args, **kwargs)
+        simulated.append(weakref.ref(states))
+        return states
 
     def recording(system, schedule, *args, **kwargs):
         report = reconstruct.evaluate_schedule(system, schedule, *args, **kwargs)

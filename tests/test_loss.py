@@ -338,6 +338,30 @@ def test_growing_step_factorization_counts(vi_system, monkeypatch, name, per_ste
     assert calls == {"cholesky": per_step[0] * steps, "inv": per_step[1] * steps}
 
 
+def test_tangent_reference_factors_each_trajectory_block_once(vi_system, monkeypatch):
+    """The optimizer's growing-belief gradient reference reads the loss's
+    log-determinants instead of factoring P^yy and the two Schur
+    complements again: 3 trajectory-block Cholesky calls per step on the
+    coupled system, as in ``rollout_losses``."""
+    from privsample.optimizer import FeedbackPolicyParams, _rollout_gradient_terms
+
+    horizon = 20
+    a = vi_system.a_matrix.copy()
+    a[1, 0] = 0.30  # perfbench/configs/coupled.json
+    system = dataclasses.replace(vi_system, a_matrix=a)
+    params = FeedbackPolicyParams.constant(system, horizon, 1.5)
+    u = make_rng(6).uniform(size=horizon + 1)
+    calls, orig = [0], np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _rollout_gradient_terms(params, system, 1.0, horizon, u)
+    assert calls[0] == 3 * horizon
+
+
 def test_x_known_from_the_trajectory_after_a_failed_factorization_names_the_step():
     """x_{k+1} = y_k (S = 0), scaled so that Cov(Y^1 | X_1) fails its Cholesky
     instead of keeping a positive rounding residue: the keep increment

@@ -69,6 +69,7 @@ def test_loss_weight_corruption_is_caught_by_quadrature():
             p_no_sample=lb.p_no_sample,
             total=bad_dist + lb.total - lb.distortion,
             info_nats=lb.info_nats,
+            logdets=lb.logdets,
         )
 
     res = check_one_step_loss_quadrature(fixtures=3, loss_fn=corrupted_loss)

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python tools/bench_record.py --out BENCH_N.json [--parent DIR --workload NAME]
+    python tools/bench_record.py --out BENCH_N.json [--parent DIR --workload NAME --metric NAME]
     python tools/bench_record.py --check
 
 Recording first runs the Tier-1 suite and ``privsample validate``, and
@@ -13,13 +13,14 @@ stops if either fails. It then runs ``perfbench/run.py``, every run at
 - each workload's end-to-end medians (one untraced run) and the per-layer
   metrics of one traced run;
 - the environment record, the git sha and whether ``src/`` differed from it;
-- with ``--parent DIR`` (a checkout of the parent commit) and
-  ``--workload NAME`` (the workload the change claims), PAIRS pairs of
-  that workload's runs, parent and this checkout on one seed per pair,
+- with ``--parent DIR`` (a checkout of the parent commit),
+  ``--workload NAME`` (the workload the change claims) and ``--metric
+  NAME`` (the end-to-end metric it claims), PAIRS pairs of that
+  workload's runs, parent and this checkout on one seed per pair,
   alternating which side runs first: every pair's end-to-end metrics, each
-  side's ``wall_s`` median and quartiles, the change/parent ratio of those
-  medians, the change's wins, each metric's median per side and one
-  traced run's per-layer metrics per side;
+  side's median and quartiles of the claimed metric, the change/parent
+  ratio of those medians, the change's wins on it, each metric's median
+  per side and one traced run's per-layer metrics per side;
 - the Tier-1 suite's wall time, its summary line and its ``--durations=10``
   list;
 - the wall time of ``privsample validate``.
@@ -27,7 +28,8 @@ stops if either fails. It then runs ``perfbench/run.py``, every run at
 ``--check`` runs no benchmark. It validates every ``BENCH_*.json`` at the
 root against the schema above (both suites passed, every run at
 ``run_seconds``, PAIRS pairs of a workload that ``BENCHMARK.json``
-lists), and prints each end-to-end metric that is worse than the
+lists, on one of its end-to-end metrics, with the wins counted on that
+metric), and prints each end-to-end metric that is worse than the
 previous file's by more than its ``BENCHMARK.json`` bound.
 Such a metric does not fail the check, because the host's speed drifts
 from hour to hour; only paired ratios carry across files. A schema error
@@ -48,7 +50,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
-PAIRED_METRIC = "wall_s"
 # the fewest pairs that can show a 9-of-10 win
 PAIRS = 10
 SIDES = ("parent", "change")
@@ -100,9 +101,10 @@ def spread(xs: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def paired_runs(parent: Path, workload: str, seconds: float) -> dict:
+def paired_runs(parent: Path, workload: str, metric: str, seconds: float) -> dict:
     """PAIRS pairs of ``workload`` runs, seed i + 1 in pair i, alternating
-    which side runs first, with every end-to-end metric of both sides."""
+    which side runs first, with every end-to-end metric of both sides;
+    the quartiles, ratio and wins are those of ``metric``."""
     checkouts = dict(zip(SIDES, (parent, ROOT)))
     runs = []
     for i in range(PAIRS):
@@ -113,23 +115,23 @@ def paired_runs(parent: Path, workload: str, seconds: float) -> dict:
         runs.append(pair)
         print(f"pair {i + 1}/{PAIRS}: {pair}", file=sys.stderr)
 
-    def samples(side, metric):
-        return [r[side][metric] for r in runs]
+    def samples(side, name):
+        return [r[side][name] for r in runs]
 
-    wall = {side: spread(samples(side, PAIRED_METRIC)) for side in SIDES}
+    claimed = {side: spread(samples(side, metric)) for side in SIDES}
     return {
         "workload": workload,
-        "metric": PAIRED_METRIC,
+        "metric": metric,
         "seconds": seconds,
         "parent_sha": git(parent, "rev-parse", "HEAD"),
         "pairs": PAIRS,
         "runs": runs,
-        **wall,
-        "ratio_of_medians": wall["change"]["median"] / wall["parent"]["median"],
-        "change_wins": wins(runs),
+        **claimed,
+        "ratio_of_medians": claimed["change"]["median"] / claimed["parent"]["median"],
+        "change_wins": wins(runs, metric),
         "medians": {
-            metric: {side: statistics.median(samples(side, metric)) for side in SIDES}
-            for metric in runs[0]["parent"]
+            name: {side: statistics.median(samples(side, name)) for side in SIDES}
+            for name in runs[0]["parent"]
         },
         # one traced run per side, back to back, so the host's drift between
         # the pairs and the workload runs does not enter the comparison
@@ -140,8 +142,10 @@ def paired_runs(parent: Path, workload: str, seconds: float) -> dict:
     }
 
 
-def wins(runs: list) -> int:
-    return sum(r["change"][PAIRED_METRIC] < r["parent"][PAIRED_METRIC] for r in runs)
+def wins(runs: list, metric: str) -> int:
+    """Pairs in which the change is better on ``metric``; every end-to-end
+    metric of BENCHMARK.json is better lower."""
+    return sum(r["change"][metric] < r["parent"][metric] for r in runs)
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -206,7 +210,9 @@ def record(args) -> int:
         "environment": environment,
         "workloads": workloads,
         "paired": (
-            paired_runs(Path(args.parent).resolve(), args.workload, seconds) if args.parent else None
+            paired_runs(Path(args.parent).resolve(), args.workload, args.metric, seconds)
+            if args.parent
+            else None
         ),
         **suites,
     }
@@ -247,18 +253,20 @@ def schema_errors(data: dict, spec: dict) -> list:
             errors.append(f"{key}.exit {suite.get('exit')!r} != 0")
     paired = data.get("paired")
     if paired is not None:
-        runs = paired.get("runs", [])
+        runs, metric = paired.get("runs", []), paired.get("metric")
         if paired.get("workload") not in names:
             errors.append(f"paired.workload {paired.get('workload')!r} is not a benchmark workload")
         if paired.get("seconds") != seconds:
             errors.append(f"paired.seconds {paired.get('seconds')!r} != run_seconds {seconds}")
-        if paired.get("pairs") != PAIRS or len(runs) != PAIRS or not all(
-            isinstance(r.get(side, {}).get(PAIRED_METRIC), (int, float))
+        if metric not in metrics:
+            errors.append(f"paired.metric {metric!r} is not an end-to-end metric")
+        elif paired.get("pairs") != PAIRS or len(runs) != PAIRS or not all(
+            isinstance(r.get(side, {}).get(metric), (int, float))
             for r in runs
             for side in SIDES
         ):
-            errors.append(f"paired.runs are not {PAIRS} pairs holding both sides' {PAIRED_METRIC}")
-        elif paired.get("change_wins") != wins(runs):
+            errors.append(f"paired.runs are not {PAIRS} pairs holding both sides' {metric}")
+        elif paired.get("change_wins") != wins(runs, metric):
             errors.append("paired.change_wins does not match its runs")
     return errors
 
@@ -315,13 +323,18 @@ def main(argv=None) -> int:
         choices=[w["name"] for w in benchmark()["workloads"]],
         help="the workload the paired runs time; required with --parent",
     )
+    parser.add_argument(
+        "--metric",
+        choices=[m["name"] for m in benchmark()["end_to_end"]],
+        help="the end-to-end metric the paired runs compare; required with --parent",
+    )
     args = parser.parse_args(argv)
     if args.check:
         return check()
     if not args.out:
         parser.error("--out is required unless --check")
-    if bool(args.parent) != bool(args.workload):
-        parser.error("--parent and --workload go together")
+    if len({bool(args.parent), bool(args.workload), bool(args.metric)}) > 1:
+        parser.error("--parent, --workload and --metric go together")
     return record(args)
 
 
