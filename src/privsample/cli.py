@@ -11,12 +11,16 @@ jitter and fallback policy cannot repair, named with its step k, or a
 leader step that overflows). Exits 3 and 4 print one stderr line and
 write no output: every output path and its sidecar is checked before
 anything is computed, so an output that cannot be written exits 3 before
-any other is written. PRIVSAMPLE_THREADS caps sweep parallelism.
+any other is written. PRIVSAMPLE_THREADS caps sweep parallelism. On
+glibc every command first asks malloc to keep freed blocks of up to 32 MB
+for reuse (``_keep_freed_pages``); no output byte or random draw depends
+on it.
 """
 from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import dataclasses
 import json
 import math
@@ -50,6 +54,33 @@ from .rngs import substream
 # self-test looks them up here; drop them with the next benchmark change.
 from .loss import rollout_losses  # noqa: F401
 from .optimizer import stackelberg_optimize  # noqa: F401
+
+
+# glibc's mallopt parameters, and the byte count both are set to: 32 MB,
+# glibc's own cap for its dynamic mmap threshold on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_BYTES = 32 * 1024 * 1024
+
+
+def _keep_freed_pages() -> None:
+    """Keep freed heap blocks of up to 32 MB for reuse, on glibc only.
+
+    By default glibc maps each block of 128 KB or more on its own and
+    unmaps it when it is freed, so every batched step of the finite DP and
+    the sweeps' filters faults in fresh pages. Elsewhere this does nothing,
+    and calling it again changes nothing further.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
+        mallopt(param, _KEEP_BYTES)
 
 
 def _max_workers() -> int:
@@ -502,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_pages()  # before any pool thread starts
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

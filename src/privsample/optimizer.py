@@ -333,7 +333,8 @@ def _scalar_case(system: LinearGaussianSystem) -> bool:
 
 
 def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):
-    """Mean and standard error of the information a schedule leaks (nats)."""
+    """Mean and standard error of the information a schedule leaks (nats);
+    the standard error is None for a single rollout."""
     # Outside the scalar case this runs loss.rollout_losses on the growing
     # belief, one rollout at a time, because perfbench's traced coupled sweep
     # counts those calls; route every system through the engine with the
@@ -345,7 +346,7 @@ def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):
         for r in range(rollouts):
             losses, _ = rollout_losses(system, schedule, 1.0, horizon, rng, mode="belief")
             totals[r] = mi_accumulate(losses)
-    se = float(totals.std(ddof=1) / np.sqrt(rollouts)) if rollouts > 1 else 0.0
+    se = float(totals.std(ddof=1) / np.sqrt(rollouts)) if rollouts > 1 else None
     return float(totals.mean()), se
 
 

@@ -1,6 +1,13 @@
 import pytest
 
+from privsample import cli
 from privsample.validation import oracle_system, paper_system
+
+
+def pytest_sessionstart(session):
+    # the suite imports the package without going through cli.main, so give
+    # it the allocator setting every command runs under
+    cli._keep_freed_pages()
 
 
 @pytest.fixture(scope="session")

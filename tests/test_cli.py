@@ -1,9 +1,11 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 import textwrap
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -786,6 +788,22 @@ def test_horizon_zero_leaves_the_error_stderr_blank(system_cfg, tmp_path, comman
         assert "nan" not in row
 
 
+@pytest.mark.parametrize("leak_rollouts", [1, 2])
+def test_one_leak_rollout_leaves_the_leak_stderr_blank(system_cfg, tmp_path, leak_rollouts):
+    """One leak rollout has no standard error; two have a positive one."""
+    out = tmp_path / "s.csv"
+    args = ["sweep-tradeoff", "--config", str(system_cfg), "--out", str(out), "--horizon", "3"]
+    args += ["--lambdas", "", "--f-grid", "1", "--noise-grid", "", "--rollouts", "1"]
+    assert main(args + ["--leak-rollouts", str(leak_rollouts)]) == 0
+    header, *lines = out.read_text().splitlines()
+    (row,) = [l.split(",") for l in lines if not l.startswith("#")]
+    cell = row[header.split(",").index("leak_stderr")]
+    if leak_rollouts == 1:
+        assert cell == ""
+    else:
+        assert float(cell) > 0
+
+
 def test_numerical_failure_is_exit_4(system_cfg, tmp_path, capsys):
     """x_{k+1} = y_k with Q_xx = 0: x_1 is a function of the private
     trajectory, so the leak is undefined at k = 1."""
@@ -878,3 +896,48 @@ def test_overflowing_leader_step_is_exit_4(system_cfg, tmp_path, capsys):
     assert err.startswith("numerical failure: leader step overflowed at iteration 0: alpha=1e+308")
     assert err.count("\n") == 1
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+_FAULTS = """
+import resource, sys
+from privsample import cli
+if sys.argv[1] == "off":
+    cli._keep_freed_pages = lambda: None
+rc = cli.main(sys.argv[2:])
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's mallopt")
+def test_main_keeps_freed_pages_on_glibc(tmp_path, monkeypatch):
+    """A 10 000-row sweep faults in fresh pages at every filter step unless
+    freed blocks stay in the heap; the CSV does not depend on it."""
+    monkeypatch.setenv("PRIVSAMPLE_THREADS", "2")
+    config = Path(__file__).parents[1] / "perfbench" / "configs" / "paper.json"
+    args = ["sweep-tradeoff", "--config", str(config), "--lambdas", "", "--horizon", "20"]
+    args += ["--rollouts", "10000", "--leak-rollouts", "50"]
+    faults = {}
+    for side in ("on", "off"):
+        rc, faults[side] = _python(_FAULTS, side, *args, "--out", str(tmp_path / f"{side}.csv")).split()
+        assert rc == "0"
+    assert int(faults["on"]) < int(faults["off"]) / 2, faults
+    assert (tmp_path / "on.csv").read_bytes() == (tmp_path / "off.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["confstr_raises", "not_glibc", "no_mallopt"])
+def test_keep_freed_pages_returns_quietly_elsewhere(tmp_path, monkeypatch, case):
+    def confstr_raises(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def cdll_unreached(name):
+        raise AssertionError("the C library was opened off glibc")
+
+    if case == "no_mallopt":
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    else:
+        monkeypatch.setattr(os, "confstr", confstr_raises if case == "confstr_raises" else lambda name: None)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll_unreached)
+    cli._keep_freed_pages()
+    cfg = tmp_path / "finite.json"
+    cfg.write_text(json.dumps(FINITE_CFG))
+    assert main(["finite-dp", "--config", str(cfg), "--out", str(tmp_path / "dp.csv")]) == 0
