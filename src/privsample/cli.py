@@ -298,7 +298,10 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     results = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for family, name, fn, rng, grid in families:
-            tasks = [(family, f"{name}={a[0]:g}", fn, a) for a in shared(rng, grid)]
+            try:
+                tasks = [(family, f"{name}={a[0]:g}", fn, a) for a in shared(rng, grid)]
+            except NumericalFailure as exc:
+                raise NumericalFailure(f"{exc} in sweep family {family}'s trajectories") from exc
             results += pool.map(run, tasks)
             del tasks  # this family's trajectories go before the next one's
     for family, param, lam, report, leak, leak_se in results:
@@ -537,6 +540,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in args:
+            checked_count(args.seed, "--seed", 0)
         check_writable(_outputs(args))
         return args.fn(args)
     except ConfigError as exc:

@@ -3,9 +3,9 @@
 Evaluation, the additive-noise baseline, ``simulate`` (all ``reconstruct``)
 and every optimizer rollout (``branch_rollouts``) filter only the current
 (x, y) block: ``branch_step`` conditions each row on its x (exactly when
-kept, through noise f toward the region center when discarded), a
-baseline's x + v conditions through ``observe`` like a discard with f the
-channel noise, and prediction is A P A^T + Q (``sandwich``). That is
+kept, through noise f toward the region center when discarded; a
+baseline's x + v is a discard with f the channel noise), and prediction
+is A P A^T + Q (``sandwich``). That is
 exact: the growing-trajectory recursion touches the (x, y_current)
 statistics only through the same block operations. Information terms
 need one more fixed-size statistic, Cov(X_k | Y^k, Z^{k-1}), which

@@ -44,6 +44,10 @@ class FiniteModel:
         yk = np.asarray(self.y_kernel, dtype=float)
         init = np.asarray(self.init_joint, dtype=float)
         dist = np.asarray(self.distortion, dtype=float)
+        tables = (("x_kernel", xk), ("y_kernel", yk), ("init_joint", init), ("distortion", dist))
+        for name, table in tables:
+            if not np.all(np.isfinite(table)):
+                raise ContractViolation(f"{name} has a non-finite entry")
         nx, ny = init.shape
         if not (1 <= nx <= 8 and 1 <= ny <= 4):
             raise ContractViolation("alphabet sizes limited to 8 (x) and 4 (y)")

@@ -7,11 +7,12 @@ RNG stream.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericalFailure
 from .linalg import check_symmetric_psd, psd_sqrt
 
 
@@ -49,6 +50,9 @@ class LinearGaussianSystem:
         n = self.n_x + self.n_y
         if self.n_x < 1 or self.n_y < 1:
             raise ContractViolation("n_x and n_y must be positive")
+        for name in ("a_matrix", "q_cov", "init_mean", "init_cov"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ContractViolation(f"{name} has a non-finite entry")
         object.__setattr__(self, "a_matrix", _frozen_array(self.a_matrix, (n, n)))
         object.__setattr__(
             self, "q_cov", _frozen_array(check_symmetric_psd(self.q_cov, name="q_cov"), (n, n))
@@ -79,11 +83,26 @@ class LinearGaussianSystem:
         return self.init_mean + rng.standard_normal((size, self.n)) @ self._init_factor.T
 
 
+@contextmanager
+def overflow_fails(k: int):
+    """Run step k's arithmetic with an overflow or an invalid value raising
+    a NumericalFailure naming k, instead of a RuntimeWarning and values
+    that are no longer finite."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{exc} at k={k}") from exc
+
+
 def simulate_batch(system: LinearGaussianSystem, horizon: int, rollouts: int, rng):
-    """Vectorized rollout batch; returns array of shape (K+1, R, n)."""
+    """Vectorized rollout batch; returns array of shape (K+1, R, n). A
+    state that overflows raises a NumericalFailure naming its step k."""
     out = np.empty((horizon + 1, rollouts, system.n))
-    out[0] = system.draw_initial(rng, size=rollouts)
+    with overflow_fails(0):
+        out[0] = system.draw_initial(rng, size=rollouts)
     a_t = system.a_matrix.T
-    for k in range(horizon):
-        out[k + 1] = out[k] @ a_t + system.draw_noise(rng, size=rollouts)
+    for k in range(1, horizon + 1):
+        with overflow_fails(k):
+            out[k] = out[k - 1] @ a_t + system.draw_noise(rng, size=rollouts)
     return out

@@ -281,7 +281,7 @@ def belief_rollout(
     belief = init_belief(system)
     state = system.draw_initial(rng) if mode == "state" else None
     for k in range(horizon + 1):
-        f = schedule.effective_f_at(k)
+        f = schedule.f_at(k)
         g = schedule.g_at(k, x_pred=belief.x_mean)
         x = _draw_x_from_belief(belief, rng) if mode == "belief" else state[: system.n_x]
         n_k = int(schedule.keep(k, x[None], g, rng)[0])

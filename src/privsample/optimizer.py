@@ -271,13 +271,11 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
     and retained values. Returns (losses, info_sums, rates).
     """
     nx = system.n_x
-    g_abs = None  # the step's region center (rollouts, n_x), shared by terms and branch
 
     def terms(k, mean):
-        nonlocal g_abs
         x_mean = mean[:nx]
         g_abs = np.broadcast_to(schedule.g_at(k, x_pred=x_mean.T), (rollouts, nx))
-        return schedule.effective_f_at(k)[..., None], None, g_abs.T - x_mean
+        return schedule.f_at(k)[..., None], None, g_abs.T - x_mean
 
     def branch(k, p0, p, mean):
         pxx = p[:nx, :nx]
@@ -287,8 +285,8 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
             fac = blocks_first(np.linalg.cholesky(blocks_last(pxx)))
         draws = rng.standard_normal((rollouts, nx, 1))
         x = mean[:nx] + mm(fac, draws.transpose(1, 2, 0))[:, 0]
-        keep = schedule.keep(k, x.T, g_abs, rng)
-        return None, keep, 1.0, np.where(keep, x, g_abs.T)
+        keep, obs = schedule.decide(k, x.T, mean[:nx].T, rng)
+        return None, keep, 1.0, obs.T
 
     mean = np.repeat(system.init_mean[:, None], rollouts, axis=1)
     _, losses, _, _, kept, infos = branch_rollouts(

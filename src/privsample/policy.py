@@ -50,8 +50,8 @@ class SamplerSchedule:
 
     ``f_chol`` has shape (K+1, n_x, n_x) (lower factors), ``g`` has shape
     (K+1, n_x). For the degenerate kinds the arrays are present but
-    ignored by the decision path. Every f_k and its inverse are formed
-    once, at construction.
+    ignored by ``f_at`` and the decisions. Every f_k and its inverse are
+    formed once, at construction.
     """
 
     kind: str
@@ -97,10 +97,7 @@ class SamplerSchedule:
         return self.f_chol.shape[1]
 
     def f_at(self, k: int) -> np.ndarray:
-        return self._f[k]
-
-    def effective_f_at(self, k: int) -> np.ndarray:
-        """f_k with the degenerate kinds mapped to their numeric limits.
+        """f_k, with the degenerate kinds mapped to their numeric limits.
 
         always_sample is f -> 0 (every observation escapes the no-sample
         region) and never_sample is f -> infinity; 1e-12 / 1e12 scalings
@@ -141,6 +138,14 @@ class SamplerSchedule:
         d = x - g_abs
         quad = np.einsum("bi,ij,bj->b", d, self._f_inv[k], d)
         return rng.uniform(size=rows) > np.exp(-0.5 * quad)
+
+    def decide(self, k: int, x: np.ndarray, x_pred: np.ndarray, rng):
+        """(keep (B,), outputs (B, n_x)) at step k for the rows of x (B, n_x)
+        and predicted means x_pred: ``g_at``'s center, ``keep``'s draw, and
+        each row's output, its x where kept and the center where discarded."""
+        g_abs = np.broadcast_to(self.g_at(k, x_pred=x_pred), x.shape)
+        keep = self.keep(k, x, g_abs, rng)
+        return keep, np.where(keep[:, None], x, g_abs)
 
     def to_config(self) -> dict:
         return {

@@ -836,6 +836,69 @@ def test_failing_sweep_family_is_named(system_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["simulate", "sweep-tradeoff", "rate-curve", "optimize", "finite-dp"]
+)
+def test_negative_seed_is_exit_3(system_cfg, tmp_path, capsys, command):
+    cfg = system_cfg
+    if command == "finite-dp":
+        cfg = tmp_path / "finite.json"
+        cfg.write_text(json.dumps(FINITE_CFG))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]
+    args += {"optimize": ["--lambda", "1"], "sweep-tradeoff": ["--lambdas", ""]}.get(command, [])
+    assert main(args) == 3
+    assert capsys.readouterr().err == "configuration error: --seed value -1 must be >= 0\n"
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, entry, field",
+    [
+        ("simulate", "A", [[float("nan"), -0.9], [0.0, 0.35]], "a_matrix"),
+        ("sweep-tradeoff", "A", [[float("nan"), -0.9], [0.0, 0.35]], "a_matrix"),
+        ("simulate", "mean0", [float("nan"), 0.0], "init_mean"),
+        ("sweep-tradeoff", "P0", [[float("inf"), 0.25], [0.25, 0.5]], "init_cov"),
+        ("simulate", "Q", [[float("nan"), 0.1], [0.1, 4.0]], "q_cov"),
+        ("finite-dp", "distortion", [[0.0, float("inf")], [1.0, 0.0]], "distortion"),
+        ("finite-dp", "y_kernel", [[float("nan"), 0.2], [0.3, 0.7]], "y_kernel"),
+    ],
+)
+def test_non_finite_config_entry_is_exit_3(tmp_path, capsys, command, key, entry, field):
+    """JSON's NaN and Infinity are read, then refused by name before any
+    other check or any run."""
+    base = FINITE_CFG if command == "finite-dp" else SYSTEM_CFG
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(base, **{key: entry})))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(cfg), "--out", str(out), "--horizon", "1"]
+    if command == "sweep-tradeoff":
+        args += ["--lambdas", "", "--rollouts", "20"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert err.endswith(f"rejected: {field} has a non-finite entry\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-tradeoff"])
+def test_overflowing_state_is_exit_4(system_cfg, tmp_path, capsys, command):
+    """x_k grows like 1e4^k, so the simulated state leaves the float range
+    at k = 78 of K = 100: the run stops there with one line, before any
+    RuntimeWarning (the suite makes those errors) or any NaN row."""
+    system_cfg.write_text(json.dumps(dict(SYSTEM_CFG, A=[[1e4, -0.9], [0.0, 0.35]], K=100)))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(system_cfg), "--out", str(out)]
+    if command == "sweep-tradeoff":
+        args += ["--lambdas", "", "--rollouts", "20", "--f-grid", "1", "--noise-grid", "1"]
+    assert main(args) == 4
+    where = "simulate" if command == "simulate" else "sweep family open_loop's trajectories"
+    assert capsys.readouterr().err == (
+        f"numerical failure: overflow encountered in matmul at k=78 in {where}\n"
+    )
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
 def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
     """The grid values of one family share its stream's trajectories: one
     simulate_batch call per stream in use, each made after the earlier

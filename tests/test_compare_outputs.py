@@ -39,7 +39,8 @@ def test_identical_trees_pass_and_one_changed_byte_fails(tmp_path, monkeypatch, 
     monkeypatch.setattr(compare_outputs, "COMMANDS", [("run", ["--out", "run.csv"])])
 
     assert compare_outputs.main(["--parent", str(same)]) == 0
-    assert capsys.readouterr().out == "4 of 4 files identical\n"
+    # run.csv, its sidecar and log, and the three written inputs
+    assert capsys.readouterr().out == "6 of 6 files identical\n"
 
     assert compare_outputs.main(["--parent", str(changed)]) == 1
-    assert capsys.readouterr().out == "differs: run.csv\n3 of 4 files identical\n"
+    assert capsys.readouterr().out == "differs: run.csv\n5 of 6 files identical\n"

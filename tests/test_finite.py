@@ -62,6 +62,24 @@ def test_model_validation():
         FiniteModel(**bad)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("x_kernel", np.nan), ("y_kernel", np.nan), ("init_joint", np.inf),
+                     ("distortion", np.inf)],
+)
+def test_model_rejects_a_non_finite_entry_by_name(field, value):
+    """A NaN kernel entry would otherwise fail later as a belief that is not
+    a distribution, and an infinite distortion would give NaN values."""
+    tables = dict(
+        x_kernel=np.full((2, 2, 2), 0.5),
+        y_kernel=np.full((2, 2), 0.5),
+        init_joint=np.full((2, 2), 0.25),
+        distortion=np.array([[0.0, 1.0], [1.0, 0.0]]),
+    )
+    tables[field].flat[1] = value
+    with pytest.raises(ContractViolation, match=f"^{field} has a non-finite entry$"):
+        FiniteModel(**tables)
+
+
 def test_never_sample_step_is_pure_prediction(model):
     b = init_discrete_belief(model)
     out = belief_step(b, PolicyCollection.uniform(1.0), None, model, mem_cap=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privsample.errors import ContractViolation
+from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.rngs import make_rng
 
@@ -95,3 +95,26 @@ def test_simulate_batch_matches_a_loop_of_batched_draws(vi_system):
         states.append(states[-1] @ vi_system.a_matrix.T + vi_system.draw_noise(rng, size=rollouts))
     assert batch.shape == (horizon + 1, rollouts, 2)
     assert np.array_equal(batch, np.stack(states))
+
+
+@pytest.mark.parametrize(
+    "key, field, index, value",
+    [("a", "a_matrix", (0, 0), np.nan), ("q", "q_cov", (1, 1), np.nan),
+     ("mean0", "init_mean", (0,), np.nan), ("cov0", "init_cov", (0, 0), np.inf)],
+)
+def test_non_finite_entries_are_rejected_by_name(key, field, index, value):
+    """A non-finite entry is named before any PSD or shape check reads it:
+    a NaN in Q would otherwise read as a negative eigenvalue."""
+    args = dict(a=np.eye(2), q=np.eye(2), mean0=np.zeros(2), cov0=np.eye(2))
+    args[key][index] = value
+    with pytest.raises(ContractViolation, match=f"^{field} has a non-finite entry$"):
+        _system(**args)
+
+
+def test_simulate_batch_names_the_step_where_the_state_overflows():
+    """x_k grows like 1e4^k from x_0 = 1, so it passes the float range at
+    k = 78; the batch fails there instead of warning and writing inf."""
+    sys_ = _system(np.array([[1e4, 0.0], [0.0, 0.5]]), np.zeros((2, 2)), mean0=np.ones(2))
+    assert np.isfinite(simulate_batch(sys_, 77, 2, make_rng(0))).all()
+    with pytest.raises(NumericalFailure, match=r"^overflow encountered in matmul at k=78$"):
+        simulate_batch(sys_, 100, 2, make_rng(0))

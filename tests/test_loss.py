@@ -207,7 +207,7 @@ def _enumerate_objective(system, schedule, lam, horizon):
     stack = [(bel.init_belief(system), 0, 1.0, 0.0)]
     while stack:
         b, k, prob, acc = stack.pop()
-        f = schedule.effective_f_at(k)
+        f = schedule.f_at(k)
         g = schedule.g_at(k, x_pred=b.x_mean)
         lb = one_step_loss(b, f, g, lam)
         acc = acc + lb.total

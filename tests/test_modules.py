@@ -90,24 +90,55 @@ def test_every_substream_call_site_owns_its_stream():
     }
 
 
-def test_only_the_branch_step_reads_child_op():
-    """The finite engine's branch transition matrices are multiplied in
-    one place, ``_Space.branches``, which the value recursion and the
-    validation grid oracle both call."""
-    readers = set()
+def _name_of(node):
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _scopes_using(name: str, calls_only: bool = False) -> set:
+    """Dotted scopes (module.Class.function) whose own code names ``name``,
+    as an attribute or a bare name; with ``calls_only``, only where it is
+    called."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if getattr(child, "attr", getattr(child, "id", None)) == "child_op":
-                readers.add(".".join(scope))
+            if calls_only:
+                used = isinstance(child, ast.Call) and _name_of(child.func) == name
+            else:
+                used = _name_of(child) == name
+            if used:
+                scopes.add(".".join(scope))
             visit(child, scope)
 
     for path in sorted(Path(privsample.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), (path.stem,))
+    return scopes
+
+
+def test_only_the_branch_step_reads_child_op():
+    """The finite engine's branch transition matrices are multiplied in
+    one place, ``_Space.branches``, which the value recursion and the
+    validation grid oracle both call."""
+    readers = _scopes_using("child_op")
     assert readers == {"finite._Space.branches"}, sorted(readers)
+
+
+def test_only_the_engine_conditions_through_observe():
+    """Evaluation, the additive-noise baseline and ``simulate`` condition
+    through ``engine.branch_step``; ``observe`` is the engine's own."""
+    callers = {scope.partition(".")[0] for scope in _scopes_using("observe", calls_only=True)}
+    assert callers == {"engine"}, sorted(callers)
+
+
+def test_schedule_decisions_are_drawn_in_decide():
+    """A schedule becomes keep/discard decisions in ``SamplerSchedule.decide``;
+    only the growing reference ``loss.belief_rollout`` draws its own, so
+    that it stays an independent check of the fixed-size paths."""
+    callers = _scopes_using("keep", calls_only=True)
+    assert callers == {"policy.SamplerSchedule.decide", "loss.belief_rollout"}, sorted(callers)
 
 
 def test_engine_step_uses_no_slow_numpy_wrappers():

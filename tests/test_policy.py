@@ -68,6 +68,20 @@ def test_decide_returns_observation_on_keep():
     assert sched.keep(0, x, np.zeros(1), rng).tolist() == [True]
 
 
+def test_decide_draws_at_the_feedback_center_and_outputs_x_or_the_center():
+    """decide centers the region at g_at's predicted mean plus offset,
+    draws keep's flags from the same uniforms, and outputs x on kept rows
+    and the center on discarded ones."""
+    ells = np.repeat(np.array([[[1.2, 0.0], [0.3, 0.9]]]), 2, axis=0)
+    sched = privacy_aware_schedule(ells, np.array([[0.1, -0.1]] * 2), feedback=True)
+    x, x_pred = make_rng(6).standard_normal((2, 50, 2))
+    keep, out = sched.decide(1, x, x_pred, make_rng(7))
+    center = x_pred + sched.g[1]
+    assert np.array_equal(keep, sched.keep(1, x, center, make_rng(7)))
+    assert 0 < keep.sum() < 50
+    assert np.array_equal(out[keep], x[keep]) and np.array_equal(out[~keep], center[~keep])
+
+
 def test_degenerate_kinds():
     rng = make_rng(5)
     never = degenerate_schedule("never_sample", horizon=3, n_x=1)

@@ -11,7 +11,8 @@ byte for byte: each output, each ``.meta.json`` sidecar, and one log per
 command holding its stdout, stderr and exit code. ``validate`` prints its
 checks' seconds, which are stripped from the log; paths of the two
 checkouts in stderr read ``<tree>``. Both sides read this checkout's
-``perfbench/configs``, so only the code differs. Prints each file that
+``perfbench/configs`` and the same 2x2 system and schedules written into
+their directories, so only the code differs. Prints each file that
 differs and exits 1 if any does, else 0.
 """
 from __future__ import annotations
@@ -32,6 +33,24 @@ CONFIGS = ROOT / "perfbench" / "configs"
 # written into each side's directory as ``schedule.json``
 SCHEDULE = {
     "kind": "privacy_aware", "f_chol": [[[1.2]]] * 21, "g": [[0.0]] * 21, "feedback": True,
+}
+# an n_x = n_y = 2 system with A_yx != 0, written into each side's directory as
+# ``system2x2.json``: its runs reach the stacked products, determinants and
+# inverses, the Cholesky belief draws and the noise factor that n_x = 1 skips
+SYSTEM_2X2 = {
+    "A": [[0.9, 0.1, -0.3, 0.0], [0.0, 0.8, 0.2, 0.1], [0.2, 0.0, 0.5, 0.1], [0.0, 0.1, 0.0, 0.6]],
+    "Q": [[1.0, 0.2, 0.1, 0.0], [0.2, 0.8, 0.0, 0.1], [0.1, 0.0, 1.5, 0.3], [0.0, 0.1, 0.3, 1.2]],
+    "P0": [[0.6, 0.1, 0.1, 0.0], [0.1, 0.5, 0.0, 0.1], [0.1, 0.0, 0.7, 0.1], [0.0, 0.1, 0.1, 0.5]],
+    "mean0": [0.5, -0.5, 0.0, 0.2], "nx": 2, "ny": 2, "K": 20,
+}
+# a feedback schedule for it (horizon 20), as ``schedule2x2.json``
+SCHEDULE_2X2 = {
+    "kind": "privacy_aware", "f_chol": [[[1.2, 0.0], [0.3, 0.9]]] * 21,
+    "g": [[0.1, -0.1]] * 21, "feedback": True,
+}
+# the inputs written into each side's directory
+FILES = {
+    "schedule.json": SCHEDULE, "system2x2.json": SYSTEM_2X2, "schedule2x2.json": SCHEDULE_2X2,
 }
 # the seconds column of validate's PASS/FAIL lines
 SECONDS = re.compile(r"(?m)^((?:PASS|FAIL)  .*?) +\d+\.\ds  ")
@@ -89,6 +108,23 @@ def _commands() -> list[tuple[str, list[str]]]:
                 "finite-dp", "--config", str(CONFIGS / "finite.json"), "--lambda", lam,
                 "--horizon", horizon, "--out", f"{name}.csv",
             ]))
+    runs.append(("sweep-2x2", [
+        "sweep-tradeoff", "--config", "system2x2.json", "--horizon", "10", "--rollouts", "300",
+        "--f-grid", "0.5,4", "--noise-grid", "0,1", "--lambdas", "6", "--opt-iters", "3",
+        "--leak-rollouts", "4", "--out", "sweep-2x2.csv",
+    ]))
+    for name, extra in (
+        ("simulate-2x2-trace", []),
+        ("simulate-2x2-schedule-trace", ["--schedule", "schedule2x2.json"]),
+    ):
+        runs.append((name, [
+            "simulate", "--config", "system2x2.json", "--seed", "2", "--out", f"{name}.csv",
+            "--belief-trace", f"{name}-belief.csv", *extra,
+        ]))
+    runs.append(("optimize-2x2-h6", [
+        "optimize", "--config", "system2x2.json", "--horizon", "6", "--lambda", "3",
+        "--out", "optimize-2x2-h6.json",
+    ]))
     runs.append(("validate", ["validate"]))
     return runs
 
@@ -99,7 +135,8 @@ COMMANDS = _commands()
 def run_side(tree: Path, out: Path, commands) -> None:
     """Every command with ``tree``'s privsample, run in ``out``."""
     out.mkdir()
-    (out / "schedule.json").write_text(json.dumps(SCHEDULE))
+    for name, content in FILES.items():
+        (out / name).write_text(json.dumps(content))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PRIVSAMPLE_THREADS="2")
     for name, args in commands:
         done = subprocess.run(
