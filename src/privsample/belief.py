@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalFailure, PhaseError
 from .lingauss import LinearGaussianSystem
-from .linalg import chol_psd, factor_logdet, inv_or_pinv, inverse, sym
+from .linalg import chol_psd, cholesky, factor_logdet, inv_or_pinv, inverse, sym
 
 PREDICTED = "predicted"
 FILTERED = "filtered"
@@ -85,7 +85,10 @@ def embed(system: LinearGaussianSystem, mat: np.ndarray, noise=None) -> np.ndarr
 
     A acts on the current (x, y) block, the retained trajectory blocks
     stay, and ``noise`` (Q for a covariance, None for its tangents) enters
-    only the new block.
+    only the new block. A covariance's new block A P A^T + Q is
+    symmetrized; the copied trajectory block and the transposed cross
+    blocks are exactly symmetric already, so a symmetric ``mat`` gives an
+    exactly symmetric covariance.
     """
     nx, n = system.n_x, system.n
     a = system.a_matrix
@@ -93,7 +96,10 @@ def embed(system: LinearGaussianSystem, mat: np.ndarray, noise=None) -> np.ndarr
     out = np.empty((*mat.shape[:-2], d_new, d_new))
     head = a @ mat[..., :n, :]          # A @ mat[:n, :], shape (..., n, d_old)
     block = head[..., :n] @ a.T
-    out[..., :n, :n] = block if noise is None else block + noise
+    if noise is not None:
+        block = block + noise
+        block = 0.5 * (block + block.swapaxes(-1, -2))
+    out[..., :n, :n] = block
     out[..., :n, n:] = head[..., nx:]
     out[..., n:, :n] = out[..., :n, n:].swapaxes(-1, -2)
     out[..., n:, n:] = mat[..., nx:, nx:]
@@ -111,12 +117,50 @@ def predict(system: LinearGaussianSystem, belief: GaussianBelief) -> GaussianBel
     mean[n:] = belief.mean[nx:]
     return GaussianBelief(
         mean=mean,
-        cov=sym(embed(system, belief.cov, system.q_cov)),
+        cov=embed(system, belief.cov, system.q_cov),
         k=belief.k + 1,
         phase=PREDICTED,
         n_x=nx,
         n_y=ny,
     )
+
+
+@dataclass(frozen=True)
+class StepFactors:
+    """The n_x-block factors of one predicted belief under f, formed once
+    and shared by the loss and whichever branch posterior is built.
+
+    ``l_xx`` is the lower Cholesky factor of P^xx (None when that
+    factorization fails); f + P^xx = L L^T gives ``l_inv`` = L^{-1} and
+    ``logdet`` = log|f + P^xx|.
+    """
+
+    l_xx: np.ndarray | None
+    l_inv: np.ndarray
+    logdet: float
+
+
+def step_factors(belief: GaussianBelief, f: np.ndarray) -> StepFactors:
+    """Factor P^xx and f + P^xx of a predicted belief.
+
+    f + P^xx that is not positive definite, after the jitter ladder of
+    ``chol_psd``, raises a NumericalFailure naming k.
+    """
+    if belief.phase != PREDICTED:
+        raise PhaseError("the branch factors need a predicted belief")
+    try:
+        ell = chol_psd(np.asarray(f, dtype=float) + belief.p_xx)
+    except NumericalFailure:
+        ell = None
+    if ell is None or (ell.diagonal() <= 0.0).any():
+        raise NumericalFailure(
+            f"f + P^xx not positive definite in the no-sample branch at k={belief.k}"
+        )
+    try:
+        l_xx = cholesky(belief.p_xx)
+    except np.linalg.LinAlgError:
+        l_xx = None
+    return StepFactors(l_xx, inverse(ell), factor_logdet(ell))
 
 
 @dataclass(frozen=True)
@@ -135,19 +179,17 @@ class KeepBranch:
 class DiscardBranch:
     """The filtered covariance after the soft no-sample evidence through f.
 
-    f + P^xx = L L^T is factored once: ``l_inv`` = L^{-1}, ``logdet`` =
-    log|f + P^xx|, ``gain_t`` = (f + P^xx)^{-1} P[:n_x, :] (the gain's
-    transpose, shape (n_x, d)) and ``cov`` = P - gain P[:n_x, :].
+    ``gain_t`` = (f + P^xx)^{-1} P[:n_x, :] (the gain's transpose, shape
+    (n_x, d)) and ``cov`` = P - gain P[:n_x, :].
     """
 
-    l_inv: np.ndarray
-    logdet: float
     gain_t: np.ndarray
     cov: np.ndarray
 
 
-def keep_branch(belief: GaussianBelief) -> KeepBranch:
-    """Schur complement of P^xx in a predicted belief (P^xx factored once).
+def keep_branch(belief: GaussianBelief, factors: StepFactors | None = None) -> KeepBranch:
+    """Schur complement of P^xx in a predicted belief, through the factor
+    ``factors.l_xx`` (P^xx factored here when not given).
 
     A singular P^xx falls back to the pseudo-inverse with a warning: it
     occurs only when a coordinate of x_k is deterministic given history.
@@ -155,36 +197,31 @@ def keep_branch(belief: GaussianBelief) -> KeepBranch:
     if belief.phase != PREDICTED:
         raise PhaseError("the keep branch needs a predicted belief")
     nx = belief.n_x
-    gain = belief.p_xy.T @ inv_or_pinv(belief.p_xx, warn_label="P^xx in the keep branch")
+    p_inv = inv_or_pinv(
+        belief.p_xx, "P^xx in the keep branch", None if factors is None else factors.l_xx
+    )
+    gain = belief.p_xy.T @ p_inv
     cov = np.zeros_like(belief.cov)
     cov[nx:, nx:] = sym(belief.p_yy - gain @ belief.p_xy)
     return KeepBranch(gain, cov)
 
 
-def discard_branch(belief: GaussianBelief, f: np.ndarray) -> DiscardBranch:
-    """Rank-n_x soft update of a predicted belief (f + P^xx factored once).
+def discard_branch(
+    belief: GaussianBelief, f: np.ndarray, factors: StepFactors | None = None
+) -> DiscardBranch:
+    """Rank-n_x soft update of a predicted belief, through the factor of
+    f + P^xx in ``factors`` (``step_factors(belief, f)`` when not given).
 
     A Kalman update on a pseudo-measurement of x_k through noise f, in
-    O(d^2 n_x). f + P^xx that is not positive definite, after the jitter
-    ladder of ``chol_psd``, raises a NumericalFailure naming k.
+    O(d^2 n_x).
     """
     if belief.phase != PREDICTED:
         raise PhaseError("the discard branch needs a predicted belief")
-    nx = belief.n_x
-    s = np.asarray(f, dtype=float) + belief.p_xx
-    try:
-        ell = chol_psd(s)
-    except NumericalFailure:
-        ell = None
-    if ell is None or (ell.diagonal() <= 0.0).any():
-        raise NumericalFailure(
-            f"f + P^xx not positive definite in the no-sample branch at k={belief.k}"
-        )
-    l_inv = inverse(ell)
-    rows = belief.cov[:nx, :]
+    if factors is None:
+        factors = step_factors(belief, f)
+    l_inv, rows = factors.l_inv, belief.cov[: belief.n_x, :]
     gain_t = l_inv.T @ (l_inv @ rows)
-    cov = sym(belief.cov - gain_t.T @ rows)
-    return DiscardBranch(l_inv, factor_logdet(ell), gain_t, cov)
+    return DiscardBranch(gain_t, sym(belief.cov - gain_t.T @ rows))
 
 
 def update_no_sample(

@@ -244,33 +244,35 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     tasks are released before the next family's stream is simulated, so
     the sweep holds one family's trajectories at a time:
     (K+1) * rollouts * (n_x + n_y) * 8 bytes, 16.2 MB at the defaults.
+
+    The pool's tasks evaluate (and optimize) and return the schedule whose
+    leak is wanted. The leaks run on the calling thread after each
+    family's tasks, in row order, each on a fresh stream (seed, 7). Off
+    the scalar case one leak estimate makes tens of thousands of short
+    numpy calls on the growing belief; beside another task the two threads
+    hand the GIL over at almost every call, so in the pool they ran no
+    faster than on one thread and burned more CPU.
     """
     rollouts, seed = checked_count(args.rollouts, "--rollouts", 1), args.seed
     config = _optimizer_config(args)
-    rows = []
     workers = _max_workers()
-
-    def leak_of(sched):
-        if leak_rollouts is None:
-            return None, None
-        return leak_estimate(system, sched, horizon, leak_rollouts, substream(seed, 7))
 
     def eval_open_loop(f_val, states, rng):
         sched = open_loop_schedule(f_val * np.eye(system.n_x), horizon)
         report = evaluate_schedule(system, sched, horizon, rollouts, rng, states=states)
-        return "", report, *leak_of(sched)
+        return "", report, sched
 
     def eval_noise(var, states, rng):
         report = kalman_additive_baseline(
             system, var * np.eye(system.n_x), horizon, rollouts, rng, states=states
         )
-        return "", report, None, None
+        return "", report, None
 
     def eval_lambda(lam, states, rng):
         lam_config = dataclasses.replace(config, seed=substream_seed(seed, lam))
         result = optimize_lambda(lam_config, system, lam, horizon)
         report = evaluate_schedule(system, result.schedule, horizon, rollouts, rng, states=states)
-        return lam, report, *leak_of(result.schedule)
+        return lam, report, result.schedule
 
     def shared(rng, grid):
         """(value, trajectories, generator) per grid value; the stream is
@@ -281,12 +283,20 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         states.setflags(write=False)
         return [(v, states, copy.deepcopy(rng)) for v in grid]
 
-    def run(task):
-        family, label, fn, arg = task
+    def named(family, label, fn, *fn_args):
         try:
-            return (family, label, *fn(*arg))
+            return fn(*fn_args)
         except NumericalFailure as exc:
             raise NumericalFailure(f"{exc} in sweep family {family} {label}") from exc
+
+    def run(task):
+        family, label, fn, arg = task
+        return (label, *named(family, label, fn, *arg))
+
+    def leak_of(sched):
+        if leak_rollouts is None or sched is None:
+            return None, None
+        return leak_estimate(system, sched, horizon, leak_rollouts, substream(seed, 7))
 
     f_grid = _checked_grid(args.f_grid, "--f-grid", False)
     lambdas = _checked_grid(args.lambdas, "--lambdas", True)
@@ -295,30 +305,31 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         ("additive_noise", "var", eval_noise, substream(seed, 200), noise_grid),
         ("optimized", "lambda", eval_lambda, substream(seed, 300), lambdas),
     ]
-    results = []
+    rows = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for family, name, fn, rng, grid in families:
             try:
                 tasks = [(family, f"{name}={a[0]:g}", fn, a) for a in shared(rng, grid)]
             except NumericalFailure as exc:
                 raise NumericalFailure(f"{exc} in sweep family {family}'s trajectories") from exc
-            results += pool.map(run, tasks)
+            results = list(pool.map(run, tasks))
             del tasks  # this family's trajectories go before the next one's
-    for family, param, lam, report, leak, leak_se in results:
-        rows.append(
-            [
-                family,
-                param,
-                _fmt(lam) if lam != "" else "",
-                _fmt(report.mean_x_error),
-                _stderr(report.x_errors),
-                _fmt(report.mean_y_error),
-                _stderr(report.y_errors),
-                _fmt(leak) if leak is not None else "",
-                _fmt(leak_se) if leak_se is not None else "",
-                _fmt(report.sampling_rate),
-            ]
-        )
+            for param, lam, report, sched in results:
+                leak, leak_se = named(family, param, leak_of, sched)
+                rows.append(
+                    [
+                        family,
+                        param,
+                        _fmt(lam) if lam != "" else "",
+                        _fmt(report.mean_x_error),
+                        _stderr(report.x_errors),
+                        _fmt(report.mean_y_error),
+                        _stderr(report.y_errors),
+                        _fmt(leak) if leak is not None else "",
+                        _fmt(leak_se) if leak_se is not None else "",
+                        _fmt(report.sampling_rate),
+                    ]
+                )
     return rows
 
 

@@ -116,18 +116,20 @@ def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ell_inv.T @ (ell_inv @ np.asarray(b, dtype=float))
 
 
-def inv_or_pinv(a: np.ndarray, warn_label: str) -> np.ndarray:
+def inv_or_pinv(a: np.ndarray, warn_label: str, ell: np.ndarray | None = None) -> np.ndarray:
     """Inverse of a symmetric PSD block, pseudo-inverse on rank deficiency.
 
-    The pinv branch only occurs when a coordinate is deterministic given
-    the history; it warns naming ``warn_label``, once per call site.
+    ``ell`` is a's lower Cholesky factor when the caller has it; a is
+    factored here otherwise. The pinv branch only occurs when a coordinate
+    is deterministic given the history; it warns naming ``warn_label``,
+    once per call site.
     """
     a = sym(np.asarray(a, dtype=float))
-    ell = None
-    try:
-        ell = cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
+    if ell is None:
+        try:
+            ell = cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
     if ell is not None and (ell.diagonal() > PINV_TOL * np.sqrt(max(a.trace(), 1e-300))).all():
         ell_inv = inverse(ell)
         return ell_inv.T @ ell_inv

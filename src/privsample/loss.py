@@ -3,25 +3,31 @@
 The per-step loss splits into a distortion term (expected squared
 reconstruction error, nonzero only on the discard branch) and three
 lambda-weighted information terms built from log-determinants of the
-trajectory block and its two Schur complements: conditioning on the exact
-observation uses P^xx, conditioning on the soft no-sample evidence uses
-f + P^xx.
+trajectory block P^yy and its two Schur complements: conditioning on the
+exact observation (S_keep = Cov(Y^k | X_k)) and on the soft no-sample
+evidence through f (S_discard).
 
-A step forms both branch posteriors once (``belief.keep_branch`` and
-``belief.discard_branch``, factoring P^xx and f + P^xx once each); the
-loss reads its distortion and Schur complements off them and the
-realized branch becomes the filtered belief. P^yy and the two Schur
-complements are factored once each, with a plain Cholesky; only a failed
-factorization runs the eigenvalue test and the jittered fallback. When
-x_k is a function of the private trajectory (Cov(X_k | Y^k) = 0 up to
-rounding) the information is infinite, and the step raises a
-NumericalFailure naming k (see ``branch_logdets``).
+A step factors its n_x blocks P^xx and f + P^xx once
+(``belief.step_factors``); the loss takes p0 and the distortion from the
+factor of f + P^xx, and the realized branch posterior reuses both
+factors. The log-determinants come from one Cholesky factorization of the
+predicted covariance ordered trajectory first and x last: its leading
+diagonal gives log|P^yy| and its trailing n_x block factors
+C = Cov(X_k | Y^k, Z^(k-1)), so by the block-determinant identity
+(``validation.check_determinant_identity``)
 
-Log-determinant differences are evaluated on the Y side. The fixed-size
-engine (``engine.BatchEngine``) evaluates the same increments on the
-X side through the block-determinant identity, which the validation suite
-checks on random matrices (``validation.check_determinant_identity``) and
-the tests check against this growing reference on whole rollouts.
+    log|S_keep|    = log|P^yy| + log|C| - log|P^xx|
+    log|S_discard| = log|P^yy| + log|f + C| - log|f + P^xx|.
+
+The fixed-size engine (``engine.BatchEngine``) carries C itself and
+evaluates the same increments; the tests check it against this growing
+reference on whole rollouts. Only a failed factorization, or x_k known
+from the trajectory (Cov(X_k | Y^k) = 0 up to rounding, where the
+information is infinite), sends a step to the per-block path, which
+factors P^yy and the two Schur complements of both branch posteriors
+with a plain Cholesky, runs the eigenvalue test and the jittered fallback
+on a failure, and raises a NumericalFailure naming k when x_k is known
+(see ``branch_logdets``).
 """
 from __future__ import annotations
 
@@ -34,10 +40,12 @@ from .belief import (
     DiscardBranch,
     GaussianBelief,
     KeepBranch,
+    StepFactors,
     discard_branch,
     init_belief,
     keep_branch,
     predict,
+    step_factors,
     update_no_sample,
     update_sample,
 )
@@ -71,42 +79,89 @@ class LossBreakdown:
 
 
 def no_sample_prob_marginal(
-    belief: GaussianBelief, f, g, discard: DiscardBranch | None = None
+    belief: GaussianBelief, f, g, factors: StepFactors | None = None
 ) -> float:
     """P(N_k = 0 | Z^{k-1}): the pointwise rule averaged over the belief.
 
     Closed form sqrt(|f| / |f + P^xx|) * exp(-1/2 (g - x)^T (f+P^xx)^{-1}
     (g - x)); evaluated through log-determinant differences so the
     f -> 0 and f -> infinity limits stay finite. Reuses the factor of
-    f + P^xx in ``discard`` (``discard_branch(belief, f)`` when not given).
+    f + P^xx in ``factors`` (``step_factors(belief, f)`` when not given).
     """
     if belief.phase != "predicted":
         raise ContractViolation("marginal no-sample probability needs a predicted belief")
     f = np.atleast_2d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    if discard is None:
-        discard = discard_branch(belief, f)
+    if factors is None:
+        factors = step_factors(belief, f)
     d = g - belief.x_mean
-    log_ratio = logdet_psd(f) - discard.logdet
-    quad = float(d @ (discard.l_inv.T @ (discard.l_inv @ d)))
+    log_ratio = logdet_psd(f) - factors.logdet
+    quad = float(d @ (factors.l_inv.T @ (factors.l_inv @ d)))
     return float(np.exp(0.5 * log_ratio - 0.5 * quad))
 
 
 # exp(-keep increment) = |Cov(X_k | Y^k)| / |P^xx|, the keep increment being
-# log|P^yy| - log|S_keep| (nats*2); at or below 1e-12 the x_k block is a
-# function of Y^k up to rounding (the largest increment on the paper and
-# coupled systems is about 1.9)
+# log|P^yy| - log|S_keep| = log|P^xx| - log|C| (nats*2); at or below 1e-12
+# the x_k block is a function of Y^k up to rounding (the largest increment
+# on the paper and coupled systems is about 1.9)
 KNOWN_X_INCREMENT = -math.log(1e-12)
 
 
 def branch_logdets(
-    belief: GaussianBelief, keep: KeepBranch, discard: DiscardBranch
+    belief: GaussianBelief, f, factors: StepFactors | None = None
 ) -> tuple[float, float, float]:
     """(log|P^yy|, log|S_keep|, log|S_discard|) for one predicted belief.
 
     S_keep = Cov(Y^k | X_k) and S_discard, the trajectory block after the
     soft evidence through f, are the trajectory blocks of the two branch
-    posteriors; P^yy and each S are factored once. x_k already known from
+    posteriors. They come from one factorization of the whole covariance
+    (``_one_factor_logdets``). When a factorization there fails, or the
+    keep increment log|P^xx| - log|C| reaches ``KNOWN_X_INCREMENT``, both
+    posteriors are formed and P^yy and each S factored on their own
+    (``_per_block_logdets``), which raises or returns as it decides.
+    """
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    if factors is None:
+        factors = step_factors(belief, f)
+    logdets = _one_factor_logdets(belief, f, factors)
+    if logdets is None:
+        logdets = _per_block_logdets(
+            belief, keep_branch(belief, factors), discard_branch(belief, f, factors)
+        )
+    return logdets
+
+
+def _one_factor_logdets(belief: GaussianBelief, f: np.ndarray, factors: StepFactors):
+    """``branch_logdets`` from the Cholesky factor of the covariance
+    reversed (trajectory first, x last) and the n_x factors; None when a
+    factorization fails or x_k is known from the trajectory.
+
+    The factor's leading d - n_x diagonal is that of P^yy reversed, and its
+    trailing block L_c factors C reversed, C = Cov(X_k | Y^k, Z^(k-1)).
+    """
+    if factors.l_xx is None:
+        return None
+    m = belief.dim - belief.n_x
+    try:
+        ell = cholesky(belief.cov[::-1, ::-1])
+        l_c = ell[m:, m:]
+        ld_f_c = factor_logdet(cholesky(f + (l_c @ l_c.T)[::-1, ::-1]))
+    except np.linalg.LinAlgError:
+        return None
+    log_diag = np.log(ell.diagonal())
+    ld_prior = 2.0 * float(log_diag[:m].sum())
+    ld_c = 2.0 * float(log_diag[m:].sum())
+    ld_xx = factor_logdet(factors.l_xx)
+    if ld_xx - ld_c >= KNOWN_X_INCREMENT:
+        return None
+    return ld_prior, ld_prior + ld_c - ld_xx, ld_prior + ld_f_c - factors.logdet
+
+
+def _per_block_logdets(
+    belief: GaussianBelief, keep: KeepBranch, discard: DiscardBranch
+) -> tuple[float, float, float]:
+    """``branch_logdets`` from P^yy and the trajectory blocks of the two
+    branch posteriors, each factored on its own. x_k already known from
     Y^k raises a NumericalFailure naming k: the keep increment
     log|P^yy| - log|S_keep| reaches ``KNOWN_X_INCREMENT``, or S_keep is
     singular to working precision (its Cholesky fails) while P^yy is not.
@@ -168,12 +223,7 @@ def _logdet_or_fail(mat: np.ndarray, belief: GaussianBelief, label: str) -> floa
 
 
 def one_step_loss(
-    belief: GaussianBelief,
-    f,
-    g,
-    lam: float,
-    keep: KeepBranch | None = None,
-    discard: DiscardBranch | None = None,
+    belief: GaussianBelief, f, g, lam: float, factors: StepFactors | None = None
 ) -> LossBreakdown:
     """Expected one-step cost of playing (f, g) against a predicted belief.
 
@@ -182,22 +232,20 @@ def one_step_loss(
                         - (1-p0) log sqrt|S_sample|
                         - p0 log sqrt|S_no_sample|]
 
-    Reads both branch posteriors (built here when not given): the
-    distortion trace is the x block of ``discard.cov``, which is
-    P^xx - P^xx (f+P^xx)^{-1} P^xx, stable at both f extremes.
+    ``factors`` are the step's ``belief.step_factors`` (formed here when
+    not given). The distortion trace is that of P^xx - P^xx (f+P^xx)^{-1}
+    P^xx, the x block of the discard posterior, stable at both f extremes.
     """
     check_lambda(lam)
     f = np.atleast_2d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    if discard is None:
-        discard = discard_branch(belief, f)
-    p0 = no_sample_prob_marginal(belief, f, g, discard)
-    nx = belief.n_x
-    distortion = p0 * float(np.trace(discard.cov[:nx, :nx]))
+    if factors is None:
+        factors = step_factors(belief, f)
+    p0 = no_sample_prob_marginal(belief, f, g, factors)
+    pxx, l_inv = belief.p_xx, factors.l_inv
+    distortion = p0 * float(np.trace(pxx - (l_inv.T @ (l_inv @ pxx)).T @ pxx))
 
-    if keep is None:
-        keep = keep_branch(belief)
-    logdets = branch_logdets(belief, keep, discard)
+    logdets = branch_logdets(belief, f, factors)
     ld_prior, ld_keep, ld_discard = logdets
     info_nats = 0.5 * ((1.0 - p0) * (ld_prior - ld_keep) + p0 * (ld_prior - ld_discard))
 
@@ -238,9 +286,9 @@ class RolloutStep:
     ``predicted`` is the belief (k|k-1) the sampler plays (f, g) against,
     ``x`` the observation, ``state`` the stacked (x, y) state (state mode
     only, else None), ``n`` the decision (1: x is the output) and
-    ``filtered`` the belief (k|k) after it.
-    ``keep`` and ``discard`` are the two branch posteriors of
-    ``predicted``; ``filtered`` is built from the realized one.
+    ``filtered`` the belief (k|k) after it, the realized branch posterior
+    alone. ``factors`` are ``predicted``'s ``belief.step_factors`` under
+    f, which the branch used and the step's loss reuses.
     """
 
     predicted: GaussianBelief
@@ -250,8 +298,7 @@ class RolloutStep:
     state: np.ndarray | None
     n: int
     filtered: GaussianBelief
-    keep: KeepBranch
-    discard: DiscardBranch
+    factors: StepFactors
 
 
 def belief_rollout(
@@ -285,12 +332,12 @@ def belief_rollout(
         g = schedule.g_at(k, x_pred=belief.x_mean)
         x = _draw_x_from_belief(belief, rng) if mode == "belief" else state[: system.n_x]
         n_k = int(schedule.keep(k, x[None], g, rng)[0])
-        keep, discard = keep_branch(belief), discard_branch(belief, f)
+        factors = step_factors(belief, f)
         if n_k:
-            filtered = update_sample(belief, x, keep)
+            filtered = update_sample(belief, x, keep_branch(belief, factors))
         else:
-            filtered = update_no_sample(belief, f, g, discard)
-        yield RolloutStep(belief, f, g, x, state, n_k, filtered, keep, discard)
+            filtered = update_no_sample(belief, f, g, discard_branch(belief, f, factors))
+        yield RolloutStep(belief, f, g, x, state, n_k, filtered, factors)
         if k < horizon:
             belief = predict(system, filtered)
             if mode == "state":
@@ -313,7 +360,7 @@ def rollout_losses(
     losses = []
     decisions = np.zeros(horizon + 1, dtype=int)
     for k, step in enumerate(belief_rollout(system, schedule, horizon, rng, mode)):
-        losses.append(one_step_loss(step.predicted, step.f, step.g, lam, step.keep, step.discard))
+        losses.append(one_step_loss(step.predicted, step.f, step.g, lam, step.factors))
         decisions[k] = step.n
     return losses, decisions
 

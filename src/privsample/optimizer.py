@@ -30,6 +30,7 @@ from .belief import (
     init_belief,
     keep_branch,
     predict,
+    step_factors,
     update_no_sample,
     update_sample,
 )
@@ -191,8 +192,9 @@ class _TangentFilter:
         """Per-step loss, its tangent, branch probability and its tangent."""
         b, dp, nx = self.belief, self.dp, self.sys.n_x
         f, df = f[..., 0], blocks_last(df[..., 0])
-        keep, discard = keep_branch(b), discard_branch(b, f)
-        lb = one_step_loss(b, f, b.x_mean, lam, keep, discard)
+        factors = step_factors(b, f)
+        keep, discard = keep_branch(b, factors), discard_branch(b, f, factors)
+        lb = one_step_loss(b, f, b.x_mean, lam, factors)
         _, ld_keep, ld_discard = lb.logdets
         p0 = lb.p_no_sample
 

@@ -53,7 +53,8 @@ def _filter_report(system, horizon, rollouts, rng, observation, states) -> Recon
     ``observation(k, x, mean)`` gives, for the true x (B, n_x) and means
     (n, B), ``branch_step``'s (f, keep, obs) (f None: no evidence) and the
     number of rows that transmitted; prediction is A P A^T + Q. P starts
-    as one (n, n, 1) block shared by every row.
+    as one (n, n, 1) block shared by every row. A value that overflows
+    raises a NumericalFailure naming its step.
     """
     nx = system.n_x
     a, q = system.a_matrix, system.q_cov[..., None]
@@ -64,19 +65,20 @@ def _filter_report(system, horizon, rollouts, rng, observation, states) -> Recon
     x_err, y_err, px_err, py_err = np.zeros((4, horizon + 1))
     n_sent = 0
     for k in range(horizon + 1):
-        f, keep, obs, sent = observation(k, states[k][:, :nx], mean)
-        if f is not None:
-            p, _, mean = branch_step(p, None, mean, f, None, keep, obs, k)
-        del keep, obs  # held through the prediction, they raised a sweep's peak RSS by 1 MB
-        n_sent += sent
-        err = (states[k].T - mean) ** 2
-        x_err[k] = np.mean(np.sum(err[:nx], axis=0))
-        y_err[k] = np.mean(np.sum(err[nx:], axis=0))
-        px_err[k] = np.mean(np.trace(p[:nx, :nx]))
-        py_err[k] = np.mean(np.trace(p[nx:, nx:]))
-        if k < horizon:
-            p = sandwich(a, p) + q
-            mean = transition(a, mean)
+        with overflow_fails(k):
+            if k:
+                p = sandwich(a, p) + q
+                mean = transition(a, mean)
+            f, keep, obs, sent = observation(k, states[k][:, :nx], mean)
+            if f is not None:
+                p, _, mean = branch_step(p, None, mean, f, None, keep, obs, k)
+            del keep, obs  # held into the next step, they raised a sweep's peak RSS by 1 MB
+            n_sent += sent
+            err = (states[k].T - mean) ** 2
+            x_err[k] = np.mean(np.sum(err[:nx], axis=0))
+            y_err[k] = np.mean(np.sum(err[nx:], axis=0))
+            px_err[k] = np.mean(np.trace(p[:nx, :nx]))
+            py_err[k] = np.mean(np.trace(p[nx:, nx:]))
     return ReconstructionReport(
         x_errors=x_err,
         y_errors=y_err,

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import types
 import warnings
 import weakref
@@ -26,7 +27,7 @@ from privsample.configio import (
 from privsample.errors import ConfigError, ContractViolation
 from privsample.linalg import logdet_psd
 from privsample.loss import belief_rollout
-from privsample.optimizer import OptimizerConfig, optimize_lambda
+from privsample.optimizer import OptimizerConfig, leak_estimate, optimize_lambda
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.rngs import substream
 from privsample.validation import paper_system
@@ -943,6 +944,31 @@ def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
         for field in ("x_errors", "y_errors", "predicted_x_errors", "predicted_y_errors"):
             assert np.array_equal(getattr(report, field), getattr(alone, field)), (f_val, field)
         assert report.sampling_rate == alone.sampling_rate
+
+
+def test_sweep_leaks_run_on_the_calling_thread(tmp_path, monkeypatch):
+    """The pool's tasks evaluate and optimize; every leak estimate runs on
+    the main thread, and the CSV is the same for one worker and for two."""
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return leak_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "leak_estimate", recording)
+    config = Path(__file__).parents[1] / "perfbench" / "configs" / "coupled.json"
+    args = ["sweep-tradeoff", "--config", str(config), "--horizon", "6", "--rollouts", "200"]
+    args += ["--leak-rollouts", "3", "--f-grid", "1,4", "--noise-grid", "1", "--lambdas", "1"]
+    args += ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
+    written = {}
+    for cap in ("1", "2"):
+        monkeypatch.setenv("PRIVSAMPLE_THREADS", cap)
+        out = tmp_path / f"threads{cap}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        written[cap] = out.read_bytes()
+    # two open-loop rows and one optimized row per run
+    assert threads == [threading.main_thread()] * 6
+    assert written["1"] == written["2"]
 
 
 def test_overflowing_leader_step_is_exit_4(system_cfg, tmp_path, capsys):

@@ -8,6 +8,7 @@ from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
 from privsample.linalg import logdet_psd, random_spd
 from privsample.loss import (
+    _one_factor_logdets,
     branch_logdets,
     mi_accumulate,
     no_sample_prob_marginal,
@@ -113,11 +114,34 @@ def test_branch_logdet_increments_nonnegative():
     for _ in range(20):
         b = _random_predicted(rng, nx=2, n_tracked=3)
         f = random_spd(rng, 2)
-        ld_prior, ld_keep, ld_discard = branch_logdets(
-            b, bel.keep_branch(b), bel.discard_branch(b, f)
-        )
+        ld_prior, ld_keep, ld_discard = branch_logdets(b, f)
         assert ld_prior - ld_keep >= -1e-10
         assert ld_prior - ld_discard >= -1e-10
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+def test_one_factor_logdets_match_the_per_block_factorizations(nx):
+    """The step's log-determinants from one factorization of the whole
+    covariance equal the oracle's, which factors P^yy and the trajectory
+    blocks of both branch posteriors on their own, to 1e-12 relative."""
+    rng = make_rng(40 + nx)
+    for blocks in range(1, 7):
+        for _ in range(4):
+            b = _random_predicted(rng, nx=nx, n_tracked=blocks)
+            f = random_spd(rng, nx) * 10.0 ** rng.uniform(-3, 3)
+            oracle = [
+                2.0 * np.log(np.linalg.cholesky(m).diagonal()).sum()
+                for m in (
+                    b.p_yy,
+                    bel.keep_branch(b).cov[nx:, nx:],
+                    bel.discard_branch(b, f).cov[nx:, nx:],
+                )
+            ]
+            one_factor = _one_factor_logdets(b, f, bel.step_factors(b, f))
+            assert one_factor is not None
+            assert branch_logdets(b, f) == one_factor
+            scale = max(1.0, *map(abs, oracle))
+            np.testing.assert_allclose(one_factor, oracle, rtol=0, atol=1e-12 * scale)
 
 
 def test_one_step_loss_continuity_in_f():
@@ -308,21 +332,22 @@ def test_coupled_rollout_runs_no_eigenvalue_decomposition(vi_system, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "name, per_step", [("coupled", (3, 0)), ("nx2_ny2", (6, 2))], ids=["coupled", "nx2_ny2"]
+    "name, per_step", [("coupled", (1, 0, 0)), ("nx2_ny2", (5, 1, 1))], ids=["coupled", "nx2_ny2"]
 )
 def test_growing_step_factorization_counts(vi_system, monkeypatch, name, per_step):
-    """One growing step factors f, f + P^xx and P^xx (one triangular
-    inverse each for the last two), P^yy and the two Schur complements once
-    each. On the coupled system the n_x blocks are 1x1 and take the closed
-    forms, as do P^yy and both complements at k = 0, so only the trajectory
-    blocks of steps 1..K reach numpy."""
+    """One growing step factors f, f + P^xx (one triangular inverse), P^xx
+    (inverted only when the step keeps), the whole covariance (the one
+    trajectory-sized factorization) and f + Cov(X_k | Y^k) once each. On the
+    coupled system the n_x blocks are 1x1 and take the closed forms, so only
+    the whole covariance reaches numpy, at every step."""
     horizon = 20
     if name == "coupled":
         a = vi_system.a_matrix.copy()
         a[1, 0] = 0.30  # perfbench/configs/coupled.json
-        system, steps = dataclasses.replace(vi_system, a_matrix=a), horizon
+        system = dataclasses.replace(vi_system, a_matrix=a)
     else:
-        system, steps = _random_system(24, 2, 2), horizon + 1
+        system = _random_system(24, 2, 2)
+    steps = horizon + 1
     sched = open_loop_schedule(1.5 * np.eye(system.n_x), horizon)
     calls = {"cholesky": 0, "inv": 0}
     for fn in calls:
@@ -333,16 +358,19 @@ def test_growing_step_factorization_counts(vi_system, monkeypatch, name, per_ste
             return _orig(*a, **kw)
 
         monkeypatch.setattr(np.linalg, fn, counted)
-    losses, _ = rollout_losses(system, sched, 1.0, horizon, make_rng(6))
+    losses, decisions = rollout_losses(system, sched, 1.0, horizon, make_rng(6))
     assert len(losses) == horizon + 1
-    assert calls == {"cholesky": per_step[0] * steps, "inv": per_step[1] * steps}
+    keeps = int(decisions.sum())
+    assert 0 < keeps < steps
+    chol, inv, inv_per_keep = per_step
+    assert calls == {"cholesky": chol * steps, "inv": inv * steps + inv_per_keep * keeps}
 
 
 def test_tangent_reference_factors_each_trajectory_block_once(vi_system, monkeypatch):
     """The optimizer's growing-belief gradient reference reads the loss's
     log-determinants instead of factoring P^yy and the two Schur
-    complements again: 3 trajectory-block Cholesky calls per step on the
-    coupled system, as in ``rollout_losses``."""
+    complements: 1 trajectory-sized Cholesky call per step on the coupled
+    system, as in ``rollout_losses``."""
     from privsample.optimizer import FeedbackPolicyParams, _rollout_gradient_terms
 
     horizon = 20
@@ -359,7 +387,7 @@ def test_tangent_reference_factors_each_trajectory_block_once(vi_system, monkeyp
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     _rollout_gradient_terms(params, system, 1.0, horizon, u)
-    assert calls[0] == 3 * horizon
+    assert calls[0] == horizon + 1
 
 
 def test_x_known_from_the_trajectory_after_a_failed_factorization_names_the_step():

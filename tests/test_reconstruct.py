@@ -155,6 +155,16 @@ def test_kept_x_already_known_names_the_step():
         _fast_schedule_batch(system, always, 0.5, 50, 4, make_rng(18))
 
 
+def test_filter_overflow_names_the_step(vi_system):
+    """Never sampling on an unstable x (A_xx = 1e4) grows P^xx like 1e8^k,
+    which leaves the float range at k = 39, while the simulated states
+    (like 1e4^k) stay finite up to K = 60."""
+    system = replace(vi_system, a_matrix=np.array([[1e4, -0.9], [0.0, 0.35]]))
+    never = degenerate_schedule("never_sample", 60, 1)
+    with pytest.raises(NumericalFailure, match=r"^overflow encountered in matmul at k=39$"):
+        evaluate_schedule(system, never, 60, 10, make_rng(0))
+
+
 def test_always_sample_report(vi_system):
     report = evaluate_schedule(
         vi_system, degenerate_schedule("always_sample", 10, 1), 10, 500, make_rng(4)
