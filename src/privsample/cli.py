@@ -236,14 +236,16 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     """Rows of the three schedule families; the leak columns stay blank
     when ``leak_rollouts`` is None.
 
-    The families run one after another through one thread pool. Each
-    family's evaluation stream is simulated once and its trajectories
-    are shared by every value on its grid; each value gets its own copy of
-    the generator after that simulation, so its draws are the ones it
-    would make on a fresh stream of its own. A family's trajectories and
-    tasks are released before the next family's stream is simulated, so
-    the sweep holds one family's trajectories at a time:
-    (K+1) * rollouts * (n_x + n_y) * 8 bytes, 16.2 MB at the defaults.
+    The families run one after another through one thread pool. The
+    additive-noise baseline is exact and draws nothing. The open-loop and
+    optimized families' evaluation streams are simulated once each and
+    their trajectories are shared by every value on the family's grid;
+    each value gets its own copy of the generator after that simulation,
+    so its draws are the ones it would make on a fresh stream of its own.
+    A family's trajectories and tasks are released before the next
+    family's stream is simulated, so the sweep holds one family's
+    trajectories at a time: (K+1) * rollouts * (n_x + n_y) * 8 bytes,
+    16.2 MB at the defaults.
 
     The pool's tasks evaluate (and optimize) and return the schedule whose
     leak is wanted. The leaks run on the calling thread after each
@@ -262,10 +264,8 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         report = evaluate_schedule(system, sched, horizon, rollouts, rng, states=states)
         return "", report, sched
 
-    def eval_noise(var, states, rng):
-        report = kalman_additive_baseline(
-            system, var * np.eye(system.n_x), horizon, rollouts, rng, states=states
-        )
+    def eval_noise(var, *_):
+        report = kalman_additive_baseline(system, var * np.eye(system.n_x), horizon, rollouts)
         return "", report, None
 
     def eval_lambda(lam, states, rng):
@@ -275,10 +275,11 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         return lam, report, result.schedule
 
     def shared(rng, grid):
-        """(value, trajectories, generator) per grid value; the stream is
-        simulated once, when the grid is not empty."""
-        if not grid:
-            return []
+        """(value, trajectories, generator) per grid value; a family's
+        stream, if it has one, is simulated once, when the grid is not
+        empty."""
+        if rng is None or not grid:
+            return [(v, None, None) for v in grid]
         states = simulate_batch(system, horizon, rollouts, rng)
         states.setflags(write=False)
         return [(v, states, copy.deepcopy(rng)) for v in grid]
@@ -302,7 +303,7 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     lambdas = _checked_grid(args.lambdas, "--lambdas", True)
     families = [
         ("open_loop", "f", eval_open_loop, substream(seed, 100), f_grid),
-        ("additive_noise", "var", eval_noise, substream(seed, 200), noise_grid),
+        ("additive_noise", "var", eval_noise, None, noise_grid),
         ("optimized", "lambda", eval_lambda, substream(seed, 300), lambdas),
     ]
     rows = []

@@ -1,10 +1,12 @@
 """Reconstruction of the observable state, adversary estimates of the
 private state, and the additive-noise Kalman baseline.
 
-Evaluation and the baseline filter the current (x, y) block with one
-``engine.branch_step`` per step (``_filter_report``): the baseline's x + v
-is a discard through the channel noise. ``simulate`` takes the same
-decisions (``SamplerSchedule.decide``) on one ``engine.BatchEngine`` row.
+Evaluation filters the current (x, y) block of every simulated row with
+one ``engine.branch_step`` per step. The baseline's x + v is a discard
+through the channel noise on every row, so it runs the same step on one
+shared covariance and reports its exact traces, drawing nothing.
+``simulate`` takes the same decisions (``SamplerSchedule.decide``) on one
+``engine.BatchEngine`` row.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .engine import BatchEngine, branch_step, sandwich, transition
-from .linalg import check_symmetric_psd, psd_sqrt
+from .linalg import check_symmetric_psd
 from .lingauss import LinearGaussianSystem, overflow_fails, simulate_batch
 from .policy import SamplerSchedule
 
@@ -46,16 +48,29 @@ class ReconstructionReport:
         return float(self.y_errors.mean())
 
 
-def _filter_report(system, horizon, rollouts, rng, observation, states) -> ReconstructionReport:
-    """Simulate (unless ``states`` are given), filter the current (x, y)
-    block, and score every step.
+def evaluate_schedule(
+    system: LinearGaussianSystem,
+    schedule: SamplerSchedule,
+    horizon: int,
+    rollouts: int,
+    rng,
+    states=None,
+) -> ReconstructionReport:
+    """Closed-loop evaluation: simulate, decide pointwise, filter, score.
 
-    ``observation(k, x, mean)`` gives, for the true x (B, n_x) and means
-    (n, B), ``branch_step``'s (f, keep, obs) (f None: no evidence) and the
-    number of rows that transmitted; prediction is A P A^T + Q. P starts
-    as one (n, n, 1) block shared by every row. A value that overflows
-    raises a NumericalFailure naming its step.
+    Returns per-step mean squared errors of the X reconstruction and of
+    the adversary's current-Y estimate, averaged over rollouts, plus the
+    realized sampling rate. The filter conditions the current (x, y)
+    block of every row through one ``branch_step`` per step and predicts
+    A P A^T + Q; P starts as one (n, n, 1) block shared by every row. A
+    kept x_k that is already known (singular P^xx) raises a
+    NumericalFailure naming k, and so does a value that overflows.
+    ``states``, when given, are the (K+1, rollouts, n) trajectories
+    ``simulate_batch`` drew from a generator now in the state of ``rng``;
+    the report is then the one a call on that fresh generator gives.
     """
+    if schedule.horizon < horizon:
+        raise ContractViolation("schedule shorter than the requested horizon")
     nx = system.n_x
     a, q = system.a_matrix, system.q_cov[..., None]
     if states is None:
@@ -69,11 +84,13 @@ def _filter_report(system, horizon, rollouts, rng, observation, states) -> Recon
             if k:
                 p = sandwich(a, p) + q
                 mean = transition(a, mean)
-            f, keep, obs, sent = observation(k, states[k][:, :nx], mean)
-            if f is not None:
-                p, _, mean = branch_step(p, None, mean, f, None, keep, obs, k)
+            keep, obs = schedule.decide(k, states[k][:, :nx], mean[:nx].T, rng)
+            # never_sample is f -> infinity: its discards carry no evidence
+            if schedule.kind != "never_sample":
+                f = schedule.f_at(k)[..., None]
+                p, _, mean = branch_step(p, None, mean, f, None, keep, obs.T, k)
+            n_sent += int(keep.sum())
             del keep, obs  # held into the next step, they raised a sweep's peak RSS by 1 MB
-            n_sent += sent
             err = (states[k].T - mean) ** 2
             x_err[k] = np.mean(np.sum(err[:nx], axis=0))
             y_err[k] = np.mean(np.sum(err[nx:], axis=0))
@@ -86,36 +103,6 @@ def _filter_report(system, horizon, rollouts, rng, observation, states) -> Recon
         predicted_x_errors=px_err,
         predicted_y_errors=py_err,
     )
-
-
-def evaluate_schedule(
-    system: LinearGaussianSystem,
-    schedule: SamplerSchedule,
-    horizon: int,
-    rollouts: int,
-    rng,
-    states=None,
-) -> ReconstructionReport:
-    """Closed-loop evaluation: simulate, decide pointwise, filter, score.
-
-    Returns per-step mean squared errors of the X reconstruction and of
-    the adversary's current-Y estimate, averaged over rollouts, plus the
-    realized sampling rate. A kept x_k that is already known (singular
-    P^xx) raises a NumericalFailure naming k. ``states``, when given, are
-    the (K+1, rollouts, n) trajectories ``simulate_batch`` drew from a
-    generator now in the state of ``rng``; the report is then the one a
-    call on that fresh generator gives.
-    """
-    if schedule.horizon < horizon:
-        raise ContractViolation("schedule shorter than the requested horizon")
-
-    def observation(k, x, mean):
-        keep, obs = schedule.decide(k, x, mean[: system.n_x].T, rng)
-        # never_sample is f -> infinity: its discards carry no evidence
-        f = None if schedule.kind == "never_sample" else schedule.f_at(k)[..., None]
-        return f, keep, obs.T, int(keep.sum())
-
-    return _filter_report(system, horizon, rollouts, rng, observation, states)
 
 
 def simulate_rollout(system: LinearGaussianSystem, schedule: SamplerSchedule, horizon: int, rng):
@@ -156,26 +143,32 @@ def kalman_additive_baseline(
     system: LinearGaussianSystem,
     noise_cov,
     horizon: int,
-    rollouts: int,
-    rng,
-    states=None,
+    rollouts: int,  # unused; perfbench reads it by name: drop it with the next benchmark change
 ) -> ReconstructionReport:
-    """Every-step transmission of x + v, v ~ N(0, noise_cov), Kalman filtered.
+    """Exact expected errors of every-step transmission of x + v,
+    v ~ N(0, noise_cov), Kalman filtered; the sampling rate is 1.
 
-    The filter tracks only the current (x, y) state: its observations are
-    memoryless perturbations, so no trajectory block is needed. The
-    sampling rate of this baseline is 1 by construction. ``noise_cov``
-    must be symmetric PSD (ContractViolation otherwise); 0 is an exact
-    observation, and a singular one is exact along its null space.
-    ``states`` are pre-drawn trajectories, as in evaluate_schedule.
+    x + v is a discard through the channel noise on every row, so the
+    filter's covariance does not depend on the data: one (n, n, 1) block,
+    conditioned by ``branch_step`` and predicted A P A^T + Q, a Riccati
+    recursion (Anderson & Moore, Optimal Filtering, 1979). The filter is
+    unbiased, so its expected squared errors at step k are exactly
+    tr P^xx and tr P^yy. Nothing is simulated and nothing is drawn.
+    ``noise_cov`` must be symmetric PSD (ContractViolation otherwise); 0
+    is an exact observation, and a singular one is exact along its null
+    space. A value that overflows raises a NumericalFailure naming k.
     """
     noise_cov = check_symmetric_psd(np.atleast_2d(noise_cov), name="noise_cov")
-    noise_fac = psd_sqrt(noise_cov)
-    # x + v is a discard through the channel noise on every row, so P
-    # follows one Riccati recursion and stays one (n, n, 1) block
+    nx = system.n_x
     f, keep = noise_cov[..., None], np.zeros(1, dtype=bool)
-
-    def observation(k, x, mean):
-        return f, keep, (x + rng.standard_normal(x.shape) @ noise_fac.T).T, rollouts
-
-    return _filter_report(system, horizon, rollouts, rng, observation, states)
+    p, q = system.init_cov[..., None], system.q_cov[..., None]
+    x_err, y_err = np.zeros((2, horizon + 1))
+    for k in range(horizon + 1):
+        with overflow_fails(k):
+            if k:
+                p = sandwich(system.a_matrix, p) + q
+            p = branch_step(p, None, None, f, None, keep, None, k)[0]
+            x_err[k] = np.mean(np.trace(p[:nx, :nx]))
+            y_err[k] = np.mean(np.trace(p[nx:, nx:]))
+    # the realized errors' expectations are the forecast itself
+    return ReconstructionReport(x_err, y_err, 1.0, x_err, y_err)

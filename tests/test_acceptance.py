@@ -107,9 +107,7 @@ def tradeoff_data():
         open_loop.append((rep.sampling_rate, rep.mean_x_error, rep.mean_y_error, f))
     additive = []
     for var in NOISE_VARS:
-        rep = kalman_additive_baseline(
-            system, [[var]], HORIZON, EVAL_ROLLOUTS, substream(SEED, 200)
-        )
+        rep = kalman_additive_baseline(system, [[var]], HORIZON, EVAL_ROLLOUTS)
         additive.append((rep.mean_x_error, rep.mean_y_error, var))
     optimized = []
     for lam in LAMBDAS + (RATE_LAMBDA,):

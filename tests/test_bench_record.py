@@ -153,6 +153,44 @@ def test_paired_runs_need_a_parent_and_a_listed_workload(monkeypatch, tmp_path, 
     assert stop.value.code == 2
 
 
+@pytest.mark.parametrize("runner", [True, False], ids=["archive", "empty"])
+def test_a_parent_that_is_not_a_checkout_stops_before_the_suite(
+    monkeypatch, tmp_path, capsys, runner
+):
+    """A ``git archive``-like copy (perfbench/run.py but no git HEAD), or a
+    directory without perfbench/run.py, exits 2 naming it, before Tier-1
+    runs."""
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    if runner:
+        (parent / "perfbench" / "run.py").write_text("")
+
+    def no_suite():
+        raise AssertionError("suite ran")
+
+    monkeypatch.setattr(bench_record, "tier1", no_suite)
+    flags = ["--parent", str(parent), "--workload", NAMES[0], "--metric", METRICS[0]]
+    with pytest.raises(SystemExit) as stop:
+        bench_record.main(["--out", str(tmp_path / "BENCH_0.json"), *flags])
+    assert stop.value.code == 2
+    assert f"--parent {parent} is not a git checkout" in capsys.readouterr().err
+
+
+def test_checkout_sha_is_the_head_of_a_checkout_root_only(tmp_path):
+    """A copy unpacked inside another checkout does not take its HEAD."""
+    repo, nested = tmp_path / "repo", tmp_path / "repo" / "copy"
+    for tree in (repo, nested):
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text("")
+    bench_record.git(repo, "init", "-q")
+    identity = ["-c", "user.name=t", "-c", "user.email=t@t"]
+    bench_record.git(repo, *identity, "commit", "-q", "--allow-empty", "-m", "t")
+    sha = bench_record.git(repo, "rev-parse", "HEAD")
+    assert len(sha) == 40
+    assert bench_record.checkout_sha(repo) == sha
+    assert bench_record.checkout_sha(nested) is None
+
+
 def test_record_stops_before_benchmarking_when_a_suite_fails(monkeypatch, tmp_path):
     out = tmp_path / "BENCH_0.json"
     monkeypatch.setattr(bench_record, "tier1", lambda: {"wall_s": 1.0, "exit": 1})

@@ -903,8 +903,9 @@ def test_overflowing_state_is_exit_4(system_cfg, tmp_path, capsys, command):
 def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
     """The grid values of one family share its stream's trajectories: one
     simulate_batch call per stream in use, each made after the earlier
-    families' trajectories are gone, and every open-loop report equals
-    evaluate_schedule run alone on a fresh stream, bit for bit."""
+    families' trajectories are gone, none for the exact additive-noise
+    baseline, and every open-loop report equals evaluate_schedule run
+    alone on a fresh stream, bit for bit."""
     from privsample import lingauss, reconstruct
     from privsample.rngs import substream
 
@@ -928,11 +929,11 @@ def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
     args += ["--rollouts", "300", "--leak-rollouts", "2", "--f-grid", "0.5,4", "--noise-grid", "1,2"]
     opt = ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
     assert main(args + opt + ["--lambdas", "1.0", "--out", str(tmp_path / "a.csv")]) == 0
-    assert sims == [(8, 300)] * 3
+    assert sims == [(8, 300)] * 2
     sims.clear()
     monkeypatch.setattr(cli, "evaluate_schedule", recording)
     assert main(args + ["--lambdas", "", "--out", str(tmp_path / "b.csv")]) == 0
-    assert sims == [(8, 300)] * 2
+    assert sims == [(8, 300)]
     monkeypatch.undo()
 
     system = system_from_config(SYSTEM_CFG)
@@ -944,6 +945,22 @@ def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
         for field in ("x_errors", "y_errors", "predicted_x_errors", "predicted_y_errors"):
             assert np.array_equal(getattr(report, field), getattr(alone, field)), (f_val, field)
         assert report.sampling_rate == alone.sampling_rate
+
+
+def test_sweep_rows_do_not_depend_on_the_noise_grid(system_cfg, tmp_path):
+    """The additive-noise baseline draws from no stream, so the open-loop
+    and optimized rows are the same bytes with and without its grid."""
+    args = ["sweep-tradeoff", "--config", str(system_cfg), "--seed", "5", "--horizon", "8"]
+    args += ["--rollouts", "200", "--leak-rollouts", "2", "--f-grid", "0.5,4", "--lambdas", "1.0"]
+    args += ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
+    rows = {}
+    for name, grid in (("none", ["--noise-grid", ""]), ("default", [])):
+        out = tmp_path / f"{name}.csv"
+        assert main(args + grid + ["--out", str(out)]) == 0
+        lines = out.read_text().split("# metadata")[0].splitlines()[1:]
+        rows[name] = [l for l in lines if not l.startswith("additive_noise")]
+    assert [l.split(",")[0] for l in rows["none"]] == ["open_loop"] * 2 + ["optimized"]
+    assert rows["none"] == rows["default"]
 
 
 def test_sweep_leaks_run_on_the_calling_thread(tmp_path, monkeypatch):

@@ -43,4 +43,30 @@ def test_identical_trees_pass_and_one_changed_byte_fails(tmp_path, monkeypatch, 
     assert capsys.readouterr().out == "6 of 6 files identical\n"
 
     assert compare_outputs.main(["--parent", str(changed)]) == 1
-    assert capsys.readouterr().out == "differs: run.csv\n5 of 6 files identical\n"
+    assert capsys.readouterr().out == "differs: run.csv (1 row: 1)\n5 of 6 files identical\n"
+
+
+SWEEP = (
+    "family,v\nopen_loop,1\nadditive_noise,2\nadditive_noise,3\noptimized,4\n"
+    "# metadata\n# seed=0\n"
+)
+
+
+def test_a_differing_csv_names_its_changed_rows(tmp_path, monkeypatch, capsys):
+    """Two rows of one family, a row only one side has, and a metadata
+    line alone."""
+    here = _tree(tmp_path / "here", SWEEP, 1.5)
+    cases = {
+        "rows": (SWEEP.replace(",2", ",2.5").replace(",3", ",3.5"), "(2 rows: additive_noise)"),
+        "extra": (SWEEP.replace("# metadata", "extra,5\n# metadata"), "(1 row: extra)"),
+        "families": (
+            SWEEP.replace(",1", ",0").replace(",4", ",0"), "(2 rows: open_loop, optimized)"
+        ),
+        "meta": (SWEEP.replace("seed=0", "seed=1"), "(0 rows; header or metadata)"),
+    }
+    monkeypatch.setattr(compare_outputs, "ROOT", here)
+    monkeypatch.setattr(compare_outputs, "COMMANDS", [("run", ["--out", "run.csv"])])
+    for name, (body, detail) in cases.items():
+        parent = _tree(tmp_path / name, body, 1.5)
+        assert compare_outputs.main(["--parent", str(parent)]) == 1
+        assert capsys.readouterr().out == f"differs: run.csv {detail}\n5 of 6 files identical\n"

@@ -85,7 +85,7 @@ def test_every_substream_call_site_owns_its_stream():
     assert all(len(s) == 1 for s in sites.values()), sites
     streams = {n: s[0].partition(":")[0] for n, s in sites.items()}
     assert streams == {
-        0: "cli", 7: "cli", 100: "cli", 200: "cli", 300: "cli",
+        0: "cli", 7: "cli", 100: "cli", 300: "cli",
         1: "optimizer", 2: "optimizer", 999: "optimizer",
     }
 

@@ -5,7 +5,7 @@ import pytest
 
 from privsample import belief as bel
 from privsample.errors import ContractViolation, NumericalFailure
-from privsample.linalg import random_spd
+from privsample.linalg import psd_sqrt, random_spd
 from privsample.lingauss import LinearGaussianSystem, simulate_batch
 from privsample.loss import belief_rollout, one_step_loss
 from privsample.engine import branch_step, mm, sandwich, transition
@@ -13,7 +13,7 @@ from privsample.optimizer import _fast_schedule_batch
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.reconstruct import evaluate_schedule, kalman_additive_baseline
 from privsample.rngs import make_rng
-from tests.test_optimizer import SYSTEMS, _random_system
+from tests.test_optimizer import SYSTEMS, _coupled, _random_system
 
 
 def test_reconstruct_after_sample_is_observation(vi_system):
@@ -210,7 +210,7 @@ def test_feedback_schedule_evaluation_runs(vi_system):
 
 
 def test_kalman_baseline_exact_observation_limit(vi_system):
-    report = kalman_additive_baseline(vi_system, [[1e-12]], 10, 1000, make_rng(8))
+    report = kalman_additive_baseline(vi_system, [[1e-12]], 10, 1000)
     assert report.sampling_rate == 1.0
     assert report.mean_x_error < 1e-6
     always = evaluate_schedule(
@@ -220,7 +220,7 @@ def test_kalman_baseline_exact_observation_limit(vi_system):
 
 
 def test_kalman_baseline_uninformative_limit(vi_system):
-    noisy = kalman_additive_baseline(vi_system, [[1e10]], 10, 2000, make_rng(10))
+    noisy = kalman_additive_baseline(vi_system, [[1e10]], 10, 2000)
     never = evaluate_schedule(
         vi_system, degenerate_schedule("never_sample", 10, 1), 10, 2000, make_rng(11)
     )
@@ -230,14 +230,15 @@ def test_kalman_baseline_uninformative_limit(vi_system):
 
 def test_kalman_baseline_noise_must_be_psd(vi_system):
     with pytest.raises(ContractViolation, match="noise_cov"):
-        kalman_additive_baseline(vi_system, [[-1.0]], 4, 10, make_rng(20))
-    exact = kalman_additive_baseline(vi_system, [[0.0]], 4, 10, make_rng(20))
+        kalman_additive_baseline(vi_system, [[-1.0]], 4, 10)
+    exact = kalman_additive_baseline(vi_system, [[0.0]], 4, 10)
     assert exact.mean_x_error < 1e-20
 
 
-def test_kalman_baseline_singular_noise_is_exact_on_its_null_space():
+def _three_state():
+    """n_x = 2, n_y = 1, for a channel noise exact along one coordinate."""
     n = 3
-    system = LinearGaussianSystem(
+    return LinearGaussianSystem(
         a_matrix=0.5 * np.eye(n),
         q_cov=np.eye(n),
         init_mean=np.zeros(n),
@@ -245,33 +246,92 @@ def test_kalman_baseline_singular_noise_is_exact_on_its_null_space():
         n_x=2,
         n_y=1,
     )
-    singular = kalman_additive_baseline(system, np.diag([1.0, 0.0]), 6, 400, make_rng(21))
-    near = kalman_additive_baseline(system, np.diag([1.0, 1e-12]), 6, 400, make_rng(21))
+
+
+def test_kalman_baseline_singular_noise_is_exact_on_its_null_space():
+    system = _three_state()
+    singular = kalman_additive_baseline(system, np.diag([1.0, 0.0]), 6, 400)
+    near = kalman_additive_baseline(system, np.diag([1.0, 1e-12]), 6, 400)
     # the noiseless coordinate is observed exactly, so only the first one errs
     assert np.isclose(singular.mean_x_error, near.mean_x_error, rtol=1e-9)
     assert singular.mean_x_error > 0.0
     assert np.all(singular.predicted_x_errors < 1.0)
 
 
+def _additive_kalman(system, noise_cov, horizon: int, rollouts: int, rng):
+    """The x + v Kalman filter on simulated rows, one ``branch_step`` per
+    step. Yields, per step, the true states (B, n), the observations
+    x + v (n_x, B), the predicted means (n, B) and covariances (n, n, B)
+    and the filtered means (n, B)."""
+    nx = system.n_x
+    noise_cov = np.asarray(noise_cov, dtype=float)
+    noise_fac = psd_sqrt(noise_cov)
+    states = simulate_batch(system, horizon, rollouts, rng)
+    p = np.repeat(system.init_cov[..., None], rollouts, axis=-1)
+    mean = np.repeat(system.init_mean[:, None], rollouts, axis=-1)
+    none_kept = np.zeros(rollouts, dtype=bool)
+    for k in range(horizon + 1):
+        if k:
+            p = sandwich(system.a_matrix, p) + system.q_cov[..., None]
+            mean = transition(system.a_matrix, mean)
+        obs = (states[k][:, :nx] + rng.standard_normal((rollouts, nx)) @ noise_fac.T).T
+        predicted = mean, p
+        p, _, mean = branch_step(p, None, mean, noise_cov[..., None], None, none_kept, obs, k)
+        yield states[k], obs, *predicted, mean
+
+
+def _baseline_case(vi_system, name):
+    """(system, channel noise) of a baseline check."""
+    if name == "singular":
+        return _three_state(), np.diag([1.0, 0.0])
+    return (vi_system if name == "paper" else _coupled(vi_system)), np.array([[0.6]])
+
+
+@pytest.mark.parametrize("name", ["paper", "coupled", "singular"])
+def test_exact_baseline_matches_its_monte_carlo_filter(vi_system, name):
+    """Each rollout's time-averaged squared errors under the simulated
+    filter agree with the exact expectations, within 4 standard errors
+    across rollouts."""
+    system, noise_cov = _baseline_case(vi_system, name)
+    nx, horizon, rollouts = system.n_x, 30, 4000
+    exact = kalman_additive_baseline(system, noise_cov, horizon, rollouts)
+    x_err, y_err = np.zeros((2, rollouts))
+    steps = _additive_kalman(system, noise_cov, horizon, rollouts, make_rng(22))
+    for states, _, _, _, mean in steps:
+        err = (states.T - mean) ** 2
+        x_err += np.sum(err[:nx], axis=0) / (horizon + 1)
+        y_err += np.sum(err[nx:], axis=0) / (horizon + 1)
+    for sample, expected in ((x_err, exact.mean_x_error), (y_err, exact.mean_y_error)):
+        z = (sample.mean() - expected) / (sample.std(ddof=1) / np.sqrt(rollouts))
+        assert abs(z) < 4, (z, sample.mean(), expected)
+
+
+@pytest.mark.parametrize("name", ["paper", "coupled", "singular"])
+def test_exact_baseline_errors_are_the_belief_traces(vi_system, name):
+    """The growing belief conditioned on x + v at every step (a discard
+    with f the channel noise) has the baseline's per-step traces."""
+    system, noise_cov = _baseline_case(vi_system, name)
+    nx, n, horizon = system.n_x, system.n, 8
+    report = kalman_additive_baseline(system, noise_cov, horizon, 1)
+    b = bel.init_belief(system)
+    px, py = [], []
+    for _ in range(horizon + 1):
+        b = bel.update_no_sample(b, noise_cov, np.zeros(nx))
+        px.append(np.trace(b.cov[:nx, :nx]))
+        py.append(np.trace(b.cov[nx:n, nx:n]))
+        b = bel.predict(system, b)
+    np.testing.assert_allclose(report.x_errors, px, rtol=1e-12)
+    np.testing.assert_allclose(report.y_errors, py, rtol=1e-12)
+    assert report.sampling_rate == 1.0
+
+
 def test_kalman_innovation_whiteness(vi_system):
     """Normalized innovations of the baseline filter have unit variance."""
-    rng = make_rng(12)
-    noise_cov = np.array([[0.6]])
-    rollouts, horizon = 100, 99
-    states = simulate_batch(vi_system, horizon, rollouts, rng)
-    p = np.repeat(vi_system.init_cov[..., None], rollouts, axis=-1)
-    mean = np.repeat(vi_system.init_mean[:, None], rollouts, axis=-1)
-    none_kept = np.zeros(rollouts, dtype=bool)
-    normalized = []
-    for k in range(horizon + 1):
-        x_true = states[k][:, :1]
-        obs = (x_true + np.sqrt(noise_cov[0, 0]) * rng.standard_normal((rollouts, 1))).T
-        s = p[0, 0] + noise_cov[0, 0]
-        normalized.append((obs[0] - mean[0]) / np.sqrt(s))
-        p, _, mean = branch_step(p, None, mean, noise_cov[..., None], None, none_kept, obs, k)
-        if k < horizon:
-            p = sandwich(vi_system.a_matrix, p) + vi_system.q_cov[..., None]
-            mean = transition(vi_system.a_matrix, mean)
+    noise_var = 0.6
+    normalized = [
+        (obs[0] - mean[0]) / np.sqrt(p[0, 0] + noise_var)
+        for _, obs, mean, p, _ in _additive_kalman(vi_system, [[noise_var]], 99, 100, make_rng(12))
+    ]
     flat = np.concatenate(normalized)
     n = flat.size
     assert n == 10_000

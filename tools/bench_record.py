@@ -13,7 +13,9 @@ stops if either fails. It then runs ``perfbench/run.py``, every run at
 - each workload's end-to-end medians (one untraced run) and the per-layer
   metrics of one traced run;
 - the environment record, the git sha and whether ``src/`` differed from it;
-- with ``--parent DIR`` (a checkout of the parent commit),
+- with ``--parent DIR`` (a git checkout of the parent commit; a
+  directory that lacks ``perfbench/run.py`` or is not the top of a git
+  checkout exits 2 before the suites run),
   ``--workload NAME`` (the workload the change claims) and ``--metric
   NAME`` (the end-to-end metric it claims), PAIRS pairs of that
   workload's runs, parent and this checkout on one seed per pair,
@@ -101,10 +103,11 @@ def spread(xs: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def paired_runs(parent: Path, workload: str, metric: str, seconds: float) -> dict:
+def paired_runs(parent: Path, parent_sha: str, workload: str, metric: str, seconds: float) -> dict:
     """PAIRS pairs of ``workload`` runs, seed i + 1 in pair i, alternating
     which side runs first, with every end-to-end metric of both sides;
-    the quartiles, ratio and wins are those of ``metric``."""
+    the quartiles, ratio and wins are those of ``metric``. ``parent_sha``
+    is the parent checkout's HEAD (``checkout_sha``)."""
     checkouts = dict(zip(SIDES, (parent, ROOT)))
     runs = []
     for i in range(PAIRS):
@@ -123,7 +126,7 @@ def paired_runs(parent: Path, workload: str, metric: str, seconds: float) -> dic
         "workload": workload,
         "metric": metric,
         "seconds": seconds,
-        "parent_sha": git(parent, "rev-parse", "HEAD"),
+        "parent_sha": parent_sha,
         "pairs": PAIRS,
         "runs": runs,
         **claimed,
@@ -154,6 +157,19 @@ def git(checkout: Path, *args: str) -> str:
     ).stdout.strip()
 
 
+def checkout_sha(checkout: Path) -> str | None:
+    """HEAD of ``checkout`` when it holds ``perfbench/run.py`` and is the
+    top of a git checkout, else None: a ``git archive`` copy has no HEAD,
+    and one unpacked inside another checkout would answer with that one's."""
+    if not (checkout / "perfbench" / "run.py").is_file():
+        return None
+    try:
+        top, sha = git(checkout, "rev-parse", "--show-toplevel", "HEAD").splitlines()
+    except (subprocess.CalledProcessError, ValueError):
+        return None
+    return sha if Path(top).resolve() == checkout.resolve() else None
+
+
 def timed(cmd: list) -> tuple[float, subprocess.CompletedProcess]:
     start = time.monotonic()
     done = subprocess.run(cmd, cwd=ROOT, env=child_env(ROOT), capture_output=True, text=True)
@@ -177,10 +193,10 @@ def validate() -> dict:
     return {"wall_s": wall, "exit": done.returncode}
 
 
-def record(args) -> int:
+def record(args, parent_sha: str | None = None) -> int:
     """Write args.out, or stop with exit 1 before any benchmark run if the
     suite or ``privsample validate`` fails: a broken tree's timings are
-    not its performance."""
+    not its performance. ``parent_sha`` is HEAD of ``args.parent``."""
     suites = {"tier1": tier1(), "validate": validate()}
     failed = [f"{key} exited {result['exit']}" for key, result in suites.items() if result["exit"]]
     if failed:
@@ -210,7 +226,9 @@ def record(args) -> int:
         "environment": environment,
         "workloads": workloads,
         "paired": (
-            paired_runs(Path(args.parent).resolve(), args.workload, args.metric, seconds)
+            paired_runs(
+                Path(args.parent).resolve(), parent_sha, args.workload, args.metric, seconds
+            )
             if args.parent
             else None
         ),
@@ -335,7 +353,14 @@ def main(argv=None) -> int:
         parser.error("--out is required unless --check")
     if len({bool(args.parent), bool(args.workload), bool(args.metric)}) > 1:
         parser.error("--parent, --workload and --metric go together")
-    return record(args)
+    parent_sha = None
+    if args.parent:
+        parent_sha = checkout_sha(Path(args.parent))
+        if parent_sha is None:
+            parser.error(
+                f"--parent {args.parent} is not a git checkout holding perfbench/run.py"
+            )
+    return record(args, parent_sha)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ checks' seconds, which are stripped from the log; paths of the two
 checkouts in stderr read ``<tree>``. Both sides read this checkout's
 ``perfbench/configs`` and the same 2x2 system and schedules written into
 their directories, so only the code differs. Prints each file that
-differs and exits 1 if any does, else 0.
+differs, with, for a CSV on both sides, the count of its differing data
+lines and the set of their first fields, for example ``differs:
+sweep.csv (7 rows: additive_noise)``; exits 1 if any file differs, else 0.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,13 +162,34 @@ def differing(a: Path, b: Path) -> tuple[list[str], int]:
     return diff, len(names)
 
 
+def csv_rows(path: Path) -> list[str]:
+    """The data lines of a CSV output: after the header, before the
+    metadata comment block."""
+    return [line for line in path.read_text().splitlines()[1:] if not line.startswith("#")]
+
+
+def row_changes(a: Path, b: Path) -> str:
+    """`` (N rows: first fields)`` of the data lines that differ between
+    two CSVs, compared in order (a line one side lacks differs); ``""``
+    unless both are CSV files."""
+    if a.suffix != ".csv" or not (a.is_file() and b.is_file()):
+        return ""
+    changed = [(x, y) for x, y in zip_longest(csv_rows(a), csv_rows(b), fillvalue="") if x != y]
+    if not changed:
+        return " (0 rows; header or metadata)"
+    firsts = sorted({line.split(",")[0] for pair in changed for line in pair if line})
+    return f" ({len(changed)} {'row' if len(changed) == 1 else 'rows'}: {', '.join(firsts)})"
+
+
 def compare(here: Path, parent: Path, commands) -> tuple[list[str], int]:
-    """Run ``commands`` on both checkouts and compare what they leave."""
+    """Run ``commands`` on both checkouts and compare what they leave:
+    (each differing file's name with its ``row_changes``, files seen)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for side, tree in (("here", here), ("parent", parent)):
             run_side(tree, tmp / side, commands)
-        return differing(tmp / "here", tmp / "parent")
+        diff, seen = differing(tmp / "here", tmp / "parent")
+        return [n + row_changes(tmp / "here" / n, tmp / "parent" / n) for n in diff], seen
 
 
 def main(argv=None) -> int:
