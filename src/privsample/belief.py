@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalFailure, PhaseError
 from .lingauss import LinearGaussianSystem
-from .linalg import chol_psd, cholesky, factor_logdet, inv_or_pinv, inverse, sym
+from .linalg import cholesky, factor_logdet, inverse, sym
 
 PREDICTED = "predicted"
 FILTERED = "filtered"
@@ -130,37 +130,40 @@ class StepFactors:
     """The n_x-block factors of one predicted belief under f, formed once
     and shared by the loss and whichever branch posterior is built.
 
-    ``l_xx`` is the lower Cholesky factor of P^xx (None when that
-    factorization fails); f + P^xx = L L^T gives ``l_inv`` = L^{-1} and
-    ``logdet`` = log|f + P^xx|.
+    ``l_xx`` is the lower Cholesky factor of P^xx; f + P^xx = L L^T gives
+    ``l_inv`` = L^{-1} and ``logdet`` = log|f + P^xx|.
     """
 
-    l_xx: np.ndarray | None
+    l_xx: np.ndarray
     l_inv: np.ndarray
     logdet: float
 
 
 def step_factors(belief: GaussianBelief, f: np.ndarray) -> StepFactors:
-    """Factor P^xx and f + P^xx of a predicted belief.
-
-    f + P^xx that is not positive definite, after the jitter ladder of
-    ``chol_psd``, raises a NumericalFailure naming k.
+    """Factor P^xx and f + P^xx of a predicted belief, each by a plain
+    Cholesky. A failure raises a NumericalFailure naming k, with the
+    engine's message for a singular P^xx (x_k already known).
     """
     if belief.phase != PREDICTED:
         raise PhaseError("the branch factors need a predicted belief")
     try:
-        ell = chol_psd(np.asarray(f, dtype=float) + belief.p_xx)
-    except NumericalFailure:
-        ell = None
-    if ell is None or (ell.diagonal() <= 0.0).any():
+        ell = cholesky(sym(np.asarray(f, dtype=float) + belief.p_xx))
+    except np.linalg.LinAlgError:
         raise NumericalFailure(
             f"f + P^xx not positive definite in the no-sample branch at k={belief.k}"
-        )
+        ) from None
+    return StepFactors(_pxx_factor(belief), inverse(ell), factor_logdet(ell))
+
+
+def _pxx_factor(belief: GaussianBelief) -> np.ndarray:
+    """The Cholesky factor of P^xx; a NumericalFailure naming k, with the
+    engine's message, when x_k is already known (P^xx singular)."""
     try:
-        l_xx = cholesky(belief.p_xx)
+        return cholesky(belief.p_xx)
     except np.linalg.LinAlgError:
-        l_xx = None
-    return StepFactors(l_xx, inverse(ell), factor_logdet(ell))
+        raise NumericalFailure(
+            f"x_k already known (singular Cov(X_k | Y^(k-1), Z^(k-1))) at k={belief.k}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -189,18 +192,14 @@ class DiscardBranch:
 
 def keep_branch(belief: GaussianBelief, factors: StepFactors | None = None) -> KeepBranch:
     """Schur complement of P^xx in a predicted belief, through the factor
-    ``factors.l_xx`` (P^xx factored here when not given).
-
-    A singular P^xx falls back to the pseudo-inverse with a warning: it
-    occurs only when a coordinate of x_k is deterministic given history.
+    ``factors.l_xx`` (P^xx factored here when not given; a singular P^xx
+    raises a NumericalFailure naming k).
     """
     if belief.phase != PREDICTED:
         raise PhaseError("the keep branch needs a predicted belief")
     nx = belief.n_x
-    p_inv = inv_or_pinv(
-        belief.p_xx, "P^xx in the keep branch", None if factors is None else factors.l_xx
-    )
-    gain = belief.p_xy.T @ p_inv
+    l_inv = inverse(_pxx_factor(belief) if factors is None else factors.l_xx)
+    gain = belief.p_xy.T @ (l_inv.T @ l_inv)
     cov = np.zeros_like(belief.cov)
     cov[nx:, nx:] = sym(belief.p_yy - gain @ belief.p_xy)
     return KeepBranch(gain, cov)

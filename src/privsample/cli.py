@@ -6,9 +6,9 @@ reproduces output files byte for byte. CSV outputs carry a header row and
 a trailing metadata comment block; a JSON sidecar (<out>.meta.json)
 repeats the metadata. Exit codes: 0 success, 2 validation failure,
 3 configuration error or a library precondition broken by the inputs
-(ContractViolation), 4 numerical failure (a linear-algebra step the
-jitter and fallback policy cannot repair, named with its step k, or a
-leader step that overflows). Exits 3 and 4 print one stderr line and
+(ContractViolation), 4 numerical failure (a Cholesky factorization that
+fails, or another undefined or overflowing step, named with its step k,
+or a leader step that overflows). Exits 3 and 4 print one stderr line and
 write no output: every output path and its sidecar is checked before
 anything is computed, so an output that cannot be written exits 3 before
 any other is written. PRIVSAMPLE_THREADS caps sweep parallelism. On

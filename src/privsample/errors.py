@@ -11,7 +11,8 @@ class PhaseError(ContractViolation):
 
 
 class NumericalFailure(RuntimeError):
-    """A linear-algebra step failed beyond the jitter/fallback policy."""
+    """A linear-algebra step failed: a Cholesky factorization that is not
+    repaired, a singular block or an overflow."""
 
 
 class ImpossibleEvidence(ValueError):

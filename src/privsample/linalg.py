@@ -1,13 +1,14 @@
 """Numerically guarded linear-algebra helpers shared across modules.
 
 Conventions: covariance matrices are kept symmetric by explicit
-re-symmetrization, Cholesky factorizations get one jitter retry
-(+1e-10 * I) and then an eigenvalue-floored fallback, and singular
-blocks are handled with a tolerance-based pseudo-inverse. Solves use numpy
+re-symmetrization, and a factorization is a plain Cholesky or a failure:
+``logdet_psd`` and ``solve_psd`` raise a NumericalFailure on a matrix
+that is not positive definite instead of repairing it. Solves use numpy
 only: x = L^{-T} (L^{-1} b) for a Cholesky factor L (on 1x1, two 1/L products).
 1x1 blocks take closed forms (``cholesky``, ``inverse``, ``psd_sqrt``) that
 give LAPACK's values bit for bit without numpy's per-call overhead of tens
-of microseconds.
+of microseconds. ``psd_sqrt`` alone accepts singular input: it draws noise
+with a singular covariance exactly on its support.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import ContractViolation, NumericalFailure
 
-JITTER = 1e-10
 PINV_TOL = 1e-10
 
 
@@ -58,29 +58,6 @@ def inverse(m: np.ndarray) -> np.ndarray:
     return 1.0 / m if m.shape[-1] == 1 else np.linalg.inv(m)
 
 
-def chol_psd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with jitter retry, then eigenvalue-floor fallback.
-
-    The fallback returns a factor L with a = L @ L.T exact for the
-    eigenvalue-clipped matrix; it handles PSD-but-singular inputs.
-    """
-    a = sym(np.asarray(a, dtype=float))
-    try:
-        return cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return cholesky(a + JITTER * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh(a)
-    if w.min() < -1e-6 * max(1.0, abs(w.max())):
-        raise NumericalFailure(
-            f"matrix is indefinite beyond repair (min eig {w.min():.3e})"
-        )
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Square-root factor for a PSD (possibly singular) matrix.
 
@@ -99,20 +76,23 @@ def factor_logdet(ell: np.ndarray) -> float:
     return 2.0 * float(np.log(ell.diagonal()).sum())
 
 
+def _factor_or_fail(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of sym(a); NumericalFailure naming ``what`` when
+    a is not positive definite."""
+    try:
+        return cholesky(sym(np.asarray(a, dtype=float)))
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"{what} a matrix that is not positive definite") from None
+
+
 def logdet_psd(a: np.ndarray) -> float:
     """log|a| for a strictly positive definite matrix, via Cholesky."""
-    ell = chol_psd(a)
-    if (ell.diagonal() <= 0.0).any():
-        raise NumericalFailure("log-determinant of a singular matrix requested")
-    return factor_logdet(ell)
+    return factor_logdet(_factor_or_fail(a, "log-determinant of"))
 
 
 def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite a."""
-    ell = chol_psd(a)
-    if (ell.diagonal() <= 0.0).any():
-        raise NumericalFailure("solve_psd called with a singular matrix")
-    ell_inv = inverse(ell)
+    ell_inv = inverse(_factor_or_fail(a, "solve with"))
     return ell_inv.T @ (ell_inv @ np.asarray(b, dtype=float))
 
 
@@ -120,9 +100,10 @@ def inv_or_pinv(a: np.ndarray, warn_label: str, ell: np.ndarray | None = None) -
     """Inverse of a symmetric PSD block, pseudo-inverse on rank deficiency.
 
     ``ell`` is a's lower Cholesky factor when the caller has it; a is
-    factored here otherwise. The pinv branch only occurs when a coordinate
-    is deterministic given the history; it warns naming ``warn_label``,
-    once per call site.
+    factored here otherwise. The pinv branch warns naming ``warn_label``,
+    once per call site. No module of the package calls it (the growing
+    belief inverts P^xx through its Cholesky factor or raises); it stays
+    because perfbench wraps it by name.
     """
     a = sym(np.asarray(a, dtype=float))
     if ell is None:

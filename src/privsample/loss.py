@@ -21,13 +21,9 @@ C = Cov(X_k | Y^k, Z^(k-1)), so by the block-determinant identity
 
 The fixed-size engine (``engine.BatchEngine``) carries C itself and
 evaluates the same increments; the tests check it against this growing
-reference on whole rollouts. Only a failed factorization, or x_k known
-from the trajectory (Cov(X_k | Y^k) = 0 up to rounding, where the
-information is infinite), sends a step to the per-block path, which
-factors P^yy and the two Schur complements of both branch posteriors
-with a plain Cholesky, runs the eigenvalue test and the jittered fallback
-on a failure, and raises a NumericalFailure naming k when x_k is known
-(see ``branch_logdets``).
+reference on whole rollouts. Every factorization is a plain Cholesky, and
+a failed one raises a NumericalFailure naming k with the engine's message
+for that block (see ``branch_logdets``); nothing is repaired.
 """
 from __future__ import annotations
 
@@ -37,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import (
-    DiscardBranch,
     GaussianBelief,
-    KeepBranch,
     StepFactors,
     discard_branch,
     init_belief,
@@ -51,7 +45,7 @@ from .belief import (
 )
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
-from .linalg import cholesky, factor_logdet, logdet_psd, psd_sqrt
+from .linalg import cholesky, factor_logdet, logdet_psd
 from .policy import SamplerSchedule
 
 
@@ -114,112 +108,49 @@ def branch_logdets(
 
     S_keep = Cov(Y^k | X_k) and S_discard, the trajectory block after the
     soft evidence through f, are the trajectory blocks of the two branch
-    posteriors. They come from one factorization of the whole covariance
-    (``_one_factor_logdets``). When a factorization there fails, or the
-    keep increment log|P^xx| - log|C| reaches ``KNOWN_X_INCREMENT``, both
-    posteriors are formed and P^yy and each S factored on their own
-    (``_per_block_logdets``), which raises or returns as it decides.
+    posteriors. All three come from the Cholesky factor of the covariance
+    reversed (trajectory first, x last) and the n_x factors: the factor's
+    leading d - n_x diagonal is that of P^yy reversed, and its trailing
+    block L_c factors C reversed, C = Cov(X_k | Y^k, Z^(k-1)).
+
+    A failed factorization raises a NumericalFailure naming k with the
+    engine's message. When the whole factorization fails, P^yy alone,
+    reversed as there, is factored to tell a singular Cov(Y_k | Y^(k-1),
+    Z^(k-1)) (y_k a function of the past) from a singular C (x_k already
+    known from the trajectory). A keep increment log|P^xx| - log|C| at
+    ``KNOWN_X_INCREMENT`` raises the latter too: C is then zero, and only a
+    rounding residue let it factor.
     """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     if factors is None:
         factors = step_factors(belief, f)
-    logdets = _one_factor_logdets(belief, f, factors)
-    if logdets is None:
-        logdets = _per_block_logdets(
-            belief, keep_branch(belief, factors), discard_branch(belief, f, factors)
-        )
-    return logdets
-
-
-def _one_factor_logdets(belief: GaussianBelief, f: np.ndarray, factors: StepFactors):
-    """``branch_logdets`` from the Cholesky factor of the covariance
-    reversed (trajectory first, x last) and the n_x factors; None when a
-    factorization fails or x_k is known from the trajectory.
-
-    The factor's leading d - n_x diagonal is that of P^yy reversed, and its
-    trailing block L_c factors C reversed, C = Cov(X_k | Y^k, Z^(k-1)).
-    """
-    if factors.l_xx is None:
-        return None
-    m = belief.dim - belief.n_x
+    k, m = belief.k, belief.dim - belief.n_x
     try:
         ell = cholesky(belief.cov[::-1, ::-1])
-        l_c = ell[m:, m:]
-        ld_f_c = factor_logdet(cholesky(f + (l_c @ l_c.T)[::-1, ::-1]))
     except np.linalg.LinAlgError:
-        return None
+        try:
+            cholesky(belief.p_yy[::-1, ::-1])
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(f"singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k={k}") from None
+        raise NumericalFailure(_known_x(k)) from None
     log_diag = np.log(ell.diagonal())
     ld_prior = 2.0 * float(log_diag[:m].sum())
     ld_c = 2.0 * float(log_diag[m:].sum())
     ld_xx = factor_logdet(factors.l_xx)
     if ld_xx - ld_c >= KNOWN_X_INCREMENT:
-        return None
+        raise NumericalFailure(f"{_known_x(k)}; keep increment {ld_xx - ld_c:.3g}")
+    l_c = ell[m:, m:]
+    try:
+        ld_f_c = factor_logdet(cholesky(f + (l_c @ l_c.T)[::-1, ::-1]))
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(
+            f"f + Cov(X_k | Y^k, Z^(k-1)) not positive definite at k={k}"
+        ) from None
     return ld_prior, ld_prior + ld_c - ld_xx, ld_prior + ld_f_c - factors.logdet
 
 
-def _per_block_logdets(
-    belief: GaussianBelief, keep: KeepBranch, discard: DiscardBranch
-) -> tuple[float, float, float]:
-    """``branch_logdets`` from P^yy and the trajectory blocks of the two
-    branch posteriors, each factored on its own. x_k already known from
-    Y^k raises a NumericalFailure naming k: the keep increment
-    log|P^yy| - log|S_keep| reaches ``KNOWN_X_INCREMENT``, or S_keep is
-    singular to working precision (its Cholesky fails) while P^yy is not.
-    """
-    nx = belief.n_x
-    pyy = belief.p_yy
-    ld_prior = _logdet_or_fail(pyy, belief, "P^yy")
-    s_keep = keep.cov[nx:, nx:]
-    ld_keep = _chol_logdet(s_keep)
-    if ld_keep is None:
-        ld_keep = _logdet_or_fail(s_keep, belief, "sample-branch Schur complement")
-        known = _chol_logdet(pyy) is not None
-    else:
-        known = ld_prior - ld_keep >= KNOWN_X_INCREMENT
-    if known:
-        raise NumericalFailure(
-            f"x_k already known (singular Cov(X_k | Y^k, Z^(k-1))) at k={belief.k}; "
-            f"keep increment {ld_prior - ld_keep:.3g}"
-        )
-    ld_discard = _logdet_or_fail(discard.cov[nx:, nx:], belief, "no-sample-branch Schur complement")
-    return ld_prior, ld_keep, ld_discard
-
-
-def _chol_logdet(mat: np.ndarray) -> float | None:
-    """log|mat| from a plain Cholesky factor, None if it fails.
-
-    The factorization reads one triangle: ``mat`` is a block of a belief
-    covariance or of a branch posterior, both exactly symmetric.
-    """
-    try:
-        ell = cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    return factor_logdet(ell)
-
-
-def _logdet_or_fail(mat: np.ndarray, belief: GaussianBelief, label: str) -> float:
-    """log|mat|, Cholesky first (``_chol_logdet``).
-
-    Only when that factorization fails: an eigenvalue below
-    -1e-8 * max(1, max|mat|) raises "indefinite", and otherwise the jittered
-    ``logdet_psd`` ladder runs, raising "singular" if it cannot factor
-    either. A successful Cholesky already bounds the smallest eigenvalue
-    by -O(d eps ||mat||), far above that threshold.
-    """
-    ld = _chol_logdet(mat)
-    if ld is not None:
-        return ld
-    w_min = float(np.linalg.eigvalsh(mat).min()) if mat.size else 0.0
-    if w_min < -1e-8 * max(1.0, float(np.max(np.abs(mat)))):
-        raise NumericalFailure(
-            f"indefinite {label} at k={belief.k} (min eig {w_min:.3e}); "
-            f"belief diag={np.diag(belief.cov)!r}"
-        )
-    try:
-        return logdet_psd(mat)
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"singular {label} at k={belief.k}") from exc
+def _known_x(k: int) -> str:
+    return f"x_k already known (singular Cov(X_k | Y^k, Z^(k-1))) at k={k}"
 
 
 def one_step_loss(
@@ -274,11 +205,6 @@ def mi_accumulate(breakdowns) -> float:
     return float(sum(b.info_nats for b in breakdowns))
 
 
-def _draw_x_from_belief(belief: GaussianBelief, rng) -> np.ndarray:
-    fac = psd_sqrt(belief.p_xx)
-    return belief.x_mean + fac @ rng.standard_normal(belief.n_x)
-
-
 @dataclass(frozen=True)
 class RolloutStep:
     """One step of a growing-belief rollout, as ``belief_rollout`` yields it.
@@ -330,9 +256,12 @@ def belief_rollout(
     for k in range(horizon + 1):
         f = schedule.f_at(k)
         g = schedule.g_at(k, x_pred=belief.x_mean)
-        x = _draw_x_from_belief(belief, rng) if mode == "belief" else state[: system.n_x]
-        n_k = int(schedule.keep(k, x[None], g, rng)[0])
         factors = step_factors(belief, f)
+        if mode == "belief":
+            x = belief.x_mean + factors.l_xx @ rng.standard_normal(system.n_x)
+        else:
+            x = state[: system.n_x]
+        n_k = int(schedule.keep(k, x[None], g, rng)[0])
         if n_k:
             filtered = update_sample(belief, x, keep_branch(belief, factors))
         else:

@@ -268,6 +268,24 @@ def test_simulate_refuses_a_private_block_that_is_a_function_of_the_past(
         assert not path.exists() and not Path(str(path) + ".meta.json").exists()
 
 
+def test_sweep_refuses_a_private_block_that_is_a_function_of_the_past(
+    system_cfg, tmp_path, capsys
+):
+    """The same system on the sweep: the open-loop leak on the growing
+    reference exits 4 with the engine's message at k = 1 on the first f,
+    not with a false known x later on another f."""
+    system_cfg.write_text(json.dumps(dict(SYSTEM_CFG, Q=[[1.0, 0.0], [0.0, 0.0]])))
+    out = tmp_path / "s.csv"
+    args = ["sweep-tradeoff", "--config", str(system_cfg), "--out", str(out), "--horizon", "6"]
+    args += ["--rollouts", "200", "--f-grid", "1,4", "--noise-grid", "", "--lambdas", ""]
+    assert main(args + ["--leak-rollouts", "4"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k=1"
+        " in sweep family open_loop f=1\n"
+    )
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
 def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):
     out = tmp_path / "sched.json"
     trace = tmp_path / "trace.csv"

@@ -39,11 +39,11 @@ def test_identical_trees_pass_and_one_changed_byte_fails(tmp_path, monkeypatch, 
     monkeypatch.setattr(compare_outputs, "COMMANDS", [("run", ["--out", "run.csv"])])
 
     assert compare_outputs.main(["--parent", str(same)]) == 0
-    # run.csv, its sidecar and log, and the three written inputs
-    assert capsys.readouterr().out == "6 of 6 files identical\n"
+    # run.csv, its sidecar and log, and the four written inputs
+    assert capsys.readouterr().out == "7 of 7 files identical\n"
 
     assert compare_outputs.main(["--parent", str(changed)]) == 1
-    assert capsys.readouterr().out == "differs: run.csv (1 row: 1)\n5 of 6 files identical\n"
+    assert capsys.readouterr().out == "differs: run.csv (1 row: 1)\n6 of 7 files identical\n"
 
 
 SWEEP = (
@@ -69,4 +69,4 @@ def test_a_differing_csv_names_its_changed_rows(tmp_path, monkeypatch, capsys):
     for name, (body, detail) in cases.items():
         parent = _tree(tmp_path / name, body, 1.5)
         assert compare_outputs.main(["--parent", str(parent)]) == 1
-        assert capsys.readouterr().out == f"differs: run.csv {detail}\n5 of 6 files identical\n"
+        assert capsys.readouterr().out == f"differs: run.csv {detail}\n6 of 7 files identical\n"

@@ -3,7 +3,6 @@ import pytest
 
 from privsample.errors import ContractViolation, NumericalFailure
 from privsample.linalg import (
-    chol_psd,
     check_symmetric_psd,
     cholesky,
     inv_or_pinv,
@@ -16,15 +15,22 @@ from privsample.linalg import (
 from privsample.rngs import make_rng, substream
 
 
-def test_chol_psd_handles_singular_matrices():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-    ell = chol_psd(a)
-    assert np.allclose(ell @ ell.T, a, atol=1e-8)
+def _both(a):
+    """logdet_psd and solve_psd on a, each expected to raise."""
+    for fn in (logdet_psd, lambda m: solve_psd(m, np.ones(len(m)))):
+        with pytest.raises(NumericalFailure, match="not positive definite"):
+            fn(a)
 
 
-def test_chol_psd_rejects_indefinite():
-    with pytest.raises(NumericalFailure):
-        chol_psd(np.array([[1.0, 0.0], [0.0, -1.0]]))
+def test_logdet_and_solve_psd_reject_singular_matrices():
+    """Cholesky or fail: a rank-one matrix is not repaired."""
+    _both(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    _both(np.zeros((1, 1)))
+
+
+def test_logdet_and_solve_psd_reject_indefinite_matrices():
+    for a in (np.diag([1.0, -1.0]), np.diag([1.0, -1e-14]), np.array([[-3.0]])):
+        _both(a)
 
 
 def test_logdet_matches_slogdet():
@@ -32,10 +38,6 @@ def test_logdet_matches_slogdet():
     for _ in range(10):
         a = random_spd(rng, 5)
         assert np.isclose(logdet_psd(a), np.linalg.slogdet(a)[1], rtol=1e-10)
-    # singular input falls back to the jittered factorization: finite,
-    # very negative, rather than an exception (documented jitter policy)
-    near_singular = logdet_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert np.isfinite(near_singular) and near_singular < -20.0
 
 
 def test_solve_psd_roundtrip():

@@ -1,14 +1,16 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from privsample import belief as bel
+from privsample.configio import system_from_config
 from privsample.errors import ContractViolation, NumericalFailure
 from privsample.lingauss import LinearGaussianSystem
-from privsample.linalg import logdet_psd, random_spd
+from privsample.linalg import logdet_psd, psd_sqrt, random_spd
 from privsample.loss import (
-    _one_factor_logdets,
     branch_logdets,
     mi_accumulate,
     no_sample_prob_marginal,
@@ -23,6 +25,7 @@ from privsample.policy import (
 )
 from privsample.rngs import make_rng
 
+from privsample.optimizer import _fast_schedule_batch
 from privsample.oracles import one_step_loss_quadrature
 from tests.test_optimizer import _random_system
 
@@ -122,8 +125,9 @@ def test_branch_logdet_increments_nonnegative():
 @pytest.mark.parametrize("nx", [1, 2, 3])
 def test_one_factor_logdets_match_the_per_block_factorizations(nx):
     """The step's log-determinants from one factorization of the whole
-    covariance equal the oracle's, which factors P^yy and the trajectory
-    blocks of both branch posteriors on their own, to 1e-12 relative."""
+    covariance equal the per-block reference's, which factors P^yy and the
+    trajectory blocks of both branch posteriors on their own, to 1e-12
+    relative."""
     rng = make_rng(40 + nx)
     for blocks in range(1, 7):
         for _ in range(4):
@@ -137,8 +141,7 @@ def test_one_factor_logdets_match_the_per_block_factorizations(nx):
                     bel.discard_branch(b, f).cov[nx:, nx:],
                 )
             ]
-            one_factor = _one_factor_logdets(b, f, bel.step_factors(b, f))
-            assert one_factor is not None
+            one_factor = branch_logdets(b, f, bel.step_factors(b, f))
             assert branch_logdets(b, f) == one_factor
             scale = max(1.0, *map(abs, oracle))
             np.testing.assert_allclose(one_factor, oracle, rtol=0, atol=1e-12 * scale)
@@ -274,6 +277,45 @@ def test_belief_and_state_modes_agree(vi_system):
     assert abs(rate_b - rate_s) < 0.05
 
 
+def _compare_outputs_system_2x2() -> LinearGaussianSystem:
+    """The n_x = n_y = 2 system (A_yx != 0) of tools/compare_outputs.py."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return system_from_config(module.SYSTEM_2X2)
+
+
+def test_belief_draws_through_the_pxx_factor_keep_the_leak():
+    """Belief-mode rollouts draw x through the step's Cholesky factor of
+    P^xx. On n_x = 2 that changes the draws but not their law: the leak
+    agrees, |z| < 4, with a reference whose draws go through ``psd_sqrt``
+    (an eigendecomposition of P^xx)."""
+    system = _compare_outputs_system_2x2()
+    horizon, rollouts = 10, 300
+    sched = open_loop_schedule(0.5 * np.eye(2), horizon)
+    rng = make_rng(31)
+    drawn = [
+        mi_accumulate(rollout_losses(system, sched, 1.0, horizon, rng)[0])
+        for _ in range(rollouts)
+    ]
+    rng = make_rng(32)
+    reference = []
+    for _ in range(rollouts):
+        b, info = bel.init_belief(system), 0.0
+        for k in range(horizon + 1):
+            f, g = sched.f_at(k), sched.g_at(k, x_pred=b.x_mean)
+            x = b.x_mean + psd_sqrt(b.p_xx) @ rng.standard_normal(2)
+            keep = sched.keep(k, x[None], g, rng)[0]
+            info += one_step_loss(b, f, g, 1.0).info_nats
+            b = bel.update_sample(b, x) if keep else bel.update_no_sample(b, f, g)
+            if k < horizon:
+                b = bel.predict(system, b)
+        reference.append(info)
+    se = np.hypot(np.std(drawn, ddof=1), np.std(reference, ddof=1)) / np.sqrt(rollouts)
+    assert abs(np.mean(drawn) - np.mean(reference)) < 4 * se
+
+
 def test_lambda_zero_objective_monotone_in_sampling_rate(vi_system):
     horizon = 8
     results = []
@@ -308,17 +350,26 @@ def _with_pyy(pyy):
 
 
 def test_indefinite_and_singular_trajectory_blocks_name_the_step():
-    with pytest.raises(NumericalFailure, match=r"indefinite P\^yy at k=3\b"):
-        one_step_loss(_with_pyy(np.diag([1.0, -1.0])), [[1.0]], [0.0], lam=1.0)
-    # -1e-9 passes the indefiniteness test, but neither the jitter retry
-    # nor the eigenvalue floor gives a factor with a positive diagonal
-    with pytest.raises(NumericalFailure, match=r"singular P\^yy at k=3\b"):
-        one_step_loss(_with_pyy(np.diag([1.0, -1e-9])), [[1.0]], [0.0], lam=1.0)
+    """A trajectory block that fails its Cholesky raises the engine's
+    message for it, whether it is indefinite or singular by rounding."""
+    message = r"^singular Cov\(Y_k \| Y\^\(k-1\), Z\^\(k-1\)\) at k=3$"
+    for pyy in (np.diag([1.0, -1.0]), np.diag([1.0, -1e-9])):
+        with pytest.raises(NumericalFailure, match=message):
+            one_step_loss(_with_pyy(pyy), [[1.0]], [0.0], lam=1.0)
+
+
+def test_an_f_that_is_not_positive_definite_names_the_step():
+    """f = -0.5 passes f + P^xx = 0.5 but not f + C = -0.31, with
+    C = Cov(X_k | Y^k) = 0.19: the step raises instead of factoring it."""
+    cov = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    message = r"^f \+ Cov\(X_k \| Y\^k, Z\^\(k-1\)\) not positive definite at k=3$"
+    with pytest.raises(NumericalFailure, match=message):
+        branch_logdets(_predicted(np.zeros(3), cov, k=3), [[-0.5]])
 
 
 def test_coupled_rollout_runs_no_eigenvalue_decomposition(vi_system, monkeypatch):
-    """Log-determinants are Cholesky first: the eigenvalue test runs only
-    on a failed factorization, which a regular system never produces."""
+    """Log-determinants are Cholesky or fail: no step runs an eigenvalue
+    decomposition."""
     a = vi_system.a_matrix.copy()
     a[1, 0] = 0.30  # perfbench/configs/coupled.json
     coupled = dataclasses.replace(vi_system, a_matrix=a)
@@ -390,18 +441,51 @@ def test_tangent_reference_factors_each_trajectory_block_once(vi_system, monkeyp
     assert calls[0] == horizon + 1
 
 
-def test_x_known_from_the_trajectory_after_a_failed_factorization_names_the_step():
-    """x_{k+1} = y_k (S = 0), scaled so that Cov(Y^1 | X_1) fails its Cholesky
-    instead of keeping a positive rounding residue: the keep increment
-    after the jitter retry is below KNOWN_X_INCREMENT, and the step still raises."""
-    system = LinearGaussianSystem(
+def test_a_private_block_that_is_a_function_of_the_past_fails_as_in_the_engine(vi_system):
+    """Q_yy = 0 with A_yx = 0 makes y_1 = 0.35 y_0, so Cov(Y^1) is singular
+    and the leak undefined. The growing reference raises the engine's
+    message at the engine's k, on either f, instead of reporting negative
+    information (-5.33 nats at k = 1 on f = 1 when it repaired the block)."""
+    system = dataclasses.replace(vi_system, q_cov=np.diag([1.0, 0.0]))
+    message = r"^singular Cov\(Y_k \| Y\^\(k-1\), Z\^\(k-1\)\) at k=1$"
+    for f in (1.0, 4.0):
+        sched = open_loop_schedule(np.array([[f]]), 6)
+        for mode in ("belief", "state"):
+            with pytest.raises(NumericalFailure, match=message):
+                rollout_losses(system, sched, 1.0, 6, make_rng(0), mode=mode)
+        with pytest.raises(NumericalFailure, match=message):
+            _fast_schedule_batch(system, sched, 1.0, 8, 6, make_rng(0))
+
+
+def _x_is_last_y(scale: float) -> LinearGaussianSystem:
+    """x_{k+1} = y_k (Q_xx = 0), so S = Cov(X_k | Y^k) = 0 from k = 1."""
+    return LinearGaussianSystem(
         a_matrix=np.array([[0.0, 1.0], [0.0, 0.5]]),
-        q_cov=np.diag([0.0, 10.0]),
+        q_cov=np.diag([0.0, scale]),
         init_mean=np.zeros(2),
-        init_cov=10.0 * np.array([[0.5, 0.25], [0.25, 0.5]]),
+        init_cov=scale * np.array([[0.5, 0.25], [0.25, 0.5]]),
         n_x=1,
         n_y=1,
     )
+
+
+def test_x_known_up_to_a_rounding_residue_names_the_step():
+    """At unit scale the whole covariance factors on a rounding residue for
+    S = 0; the keep increment (about 36.6) reaches KNOWN_X_INCREMENT, and
+    the step raises instead of reporting that residue's information, as
+    the engine does at the same k."""
+    sched = open_loop_schedule(np.array([[1.0]]), 4)
+    known = r"^x_k already known \(singular Cov\(X_k \| Y\^k, Z\^\(k-1\)\)\) at k=1"
+    with pytest.raises(NumericalFailure, match=known + "; keep increment 36"):
+        rollout_losses(_x_is_last_y(1.0), sched, 0.5, 4, make_rng(0))
+    with pytest.raises(NumericalFailure, match=known + "$"):
+        _fast_schedule_batch(_x_is_last_y(1.0), sched, 0.5, 8, 4, make_rng(0))
+
+
+def test_x_known_from_the_trajectory_after_a_failed_factorization_names_the_step():
+    """x_{k+1} = y_k (S = 0), scaled so that the whole covariance fails its
+    Cholesky instead of keeping a positive rounding residue: P^yy alone
+    factors, so the step raises that x_k is known."""
     sched = open_loop_schedule(np.array([[10.0]]), 4)
-    with pytest.raises(NumericalFailure, match=r"x_k already known .* at k=1\b"):
-        rollout_losses(system, sched, 0.5, 4, make_rng(0))
+    with pytest.raises(NumericalFailure, match=r"^x_k already known .* at k=1$"):
+        rollout_losses(_x_is_last_y(10.0), sched, 0.5, 4, make_rng(0))

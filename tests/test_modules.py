@@ -155,3 +155,21 @@ def test_engine_step_uses_no_slow_numpy_wrappers():
         and node.attr in {"moveaxis", "stack", "errstate"}
     )
     assert not found, found
+
+
+def test_the_growing_belief_factors_by_cholesky_or_fails():
+    """``belief`` and ``loss`` factor every block by a plain Cholesky and
+    raise on a failure, so they call no repair: no jittered or
+    eigenvalue-floored factor, no pseudo-inverse and no eigendecomposition.
+    No module calls ``inv_or_pinv`` at all (perfbench still wraps it)."""
+    repairs = {"chol_psd", "inv_or_pinv", "psd_sqrt", "eigh", "eigvalsh", "pinv"}
+    found = []
+    for stem in ("belief", "loss"):
+        path = Path(privsample.__file__).parent / f"{stem}.py"
+        found += [
+            f"{stem}: {_name_of(node.func)} (line {node.lineno})"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and _name_of(node.func) in repairs
+        ]
+    assert not found, found
+    assert _scopes_using("inv_or_pinv", calls_only=True) == set()

@@ -11,11 +11,12 @@ byte for byte: each output, each ``.meta.json`` sidecar, and one log per
 command holding its stdout, stderr and exit code. ``validate`` prints its
 checks' seconds, which are stripped from the log; paths of the two
 checkouts in stderr read ``<tree>``. Both sides read this checkout's
-``perfbench/configs`` and the same 2x2 system and schedules written into
-their directories, so only the code differs. Prints each file that
-differs, with, for a CSV on both sides, the count of its differing data
-lines and the set of their first fields, for example ``differs:
-sweep.csv (7 rows: additive_noise)``; exits 1 if any file differs, else 0.
+``perfbench/configs`` and the same 2x2 system, degenerate system and
+schedules written into their directories, so only the code differs.
+Prints each file that differs, with, for a CSV on both sides, the count
+of its differing data lines and the set of their first fields, for
+example ``differs: sweep.csv (7 rows: additive_noise)``; exits 1 if any
+file differs, else 0.
 """
 from __future__ import annotations
 
@@ -51,9 +52,17 @@ SCHEDULE_2X2 = {
     "kind": "privacy_aware", "f_chol": [[[1.2, 0.0], [0.3, 0.9]]] * 21,
     "g": [[0.1, -0.1]] * 21, "feedback": True,
 }
+# the paper system with Q = diag(1, 0), as ``degenerate.json``: with A_yx = 0,
+# y_1 = 0.35 y_0, so the trajectory covariance is singular from k = 1 and its
+# sweep exits 4; the run's log compares the failure message
+DEGENERATE = {
+    "A": [[0.98, -0.9], [0.0, 0.35]], "Q": [[1.0, 0.0], [0.0, 0.0]],
+    "P0": [[0.5, 0.25], [0.25, 0.5]], "mean0": [0.0, 0.0], "nx": 1, "ny": 1, "K": 100,
+}
 # the inputs written into each side's directory
 FILES = {
     "schedule.json": SCHEDULE, "system2x2.json": SYSTEM_2X2, "schedule2x2.json": SCHEDULE_2X2,
+    "degenerate.json": DEGENERATE,
 }
 # the seconds column of validate's PASS/FAIL lines
 SECONDS = re.compile(r"(?m)^((?:PASS|FAIL)  .*?) +\d+\.\ds  ")
@@ -127,6 +136,11 @@ def _commands() -> list[tuple[str, list[str]]]:
     runs.append(("optimize-2x2-h6", [
         "optimize", "--config", "system2x2.json", "--horizon", "6", "--lambda", "3",
         "--out", "optimize-2x2-h6.json",
+    ]))
+    runs.append(("sweep-degenerate", [
+        "sweep-tradeoff", "--config", "degenerate.json", "--horizon", "6", "--rollouts", "200",
+        "--f-grid", "1,4", "--noise-grid", "", "--lambdas", "", "--leak-rollouts", "4",
+        "--out", "sweep-degenerate.csv",
     ]))
     runs.append(("validate", ["validate"]))
     return runs
