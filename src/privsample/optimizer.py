@@ -57,10 +57,11 @@ class OptimizerConfig:
     Step sizes follow the fixed schedule alpha_t = alpha / (1 + t/100);
     each iteration estimates the gradient on ``rollouts_per_step``
     rollouts of stream (``seed``, 2, t), for at most ``max_iters``
-    iterations. Beyond horizon 9 the validation objective and sampling
-    rate are means over ``validation_rollouts`` common-random-number
-    rollouts, whose uniforms stream (``seed``, 999) gives once per run;
-    at horizon 9 and below both are exact enumeration.
+    iterations (``stackelberg_optimize`` may stop sooner). Beyond horizon
+    9 the validation objective and sampling rate are means over
+    ``validation_rollouts`` common-random-number rollouts, whose uniforms
+    stream (``seed``, 999) gives once per run; at horizon 9 and below both
+    are exact enumeration.
     ``optimize_lambda``'s f-scan draws from stream (``seed``, 1), so no
     two of these paths share a stream. Beyond horizon 9 iteration t's
     gradient rollouts (with tangents) and theta_t's validation rollouts
@@ -430,11 +431,18 @@ class TraceRow:
 
 @dataclass
 class OptimizeResult:
+    """The best-seen iterate of ``stackelberg_optimize`` and why its loop
+    ended: ``stop`` is ``"converged"``, ``"stalled"`` or ``"max_iters"``."""
+
     schedule: SamplerSchedule
     params: FeedbackPolicyParams
     objective: float
-    converged: bool
+    stop: str
     trace: list
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def stackelberg_optimize(
@@ -447,12 +455,16 @@ def stackelberg_optimize(
 
     Gradient steps on the sampling parameters with step size
     alpha_t = alpha / (1 + t/100); the follower needs no inner loop
-    because the conditional mean is an exact best response. Convergence
-    is declared when the validation objective moves less than
-    ``CONVERGE_TOL`` relatively for ``CONVERGE_PATIENCE`` consecutive
-    iterations; each move is capped at ``STEP_CLIP``. The best-seen
-    parameters by validation objective are returned, and the result is
-    flagged non-converged when max_iters is exhausted.
+    because the conditional mean is an exact best response; each move is
+    capped at ``STEP_CLIP``. The loop runs at most ``max_iters``
+    iterations and stops early on one of two rules, both counted over
+    ``CONVERGE_PATIENCE`` consecutive iterations: ``"converged"`` when
+    the validation objective moved less than ``CONVERGE_TOL`` relatively
+    at each, else ``"stalled"`` when none of them set a new best
+    validation objective (early stopping on patience). The result's
+    ``stop`` names the rule, or ``"max_iters"``. The best-seen
+    parameters by validation objective are returned; the trace ends at
+    the stop.
 
     Each trace row gives theta_{t+1}'s validation objective, standard
     error and sampling rate. Beyond horizon 9 each iterate theta_t costs
@@ -460,9 +472,10 @@ def stackelberg_optimize(
     tangents and are iteration t's gradient rollouts, and the other rows
     are theta_t's validation rollouts on the run's common uniforms
     (``OptimizerConfig``). Where iteration t may not run (t = max_iters,
-    or theta_t's validation may end the loop) the pass has no gradient
-    rows, and a run of iteration t takes a pass of its own. At horizon 9
-    and below one enumeration gives theta_t's exact objective and rate.
+    or theta_t's validation may end the loop by either rule) the pass
+    has no gradient rows, and a run of iteration t takes a pass of its
+    own. At horizon 9 and below one enumeration gives theta_t's exact
+    objective and rate.
     A NumericalFailure ends with ``at leader iteration t``, t the
     iteration it was raised in (the first pass counts as iteration 0).
     """
@@ -507,8 +520,8 @@ def stackelberg_optimize(
         (best_obj, _, _), pending = evaluate(params, 0)
         best_params = params
         prev_obj = best_obj
-        quiet = 0
-        converged = False
+        quiet = stall = 0
+        stop = "max_iters"
         trace = []
         for it in range(config.max_iters):
             grad = pending if pending is not None else evaluate(params, it, validate=False)[1]
@@ -525,7 +538,7 @@ def stackelberg_optimize(
                 move *= STEP_CLIP / norm
             params = params.replaced(params.theta + move)
             # the next gradient rides along only where iteration it + 1 runs
-            runs_next = it + 1 < config.max_iters and quiet + 1 < CONVERGE_PATIENCE
+            runs_next = it + 1 < config.max_iters and max(quiet, stall) + 1 < CONVERGE_PATIENCE
             (obj, stderr, rate), pending = evaluate(params, it + 1 if runs_next else None)
             trace.append(
                 TraceRow(
@@ -536,13 +549,17 @@ def stackelberg_optimize(
                     grad_norm_theta=float(np.linalg.norm(grad)),
                 )
             )
+            stall = 0 if obj < best_obj else stall + 1
             if obj < best_obj:
                 best_obj, best_params = obj, params
             rel_change = abs(obj - prev_obj) / max(1.0, abs(prev_obj))
             quiet = quiet + 1 if rel_change < CONVERGE_TOL else 0
             prev_obj = obj
             if quiet >= CONVERGE_PATIENCE:
-                converged = True
+                stop = "converged"
+                break
+            if stall >= CONVERGE_PATIENCE:
+                stop = "stalled"
                 break
     except NumericalFailure as exc:
         raise NumericalFailure(f"{exc} at leader iteration {it}") from exc
@@ -550,7 +567,7 @@ def stackelberg_optimize(
         schedule=best_params.to_schedule(),
         params=best_params,
         objective=best_obj,
-        converged=converged,
+        stop=stop,
         trace=trace,
     )
 

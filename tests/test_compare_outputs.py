@@ -58,11 +58,40 @@ def test_a_differing_csv_names_its_changed_rows(tmp_path, monkeypatch, capsys):
     here = _tree(tmp_path / "here", SWEEP, 1.5)
     cases = {
         "rows": (SWEEP.replace(",2", ",2.5").replace(",3", ",3.5"), "(2 rows: additive_noise)"),
-        "extra": (SWEEP.replace("# metadata", "extra,5\n# metadata"), "(1 row: extra)"),
+        "extra": (
+            SWEEP.replace("# metadata", "extra,5\n# metadata"), "(1 row only in parent: extra)"
+        ),
         "families": (
             SWEEP.replace(",1", ",0").replace(",4", ",0"), "(2 rows: open_loop, optimized)"
         ),
         "meta": (SWEEP.replace("seed=0", "seed=1"), "(0 rows; header or metadata)"),
+    }
+    monkeypatch.setattr(compare_outputs, "ROOT", here)
+    monkeypatch.setattr(compare_outputs, "COMMANDS", [("run", ["--out", "run.csv"])])
+    for name, (body, detail) in cases.items():
+        parent = _tree(tmp_path / name, body, 1.5)
+        assert compare_outputs.main(["--parent", str(parent)]) == 1
+        assert capsys.readouterr().out == f"differs: run.csv {detail}\n6 of 7 files identical\n"
+
+
+def _trace(rows: int, changed=()) -> str:
+    """A trace CSV of ``rows`` iterations; the ``changed`` ones read 1."""
+    lines = [f"{i},{1.0 if i in changed else 0.5}" for i in range(rows)]
+    return "iter,objective\n" + "\n".join(lines) + "\n# seed=0\n"
+
+
+def test_rows_on_one_side_only_are_counted_apart_as_ranges(tmp_path, monkeypatch, capsys):
+    """A trace that stops early against the parent's longer one, a longer
+    trace here, and both at once with differing rows, whose consecutive
+    iterations collapse into ranges too."""
+    here = _tree(tmp_path / "here", _trace(10), 1.5)
+    cases = {
+        "truncated": (_trace(60), "(50 rows only in parent: 10–59)"),
+        "longer": (_trace(7), "(3 rows only here: 7–9)"),
+        "both": (
+            _trace(12, changed={1, 2, 3, 5}),
+            "(4 rows: 1–3, 5; 2 rows only in parent: 10–11)",
+        ),
     }
     monkeypatch.setattr(compare_outputs, "ROOT", here)
     monkeypatch.setattr(compare_outputs, "COMMANDS", [("run", ["--out", "run.csv"])])

@@ -627,7 +627,7 @@ def test_optimize_lambda_scans_each_start_on_the_scan_stream(vi_system, monkeypa
 
 def _sequential_stackelberg(config, system, lam, init):
     """The leader loop with a validation pass and a gradient pass of its own
-    for every iterate: (best theta, best objective, converged, trace)."""
+    for every iterate: (best theta, best objective, stop, trace)."""
     horizon = init.horizon
     u_val = substream(config.seed, 999).uniform(size=(horizon + 1, config.validation_rollouts))
 
@@ -640,7 +640,7 @@ def _sequential_stackelberg(config, system, lam, init):
 
     params = best = init
     best_obj, _, _ = validate(params)
-    prev, quiet, trace = best_obj, 0, []
+    prev, quiet, stall, trace = best_obj, 0, 0, []
     for it in range(config.max_iters):
         rng = substream(config.seed, 2, it)
         grad = objective_gradient_linear(params, system, lam, config.rollouts_per_step, rng)
@@ -652,51 +652,79 @@ def _sequential_stackelberg(config, system, lam, init):
         params = params.replaced(params.theta + move)
         obj, stderr, rate = validate(params)
         trace.append(TraceRow(it, obj, stderr, rate, float(np.linalg.norm(grad))))
+        stall = 0 if obj < best_obj else stall + 1
         if obj < best_obj:
             best_obj, best = obj, params
         quiet = quiet + 1 if abs(obj - prev) / max(1.0, abs(prev)) < optimizer.CONVERGE_TOL else 0
         prev = obj
         if quiet >= optimizer.CONVERGE_PATIENCE:
-            return best.theta, best_obj, True, trace
-    return best.theta, best_obj, False, trace
+            return best.theta, best_obj, "converged", trace
+        if stall >= optimizer.CONVERGE_PATIENCE:
+            return best.theta, best_obj, "stalled", trace
+    return best.theta, best_obj, "max_iters", trace
 
 
 @pytest.mark.parametrize(
-    "alpha, max_iters, patience, converged",
-    [(0.25, 6, 10, False), (0.003, 25, 10, True), (0.03, 25, 2, True)],
-    ids=["runs_out", "converges", "quiet_then_moves"],
+    "alpha, max_iters, patience, stop",
+    [
+        (0.25, 6, 10, "max_iters"),
+        (0.003, 25, 10, "converged"),
+        (0.008, 25, 2, "converged"),
+        (0.25, 25, 10, "stalled"),
+    ],
+    ids=["runs_out", "converges", "quiet_then_moves", "stalls"],
 )
 def test_stackelberg_equals_the_sequential_loop(
-    vi_system, monkeypatch, alpha, max_iters, patience, converged
+    vi_system, monkeypatch, alpha, max_iters, patience, stop
 ):
     """Horizon 12: the one-pass-per-iterate loop gives the trace and result
-    of a loop that runs validation and gradient passes separately. The
-    last case has a validation that could have ended the loop and did not,
-    so the next gradient ran on a pass of its own."""
+    of a loop that runs validation and gradient passes separately.
+    ``quiet_then_moves`` has a validation that could have ended the loop
+    and did not, so the next gradient ran on a pass of its own. ``stalls``
+    is a clipped 2-cycle between two iterates that never beats its
+    start."""
     monkeypatch.setattr(optimizer, "CONVERGE_PATIENCE", patience)
     config = OptimizerConfig(
         alpha=alpha, rollouts_per_step=16, max_iters=max_iters, seed=1, validation_rollouts=32
     )
     init = FeedbackPolicyParams.constant(vi_system, 12, f0=3.0)
-    theta, best_obj, ref_converged, trace = _sequential_stackelberg(config, vi_system, 12.0, init)
+    theta, best_obj, ref_stop, trace = _sequential_stackelberg(config, vi_system, 12.0, init)
     paths = []
     substream = optimizer.substream
     monkeypatch.setattr(
         optimizer, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
     )
     result = stackelberg_optimize(config, vi_system, 12.0, init)
-    assert ref_converged == result.converged == converged
+    assert ref_stop == result.stop == stop
+    assert result.converged == (stop == "converged")
     # the validation uniforms are drawn once per run; no stream is drawn
     # for an iteration that does not run
     assert Counter(paths) == {(999,): 1, **{(2, t): 1 for t in range(len(trace))}}
     assert result.trace == trace
     assert result.objective == best_obj
     assert np.array_equal(result.params.theta, theta)
+    objs = [row.objective for row in trace]
     if patience == 2:
-        objs = [row.objective for row in trace]
         tol = optimizer.CONVERGE_TOL
         quiet = [abs(b - a) / max(1.0, abs(a)) < tol for a, b in zip(objs, objs[1:])]
         assert any(q and not q_next for q, q_next in zip(quiet, quiet[1:]))
+    if stop == "stalled":
+        assert len(trace) == optimizer.CONVERGE_PATIENCE
+        assert min(objs) >= best_obj and np.array_equal(theta, init.theta)
+        assert len(set(objs[::2])) == len(set(objs[1::2])) == 1  # the 2-cycle
+
+
+def test_paper_leader_at_k100_stalls_on_its_f_scan_start(vi_system):
+    """The paper system at K = 100, lambda = 12, seed 0: every clipped step
+    is undone by the next, so no iterate beats the f = 3 start and the
+    loop stops after ``CONVERGE_PATIENCE`` rows with the start."""
+    result = optimize_lambda(OptimizerConfig(seed=0), vi_system, 12.0, 100)
+    start = FeedbackPolicyParams.constant(vi_system, 100, f0=3.0)
+    assert np.array_equal(result.params.theta, start.theta)
+    assert np.allclose([result.schedule.f_at(k)[0, 0] for k in range(101)], 3.0, rtol=1e-12)
+    assert result.stop == "stalled" and not result.converged
+    assert len(result.trace) == optimizer.CONVERGE_PATIENCE
+    assert min(row.objective for row in result.trace) >= result.objective
 
 
 def _enumerated_rate(params, system):

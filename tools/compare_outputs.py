@@ -15,8 +15,10 @@ checkouts in stderr read ``<tree>``. Both sides read this checkout's
 schedules written into their directories, so only the code differs.
 Prints each file that differs, with, for a CSV on both sides, the count
 of its differing data lines and the set of their first fields, for
-example ``differs: sweep.csv (7 rows: additive_noise)``; exits 1 if any
-file differs, else 0.
+example ``differs: sweep.csv (7 rows: additive_noise)``, and apart from
+those the lines one side has past the other's end, consecutive integers
+as a range: ``differs: trace.csv (50 rows only in parent: 10–59)``;
+exits 1 if any file differs, else 0.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ FILES = {
 }
 # the seconds column of validate's PASS/FAIL lines
 SECONDS = re.compile(r"(?m)^((?:PASS|FAIL)  .*?) +\d+\.\ds  ")
+INTEGER = re.compile(r"-?\d+")
 
 
 def _commands() -> list[tuple[str, list[str]]]:
@@ -182,17 +185,42 @@ def csv_rows(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines()[1:] if not line.startswith("#")]
 
 
+def first_fields(lines: list[str]) -> str:
+    """The distinct first fields of ``lines``, sorted, with each run of
+    consecutive integers collapsed into a range (``10–59``)."""
+    firsts = {line.split(",")[0] for line in lines}
+    numbers = sorted({int(f) for f in firsts if INTEGER.fullmatch(f)})
+    runs = []
+    for n in numbers:
+        if runs and n == runs[-1][1] + 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    words = [str(lo) if lo == hi else f"{lo}–{hi}" for lo, hi in runs]
+    return ", ".join(words + sorted(f for f in firsts if not INTEGER.fullmatch(f)))
+
+
 def row_changes(a: Path, b: Path) -> str:
     """`` (N rows: first fields)`` of the data lines that differ between
-    two CSVs, compared in order (a line one side lacks differs); ``""``
-    unless both are CSV files."""
+    two CSVs, compared in order, then ``N rows only here: …`` and ``N rows
+    only in parent: …`` for the lines past the end of the other side, each
+    with ``first_fields``; ``""`` unless both are CSV files."""
     if a.suffix != ".csv" or not (a.is_file() and b.is_file()):
         return ""
-    changed = [(x, y) for x, y in zip_longest(csv_rows(a), csv_rows(b), fillvalue="") if x != y]
-    if not changed:
-        return " (0 rows; header or metadata)"
-    firsts = sorted({line.split(",")[0] for pair in changed for line in pair if line})
-    return f" ({len(changed)} {'row' if len(changed) == 1 else 'rows'}: {', '.join(firsts)})"
+    pairs = list(zip_longest(csv_rows(a), csv_rows(b)))
+    changed = [(x, y) for x, y in pairs if None not in (x, y) and x != y]
+    here_only = [x for x, y in pairs if y is None]
+    parent_only = [y for x, y in pairs if x is None]
+    groups = (
+        (len(changed), "", [line for pair in changed for line in pair]),
+        (len(here_only), " only here", here_only),
+        (len(parent_only), " only in parent", parent_only),
+    )
+    parts = [
+        f"{n} {'row' if n == 1 else 'rows'}{where}: {first_fields(lines)}"
+        for n, where, lines in groups if n
+    ]
+    return f" ({'; '.join(parts)})" if parts else " (0 rows; header or metadata)"
 
 
 def compare(here: Path, parent: Path, commands) -> tuple[list[str], int]:
