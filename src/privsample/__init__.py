@@ -45,7 +45,6 @@ from .reconstruct import (
 from .follower import follower_gradient, general_policy_gradient
 from .optimizer import (
     FeedbackPolicyParams,
-    OptimizerConfig,
     objective_gradient_linear,
     optimize_lambda,
     stackelberg_optimize,

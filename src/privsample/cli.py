@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import copy
 import ctypes
-import dataclasses
 import json
 import math
 import os
@@ -45,7 +44,7 @@ from .configio import (
 from .errors import ConfigError, ContractViolation, NumericalFailure
 from .finite import dp_solve
 from .lingauss import simulate_batch
-from .optimizer import OptimizerConfig, leak_estimate, optimize_lambda
+from .optimizer import leak_estimate, optimize_lambda
 from .policy import degenerate_schedule, open_loop_schedule
 from .reconstruct import evaluate_schedule, kalman_additive_baseline, simulate_rollout
 from .rngs import substream
@@ -220,18 +219,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    """The leader-loop settings of the --opt-* flags, seeded with --seed;
-    the validation objective's standard error needs two rollouts."""
-    return OptimizerConfig(
-        alpha=_checked(args.opt_alpha, "--opt-alpha", False),
-        rollouts_per_step=checked_count(args.opt_rollouts, "--opt-rollouts", 1),
-        max_iters=checked_count(args.opt_iters, "--opt-iters", 1),
-        seed=args.seed,
-        validation_rollouts=checked_count(args.opt_validation, "--opt-validation", 2),
-    )
-
-
 def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     """Rows of the three schedule families; the leak columns stay blank
     when ``leak_rollouts`` is None.
@@ -256,7 +243,6 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
     faster than on one thread and burned more CPU.
     """
     rollouts, seed = checked_count(args.rollouts, "--rollouts", 1), args.seed
-    config = _optimizer_config(args)
     workers = _max_workers()
 
     def eval_open_loop(f_val, states, rng):
@@ -269,8 +255,7 @@ def _evaluate_family_rows(system, horizon, args, noise_grid, leak_rollouts):
         return "", report, None
 
     def eval_lambda(lam, states, rng):
-        lam_config = dataclasses.replace(config, seed=substream_seed(seed, lam))
-        result = optimize_lambda(lam_config, system, lam, horizon)
+        result = optimize_lambda(system, lam, horizon, substream_seed(seed, lam))
         report = evaluate_schedule(system, result.schedule, horizon, rollouts, rng, states=states)
         return lam, report, result.schedule
 
@@ -377,7 +362,7 @@ def cmd_rate_curve(args) -> int:
 def cmd_optimize(args) -> int:
     system, cfg, horizon = _load_system(args)
     _checked(args.lam, "--lambda", True)
-    result = optimize_lambda(_optimizer_config(args), system, args.lam, horizon)
+    result = optimize_lambda(system, args.lam, horizon, args.seed)
     dump_schedule(result.schedule, args.out)
     meta = _meta(
         args,
@@ -485,13 +470,6 @@ def _add_common(p):
     p.add_argument("--out", required=True, help="output path")
 
 
-def _add_opt_flags(p):
-    p.add_argument("--opt-iters", type=int, default=OptimizerConfig.max_iters)
-    p.add_argument("--opt-rollouts", type=int, default=OptimizerConfig.rollouts_per_step)
-    p.add_argument("--opt-alpha", type=float, default=OptimizerConfig.alpha)
-    p.add_argument("--opt-validation", type=int, default=OptimizerConfig.validation_rollouts)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privsample",
@@ -514,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-grid", default="0.05,0.15,0.5,1.5,4,10,25,60")
     p.add_argument("--noise-grid", default="0.05,0.2,0.5,1.5,4,10,25")
     p.add_argument("--leak-rollouts", type=int, default=200)
-    _add_opt_flags(p)
     p.set_defaults(fn=cmd_sweep_tradeoff)
 
     p = sub.add_parser("rate-curve", help="sampling rate vs x-error")
@@ -523,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rollouts", type=int, default=10_000)
     p.add_argument("--lambdas", default="0.2,0.6,1.5,4.0")
     p.add_argument("--f-grid", default="0.05,0.15,0.5,1.5,4,10,25,60")
-    _add_opt_flags(p)
     p.set_defaults(fn=cmd_rate_curve)
 
     p = sub.add_parser("optimize", help="optimize a schedule for one lambda")
@@ -531,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--trace-out", help="convergence trace CSV path")
-    _add_opt_flags(p)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("finite-dp", help="belief-recursion DP on a finite model")

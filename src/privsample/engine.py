@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalFailure
-from .lingauss import LinearGaussianSystem
+from .lingauss import LinearGaussianSystem, overflow_fails
 from .linalg import inverse
 
 
@@ -341,7 +341,8 @@ def branch_rollouts(
     Tangents cover the leading ``tangent_rows`` rows (all by default;
     ``parent`` must then be None). Returns per-row (path weights, losses,
     dlosses, scores, kept counts, info sums), dlosses and scores (G, T)
-    for the G tangent rows.
+    for the G tangent rows. A value that overflows, or an invalid one,
+    raises a NumericalFailure naming its step k.
     """
     eng = BatchEngine(system, rows, n_tangents, tangent_rows)
     g = rows if tangent_rows is None else tangent_rows
@@ -352,27 +353,28 @@ def branch_rollouts(
     dpaths = np.zeros((g, n_tangents))
     scores = np.zeros((g, n_tangents))
     for k in range(horizon + 1):
-        f, df, c = terms(k, mean)
-        loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, lam)
-        losses += loss
-        infos += info
-        if n_tangents:
-            dpaths += dloss.T
-        parent, keep, w, obs = branch(k, p0, eng.p, mean)
-        if parent is not None:
-            eng.take(parent)
-            weight, losses, infos, kept, dpaths, scores = (
-                a[parent] for a in (weight, losses, infos, kept, dpaths, scores)
-            )
+        with overflow_fails(k):
+            if k:
+                eng.predict(k)
+                if mean is not None:
+                    mean = transition(system.a_matrix, mean)
+            f, df, c = terms(k, mean)
+            loss, dloss, p0, dp0, info = eng.step_loss(f, df, c, lam)
+            losses += loss
+            infos += info
             if n_tangents:
-                dp0 = dp0[:, parent]
-        weight *= w
-        kept += keep
-        if n_tangents:
-            scores += ((np.where(keep, -1.0, 1.0) / w)[: dp0.shape[-1]] * dp0).T
-        mean = eng.update(f, df, keep, k, mean, obs)
-        if k < horizon:
-            eng.predict(k + 1)
-            if mean is not None:
-                mean = transition(system.a_matrix, mean)
+                dpaths += dloss.T
+            parent, keep, w, obs = branch(k, p0, eng.p, mean)
+            if parent is not None:
+                eng.take(parent)
+                weight, losses, infos, kept, dpaths, scores = (
+                    a[parent] for a in (weight, losses, infos, kept, dpaths, scores)
+                )
+                if n_tangents:
+                    dp0 = dp0[:, parent]
+            weight *= w
+            kept += keep
+            if n_tangents:
+                scores += ((np.where(keep, -1.0, 1.0) / w)[: dp0.shape[-1]] * dp0).T
+            mean = eng.update(f, df, keep, k, mean, obs)
     return weight, losses, dpaths, scores, kept, infos

@@ -48,41 +48,14 @@ from .rngs import substream
 STEP_CLIP = 0.5
 CONVERGE_TOL = 1e-3
 CONVERGE_PATIENCE = 10
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the leader loop in ``stackelberg_optimize``.
-
-    Step sizes follow the fixed schedule alpha_t = alpha / (1 + t/100);
-    each iteration estimates the gradient on ``rollouts_per_step``
-    rollouts of stream (``seed``, 2, t), for at most ``max_iters``
-    iterations (``stackelberg_optimize`` may stop sooner). Beyond horizon
-    9 the validation objective and sampling rate are means over
-    ``validation_rollouts`` common-random-number rollouts, whose uniforms
-    stream (``seed``, 999) gives once per run; at horizon 9 and below both
-    are exact enumeration.
-    ``optimize_lambda``'s f-scan draws from stream (``seed``, 1), so no
-    two of these paths share a stream. Beyond horizon 9 iteration t's
-    gradient rollouts (with tangents) and theta_t's validation rollouts
-    (without) run as one engine pass; an iteration that does not run
-    draws nothing. ``validation_rollouts`` must be >= 2 for the
-    validation standard error.
-    """
-
-    alpha: float = 0.25
-    rollouts_per_step: int = 48
-    max_iters: int = 60
-    seed: int = 0
-    validation_rollouts: int = 256
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ContractViolation("step size must be positive")
-        if self.rollouts_per_step < 1 or self.max_iters < 1:
-            raise ContractViolation("counts must be >= 1")
-        if self.validation_rollouts < 2:
-            raise ContractViolation("validation_rollouts must be >= 2 for a standard error")
+# The leader loop's settings (``stackelberg_optimize``): the step size
+# alpha_t = ALPHA / (1 + t/100), the gradient rollouts per iteration, the
+# iteration cap, and the validation rollouts beyond horizon 9 (at least 2,
+# for the validation standard error).
+ALPHA = 0.25
+ROLLOUTS_PER_STEP = 48
+MAX_ITERS = 60
+VALIDATION_ROLLOUTS = 256
 
 
 class FeedbackPolicyParams:
@@ -446,17 +419,17 @@ class OptimizeResult:
 
 
 def stackelberg_optimize(
-    config: OptimizerConfig,
     system: LinearGaussianSystem,
     lam: float,
     init: FeedbackPolicyParams,
+    seed: int,
 ) -> OptimizeResult:
     """Leader loop against the conditional-mean reconstructor.
 
     Gradient steps on the sampling parameters with step size
-    alpha_t = alpha / (1 + t/100); the follower needs no inner loop
+    alpha_t = ``ALPHA`` / (1 + t/100); the follower needs no inner loop
     because the conditional mean is an exact best response; each move is
-    capped at ``STEP_CLIP``. The loop runs at most ``max_iters``
+    capped at ``STEP_CLIP``. The loop runs at most ``MAX_ITERS``
     iterations and stops early on one of two rules, both counted over
     ``CONVERGE_PATIENCE`` consecutive iterations: ``"converged"`` when
     the validation objective moved less than ``CONVERGE_TOL`` relatively
@@ -467,79 +440,65 @@ def stackelberg_optimize(
     the stop.
 
     Each trace row gives theta_{t+1}'s validation objective, standard
-    error and sampling rate. Beyond horizon 9 each iterate theta_t costs
-    one engine pass: its leading ``rollouts_per_step`` rows carry
-    tangents and are iteration t's gradient rollouts, and the other rows
-    are theta_t's validation rollouts on the run's common uniforms
-    (``OptimizerConfig``). Where iteration t may not run (t = max_iters,
-    or theta_t's validation may end the loop by either rule) the pass
-    has no gradient rows, and a run of iteration t takes a pass of its
-    own. At horizon 9 and below one enumeration gives theta_t's exact
-    objective and rate.
+    error and sampling rate. Each iterate theta_t costs one engine pass:
+    its leading ``ROLLOUTS_PER_STEP`` rows carry tangents and are
+    iteration t's gradient rollouts, on stream (``seed``, 2, t), so the
+    pass at the last iterate draws one stream that no iteration reads.
+    Beyond horizon 9 the other rows are theta_t's ``VALIDATION_ROLLOUTS``
+    validation rollouts, without tangents, on uniforms that stream
+    (``seed``, 999) gives once per run, common across iterates; at
+    horizon 9 and below one enumeration gives theta_t's exact objective
+    and rate.
     A NumericalFailure ends with ``at leader iteration t``, t the
     iteration it was raised in (the first pass counts as iteration 0).
     """
     horizon = init.horizon
     exact_ok = 2 ** (horizon + 1) <= 1024
+    g = ROLLOUTS_PER_STEP
     if not exact_ok:  # common random numbers across iterates
-        u_val = substream(config.seed, 999).uniform(size=(horizon + 1, config.validation_rollouts))
+        u_val = substream(seed, 999).uniform(size=(horizon + 1, VALIDATION_ROLLOUTS))
 
-    def evaluate(p: FeedbackPolicyParams, grad_it, validate=True):
-        """(validation, gradient) at p: validation (objective, stderr,
-        rate), or None without ``validate``; iteration grad_it's gradient,
-        or None when grad_it is None."""
-        sampled = validate and not exact_ok
-        g = config.rollouts_per_step if grad_it is not None else 0
-        u = np.empty((horizon + 1, 0))
-        if g:
-            u = substream(config.seed, 2, grad_it).uniform(size=(horizon + 1, g))
-        if sampled:
+    def evaluate(p: FeedbackPolicyParams, t: int):
+        """(validation (objective, stderr, rate), the terms of iteration
+        t's gradient) at p."""
+        u = substream(seed, 2, t).uniform(size=(horizon + 1, g))
+        if not exact_ok:
             u = np.hstack([u, u_val])
-        val = grad = None
-        if u.size:
-            losses, paths, scores, rates, _ = _fast_gradient_batch(
-                p, system, lam, u.shape[1], horizon, u, tangent_rows=g
-            )
-            if g:
-                grad = _gradient_estimate(p, losses[:g], paths, scores)
-            if sampled:
-                v = losses[g:]
-                val = (
-                    float(v.mean()),
-                    float(v.std(ddof=1) / math.sqrt(len(v))),
-                    float(rates[g:].mean()),
-                )
-        if validate and exact_ok:
+        losses, paths, scores, rates, _ = _fast_gradient_batch(
+            p, system, lam, u.shape[1], horizon, u, tangent_rows=g
+        )
+        if exact_ok:
             weight, loss, _, _, kept = _enumerate(p, system, lam, False)
             val = float(weight @ loss), 0.0, float(weight @ kept / (horizon + 1))
-        return val, grad
+        else:
+            v = losses[g:]
+            val = float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v))), float(rates[g:].mean())
+        return val, (losses[:g], paths, scores)
 
     params = init
     it = 0
     try:
-        (best_obj, _, _), pending = evaluate(params, 0)
+        (best_obj, _, _), terms = evaluate(params, 0)
         best_params = params
         prev_obj = best_obj
         quiet = stall = 0
         stop = "max_iters"
         trace = []
-        for it in range(config.max_iters):
-            grad = pending if pending is not None else evaluate(params, it, validate=False)[1]
-            step = config.alpha / (1.0 + it / 100.0)
+        for it in range(MAX_ITERS):
+            grad = _gradient_estimate(params, *terms)
+            step = ALPHA / (1.0 + it / 100.0)
             with np.errstate(over="ignore", invalid="ignore"):
                 move = -step * grad
                 norm = float(np.linalg.norm(move))
             if not math.isfinite(norm):
                 raise NumericalFailure(
-                    f"leader step overflowed at iteration {it}: alpha={config.alpha!r}, "
+                    f"leader step overflowed at iteration {it}: alpha={ALPHA!r}, "
                     f"step size {step!r}, gradient norm {float(np.linalg.norm(grad))!r}"
                 )
             if norm > STEP_CLIP:
                 move *= STEP_CLIP / norm
             params = params.replaced(params.theta + move)
-            # the next gradient rides along only where iteration it + 1 runs
-            runs_next = it + 1 < config.max_iters and max(quiet, stall) + 1 < CONVERGE_PATIENCE
-            (obj, stderr, rate), pending = evaluate(params, it + 1 if runs_next else None)
+            (obj, stderr, rate), terms = evaluate(params, it + 1)
             trace.append(
                 TraceRow(
                     iteration=it,
@@ -577,23 +536,24 @@ F_SCAN_ROLLOUTS = 48
 
 
 def optimize_lambda(
-    config: OptimizerConfig,
     system: LinearGaussianSystem,
     lam: float,
     horizon: int,
+    seed: int,
 ) -> OptimizeResult:
     """Optimized feedback schedule for one lambda.
 
     A coarse scan scores each tied constant-f start in ``F_SCAN_GRID`` on
-    ``F_SCAN_ROLLOUTS`` rollouts of the same stream, all starts in one
+    ``F_SCAN_ROLLOUTS`` rollouts of stream (``seed``, 1), all starts in one
     engine pass that gives each start the same uniforms; stackelberg_optimize
-    then polishes the best start. ``lam`` must be finite and >= 0
+    then polishes the best start with the same ``seed``, whose streams are
+    other ones. ``lam`` must be finite and >= 0
     (ContractViolation otherwise). A NumericalFailure in the scan ends
     with ``in the f-scan at f0=...``, the first start that fails on its own.
     """
     lam = check_lambda(lam)
     starts = [FeedbackPolicyParams.constant(system, horizon, f0=f0) for f0 in F_SCAN_GRID]
-    u = substream(config.seed, 1).uniform(size=(horizon + 1, F_SCAN_ROLLOUTS))
+    u = substream(seed, 1).uniform(size=(horizon + 1, F_SCAN_ROLLOUTS))
 
     def scan(params):
         return _fast_gradient_batch(
@@ -616,4 +576,4 @@ def optimize_lambda(
         obj = float(np.mean(block))
         if obj < best_obj:
             best_obj, best_init = obj, params
-    return stackelberg_optimize(config, system, lam, best_init)
+    return stackelberg_optimize(system, lam, best_init, seed)

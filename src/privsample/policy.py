@@ -157,11 +157,16 @@ class SamplerSchedule:
 
     @staticmethod
     def from_config(cfg: dict) -> "SamplerSchedule":
+        """The schedule of ``to_config``'s mapping; an absent ``feedback``
+        is False, and one that is not a boolean is a TypeError."""
+        feedback = cfg.get("feedback", False)
+        if not isinstance(feedback, bool):
+            raise TypeError(f"feedback must be a JSON boolean, got {feedback!r}")
         return SamplerSchedule(
             kind=cfg["kind"],
             f_chol=np.asarray(cfg["f_chol"], dtype=float),
             g=np.asarray(cfg["g"], dtype=float),
-            feedback=bool(cfg.get("feedback", False)),
+            feedback=feedback,
         )
 
 

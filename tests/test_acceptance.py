@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from privsample.optimizer import OptimizerConfig, optimize_lambda
+from privsample.optimizer import optimize_lambda
 from privsample.policy import open_loop_schedule
 from privsample.reconstruct import evaluate_schedule, kalman_additive_baseline
 from privsample.rngs import substream
@@ -27,6 +27,7 @@ from privsample.validation import (
     check_toy_game_jacobian,
     paper_system,
 )
+from tests.test_optimizer import set_leader
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -110,19 +111,15 @@ def tradeoff_data():
         rep = kalman_additive_baseline(system, [[var]], HORIZON, EVAL_ROLLOUTS)
         additive.append((rep.mean_x_error, rep.mean_y_error, var))
     optimized = []
-    for lam in LAMBDAS + (RATE_LAMBDA,):
-        config = OptimizerConfig(
-            alpha=0.25,
-            rollouts_per_step=64,
-            max_iters=80,
-            seed=SEED + int(lam * 10),
-            validation_rollouts=512,
-        )
-        result = optimize_lambda(config, system, lam, HORIZON)
-        rep = evaluate_schedule(
-            system, result.schedule, HORIZON, EVAL_ROLLOUTS, substream(SEED, 100)
-        )
-        optimized.append((lam, rep.sampling_rate, rep.mean_x_error, rep.mean_y_error))
+    # the fixture's own leader settings, larger than the production ones
+    with pytest.MonkeyPatch.context() as mp:
+        set_leader(mp, ALPHA=0.25, ROLLOUTS_PER_STEP=64, MAX_ITERS=80, VALIDATION_ROLLOUTS=512)
+        for lam in LAMBDAS + (RATE_LAMBDA,):
+            result = optimize_lambda(system, lam, HORIZON, SEED + int(lam * 10))
+            rep = evaluate_schedule(
+                system, result.schedule, HORIZON, EVAL_ROLLOUTS, substream(SEED, 100)
+            )
+            optimized.append((lam, rep.sampling_rate, rep.mean_x_error, rep.mean_y_error))
     return {
         "system": system,
         "open_loop": open_loop,

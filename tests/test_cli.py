@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -27,11 +28,11 @@ from privsample.configio import (
 from privsample.errors import ConfigError, ContractViolation
 from privsample.linalg import logdet_psd
 from privsample.loss import belief_rollout
-from privsample.optimizer import OptimizerConfig, leak_estimate, optimize_lambda
+from privsample.optimizer import leak_estimate, optimize_lambda
 from privsample.policy import degenerate_schedule, open_loop_schedule, privacy_aware_schedule
 from privsample.rngs import substream
 from privsample.validation import paper_system
-from tests.test_optimizer import _coupled, _random_system
+from tests.test_optimizer import _coupled, _random_system, set_leader
 
 
 SYSTEM_CFG = {
@@ -286,7 +287,8 @@ def test_sweep_refuses_a_private_block_that_is_a_function_of_the_past(
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
-def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):
+def test_optimize_writes_loadable_schedule(system_cfg, tmp_path, monkeypatch):
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=16, MAX_ITERS=4, VALIDATION_ROLLOUTS=32)
     out = tmp_path / "sched.json"
     trace = tmp_path / "trace.csv"
     rc = main(
@@ -302,12 +304,6 @@ def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):
             "10",
             "--lambda",
             "0.8",
-            "--opt-iters",
-            "4",
-            "--opt-rollouts",
-            "16",
-            "--opt-validation",
-            "32",
             "--trace-out",
             str(trace),
         ]
@@ -317,13 +313,13 @@ def test_optimize_writes_loadable_schedule(system_cfg, tmp_path):
     assert sched.kind == "privacy_aware" and sched.feedback
     header = trace.read_text().splitlines()[0]
     assert header == "iter,objective,stderr,sampling_rate,grad_norm_theta,grad_norm_phi"
-    config = OptimizerConfig(alpha=0.25, rollouts_per_step=16, max_iters=4, seed=2, validation_rollouts=32)
-    expected = optimize_lambda(config, system_from_config(SYSTEM_CFG), 0.8, 10).schedule
+    expected = optimize_lambda(system_from_config(SYSTEM_CFG), 0.8, 10, 2).schedule
     assert sched.to_config() == expected.to_config()
 
 
 def test_sweep_tradeoff_and_rate_curve(system_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("PRIVSAMPLE_THREADS", "2")
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=12, MAX_ITERS=3, VALIDATION_ROLLOUTS=24)
     out = tmp_path / "sweep.csv"
     rc = main(
         [
@@ -344,12 +340,6 @@ def test_sweep_tradeoff_and_rate_curve(system_cfg, tmp_path, monkeypatch):
             "0.5,4",
             "--noise-grid",
             "1.0",
-            "--opt-iters",
-            "3",
-            "--opt-rollouts",
-            "12",
-            "--opt-validation",
-            "24",
             "--leak-rollouts",
             "30",
         ]
@@ -381,17 +371,29 @@ def test_sweep_tradeoff_and_rate_curve(system_cfg, tmp_path, monkeypatch):
             "1.0",
             "--f-grid",
             "0.5,4",
-            "--opt-iters",
-            "3",
-            "--opt-rollouts",
-            "12",
-            "--opt-validation",
-            "24",
         ]
     )
     assert rc == 0
     header = rate_out.read_text().splitlines()[0]
     assert header == "family,f_spec,sampling_rate,mean_x_error,x_error_stderr"
+
+
+def test_readme_cli_synopsis_lists_each_commands_flags():
+    """The README's CLI block names every flag of each subcommand, and no
+    flag that the parser does not have."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        program, command, *rest = line.split()
+        assert program == "privsample" and command not in documented
+        documented[command] = set(re.findall(r"--[a-z][a-z-]*", " ".join(rest)))
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {flag for flag in p._option_string_actions if flag.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_finite_dp_command(tmp_path):
@@ -430,27 +432,31 @@ def test_contract_violation_is_exit_3(tmp_path, capsys, monkeypatch):
         ("finite-dp", dict(FINITE_CFG, K=2.5), None),
         ("simulate", [SYSTEM_CFG], None),
         ("finite-dp", [FINITE_CFG], None),
-        ("simulate", SYSTEM_CFG, [[[1.0]], [[1.0, 0.0]]]),
-        ("simulate", SYSTEM_CFG, [[["one"]], [["one"]]]),
+        ("simulate", SYSTEM_CFG, {"f_chol": [[[1.0]], [[1.0, 0.0]]]}),
+        ("simulate", SYSTEM_CFG, {"f_chol": [[["one"]], [["one"]]]}),
+        ("simulate", SYSTEM_CFG, {"feedback": "false"}),
         ("finite-dp", dict(FINITE_CFG, y_kernel=[[0.8, 0.2], [0.3]]), None),
     ],
     ids=[
         "K_text", "finite_K_text", "K_fraction", "finite_K_fraction", "list",
-        "finite_list", "schedule_ragged", "schedule_text", "finite_ragged_kernel",
+        "finite_list", "schedule_ragged", "schedule_text", "schedule_feedback_text",
+        "finite_ragged_kernel",
     ],
 )
 def test_malformed_file_is_exit_3(tmp_path, capsys, command, config, schedule):
     """A config that is not an object or has a non-integer K, a schedule
-    f_chol that is ragged or not numeric, and a ragged finite-model kernel."""
+    f_chol that is ragged or not numeric or a schedule feedback that is not
+    a boolean, and a ragged finite-model kernel."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.csv"
     args = [command, "--config", str(cfg), "--out", str(out)]
     if schedule is not None:
         path = tmp_path / "schedule.json"
-        path.write_text(json.dumps(
-            {"kind": "privacy_aware", "f_chol": schedule, "g": [[0.0], [0.0]], "feedback": True}
-        ))
+        path.write_text(json.dumps({
+            "kind": "privacy_aware", "f_chol": [[[1.0]], [[1.0]]], "g": [[0.0], [0.0]],
+            "feedback": True, **schedule,
+        }))
         args += ["--schedule", str(path), "--horizon", "1"]
     assert main(args) == 3
     err = capsys.readouterr().err
@@ -493,7 +499,9 @@ def test_commands_other_than_validate_load_no_scipy(system_cfg, tmp_path):
         import sys
         from privsample.cli import main
         cfg, finite, out = sys.argv[1:]
-        tiny = ["--horizon", "3", "--opt-iters", "1", "--opt-rollouts", "4", "--opt-validation", "8"]
+        from privsample import optimizer
+        optimizer.MAX_ITERS, optimizer.ROLLOUTS_PER_STEP, optimizer.VALIDATION_ROLLOUTS = 1, 4, 8
+        tiny = ["--horizon", "3"]
         runs = [
             ["simulate", "--config", cfg, "--horizon", "3", "--out", out + "/sim.csv",
              "--belief-trace", out + "/trace.csv"],
@@ -677,7 +685,7 @@ def test_unwritable_output_is_exit_3(system_cfg, tmp_path, capsys, monkeypatch, 
         args = ["simulate", *args]
         flag = "--belief-trace"
     else:
-        args = ["optimize", *args, "--lambda", "1", "--opt-iters", "1"]
+        args = ["optimize", *args, "--lambda", "1"]
         flag = "--trace-out"
     if command.endswith("_trace"):
         args += ["--out", str(good), flag, str(bad)]
@@ -752,11 +760,6 @@ def test_bad_lambda_is_exit_3(system_cfg, tmp_path, capsys, command, flag, value
         ("sweep-tradeoff", "--rollouts", "0"),
         ("rate-curve", "--rollouts", "0"),
         ("sweep-tradeoff", "--leak-rollouts", "0"),
-        ("optimize", "--opt-iters", "0"),
-        ("optimize", "--opt-rollouts", "0"),
-        ("optimize", "--opt-alpha", "0"),
-        ("optimize", "--opt-validation", "1"),
-        ("rate-curve", "--opt-iters", "0"),
         ("simulate", "--schedule", "nx2.json"),
     ],
 )
@@ -918,6 +921,21 @@ def test_overflowing_state_is_exit_4(system_cfg, tmp_path, capsys, command):
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
+def test_overflowing_engine_pass_is_exit_4(system_cfg, tmp_path, capsys):
+    """With A = 30 I the f-scan's covariances leave the float range at
+    k = 105 of K = 120: the run stops there with one line naming the step
+    and the scan's first start, before any RuntimeWarning (the suite makes
+    those errors), any NaN mean or any output."""
+    system_cfg.write_text(json.dumps(dict(SYSTEM_CFG, A=[[30.0, 0.0], [0.0, 30.0]], K=120)))
+    out, trace = tmp_path / "s.json", tmp_path / "trace.csv"
+    args = ["optimize", "--config", str(system_cfg), "--lambda", "12", "--out", str(out)]
+    assert main(args + ["--trace-out", str(trace)]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: overflow encountered in matmul at k=105 in the f-scan at f0=0.3\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["system.json"]
+
+
 def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
     """The grid values of one family share its stream's trajectories: one
     simulate_batch call per stream in use, each made after the earlier
@@ -945,8 +963,8 @@ def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
     monkeypatch.setattr(reconstruct, "simulate_batch", counting)
     args = ["sweep-tradeoff", "--config", str(system_cfg), "--seed", "3", "--horizon", "8"]
     args += ["--rollouts", "300", "--leak-rollouts", "2", "--f-grid", "0.5,4", "--noise-grid", "1,2"]
-    opt = ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
-    assert main(args + opt + ["--lambdas", "1.0", "--out", str(tmp_path / "a.csv")]) == 0
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=2, VALIDATION_ROLLOUTS=8)
+    assert main(args + ["--lambdas", "1.0", "--out", str(tmp_path / "a.csv")]) == 0
     assert sims == [(8, 300)] * 2
     sims.clear()
     monkeypatch.setattr(cli, "evaluate_schedule", recording)
@@ -965,12 +983,12 @@ def test_sweep_simulates_each_stream_once(system_cfg, tmp_path, monkeypatch):
         assert report.sampling_rate == alone.sampling_rate
 
 
-def test_sweep_rows_do_not_depend_on_the_noise_grid(system_cfg, tmp_path):
+def test_sweep_rows_do_not_depend_on_the_noise_grid(system_cfg, tmp_path, monkeypatch):
     """The additive-noise baseline draws from no stream, so the open-loop
     and optimized rows are the same bytes with and without its grid."""
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=2, VALIDATION_ROLLOUTS=8)
     args = ["sweep-tradeoff", "--config", str(system_cfg), "--seed", "5", "--horizon", "8"]
     args += ["--rollouts", "200", "--leak-rollouts", "2", "--f-grid", "0.5,4", "--lambdas", "1.0"]
-    args += ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
     rows = {}
     for name, grid in (("none", ["--noise-grid", ""]), ("default", [])):
         out = tmp_path / f"{name}.csv"
@@ -994,7 +1012,7 @@ def test_sweep_leaks_run_on_the_calling_thread(tmp_path, monkeypatch):
     config = Path(__file__).parents[1] / "perfbench" / "configs" / "coupled.json"
     args = ["sweep-tradeoff", "--config", str(config), "--horizon", "6", "--rollouts", "200"]
     args += ["--leak-rollouts", "3", "--f-grid", "1,4", "--noise-grid", "1", "--lambdas", "1"]
-    args += ["--opt-iters", "2", "--opt-rollouts", "8", "--opt-validation", "8"]
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=2, VALIDATION_ROLLOUTS=8)
     written = {}
     for cap in ("1", "2"):
         monkeypatch.setenv("PRIVSAMPLE_THREADS", cap)
@@ -1006,12 +1024,13 @@ def test_sweep_leaks_run_on_the_calling_thread(tmp_path, monkeypatch):
     assert written["1"] == written["2"]
 
 
-def test_overflowing_leader_step_is_exit_4(system_cfg, tmp_path, capsys):
+def test_overflowing_leader_step_is_exit_4(system_cfg, tmp_path, capsys, monkeypatch):
     """alpha = 1e308 overflows the first leader step; the failure names the
     step, not the non-finite gradient that the clipped move would cause."""
+    set_leader(monkeypatch, ALPHA=1e308, MAX_ITERS=3)
     out = tmp_path / "s.json"
     args = ["optimize", "--config", str(system_cfg), "--lambda", "12", "--out", str(out)]
-    args += ["--horizon", "20", "--opt-alpha", "1e308", "--opt-iters", "3"]
+    args += ["--horizon", "20"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(args) == 4

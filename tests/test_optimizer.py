@@ -22,7 +22,6 @@ from privsample.follower import (
 )
 from privsample.optimizer import (
     FeedbackPolicyParams,
-    OptimizerConfig,
     TraceRow,
     _TangentFilter,
     _fast_gradient_batch,
@@ -53,6 +52,14 @@ def _coupled(system, a_yx=0.30):
         n_x=1,
         n_y=1,
     )
+
+
+def set_leader(monkeypatch, **constants):
+    """Set leader-loop constants of ``optimizer`` (``ALPHA``,
+    ``ROLLOUTS_PER_STEP``, ``MAX_ITERS``, ``VALIDATION_ROLLOUTS``) for one test."""
+    for name, value in constants.items():
+        assert hasattr(optimizer, name), name
+        monkeypatch.setattr(optimizer, name, value)
 
 
 def _random_system(seed, n_x, n_y):
@@ -297,11 +304,11 @@ def test_follower_descent_decreases_loss():
 # ---------------------------------------------------------------------------
 
 
-def test_stackelberg_lambda_zero_drives_full_sampling(vi_system):
-    config = OptimizerConfig(alpha=0.4, rollouts_per_step=32, max_iters=40, seed=3)
+def test_stackelberg_lambda_zero_drives_full_sampling(vi_system, monkeypatch):
+    set_leader(monkeypatch, ALPHA=0.4, ROLLOUTS_PER_STEP=32, MAX_ITERS=40)
     init = FeedbackPolicyParams.constant(vi_system, 6, f0=4.0, tied=True)
     start_obj = exact_objective(init, vi_system, 0.0)
-    result = stackelberg_optimize(config, vi_system, 0.0, init)
+    result = stackelberg_optimize(vi_system, 0.0, init, 3)
     assert result.objective < 0.35 * start_obj
     # small f: nearly every step samples
     f_final = result.schedule.f_at(0)[0, 0]
@@ -310,29 +317,20 @@ def test_stackelberg_lambda_zero_drives_full_sampling(vi_system):
     assert best_so_far[-1] <= best_so_far[0]
 
 
-def test_stackelberg_large_lambda_suppresses_sampling(vi_system):
-    config = OptimizerConfig(alpha=0.4, rollouts_per_step=32, max_iters=40, seed=4)
+def test_stackelberg_large_lambda_suppresses_sampling(vi_system, monkeypatch):
+    set_leader(monkeypatch, ALPHA=0.4, ROLLOUTS_PER_STEP=32, MAX_ITERS=40)
     init = FeedbackPolicyParams.constant(vi_system, 6, f0=1.0, tied=True)
-    result = stackelberg_optimize(config, vi_system, 25.0, init)
+    result = stackelberg_optimize(vi_system, 25.0, init, 4)
     assert result.schedule.f_at(0)[0, 0] > 8.0  # wide discard region
 
 
-def test_optimizer_config_validation():
-    with pytest.raises(ContractViolation):
-        OptimizerConfig(alpha=0.0)
-    with pytest.raises(ContractViolation):
-        OptimizerConfig(rollouts_per_step=0)
-
-
-def test_optimizer_config_needs_two_validation_rollouts(vi_system):
-    """One validation rollout has no standard error; two run clean."""
-    with pytest.raises(ContractViolation, match="validation_rollouts"):
-        OptimizerConfig(validation_rollouts=1)
-    config = OptimizerConfig(rollouts_per_step=4, max_iters=2, validation_rollouts=2)
+def test_optimizer_config_needs_two_validation_rollouts(vi_system, monkeypatch):
+    """Two validation rollouts, the fewest with a standard error, run clean."""
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=4, MAX_ITERS=2, VALIDATION_ROLLOUTS=2)
     init = FeedbackPolicyParams.constant(vi_system, 10, f0=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = stackelberg_optimize(config, vi_system, 1.0, init)
+        result = stackelberg_optimize(vi_system, 1.0, init, 0)
     assert all(math.isfinite(row.stderr) for row in result.trace)
 
 
@@ -497,8 +495,8 @@ def test_optimize_lambda_on_coupled_system_stays_on_the_engine(vi_system, monkey
         raise AssertionError("growing-covariance rollout on a production path")
 
     monkeypatch.setattr(optimizer, "_rollout_gradient_terms", growing)
-    config = OptimizerConfig(rollouts_per_step=8, max_iters=3, validation_rollouts=16, seed=2)
-    result = optimize_lambda(config, _coupled(vi_system), 1.0, 10)
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=3, VALIDATION_ROLLOUTS=16)
+    result = optimize_lambda(_coupled(vi_system), 1.0, 10, 2)
     assert result.schedule.horizon == 10
     assert np.isfinite(result.objective)
 
@@ -511,19 +509,19 @@ def test_optimize_lambda_streams_are_disjoint(vi_system, monkeypatch):
     monkeypatch.setattr(
         optimizer, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
     )
-    config = OptimizerConfig(rollouts_per_step=8, max_iters=3, validation_rollouts=16, seed=2)
-    optimize_lambda(config, vi_system, 1.0, 10)
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=3, VALIDATION_ROLLOUTS=16)
+    optimize_lambda(vi_system, 1.0, 10, 2)
     # one scan stream, first; the validation uniforms once per run; one
-    # stream per iteration
+    # stream per iterate, the last one included
     counts = Counter(paths)
     assert counts[paths[0]] == 1
-    assert sorted(counts.values()) == [1, 1, 1, 1, 1]
+    assert sorted(counts.values()) == [1, 1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
 def test_optimize_lambda_rejects_a_negative_or_non_finite_lambda(vi_system, lam):
     with pytest.raises(ContractViolation, match="lambda"):
-        optimize_lambda(OptimizerConfig(), vi_system, lam, 3)
+        optimize_lambda(vi_system, lam, 3, 0)
 
 
 def test_x_determined_by_the_private_trajectory_names_the_step(vi_system):
@@ -609,9 +607,9 @@ def test_optimize_lambda_scans_each_start_on_the_scan_stream(vi_system, monkeypa
     monkeypatch.setattr(
         optimizer, "_fast_gradient_batch", lambda *a, **k: calls.append(batch(*a, **k)) or calls[-1]
     )
-    monkeypatch.setattr(optimizer, "stackelberg_optimize", lambda config, system, lam, init: init)
-    config, horizon, n = OptimizerConfig(seed=5), 12, optimizer.F_SCAN_ROLLOUTS
-    chosen = optimize_lambda(config, system, 3.0, horizon)
+    monkeypatch.setattr(optimizer, "stackelberg_optimize", lambda system, lam, init, seed: init)
+    horizon, n = 12, optimizer.F_SCAN_ROLLOUTS
+    chosen = optimize_lambda(system, 3.0, horizon, 5)
     (scan,) = calls
     means = []
     for i, f0 in enumerate(optimizer.F_SCAN_GRID):
@@ -625,15 +623,15 @@ def test_optimize_lambda_scans_each_start_on_the_scan_stream(vi_system, monkeypa
     assert np.array_equal(chosen.theta, best.theta)
 
 
-def _sequential_stackelberg(config, system, lam, init):
+def _sequential_stackelberg(system, lam, init, seed):
     """The leader loop with a validation pass and a gradient pass of its own
     for every iterate: (best theta, best objective, stop, trace)."""
-    horizon = init.horizon
-    u_val = substream(config.seed, 999).uniform(size=(horizon + 1, config.validation_rollouts))
+    horizon, n_val = init.horizon, optimizer.VALIDATION_ROLLOUTS
+    u_val = substream(seed, 999).uniform(size=(horizon + 1, n_val))
 
     def validate(p):
         losses, _, _, rates, _ = _fast_gradient_batch(
-            p, system, lam, config.validation_rollouts, horizon, u_val, tangent_rows=0
+            p, system, lam, n_val, horizon, u_val, tangent_rows=0
         )
         stderr = float(losses.std(ddof=1) / math.sqrt(len(losses)))
         return float(losses.mean()), stderr, float(rates.mean())
@@ -641,10 +639,10 @@ def _sequential_stackelberg(config, system, lam, init):
     params = best = init
     best_obj, _, _ = validate(params)
     prev, quiet, stall, trace = best_obj, 0, 0, []
-    for it in range(config.max_iters):
-        rng = substream(config.seed, 2, it)
-        grad = objective_gradient_linear(params, system, lam, config.rollouts_per_step, rng)
-        step = config.alpha / (1.0 + it / 100.0)
+    for it in range(optimizer.MAX_ITERS):
+        rng = substream(seed, 2, it)
+        grad = objective_gradient_linear(params, system, lam, optimizer.ROLLOUTS_PER_STEP, rng)
+        step = optimizer.ALPHA / (1.0 + it / 100.0)
         move = -step * grad
         norm = float(np.linalg.norm(move))
         if norm > optimizer.STEP_CLIP:
@@ -680,26 +678,25 @@ def test_stackelberg_equals_the_sequential_loop(
     """Horizon 12: the one-pass-per-iterate loop gives the trace and result
     of a loop that runs validation and gradient passes separately.
     ``quiet_then_moves`` has a validation that could have ended the loop
-    and did not, so the next gradient ran on a pass of its own. ``stalls``
-    is a clipped 2-cycle between two iterates that never beats its
-    start."""
+    and did not. ``stalls`` is a clipped 2-cycle between two iterates that
+    never beats its start."""
     monkeypatch.setattr(optimizer, "CONVERGE_PATIENCE", patience)
-    config = OptimizerConfig(
-        alpha=alpha, rollouts_per_step=16, max_iters=max_iters, seed=1, validation_rollouts=32
+    set_leader(
+        monkeypatch, ALPHA=alpha, ROLLOUTS_PER_STEP=16, MAX_ITERS=max_iters, VALIDATION_ROLLOUTS=32
     )
     init = FeedbackPolicyParams.constant(vi_system, 12, f0=3.0)
-    theta, best_obj, ref_stop, trace = _sequential_stackelberg(config, vi_system, 12.0, init)
+    theta, best_obj, ref_stop, trace = _sequential_stackelberg(vi_system, 12.0, init, 1)
     paths = []
     substream = optimizer.substream
     monkeypatch.setattr(
         optimizer, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
     )
-    result = stackelberg_optimize(config, vi_system, 12.0, init)
+    result = stackelberg_optimize(vi_system, 12.0, init, 1)
     assert ref_stop == result.stop == stop
     assert result.converged == (stop == "converged")
-    # the validation uniforms are drawn once per run; no stream is drawn
-    # for an iteration that does not run
-    assert Counter(paths) == {(999,): 1, **{(2, t): 1 for t in range(len(trace))}}
+    # the validation uniforms are drawn once per run; one gradient stream
+    # per iterate, the one that ends the loop included
+    assert Counter(paths) == {(999,): 1, **{(2, t): 1 for t in range(len(trace) + 1)}}
     assert result.trace == trace
     assert result.objective == best_obj
     assert np.array_equal(result.params.theta, theta)
@@ -718,7 +715,7 @@ def test_paper_leader_at_k100_stalls_on_its_f_scan_start(vi_system):
     """The paper system at K = 100, lambda = 12, seed 0: every clipped step
     is undone by the next, so no iterate beats the f = 3 start and the
     loop stops after ``CONVERGE_PATIENCE`` rows with the start."""
-    result = optimize_lambda(OptimizerConfig(seed=0), vi_system, 12.0, 100)
+    result = optimize_lambda(vi_system, 12.0, 100, 0)
     start = FeedbackPolicyParams.constant(vi_system, 100, f0=3.0)
     assert np.array_equal(result.params.theta, start.theta)
     assert np.allclose([result.schedule.f_at(k)[0, 0] for k in range(101)], 3.0, rtol=1e-12)
@@ -755,16 +752,16 @@ def test_exact_trace_rows_give_their_own_iterates_rate(vi_system, monkeypatch, n
     monkeypatch.setattr(
         optimizer, "_enumerate", lambda p, *a: iterates.append(p) or enumerate_(p, *a)
     )
-    config = OptimizerConfig(rollouts_per_step=8, max_iters=4)
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=4)
     init = FeedbackPolicyParams.constant(system, 4, f0=2.0)
-    result = stackelberg_optimize(config, system, 12.0, init)
+    result = stackelberg_optimize(system, 12.0, init, 0)
     assert len(iterates) == len(result.trace) + 1  # theta_0, then one per row
     for row, params in zip(result.trace, iterates[1:]):
         assert row.objective == exact_objective(params, system, 12.0)
         assert abs(row.sampling_rate - _enumerated_rate(params, system)) < 1e-12
 
 
-def test_numerical_failures_name_their_stage(vi_system):
+def test_numerical_failures_name_their_stage(vi_system, monkeypatch):
     """Q_yy = 0 with A_yx = 0 fails at k = 1 wherever it runs; the message
     keeps the engine's text and ends with the stage."""
     system = LinearGaussianSystem(
@@ -775,13 +772,16 @@ def test_numerical_failures_name_their_stage(vi_system):
         n_x=1,
         n_y=1,
     )
-    config = OptimizerConfig(rollouts_per_step=8, max_iters=2, validation_rollouts=16)
+    set_leader(monkeypatch, ROLLOUTS_PER_STEP=8, MAX_ITERS=2, VALIDATION_ROLLOUTS=16)
     with pytest.raises(NumericalFailure) as scan:
-        optimize_lambda(config, system, 0.5, 12)
+        optimize_lambda(system, 0.5, 12, 0)
     assert str(scan.value).startswith("singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k=1")
     assert str(scan.value).endswith(" in the f-scan at f0=0.3")
     init = FeedbackPolicyParams.constant(system, 12, f0=1.0)
     with pytest.raises(NumericalFailure, match=r"at k=1 at leader iteration 0$"):
-        stackelberg_optimize(config, system, 0.5, init)
+        stackelberg_optimize(system, 0.5, init, 0)
+    set_leader(
+        monkeypatch, ALPHA=1e308, ROLLOUTS_PER_STEP=48, MAX_ITERS=60, VALIDATION_ROLLOUTS=256
+    )
     with pytest.raises(NumericalFailure, match=r"^leader step overflowed.* at leader iteration 0$"):
-        stackelberg_optimize(OptimizerConfig(alpha=1e308), vi_system, 12.0, init)
+        stackelberg_optimize(vi_system, 12.0, init, 0)

@@ -127,6 +127,17 @@ def test_schedule_roundtrip():
     assert np.allclose(back.g, sched.g)
 
 
+def test_schedule_feedback_must_be_a_boolean():
+    """An absent ``feedback`` is False; a string such as "false" is not
+    read by its truth value, and no other non-boolean is either."""
+    cfg = open_loop_schedule(np.eye(1), 2).to_config()
+    del cfg["feedback"]
+    assert SamplerSchedule.from_config(cfg).feedback is False
+    for value in ("false", 0, None):
+        with pytest.raises(TypeError, match="^feedback must be a JSON boolean"):
+            SamplerSchedule.from_config(dict(cfg, feedback=value))
+
+
 def test_feedback_needs_predicted_mean():
     sched = privacy_aware_schedule(np.ones((1, 1, 1)), np.zeros((1, 1)), feedback=True)
     with pytest.raises(ContractViolation):

@@ -11,8 +11,9 @@ byte for byte: each output, each ``.meta.json`` sidecar, and one log per
 command holding its stdout, stderr and exit code. ``validate`` prints its
 checks' seconds, which are stripped from the log; paths of the two
 checkouts in stderr read ``<tree>``. Both sides read this checkout's
-``perfbench/configs`` and the same 2x2 system, degenerate system and
-schedules written into their directories, so only the code differs.
+``perfbench/configs`` and the same 2x2 system, degenerate and unstable
+systems and schedules written into their directories, so only the code
+differs.
 Prints each file that differs, with, for a CSV on both sides, the count
 of its differing data lines and the set of their first fields, for
 example ``differs: sweep.csv (7 rows: additive_noise)``, and apart from
@@ -61,10 +62,17 @@ DEGENERATE = {
     "A": [[0.98, -0.9], [0.0, 0.35]], "Q": [[1.0, 0.0], [0.0, 0.0]],
     "P0": [[0.5, 0.25], [0.25, 0.5]], "mean0": [0.0, 0.0], "nx": 1, "ny": 1, "K": 100,
 }
+# the paper system with A = 30 I, as ``unstable.json``: its covariances leave
+# the float range at k = 105 of K = 120, so its optimize exits 4 in the
+# f-scan; the run's log compares the failure message
+UNSTABLE = {
+    "A": [[30.0, 0.0], [0.0, 30.0]], "Q": [[1.0, 0.1], [0.1, 4.0]],
+    "P0": [[0.5, 0.25], [0.25, 0.5]], "mean0": [0.0, 0.0], "nx": 1, "ny": 1, "K": 120,
+}
 # the inputs written into each side's directory
 FILES = {
     "schedule.json": SCHEDULE, "system2x2.json": SYSTEM_2X2, "schedule2x2.json": SCHEDULE_2X2,
-    "degenerate.json": DEGENERATE,
+    "degenerate.json": DEGENERATE, "unstable.json": UNSTABLE,
 }
 # the seconds column of validate's PASS/FAIL lines
 SECONDS = re.compile(r"(?m)^((?:PASS|FAIL)  .*?) +\d+\.\ds  ")
@@ -125,7 +133,7 @@ def _commands() -> list[tuple[str, list[str]]]:
             ]))
     runs.append(("sweep-2x2", [
         "sweep-tradeoff", "--config", "system2x2.json", "--horizon", "10", "--rollouts", "300",
-        "--f-grid", "0.5,4", "--noise-grid", "0,1", "--lambdas", "6", "--opt-iters", "3",
+        "--f-grid", "0.5,4", "--noise-grid", "0,1", "--lambdas", "6",
         "--leak-rollouts", "4", "--out", "sweep-2x2.csv",
     ]))
     for name, extra in (
@@ -144,6 +152,9 @@ def _commands() -> list[tuple[str, list[str]]]:
         "sweep-tradeoff", "--config", "degenerate.json", "--horizon", "6", "--rollouts", "200",
         "--f-grid", "1,4", "--noise-grid", "", "--lambdas", "", "--leak-rollouts", "4",
         "--out", "sweep-degenerate.csv",
+    ]))
+    runs.append(("optimize-unstable", [
+        "optimize", "--config", "unstable.json", "--lambda", "12", "--out", "optimize-unstable.json",
     ]))
     runs.append(("validate", ["validate"]))
     return runs
