@@ -6,10 +6,11 @@ the best-response Jacobian of the follower's optimality condition.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalFailure
 
 
 @dataclass
@@ -74,8 +75,8 @@ def best_response_jacobian(follower, episodes, theta_dim: int) -> np.ndarray:
     """Implicit-function Jacobian of the follower optimum in theta.
 
     -(Hessian of the follower loss)^{-1} times the expected outer product
-    of the follower-loss gradient and the policy score. Singular Hessians
-    get a regularized solve (+1e-6 I) with a warning.
+    of the follower-loss gradient and the policy score. A singular Hessian
+    (too few discarded steps to pin the follower) raises a NumericalFailure.
     """
     hess = follower_hessian(follower, episodes)
     cross = np.zeros((follower.phi.size, theta_dim))
@@ -91,8 +92,7 @@ def best_response_jacobian(follower, episodes, theta_dim: int) -> np.ndarray:
     try:
         return -np.linalg.solve(hess, cross)
     except np.linalg.LinAlgError:
-        warnings.warn("singular follower Hessian; regularizing with 1e-6 I")
-        return -np.linalg.solve(hess + 1e-6 * np.eye(hess.shape[0]), cross)
+        raise NumericalFailure("singular follower Hessian") from None
 
 
 def general_policy_gradient(follower, episodes, lam: float, theta_dim: int) -> np.ndarray:

@@ -44,10 +44,11 @@ def check_symmetric_psd(a, name="matrix"):
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky(a), reading the lower triangle; a 1x1 block is
-    sqrt(a), LinAlgError unless its entry is positive."""
-    if a.shape == (1, 1):
-        if not a[0, 0] > 0.0:
+    """np.linalg.cholesky(a) of a block or a stack (..., d, d), reading the
+    lower triangle; 1x1 blocks are sqrt(a), LinAlgError unless every entry
+    is positive."""
+    if a.shape[-2:] == (1, 1):
+        if not (a > 0.0).all():
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return np.sqrt(a)
     return np.linalg.cholesky(a)

@@ -37,6 +37,7 @@ from .belief import (
 from .engine import blocks_first, blocks_last, branch_rollouts, mm
 from .errors import ContractViolation, NumericalFailure, check_lambda
 from .lingauss import LinearGaussianSystem
+from .linalg import cholesky
 from .loss import mi_accumulate, one_step_loss, rollout_losses
 from .policy import SamplerSchedule, privacy_aware_schedule
 from .rngs import substream
@@ -254,11 +255,7 @@ def _fast_schedule_batch(system, schedule, lam, rollouts, horizon, rng):
         return schedule.f_at(k)[..., None], None, g_abs.T - x_mean
 
     def branch(k, p0, p, mean):
-        pxx = p[:nx, :nx]
-        if nx == 1:
-            fac = np.sqrt(np.maximum(pxx, 0.0))
-        else:
-            fac = blocks_first(np.linalg.cholesky(blocks_last(pxx)))
+        fac = blocks_first(cholesky(blocks_last(p[:nx, :nx])))
         draws = rng.standard_normal((rollouts, nx, 1))
         x = mean[:nx] + mm(fac, draws.transpose(1, 2, 0))[:, 0]
         keep, obs = schedule.decide(k, x.T, mean[:nx].T, rng)
@@ -296,14 +293,9 @@ def _rollout_gradient_terms(params, system, lam, horizon, u):
 
 
 def _scalar_case(system: LinearGaussianSystem) -> bool:
-    """n_x = 1, A_yx = 0 and Q_yy > 0: where leak_estimate uses the engine."""
-    if system.n_x != 1 or np.any(system.a_matrix[1:, :1] != 0.0):
-        return False
-    try:
-        np.linalg.cholesky(system.q_cov[1:, 1:])
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """n_x = 1 and A_yx = 0: where leak_estimate uses the engine, which
+    raises at k=1 if Q_yy is singular (y_1 is then a function of y_0)."""
+    return system.n_x == 1 and bool(np.all(system.a_matrix[1:, :1] == 0.0))
 
 
 def leak_estimate(system, schedule, horizon: int, rollouts: int, rng):

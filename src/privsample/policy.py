@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import solve_psd
+from .linalg import cholesky, solve_psd
 
 KINDS = ("privacy_aware", "open_loop", "always_sample", "never_sample")
 
@@ -173,7 +173,7 @@ class SamplerSchedule:
 def open_loop_schedule(f: np.ndarray | float, horizon: int) -> SamplerSchedule:
     """Constant-f, zero-g schedule (the history-independent baseline)."""
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    ell = np.linalg.cholesky(f)
+    ell = cholesky(f)
     return SamplerSchedule(
         kind="open_loop",
         f_chol=np.repeat(ell[None, :, :], horizon + 1, axis=0),

@@ -92,3 +92,19 @@ def test_one_by_one_closed_forms_match_lapack():
         ell = cholesky(a)
         assert np.array_equal(ell, np.linalg.cholesky(a))
         assert np.array_equal(inverse(ell), np.linalg.inv(ell))
+
+
+def test_cholesky_of_a_stack_matches_lapack():
+    """Stacks (B, 1, 1) and (B, 2, 2) factor as numpy's do, bit for bit;
+    one non-positive 1x1 entry in a stack fails the whole stack."""
+    rng = make_rng(11)
+    ones = np.exp(rng.uniform(-50.0, 50.0, (64, 1, 1)))
+    twos = np.stack([random_spd(rng, 2) for _ in range(64)])
+    for stack in (ones, twos):
+        assert np.array_equal(cholesky(stack), np.linalg.cholesky(stack))
+    for bad in (0.0, -0.0, -2.0, -1e-300):
+        stack = ones.copy()
+        stack[17, 0, 0] = bad
+        for fn in (np.linalg.cholesky, cholesky):
+            with pytest.raises(np.linalg.LinAlgError):
+                fn(stack)

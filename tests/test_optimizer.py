@@ -30,6 +30,7 @@ from privsample.optimizer import (
     _scalar_case,
     exact_objective,
     exact_objective_and_gradient,
+    leak_estimate,
     objective_gradient_linear,
     optimize_lambda,
     stackelberg_optimize,
@@ -238,6 +239,17 @@ def test_toy_implicit_term_vanishes_at_best_response():
     jac = best_response_jacobian(follower, episodes, theta_dim=2)
     term1 = jac.T @ follower_gradient(follower, episodes)
     assert np.all(np.abs(term1) < 1e-8)
+
+
+def test_singular_follower_hessian_raises():
+    """Episodes that keep every step leave the follower loss flat (Hessian
+    0): its best response is undefined, and the Jacobian is not repaired."""
+    theta = np.array([0.3, -0.2])
+    follower = LinearFollower(phi=np.array([0.5]))
+    episodes = [ep for ep in _toy_quadrature_batch(theta, 0.5) if ep.kept.all()]
+    assert not follower_hessian(follower, episodes).any()
+    with pytest.raises(NumericalFailure, match="^singular follower Hessian$"):
+        best_response_jacobian(follower, episodes, theta_dim=2)
 
 
 def test_toy_envelope_second_order():
@@ -545,7 +557,9 @@ def test_x_determined_by_the_private_trajectory_names_the_step(vi_system):
 
 
 def test_singular_private_noise_names_the_step(vi_system):
-    """Q_yy = 0 with A_yx = 0 makes y_1 a function of y_0."""
+    """Q_yy = 0 with A_yx = 0 makes y_1 a function of y_0. The system is in
+    the scalar case, and the engine's leak raises the growing belief's
+    message at k = 1."""
     system = LinearGaussianSystem(
         a_matrix=vi_system.a_matrix,
         q_cov=np.diag([1.0, 0.0]),
@@ -557,6 +571,14 @@ def test_singular_private_noise_names_the_step(vi_system):
     params = FeedbackPolicyParams.constant(system, 4, f0=1.0, tied=True)
     with pytest.raises(NumericalFailure, match=r"k=1\b"):
         objective_gradient_linear(params, system, 0.5, 8, make_rng(0))
+    assert _scalar_case(system)
+    sched = open_loop_schedule(np.eye(1), 4)
+    with pytest.raises(NumericalFailure) as engine:
+        leak_estimate(system, sched, 4, 4, make_rng(0))
+    with pytest.raises(NumericalFailure) as growing:
+        rollout_losses(system, sched, 1.0, 4, make_rng(0))
+    assert str(engine.value) == str(growing.value)
+    assert str(engine.value) == "singular Cov(Y_k | Y^(k-1), Z^(k-1)) at k=1"
 
 
 # ---------------------------------------------------------------------------
